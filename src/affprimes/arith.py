@@ -75,77 +75,73 @@ class ArithTables:
         return sorted(divs)
 
     def save(self, path):
-        """Binary cache: magic, n_max, then each array with a small header."""
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<q", self.n_max))
-            arrays = {"is_prime": self.is_prime.view(np.uint8)}
-            for name in FIELDS:
-                arr = getattr(self, name)
-                if arr is not None:
-                    arrays[name] = arr
-            fh.write(struct.pack("<q", len(arrays)))
-            for name, arr in arrays.items():
-                tag = name.encode()
-                fh.write(struct.pack("<q", len(tag)))
-                fh.write(tag)
-                dt = arr.dtype.str.encode()
-                fh.write(struct.pack("<q", len(dt)))
-                fh.write(dt)
-                fh.write(struct.pack("<q", arr.nbytes))
-                fh.write(np.ascontiguousarray(arr).tobytes())
+        """Binary cache of is_prime and every built field (see _write_records)."""
+        arrays = {"is_prime": self.is_prime.view(np.uint8)}
+        arrays.update((f, getattr(self, f)) for f in FIELDS if getattr(self, f) is not None)
+        _write_records(path, self.n_max, arrays)
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            if fh.read(len(_MAGIC)) != _MAGIC:
-                raise ValueError("bad magic header")
-            n_max = struct.unpack("<q", fh.read(8))[0]
-            count = struct.unpack("<q", fh.read(8))[0]
-            arrays = {}
-            for _ in range(count):
-                ln = struct.unpack("<q", fh.read(8))[0]
-                name = fh.read(ln).decode()
-                ln = struct.unpack("<q", fh.read(8))[0]
-                dt = np.dtype(fh.read(ln).decode())
-                nbytes = struct.unpack("<q", fh.read(8))[0]
-                arrays[name] = np.frombuffer(fh.read(nbytes), dtype=dt).copy()
+        n_max, records = _read_records(path)
+        arrays = dict(records)
+        for name, arr in arrays.items():
+            if len(arr) != n_max + 1:
+                raise ValueError(f"{path}: {name} has {len(arr)} entries, expected {n_max + 1}")
         is_prime = arrays.pop("is_prime").view(bool)
         primes = np.nonzero(is_prime)[0].astype(np.int64)
         return cls(n_max=n_max, is_prime=is_prime, primes=primes, **arrays)
 
 
-def save_array(path, name, arr, n_max):
-    """Single named array in the same little-endian magic-header format."""
+def _write_records(path, n_max, arrays):
+    """Little-endian cache: magic, n_max, record count, then per named array
+    three length-prefixed fields: name, dtype string and raw data."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<q", int(n_max)))
-        fh.write(struct.pack("<q", 1))
-        tag = name.encode()
-        fh.write(struct.pack("<q", len(tag)))
-        fh.write(tag)
-        dt = arr.dtype.str.encode()
-        fh.write(struct.pack("<q", len(dt)))
-        fh.write(dt)
-        fh.write(struct.pack("<q", arr.nbytes))
-        fh.write(np.ascontiguousarray(arr).tobytes())
+        fh.write(struct.pack("<qq", int(n_max), len(arrays)))
+        for name, arr in arrays.items():
+            for data in (name.encode(), arr.dtype.str.encode(), np.ascontiguousarray(arr).tobytes()):
+                fh.write(struct.pack("<q", len(data)))
+                fh.write(data)
+
+
+def _read_records(path):
+    """(n_max, [(name, array), ...]) from a _write_records file.
+
+    Raises ValueError on a bad header or any short read, so a truncated
+    cache is never loaded.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ValueError("bad magic header")
+
+        def read(n):
+            data = fh.read(n) if n >= 0 else b""
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated cache")
+            return data
+
+        def field():
+            return read(struct.unpack("<q", read(8))[0])
+
+        n_max, count = struct.unpack("<qq", read(16))
+        records = []
+        for _ in range(count):
+            name, dt = field().decode(), np.dtype(field().decode())
+            records.append((name, np.frombuffer(field(), dtype=dt).copy()))
+    return n_max, records
+
+
+def save_array(path, name, arr, n_max):
+    """Single named array in the same little-endian magic-header format."""
+    _write_records(path, n_max, {name: arr})
 
 
 def load_array(path):
     """(name, array, n_max) from a single-array cache file."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("bad magic header")
-        n_max = struct.unpack("<q", fh.read(8))[0]
-        count = struct.unpack("<q", fh.read(8))[0]
-        if count != 1:
-            raise ValueError("expected a single-array cache")
-        ln = struct.unpack("<q", fh.read(8))[0]
-        name = fh.read(ln).decode()
-        ln = struct.unpack("<q", fh.read(8))[0]
-        dt = np.dtype(fh.read(ln).decode())
-        nbytes = struct.unpack("<q", fh.read(8))[0]
-        arr = np.frombuffer(fh.read(nbytes), dtype=dt).copy()
+    n_max, records = _read_records(path)
+    if len(records) != 1:
+        raise ValueError("expected a single-array cache")
+    (name, arr), = records
     return name, arr, n_max
 
 

@@ -406,7 +406,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         cfg = _load_config(args)
         payload, rows, header = COMMANDS[args.command](cfg)
@@ -423,7 +423,7 @@ def main(argv=None):
         "command": args.command,
         "config": cfg,
         "result": payload,
-        "timing": {"seconds": round(time.time() - t0, 3)},
+        "timing": {"seconds": round(time.perf_counter() - t0, 3)},
     }
     path = _write_report(args.out, report, rows, header, fmt=args.format)
     print(json.dumps(payload, sort_keys=True, default=str))

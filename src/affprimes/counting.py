@@ -178,16 +178,6 @@ def _strided_view(table, off, coef, lo, hi):
     return table[start: stop: coef]
 
 
-def _run_source(body):
-    """Yield (prefix_tuple, lo, hi); vectorised for dim 2."""
-    if body.dim == 2:
-        x1, lo, hi = body.outer_values_and_bounds()
-        for a, l, h in zip(x1.tolist(), lo.tolist(), hi.tolist()):
-            yield (a,), l, h
-    else:
-        yield from body.runs()
-
-
 # ---------------------------------------------------------------------------
 # the counting engine
 
@@ -220,7 +210,7 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
     all_pm1 = all(weights[i].kind == "pm1" for i in live)
     run_sums = []
 
-    for prefix, lo, hi in _run_source(body):
+    for prefix, lo, hi in body.runs():
         # forms split by inner-coefficient
         const_factor = 1.0
         varying = []
@@ -330,7 +320,7 @@ def _integral_sum_exact(sys, body):
     coeffs = [list(f.linear_coeffs) for f in sys.forms]
     consts = [f.constant for f in sys.forms]
     parts = []
-    for prefix, lo, hi in _run_source(body):
+    for prefix, lo, hi in body.runs():
         xs = np.arange(lo, hi + 1, dtype=np.int64)
         prod = None
         for cf, c in zip(coeffs, consts):
@@ -354,10 +344,10 @@ def _integral_sum_quadrature(sys, body, nodes=12, panels=8):
     """
     if body.dim != 2:
         raise ValueError("quadrature path requires dim == 2")
-    x1, lo, hi = body.outer_values_and_bounds()
-    if len(x1) == 0:
+    prefix, lo, hi = body.outer_values_and_bounds()
+    if len(lo) == 0:
         return 0.0
-    x1 = x1.astype(np.float64)
+    x1 = prefix[:, 0].astype(np.float64)
     lo = lo.astype(np.float64) - 0.5
     hi = hi.astype(np.float64) + 0.5
     keep = np.ones(len(x1), dtype=bool)
@@ -420,11 +410,7 @@ def predict(sys, body, p_max, mode="integral", tables=None, min_prime=2):
     if mode != "integral":
         raise ValueError(f"unknown mode {mode!r}")
     # point count picks the evaluation route
-    if body.dim == 2:
-        x1, lo, hi = body.outer_values_and_bounds()
-        npoints = int((hi - lo + 1).sum()) if len(x1) else 0
-    else:
-        npoints = body.lattice_point_count()
+    npoints = body.lattice_point_count()
     if npoints <= EXACT_INTEGRAL_POINT_GUARD or body.dim != 2:
         val = _integral_sum_exact(sys, body)
     else:
@@ -474,7 +460,7 @@ def compare(sys, body, p_max, tables, with_lambda_sum=False):
     both prediction modes target); the Lambda'-weighted sum is carried in
     meta when requested.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     empirical = prime_point_count(sys, body, tables)
     pred_log, ss = predict(sys, body, p_max, "log_power", tables)
     pred_int, _ = predict(sys, body, p_max, "integral", tables)
@@ -488,7 +474,7 @@ def compare(sys, body, p_max, tables, with_lambda_sum=False):
         meta["lambda_prime_sum"] = weighted_count(
             sys, body, ["lambda_prime"] * sys.t, tables
         )
-    meta["seconds"] = round(time.time() - t0, 3)
+    meta["seconds"] = round(time.perf_counter() - t0, 3)
     return CorrelationReport(
         empirical=float(empirical),
         predicted_log_power=pred_log,

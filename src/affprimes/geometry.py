@@ -2,10 +2,14 @@
 
 Bodies are intersections of halfspaces a.x <= c together with the box
 [-N, N]^d, so everything is bounded.  Halfspaces are cleared to integer
-coefficients at construction; the enumerator walks coordinates in ascending
-index order (x1 outermost), bounding each coordinate by Fourier-Motzkin
-elimination of the later ones.  All bound computations are exact integer
-arithmetic.
+coefficients at construction.  One enumerator, ConvexBody.run_blocks,
+serves every dimension: it walks coordinates in ascending index order (x1
+outermost), bounding each coordinate by Fourier-Motzkin elimination of the
+later ones, and yields the lattice points as runs of the last coordinate in
+int64 blocks of at most RUN_BLOCK rows, so working memory stays bounded.
+Bound computations are exact: bodies whose int64 arithmetic could overflow
+(|c| + sum |a_j| N >= 2^62 for some eliminated halfspace) are rejected with
+ValueError.
 """
 
 import itertools
@@ -16,6 +20,8 @@ from math import gcd
 import numpy as np
 
 ENUM_DIM_GUARD = 6
+RUN_BLOCK = 4096                # runs per enumeration block; bounds working memory
+_INT64_BOUND_LIMIT = 2**62
 
 
 def _clear_halfspace(a, c):
@@ -88,18 +94,6 @@ class ConvexBody:
             hs.append((tuple(e), -lo[j]))
         return cls(dim, hs, bb)
 
-    @classmethod
-    def from_form_bounds(cls, sys, lower, upper, box_bound):
-        """Body {n : lower_i <= psi_i(n) <= upper_i}, None meaning unbounded."""
-        hs = []
-        for f, lo, hi in zip(sys.forms, lower, upper):
-            a = f.linear_coeffs
-            if hi is not None:
-                hs.append((a, hi - f.constant))
-            if lo is not None:
-                hs.append((tuple(-c for c in a), f.constant - lo))
-        return cls(sys.d, hs, box_bound)
-
     def intersect(self, halfspaces):
         return ConvexBody(self.dim, list(self.halfspaces) + list(halfspaces), self.box_bound)
 
@@ -122,76 +116,73 @@ class ConvexBody:
     # -- Fourier-Motzkin chain ---------------------------------------------------
 
     def _fm_chain(self):
-        """chain[k] = integer halfspaces on (x1..x_{k+1}) after eliminating the rest."""
+        """Per level k, int64 arrays (a, c) of the halfspaces a.(x1..x_{k+1}) <= c
+        with a[k] != 0 left after eliminating the later coordinates.
+
+        An empty list means elimination reached 0 <= c < 0 (the body is
+        empty).  Bodies whose int64 bound arithmetic could overflow are
+        rejected here: every halfspace needs |c| + sum |a_j| N < 2^62.
+        """
         if self._chain is not None:
             return self._chain
-        chain = [None] * self.dim
-        cur = [(list(a), c) for a, c in self.halfspaces]
-        chain[self.dim - 1] = cur
+        levels = [dict(self.halfspaces)]
         for k in range(self.dim - 1, 0, -1):
-            nxt = {}
-
-            def add(a, c):
-                a = tuple(a)
-                aa, cc = _clear_halfspace(a, c)
-                if not any(aa):
-                    if cc < 0:
-                        nxt[tuple([0] * k)] = -1
-                    return
-                if aa in nxt:
-                    nxt[aa] = min(nxt[aa], cc)
-                else:
-                    nxt[aa] = cc
-
+            cur = levels[0].items()
             pos = [(a, c) for a, c in cur if a[k] > 0]
             neg = [(a, c) for a, c in cur if a[k] < 0]
-            for a, c in cur:
-                if a[k] == 0:
-                    add(a[:k], c)
-            for (ap, cp), (an, cn) in itertools.product(pos, neg):
-                # eliminate x_{k+1}: an[k]*(combined) removes the variable
-                mult_p, mult_n = -an[k], ap[k]
-                comb = [mult_p * ap[j] + mult_n * an[j] for j in range(k)]
-                add(comb, mult_p * cp + mult_n * cn)
-            cur = [(list(a), c) for a, c in sorted(nxt.items())]
-            chain[k - 1] = cur
-        self._chain = chain
-        return chain
+            # eliminate x_{k+1}: -an[k] * (ap, cp) + ap[k] * (an, cn) removes it
+            combined = [(a[:k], c) for a, c in cur if a[k] == 0] + [
+                ([-an[k] * ap[j] + ap[k] * an[j] for j in range(k)], -an[k] * cp + ap[k] * cn)
+                for (ap, cp), (an, cn) in itertools.product(pos, neg)
+            ]
+            nxt = {}
+            for a, c in combined:
+                a, c = _clear_halfspace(a, c)
+                if any(a) or c < 0:
+                    nxt[a] = min(nxt.get(a, c), c)
+            levels.insert(0, nxt)
+        rows = [(a, c) for level in levels for a, c in level.items()]
+        if any(not any(a) for a, _ in rows):
+            self._chain = []
+            return self._chain
+        if any(abs(c) + sum(map(abs, a)) * self.box_bound >= _INT64_BOUND_LIMIT for a, c in rows):
+            raise ValueError(f"halfspaces too large for int64 enumeration at N = {self.box_bound}")
+        self._chain = [
+            (
+                np.array([a for a in level if a[k]], dtype=np.int64).reshape(-1, k + 1),
+                np.array([c for a, c in level.items() if a[k]], dtype=np.int64),
+            )
+            for k, level in enumerate(levels)
+        ]
+        return self._chain
 
     def is_empty(self):
         chain = self._fm_chain()
-        for level in chain:
-            for a, c in level:
-                if not any(a) and c < 0:
-                    return True
-        lo, hi = _coord_bounds(chain[0], [], 0)
-        return lo > hi
+        if not chain:
+            return True
+        lo, hi = _level_bounds(chain[0], np.zeros((1, 0), np.int64), 0)
+        return bool(lo[0] > hi[0])
 
     # -- enumeration --------------------------------------------------------------
 
-    def runs(self):
-        """Yield (prefix, lo, hi): integer ranges of the last coordinate.
+    def run_blocks(self):
+        """Yield (prefix, lo, hi) int64 blocks of at most RUN_BLOCK runs.
 
-        prefix is a tuple of the first dim-1 coordinates; the run is the
-        segment {(prefix, x) : lo <= x <= hi}, lo/hi inclusive ints.
+        prefix is a (rows, dim-1) matrix of the leading coordinates; row r is
+        the run {(prefix[r], x) : lo[r] <= x <= hi[r]} of the last coordinate.
+        Runs come in lexicographic order of their prefix; empty runs are left
+        out.
         """
         if self.dim > ENUM_DIM_GUARD:
             raise ValueError(f"enumeration limited to dimension <= {ENUM_DIM_GUARD}")
         chain = self._fm_chain()
+        if chain:
+            yield from _blocks(chain, np.zeros((1, 0), np.int64), 0)
 
-        def rec(prefix, k):
-            lo, hi = _coord_bounds(chain[k], prefix, k)
-            if lo > hi:
-                return
-            if k == self.dim - 1:
-                yield tuple(prefix), lo, hi
-                return
-            for x in range(lo, hi + 1):
-                prefix.append(x)
-                yield from rec(prefix, k + 1)
-                prefix.pop()
-
-        yield from rec([], 0)
+    def runs(self):
+        """The runs of run_blocks() one at a time, as (prefix tuple, lo, hi) ints."""
+        for prefix, lo, hi in self.run_blocks():
+            yield from zip(map(tuple, prefix.tolist()), lo.tolist(), hi.tolist())
 
     def lattice_points(self):
         for prefix, lo, hi in self.runs():
@@ -199,58 +190,51 @@ class ConvexBody:
                 yield prefix + (x,)
 
     def lattice_point_count(self):
-        return sum(hi - lo + 1 for _, lo, hi in self.runs())
+        # Python ints: an int64 sum over a block of long runs could wrap
+        return sum(sum((hi - lo + 1).tolist()) for _, lo, hi in self.run_blocks())
 
     def outer_values_and_bounds(self):
-        """Vectorized runs for dim == 2: (x1 array, lo array, hi array)."""
-        if self.dim != 2:
-            raise ValueError("vectorized runs require dim == 2")
-        chain = self._fm_chain()
-        lo1, hi1 = _coord_bounds(chain[0], [], 0)
-        if lo1 > hi1:
-            return (np.zeros(0, np.int64),) * 3
-        x1 = np.arange(lo1, hi1 + 1, dtype=np.int64)
-        lo = np.full(x1.shape, -(2**62), np.int64)
-        hi = np.full(x1.shape, 2**62, np.int64)
-        for (a0, a1), c in chain[1]:
-            if a1 == 0:
-                continue
-            num = c - a0 * x1
-            if a1 > 0:
-                np.minimum(hi, _floor_div(num, a1), out=hi)
-            else:
-                np.maximum(lo, _ceil_div(num, a1), out=lo)
-        keep = lo <= hi
-        return x1[keep], lo[keep], hi[keep]
+        """All runs at once: (prefix matrix, lo array, hi array)."""
+        empty = np.zeros((0, self.dim), np.int64)
+        blocks = [(empty[:, 1:], empty[:, 0], empty[:, 0]), *self.run_blocks()]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _floor_div(num, den):
-    return np.floor_divide(num, den)
-
-
-def _ceil_div(num, den):
-    return -np.floor_divide(-num, den)
-
-
-def _coord_bounds(level, prefix, k):
-    """Integer [lo, hi] for x_{k+1} given the first k coordinates."""
-    lo, hi = None, None
-    for a, c in level:
-        ak = a[k]
-        if ak == 0:
-            if not any(a) and c < 0:
-                return 1, 0
-            continue
-        rest = c - sum(a[j] * prefix[j] for j in range(k))
-        if ak > 0:
-            bound = rest // ak
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            bound = -((-rest) // ak)        # ceil(rest/ak), ak < 0
-            lo = bound if lo is None else max(lo, bound)
-    if lo is None or hi is None:
-        raise RuntimeError("unbounded direction; box constraint missing")
+def _level_bounds(level, prefix, k):
+    """Integer bounds (lo, hi) of x_{k+1}, one pair per row of the k-column prefix."""
+    a, c = level
+    rest = c - prefix @ a[:, :k].T
+    ak = a[:, k]
+    up = ak > 0
+    hi = np.floor_divide(rest[:, up], ak[up]).min(axis=1)
+    lo = -np.floor_divide(rest[:, ~up], -ak[~up]).min(axis=1)    # ceil(rest/ak), ak < 0
     return lo, hi
+
+
+def _blocks(chain, prefix, k):
+    """Runs below the rows of prefix, level by level, RUN_BLOCK rows at a time.
+
+    The children of the surviving rows are numbered consecutively (each row's
+    x_{k+1} values in order); each slice of RUN_BLOCK child numbers finds its
+    parent rows by searchsorted on the cumulative child counts.
+    """
+    lo, hi = _level_bounds(chain[k], prefix, k)
+    keep = lo <= hi
+    prefix, lo, hi = prefix[keep], lo[keep], hi[keep]
+    if k == len(chain) - 1:
+        if len(lo):
+            yield prefix, lo, hi
+        return
+    counts = hi - lo + 1
+    ends = np.cumsum(counts)
+    shift = lo - (ends - counts)        # child j of row r has x_{k+1} = j + shift[r]
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, RUN_BLOCK):
+        child = np.arange(start, min(start + RUN_BLOCK, total), dtype=np.int64)
+        parent = np.searchsorted(ends, child, side="right")
+        yield from _blocks(
+            chain, np.column_stack([prefix[parent], child + shift[parent]]), k + 1
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -461,22 +461,6 @@ def _nullspace_mod_p(rows, p):
 # correlation condition
 
 
-def _sqrt_prime_divisor_sums(values, w_threshold, tables):
-    """For each v in values: sum of p^{-1/2} over primes p | v with p > w."""
-    out = []
-    for v in values:
-        v = abs(int(v))
-        if v == 0:
-            out.append(None)        # signals the tau(0) cap
-            continue
-        acc = 0.0
-        for p in tables.factor(v):
-            if p > w_threshold:
-                acc += p ** -0.5
-        out.append(acc)
-    return out
-
-
 def tau_weight(sieve, n_values, tables, kappa=1.0, cap=None):
     """Diagnostic tau(n) = mean over residue pairs of exp(kappa sum p^{-1/2}).
 

@@ -109,6 +109,29 @@ def test_cache_roundtrip(tmp_path, tables_1e6):
     assert (rebuilt.mobius == small.mobius).all()
 
 
+def test_truncated_cache_rejected(tmp_path):
+    path = tmp_path / "tables.bin"
+    arith.build_tables(1000).save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-300])
+    with pytest.raises(ValueError, match="truncated"):
+        arith.ArithTables.load(path)
+    # a well-formed file whose arrays disagree with n_max
+    short = arith.build_tables(1000)
+    short.liouville = short.liouville[:701]
+    short.save(path)
+    with pytest.raises(ValueError, match="liouville"):
+        arith.ArithTables.load(path)
+    # single-array file cut by a whole number of items
+    arr = np.arange(50, dtype=np.float64)
+    arith.save_array(path, "nu", arr, 50)
+    name, back, n_max = arith.load_array(path)
+    assert name == "nu" and n_max == 50 and (back == arr).all()
+    path.write_bytes(path.read_bytes()[:-3 * arr.itemsize])
+    with pytest.raises(ValueError, match="truncated"):
+        arith.load_array(path)
+
+
 def test_guards():
     with pytest.raises(ValueError):
         arith.build_tables(1)

@@ -1,10 +1,11 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from affprimes import forms, geometry
+from affprimes import cli, counting, forms, geometry
 
 
 def ap_body(k, n):
@@ -43,15 +44,63 @@ def test_box_count_exact():
             assert box.lattice_point_count() == (n + 1) ** d
 
 
-def test_enumeration_consistent_with_contains():
-    # exhaustive in the bounding box for small 2-d bodies
-    body = geometry.ConvexBody(
-        2, [((2, 3), 25), ((-1, 1), 4), ((0, -1), 2)], 20
-    )
-    enumerated = set(body.lattice_points())
-    for x in range(-20, 21):
-        for y in range(-20, 21):
-            assert ((x, y) in enumerated) == body.contains((x, y))
+def _random_body(rng, d):
+    n = int(rng.integers(1, {1: 30, 2: 12, 3: 5, 4: 3}[d] + 1))
+    hs = [
+        ([int(x) for x in rng.integers(-4, 5, size=d)], int(rng.integers(-2 * n, 2 * n + 1)))
+        for _ in range(int(rng.integers(0, 5)))
+    ]
+    kind = rng.integers(0, 10)
+    if kind == 0:
+        hs.append(([0] * d, -1))                                  # infeasible marker
+    elif kind == 1:
+        hs += [([1] + [0] * (d - 1), 0), ([-1] + [0] * (d - 1), -1)]   # empty, no marker
+    return geometry.ConvexBody(d, hs, n)
+
+
+def test_enumeration_consistent_with_contains(monkeypatch):
+    # exhaustive in the bounding box; the small RUN_BLOCK splits the children
+    # of single rows across blocks.  A local generator leaves the session
+    # rng stream of the other tests unchanged.
+    rng = np.random.default_rng(3)
+    bodies = [geometry.ConvexBody(2, [((2, 3), 25), ((-1, 1), 4), ((0, -1), 2)], 20)]
+    bodies += [_random_body(rng, d) for d in (1, 2, 3, 4) for _ in range(15)]
+    for run_block, body in itertools.product((geometry.RUN_BLOCK, 3), bodies):
+        monkeypatch.setattr(geometry, "RUN_BLOCK", run_block)
+        d, n = body.dim, body.box_bound
+        brute = [
+            p for p in itertools.product(range(-n, n + 1), repeat=d) if body.contains(p)
+        ]
+        assert list(body.lattice_points()) == brute       # same points, lexicographic
+        assert body.lattice_point_count() == len(brute)
+        assert not (body.is_empty() and brute)    # real emptiness: no lattice points
+        for prefix, lo, hi in body.run_blocks():
+            assert prefix.shape == (len(lo), d - 1) and 0 < len(lo) <= run_block
+            assert (lo <= hi).all()
+        coeffs = rng.integers(1, 4, size=(2, d)) * rng.choice([-1, 1], size=(2, d))
+        sys_ = forms.system(coeffs.tolist(), [0, 1])
+        assert counting.weighted_count(sys_, body, ["one", "one"]) == len(brute)
+
+
+def test_int64_guard_rejects_overflowing_bodies(tmp_path):
+    # 3e18 * x1 + x2 <= 6e18 + 3 over [-10, 10]^2 has 136 points, but its
+    # bounds overflow int64 arithmetic; it is rejected instead of miscounted
+    hs = [((0, -1), 0), ((3 * 10**18, 1), 6 * 10**18 + 3)]
+    body = geometry.ConvexBody(2, hs, 10)
+    with pytest.raises(ValueError, match="int64"):
+        body.lattice_point_count()
+    with pytest.raises(ValueError, match="int64"):
+        counting.weighted_count(forms.identity_system(2), body, ["one", "one"])
+    cfg = {
+        "N": 10,
+        "system": {"d": 2, "t": 2, "forms": [
+            {"coeffs": [1, 0], "const": 0}, {"coeffs": [0, 1], "const": 0}]},
+        "body": geometry.convex_body_to_json(body),
+        "weights": ["one", "one"],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["count", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_dimension_guard():
