@@ -38,33 +38,24 @@ class ArithTables:
     def factor(self, n):
         """Prime factorization of n >= 1 as a dict {p: exponent}.
 
-        Uses the spf table when available; falls back to trial division by
-        the sieved primes (valid for n <= n_max**2).
+        Uses the spf table when available; falls back to trial division
+        (factorize) for n <= n_max**2.
         """
         n = int(n)
         if n < 1:
             raise ValueError("factor expects n >= 1")
-        out = {}
-        if self.spf is not None and n <= self.n_max:
-            while n > 1:
-                p = int(self.spf[n])
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-            return out
-        for p in self.primes:
-            p = int(p)
-            if p * p > n:
-                break
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        if n > 1:
+        if self.spf is None or n > self.n_max:
             if n > self.n_max * self.n_max:
                 raise ValueError("n too large to factor with this table")
-            out[n] = out.get(n, 0) + 1
+            return factorize(n)
+        out = {}
+        while n > 1:
+            p = int(self.spf[n])
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
         return out
 
     def squarefree_divisors(self, n):
@@ -277,20 +268,32 @@ def w_trick(w=None, W=None):
     return WTrickParams(w=float(w), W=W, residues=residues)
 
 
+def factorize(n):
+    """Prime factorization {p: exponent} of |n| by trial division; {} for 0 and +-1."""
+    n = abs(int(n))
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def _next_prime(p):
     q = p + 1
-    while True:
-        if all(q % r for r in range(2, math.isqrt(q) + 1)):
-            return q
+    while factorize(q) != {q: 1}:
         q += 1
+    return q
 
 
 def _prev_prime(p):
-    q = p - 1
-    while q >= 2:
-        if all(q % r for r in range(2, math.isqrt(q) + 1)):
+    for q in range(p - 1, 1, -1):
+        if factorize(q) == {q: 1}:
             return q
-        q -= 1
     raise ValueError("no prime below 2")
 
 

@@ -159,7 +159,7 @@ def cmd_predict(cfg):
     body = _body(cfg, n)
     p_max = int(cfg.get("pmax", 10**5))
     mode = cfg.get("mode", "integral")
-    val, ss = counting.predict(sys_, body, p_max, mode)
+    val, ss = counting.predict(sys_, body, localfactors.singular_series(sys_, p_max), mode)
     return {
         "system": forms.form_system_to_json(sys_),
         "body": geometry.convex_body_to_json(body),

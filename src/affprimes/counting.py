@@ -394,13 +394,14 @@ def _integral_sum_quadrature(sys, body, nodes=12, panels=8):
     return float(total.sum())
 
 
-def predict(sys, body, p_max, mode="integral", tables=None, min_prime=2):
+def predict(sys, body, ss, mode="integral"):
     """Hardy-Littlewood prediction for the prime point count on K.
 
+    ss is the system's truncated singular series (singular_series(sys, p_max)).
     log_power: (beta_inf / log^t N) prod_{p <= p_max} beta_p
     integral:  prod beta_p * sum_K prod_i 1_{psi_i>2}/log psi_i
+    Returns (prediction, ss).
     """
-    ss = singular_series(sys, p_max, min_prime=min_prime)
     if ss.vanishing:
         return 0.0, ss
     n = body.box_bound
@@ -462,8 +463,9 @@ def compare(sys, body, p_max, tables, with_lambda_sum=False):
     """
     t0 = time.perf_counter()
     empirical = prime_point_count(sys, body, tables)
-    pred_log, ss = predict(sys, body, p_max, "log_power", tables)
-    pred_int, _ = predict(sys, body, p_max, "integral", tables)
+    ss = singular_series(sys, p_max)
+    pred_log, _ = predict(sys, body, ss, "log_power")
+    pred_int, _ = predict(sys, body, ss, "integral")
     meta = {
         "system": str(sys),
         "P_max": p_max,

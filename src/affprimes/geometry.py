@@ -157,11 +157,15 @@ class ConvexBody:
         return self._chain
 
     def is_empty(self):
+        """No real point: FM elimination is exact, so compare the x1 bounds as rationals."""
         chain = self._fm_chain()
         if not chain:
             return True
-        lo, hi = _level_bounds(chain[0], np.zeros((1, 0), np.int64), 0)
-        return bool(lo[0] > hi[0])
+        a, c = chain[0]
+        a, c = a[:, 0].tolist(), c.tolist()
+        lo = max(Fraction(ci, ai) for ai, ci in zip(a, c) if ai < 0)
+        hi = min(Fraction(ci, ai) for ai, ci in zip(a, c) if ai > 0)
+        return lo > hi
 
     # -- enumeration --------------------------------------------------------------
 

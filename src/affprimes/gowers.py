@@ -2,7 +2,10 @@
 Cauchy-Schwarz inequality battery.
 
 Three evaluation routes are kept side by side: the naive defining average
-(the oracle), the recursive reduction, and an FFT route for U^2.  The fast
+(the oracle), one einsum cube-average kernel, and an FFT route for U^2 (with
+a recursion over differences for higher cyclic norms).  Every box, weighted
+box and von Neumann average, E_{x0,x1} prod_omega C^{|omega|} f_omega(x^{(omega)})
+times the nu_C weights, is a single np.einsum call in _box_average.  The fast
 paths must agree with the naive one at small sizes; tests enforce this.
 Complex inputs are supported with the conjugation pattern C^{|omega|}.
 """
@@ -14,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 NAIVE_WORK_GUARD = 10**9
+# Largest einsum intermediate in elements (16 MB complex); optimize=True caps it
+# at the largest operand, which turns a (31, 31, 31) box norm into one 31^6 loop.
+_EINSUM_MAX_INTERMEDIATE = 2**20
 
 
 @dataclass
@@ -71,35 +77,60 @@ def _box_raw_naive(f):
     return total / denom
 
 
-def _box_raw_recursive(f):
-    """Recursive route: average over pairs in the last axis, recurse on f g-bar."""
-    if f.ndim == 0:
-        raise ValueError("box norm needs at least one axis")
-    if f.ndim == 1:
-        m = f.mean()
-        return m * np.conj(m)
-    n = f.shape[-1]
-    total = 0.0 + 0.0j
-    for a in range(n):
-        for b in range(n):
-            total += _box_raw_recursive(f[..., a] * np.conj(f[..., b]))
-    return total / (n * n)
+def _einsum_mean(operands):
+    """Mean over every index value of the product of the operands.
+
+    operands is a list of (array, index list) pairs in np.einsum's sublist
+    form; the mean runs over the product of all index ranges, which is
+    checked against NAIVE_WORK_GUARD.  The greedy contraction order keeps
+    every pairwise intermediate within _EINSUM_MAX_INTERMEDIATE elements.
+    """
+    sizes = {}
+    for arr, sub in operands:
+        sizes.update(zip(sub, np.shape(arr)))
+    count = math.prod(sizes.values())
+    if count > NAIVE_WORK_GUARD:
+        raise ValueError("work guard exceeded")
+    args = [x for arr, sub in operands for x in (arr, sub)]
+    return np.einsum(*args, [], optimize=("greedy", _EINSUM_MAX_INTERMEDIATE)) / count
 
 
-def box_norm(f, method="recursive"):
-    """Gowers box norm of a multi-axis array; method in {naive, recursive}."""
+def _box_average(fs, nus):
+    """E_{x0, x1} prod_omega C^{|omega|} f_omega(x^{(omega)}) prod_C prod_{omega_C} nu_C(x_C^{(omega_C)}).
+
+    fs lists 2^k arrays over X_1 x ... x X_k, one per omega in lexicographic
+    order (or is empty when a full-set weight carries the axes); nus maps
+    frozenset C of axis indices to a real array over X_C (axes in sorted
+    order).  x0 axis i is einsum index i and x1 axis i is index k + i.
+    """
+    k = max([np.ndim(f) for f in fs] + [len(c) for c in nus])
+    operands = [
+        (np.conj(f) if sum(omega) % 2 else f, [i + k * o for i, o in enumerate(omega)])
+        for f, omega in zip(fs, itertools.product((0, 1), repeat=k))
+    ]
+    for c, nu in nus.items():
+        cl = sorted(c)
+        nu = np.asarray(nu, dtype=float)
+        operands += [
+            (nu, [a + k * o for a, o in zip(cl, omega_c)])
+            for omega_c in itertools.product((0, 1), repeat=len(cl))
+        ]
+    return _einsum_mean(operands)
+
+
+def box_norm(f, method="direct"):
+    """Gowers box norm of a multi-axis array; method in {naive, direct}."""
     if isinstance(f, BoxInput):
         f = f.values
     f = np.asarray(f, dtype=complex)
-    work = 1
-    for s in f.shape:
-        work *= s * s
-    if work > NAIVE_WORK_GUARD:
+    if f.ndim == 0:
+        raise ValueError("box norm needs at least one axis")
+    if math.prod(s * s for s in f.shape) > NAIVE_WORK_GUARD:
         raise ValueError("work guard exceeded for box norm")
     if method == "naive":
         raw = _box_raw_naive(f)
-    elif method == "recursive":
-        raw = _box_raw_recursive(f)
+    elif method == "direct":
+        raw = _box_average([f] * 2**f.ndim, {})
     else:
         raise ValueError(f"unknown method {method!r}")
     return _finalize(raw, method, 2 ** f.ndim)
@@ -109,22 +140,28 @@ def box_norm(f, method="recursive"):
 # cyclic uniformity norms U^{s+1}(Z_N)
 
 
-def _cyclic_raw_naive(f, s):
-    n = len(f)
-    if n ** (s + 2) > NAIVE_WORK_GUARD:
-        raise ValueError("work guard exceeded for naive cyclic norm")
+def _cyclic_cube_average(fs):
+    """E_{x, h in Z_N^k} prod_omega C^{|omega|} f_omega(x + omega.h).
+
+    fs lists 2^k arrays over Z_N, one per omega in lexicographic order.
+    """
+    k = int(math.log2(len(fs)))
+    n = len(fs[0])
+    if n ** (k + 1) > NAIVE_WORK_GUARD:
+        raise ValueError("work guard exceeded for naive cyclic average")
+    omegas = list(itertools.product((0, 1), repeat=k))
     idx = np.arange(n)
     total = 0.0 + 0.0j
-    for h in itertools.product(range(n), repeat=s + 1):
+    for h in itertools.product(range(n), repeat=k):
         prod = np.ones(n, dtype=complex)
-        for omega in itertools.product((0, 1), repeat=s + 1):
+        for omega, fv in zip(omegas, fs):
             shift = sum(o * hh for o, hh in zip(omega, h)) % n
-            v = f[(idx + shift) % n]
+            v = fv[(idx + shift) % n]
             if sum(omega) % 2:
                 v = np.conj(v)
             prod = prod * v
         total += prod.sum()
-    return total / n ** (s + 2)
+    return total / n ** (k + 1)
 
 
 def _cyclic_raw_fourier_u2(f):
@@ -149,9 +186,8 @@ def gowers_norm_cyclic(f, s, method="recursive"):
     if s < 1:
         raise ValueError("s must be >= 1")
     f = np.asarray(f, dtype=complex)
-    n = len(f)
     if method == "naive":
-        raw = _cyclic_raw_naive(f, s)
+        raw = _cyclic_cube_average([f] * 2 ** (s + 1))
     elif method == "fourier":
         if s != 1:
             raise ValueError("fourier route only computes U^2")
@@ -234,64 +270,35 @@ def gcs_check(family, s=None, tol=1e-9):
     is a flat list in lexicographic omega order.  Returns (lhs, rhs, holds).
     """
     if isinstance(family, dict):
-        some = next(iter(family.values()))
-        k = len(next(iter(family.keys())))
-    else:
-        k = int(math.log2(len(family)))
-        family = {
-            omega: family[i]
-            for i, omega in enumerate(itertools.product((0, 1), repeat=k))
-        }
-        some = next(iter(family.values()))
+        k = len(next(iter(family)))
+        family = [family[omega] for omega in itertools.product((0, 1), repeat=k)]
+    k = int(math.log2(len(family)))
     if s is not None and s + 1 != k:
         raise ValueError("family size does not match s")
-    n = len(some)
-    if n ** (k + 1) > NAIVE_WORK_GUARD:
-        raise ValueError("work guard exceeded")
-    fs = {w: np.asarray(v, dtype=complex) for w, v in family.items()}
-    idx = np.arange(n)
-    total = 0.0 + 0.0j
-    for h in itertools.product(range(n), repeat=k):
-        prod = np.ones(n, dtype=complex)
-        for omega, fv in fs.items():
-            shift = sum(o * hh for o, hh in zip(omega, h)) % n
-            v = fv[(idx + shift) % n]
-            if sum(omega) % 2:
-                v = np.conj(v)
-            prod = prod * v
-        total += prod.sum()
-    lhs = abs(total / n ** (k + 1))
-    rhs = 1.0
-    for fv in fs.values():
-        rhs *= gowers_norm_cyclic(fv, k - 1).norm
+    fs = [np.asarray(v, dtype=complex) for v in family]
+    lhs = abs(_cyclic_cube_average(fs))
+    rhs = math.prod(gowers_norm_cyclic(fv, k - 1).norm for fv in fs)
     return lhs, rhs, lhs <= rhs + tol
 
 
 def gcs_box_check(family, tol=1e-9):
     """Box-norm Gowers-Cauchy-Schwarz: 2^{|A|} functions on a common product set."""
-    k = int(math.log2(len(family)))
     fs = [np.asarray(v, dtype=complex) for v in family]
-    sizes = fs[0].shape
-    omegas = list(itertools.product((0, 1), repeat=k))
-    total = 0.0 + 0.0j
-    for x0 in itertools.product(*[range(s) for s in sizes]):
-        for x1 in itertools.product(*[range(s) for s in sizes]):
-            prod = 1.0 + 0.0j
-            for fi, omega in zip(fs, omegas):
-                idx = tuple(x1[i] if omega[i] else x0[i] for i in range(k))
-                v = fi[idx]
-                if sum(omega) % 2:
-                    v = np.conj(v)
-                prod *= v
-            total += prod
-    denom = 1
-    for s_ in sizes:
-        denom *= s_ * s_
-    lhs = abs(total / denom)
-    rhs = 1.0
-    for fi in fs:
-        rhs *= box_norm(fi).norm
+    lhs = abs(_box_average(fs, {}))
+    rhs = math.prod(box_norm(fi).norm for fi in fs)
     return lhs, rhs, lhs <= rhs + tol
+
+
+def _subset_product_average(fb, full):
+    """E_x prod_B f_B(x_B) over X_A, A = full; f_B has its axes in sorted order."""
+    pos = {a: i for i, a in enumerate(sorted(full))}
+    return _einsum_mean([(np.asarray(arr), [pos[a] for a in sorted(b)]) for b, arr in fb.items()])
+
+
+def _relabel(family, b):
+    """The members of family on proper subsets C of b, with C renamed to positions in sorted(b)."""
+    pos = {a: i for i, a in enumerate(sorted(b))}
+    return {frozenset(pos[a] for a in c): v for c, v in family.items() if c < b}
 
 
 def second_gcs_check(fb, tol=1e-9):
@@ -303,21 +310,7 @@ def second_gcs_check(fb, tol=1e-9):
     """
     full = max(fb.keys(), key=len)
     k = len(full)
-    axes = sorted(full)
-    sizes = fb[frozenset(full)].shape
-    # lhs
-    total = 0.0 + 0.0j
-    for x in itertools.product(*[range(s) for s in sizes]):
-        prod = 1.0 + 0.0j
-        for b, arr in fb.items():
-            idx = tuple(x[axes.index(a)] for a in sorted(b))
-            prod *= arr[idx] if idx else complex(arr)
-        total += prod
-    denom = 1
-    for s_ in sizes:
-        denom *= s_
-    lhs = abs(total / denom)
-    # rhs
+    lhs = abs(_subset_product_average(fb, full))
     rhs = 1.0
     for b, arr in fb.items():
         gap = k - len(b)
@@ -344,40 +337,7 @@ def weighted_box_norm(g, nu_family, method="direct"):
         g = g.values
     g = np.asarray(g, dtype=complex)
     k = g.ndim
-    sizes = g.shape
-    work = 1
-    for s_ in sizes:
-        work *= s_ * s_
-    if work > NAIVE_WORK_GUARD:
-        raise ValueError("work guard exceeded")
-    axes = list(range(k))
-    subsets = [frozenset(c) for r in range(k) for c in itertools.combinations(axes, r)]
-    total = 0.0 + 0.0j
-    for x0 in itertools.product(*[range(s) for s in sizes]):
-        for x1 in itertools.product(*[range(s) for s in sizes]):
-            prod = 1.0 + 0.0j
-            for omega in itertools.product((0, 1), repeat=k):
-                idx = tuple(x1[i] if omega[i] else x0[i] for i in range(k))
-                v = g[idx]
-                if sum(omega) % 2:
-                    v = np.conj(v)
-                prod *= v
-            wt = 1.0
-            for c in subsets:
-                nu = nu_family.get(c)
-                if nu is None:
-                    continue
-                cl = sorted(c)
-                for omega_c in itertools.product((0, 1), repeat=len(cl)):
-                    idx = tuple(
-                        x1[a] if o else x0[a] for a, o in zip(cl, omega_c)
-                    )
-                    wt *= float(nu[idx]) if idx else float(nu)
-            total += prod * wt
-    denom = 1
-    for s_ in sizes:
-        denom *= s_ * s_
-    raw = total / denom
+    raw = _box_average([g] * 2**k, {c: nu for c, nu in nu_family.items() if c < frozenset(range(k))})
     res = _finalize(raw, method, 2**k)
     if res.raw_power_average < -1e-9 * max(1.0, float(np.abs(g).max()) ** (2**k)):
         raise ValueError("weighted raw average significantly negative: bad weights?")
@@ -389,65 +349,33 @@ def weighted_gvn_check(f_family, nu_family, tol=1e-9):
 
     f_family maps frozenset B -> array on X_B with |f_B| <= nu_B pointwise
     (B over all subsets; the full-set function is the main one).  Checks
-    |E prod f_B| <= ||f_A||_{box(nu)} prod_{B proper} ||nu_B||_{box(nu)}^{1/2^{|A|-|B|}}.
+    |E prod f_B| <= ||f_A||_{box(nu)} prod_{B proper} ||nu_B||_{box(nu)}^{1/2^{|A|-|B|}},
+    where each box norm over X_B takes the weights nu_C, C a proper subset of B.
     """
-    full = max(f_family.keys(), key=len)
+    full = max(f_family, key=len)
     k = len(full)
-    axes = sorted(full)
-    sizes = f_family[frozenset(full)].shape
-    total = 0.0 + 0.0j
-    for x in itertools.product(*[range(s) for s in sizes]):
-        prod = 1.0 + 0.0j
-        for b, arr in f_family.items():
-            idx = tuple(x[axes.index(a)] for a in sorted(b))
-            prod *= arr[idx] if idx else complex(arr)
-        total += prod
-    denom = 1
-    for s_ in sizes:
-        denom *= s_
-    lhs = abs(total / denom)
-
-    def restricted_weights(b):
-        return {c: nu_family[c] for c in nu_family if c < b}
-
-    fa = f_family[frozenset(full)]
-    rhs = weighted_box_norm(fa, restricted_weights(frozenset(full))).norm
+    lhs = abs(_subset_product_average(f_family, full))
+    rhs = weighted_box_norm(f_family[full], _relabel(nu_family, full)).norm
     for b in f_family:
         if len(b) == k or len(b) == 0:
             continue
-        nub = nu_family[b]
-        gap = k - len(b)
-        # norm over the axes in b only
-        val = weighted_box_norm(nub, restricted_weights(b)).norm
-        rhs *= val ** (1.0 / 2**gap)
+        val = weighted_box_norm(nu_family[b], _relabel(nu_family, b)).norm
+        rhs *= val ** (1.0 / 2 ** (k - len(b)))
     return lhs, rhs, lhs <= rhs + tol
 
 
 def nu_self_consistency(nu_family, full, tol=1e-12):
-    """||nu_B||_{box(nu)} two ways: general definition vs the direct product display."""
+    """||nu_B||_{box(nu)} two ways: general definition vs the direct product display.
+
+    The direct display is E_{x0,x1} prod_{C subseteq B} prod_{omega_C} nu_C(x_C^{(omega_C)}),
+    with nu_B itself among the weights and no box function.
+    """
     b = frozenset(full)
     nub = nu_family[b]
-    via_general = weighted_box_norm(nub, {c: nu_family[c] for c in nu_family if c < b})
-    # direct: E_{x0,x1} prod_{C subseteq B} prod_{omega_C} nu_C(x_C^{(omega_C)})
-    k = len(full)
-    sizes = nub.shape
-    total = 0.0
-    for x0 in itertools.product(*[range(s) for s in sizes]):
-        for x1 in itertools.product(*[range(s) for s in sizes]):
-            wt = 1.0
-            for r in range(k + 1):
-                for c in itertools.combinations(range(k), r):
-                    nu = nu_family.get(frozenset(c)) if r < k else nub
-                    if nu is None:
-                        continue
-                    for omega_c in itertools.product((0, 1), repeat=r):
-                        idx = tuple(x1[a] if o else x0[a] for a, o in zip(c, omega_c))
-                        wt *= float(nu[idx]) if idx else float(nu)
-            total += wt
-    denom = 1
-    for s_ in sizes:
-        denom *= s_ * s_
-    direct = (total / denom) ** (1.0 / 2**k)
+    weights = _relabel(nu_family, b)
+    via_general = weighted_box_norm(nub, weights)
+    raw = _box_average([], {**weights, frozenset(range(len(b))): nub})
+    direct = float(np.real(raw)) ** (1.0 / 2 ** len(b))
     return via_general.norm, direct, abs(via_general.norm - direct) <= tol * max(1.0, direct)
 
 

@@ -397,7 +397,7 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
     if r == t - 1:
         # left kernel: xi with sum_i xi_i rows[i] = 0 mod p
         transpose = [[rows[i][j] for i in range(t)] for j in range(len(rows[0]))]
-        kern = _nullspace_mod_p(transpose, p)
+        kern = linalg.nullspace_mod_p(transpose, p)
         if len(kern) != 1:
             raise AssertionError("corank mismatch")
         v = kern[0]
@@ -423,38 +423,6 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
     e = float(prod.mean())
     se = float(prod.std(ddof=1) / math.sqrt(sample_budget))
     return LinearFormsResult(abs(e - 1.0), e, "montecarlo", stderr=se)
-
-
-def _nullspace_mod_p(rows, p):
-    """Basis of {x : rows x = 0 mod p}."""
-    n_cols = len(rows[0])
-    m = [[x % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(n_cols):
-        if fc in pivot_set:
-            continue
-        v = [0] * n_cols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-m[i][fc]) % p
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,15 @@ def clear_denominators(vec):
 # mod-p arithmetic
 
 
-def rank_mod_p(rows, p):
-    """Rank of an integer matrix over F_p."""
-    if not rows:
-        return 0
+def _echelon_mod_p(rows, p):
+    """Forward elimination over F_p: (reduced rows, pivot columns).
+
+    Row i of the result has a 1 in column pivots[i] and zeros before it;
+    elimination stops once every row holds a pivot.
+    """
     m = [[x % p for x in row] for row in rows]
     n_rows, n_cols = len(m), len(m[0])
+    pivots = []
     r = 0
     for c in range(n_cols):
         pr = None
@@ -147,10 +150,34 @@ def rank_mod_p(rows, p):
             if m[i][c]:
                 f = m[i][c]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return r
+    return m, pivots
+
+
+def rank_mod_p(rows, p):
+    """Rank of an integer matrix over F_p."""
+    if not rows:
+        return 0
+    return len(_echelon_mod_p(rows, p)[1])
+
+
+def nullspace_mod_p(rows, p):
+    """Basis of {x : rows x = 0 mod p}: per free column f, x_f = 1, zeros at the
+    other free columns, pivot entries by back-substitution in the echelon form.
+    """
+    n_cols = len(rows[0])
+    m, pivots = _echelon_mod_p(rows, p)
+    basis = []
+    for fc in sorted(set(range(n_cols)) - set(pivots)):
+        v = [0] * n_cols
+        v[fc] = 1
+        for row, pc in reversed(list(zip(m, pivots))):
+            v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, n_cols)) % p
+        basis.append(v)
+    return basis
 
 
 def consistent_mod_p(rows, rhs, p):
@@ -303,7 +330,8 @@ def invariant_factor_primes(mat, factorizer):
     """Primes dividing the largest invariant factor of an integer matrix.
 
     These are exactly the primes modulo which the rank drops below the
-    rational rank.  `factorizer(n)` must return the prime factors of n >= 1.
+    rational rank.  `factorizer(n)` must return the prime factors of n >= 1
+    (an iterable; a {p: exponent} dict such as arith.factorize gives works).
     """
     d, _, _ = smith_normal_form(mat)
     ps = set()

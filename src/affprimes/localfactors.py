@@ -16,21 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .arith import prime_sieve
+from .arith import factorize, prime_sieve
 from .forms import parameterize_matrix_system
 
 
 def euler_phi(q):
     out = q
-    n, p = q, 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
+    for p in factorize(q):
+        out -= out // p
     return out
 
 
@@ -43,21 +36,6 @@ def local_von_mangoldt(q, b):
     if math.gcd(b % q, q) != 1:
         return Fraction(0)
     return Fraction(q, euler_phi(q))
-
-
-def _trial_factor(n):
-    n = abs(int(n))
-    out = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
 
 
 @dataclass
@@ -85,8 +63,8 @@ class SystemLocalData:
             r = linalg.rank(sub)
             r_aug = linalg.rank(aug)
             self.profiles[mask] = SubsetProfile(rank=r, consistent=(r_aug == r))
-            bad |= linalg.invariant_factor_primes(sub, _trial_factor)
-            bad |= linalg.invariant_factor_primes(aug, _trial_factor)
+            bad |= linalg.invariant_factor_primes(sub, factorize)
+            bad |= linalg.invariant_factor_primes(aug, factorize)
         self.exceptional = sorted(bad)
         # generic beta_p = (p/(p-1))^t * sum_r coeff[r] p^{-r}
         coeff = {}
@@ -165,21 +143,10 @@ def local_factor_q(sys, q):
     """beta_q for squarefree q via multiplicativity (beta_q = prod beta_p)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q == 1:
-        return Fraction(1)
-    out = Fraction(1)
-    n = q
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                raise ValueError("q must be squarefree")
-            out *= local_factor(sys, p)
-        p += 1
-    if n > 1:
-        out *= local_factor(sys, n)
-    return out
+    primes = factorize(q)
+    if any(e > 1 for e in primes.values()):
+        raise ValueError("q must be squarefree")
+    return math.prod((local_factor(sys, p) for p in primes), start=Fraction(1))
 
 
 def local_factor_q_enumerate(sys, q):
@@ -383,7 +350,7 @@ def exceptional_primes(sys, p_limit=None):
             if g == 0:
                 raise ValueError(f"forms {i}, {j} are parallel over Q: infinite exceptional set")
             if g > 1:
-                ps = _trial_factor(g)
+                ps = set(factorize(g))
                 if p_limit is not None:
                     ps = {p for p in ps if p <= p_limit}
                 out |= ps

@@ -63,6 +63,17 @@ def test_lambda_vs_lambda_prime_support(tables_1e6):
         assert len(f) == 1 and list(f.values())[0] >= 2
 
 
+def test_factorize(tables_1e6):
+    assert arith.factorize(1) == {} and arith.factorize(-12) == {2: 2, 3: 1}
+    assert arith.factorize(2**20 * 999983) == {2: 20, 999983: 1}
+    for n in range(2, 3000):
+        f = arith.factorize(n)
+        assert math.prod(p**e for p, e in f.items()) == n
+        assert f == tables_1e6.factor(n)
+        assert all(tables_1e6.is_prime[p] for p in f)
+    assert arith._next_prime(89) == 97 and arith._prev_prime(97) == 89
+
+
 def test_w_trick():
     w = arith.w_trick(w=5)
     assert w.W == 30 and w.residues == (1, 7, 11, 13, 17, 19, 23, 29)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from affprimes import arith, counting, forms, geometry
+from affprimes import arith, counting, forms, geometry, localfactors
 
 
 def ap_body(k, n, strict=True):
@@ -107,8 +107,9 @@ def test_predict_single_form(tables_1e6):
     n = 10**6
     sys = forms.system([[1]])
     body = geometry.ConvexBody.box(1, 1, n, box_bound=n)
-    pred_log, ss = counting.predict(sys, body, 10**4, "log_power")
-    pred_int, _ = counting.predict(sys, body, 10**4, "integral")
+    ss = localfactors.singular_series(sys, 10**4)
+    pred_log, _ = counting.predict(sys, body, ss, "log_power")
+    pred_int, _ = counting.predict(sys, body, ss, "integral")
     pi_n = int(np.count_nonzero(tables_1e6.is_prime))
     assert pred_log == pytest.approx(n / math.log(n), rel=0.01)
     assert abs(pred_int / pi_n - 1) < 0.003          # li(N) vs pi(N)
@@ -118,7 +119,7 @@ def test_predict_single_form(tables_1e6):
 def test_predict_vanishing(tables_1e6):
     consec = forms.system([[1], [1]], [0, 1])
     body = geometry.ConvexBody.box(1, 1, 100, box_bound=100)
-    val, ss = counting.predict(consec, body, 100, "integral")
+    val, ss = counting.predict(consec, body, localfactors.singular_series(consec, 100), "integral")
     assert val == 0.0 and ss.vanishing
 
 

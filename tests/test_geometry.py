@@ -35,6 +35,10 @@ def test_lattice_points_small():
     empty = geometry.ConvexBody(2, [((1, 0), 0), ((-1, 0), -1)], 3)
     assert empty.lattice_point_count() == 0
     assert empty.is_empty()
+    # 1/5 <= x1 <= 4/5: no lattice point, but not empty over the reals
+    sliver = geometry.ConvexBody(2, [((5, 0), 4), ((-5, 0), -1)], 10)
+    assert sliver.lattice_point_count() == 0
+    assert not sliver.is_empty()
 
 
 def test_box_count_exact():
@@ -162,6 +166,10 @@ def test_boundary_shell_counts():
     assert count <= 8 * 0.1 * 100**2
     empty = geometry.ConvexBody(2, [((1, 0), 0), ((-1, 0), -1)], 10)
     assert geometry.boundary_shell_count(empty, 0.5) == 0
+    # a sliver with no lattice point: (0, y) and (1, y), |y| <= 10, lie 1/5
+    # from its boundary, inside the shell of radius 1
+    sliver = geometry.ConvexBody(2, [((5, 0), 4), ((-5, 0), -1)], 10)
+    assert geometry.boundary_shell_count(sliver, Fraction(1, 10)) == 42
 
 
 def test_boundary_shell_scaling():

@@ -24,7 +24,7 @@ def test_box_norm_methods_agree(rng):
     for shape in [(8, 8), (4, 5), (3, 3, 3)]:
         f = rand_complex(rng, shape)
         a = gowers.box_norm(f, "naive")
-        b = gowers.box_norm(f, "recursive")
+        b = gowers.box_norm(f, "direct")
         assert a.norm == pytest.approx(b.norm, rel=1e-9)
         assert a.raw_power_average == pytest.approx(b.raw_power_average, rel=1e-9)
 
@@ -215,6 +215,82 @@ def test_weighted_nu_self_consistency(rng):
     }
     a, b, ok = gowers.nu_self_consistency(nu, (0, 1))
     assert ok, (a, b)
+
+
+def _brute_box_average(fs, nus, sizes):
+    """E_{x0,x1} prod_omega C^{|omega|} f_omega(x^(omega)) prod_C prod_{omega_C} nu_C, by loops."""
+    k = len(sizes)
+    omegas = list(itertools.product((0, 1), repeat=k))
+    total = 0.0
+    for x0 in itertools.product(*map(range, sizes)):
+        for x1 in itertools.product(*map(range, sizes)):
+            term = 1.0
+            for f, omega in zip(fs, omegas):
+                v = f[tuple(x1[i] if o else x0[i] for i, o in enumerate(omega))]
+                term *= np.conj(v) if sum(omega) % 2 else v
+            for c, nu in nus.items():
+                for omega_c in itertools.product((0, 1), repeat=len(c)):
+                    term *= nu[tuple(x1[a] if o else x0[a] for a, o in zip(sorted(c), omega_c))]
+            total += term
+    return total / np.prod([s * s for s in sizes])
+
+
+def _random_weights(rng, sizes):
+    """Non-constant positive weights nu_C for every proper subset C of the axes."""
+    k = len(sizes)
+    return {
+        frozenset(c): 0.2 + rng.random([sizes[a] for a in c])
+        for r in range(k)
+        for c in itertools.combinations(range(k), r)
+    }
+
+
+def test_box_kernel_matches_brute_force():
+    # a local generator leaves the session rng stream of the other tests unchanged
+    rng = np.random.default_rng(11)
+    for sizes in [(5,), (3, 4), (2, 3, 2)]:
+        k = len(sizes)
+        f = rand_complex(rng, sizes)
+        raw = _brute_box_average([f] * 2**k, {}, sizes)
+        assert gowers.box_norm(f).raw_power_average == pytest.approx(raw.real, rel=1e-9)
+        fam = [rand_complex(rng, sizes) for _ in range(2**k)]
+        lhs, rhs, ok = gowers.gcs_box_check(fam)
+        assert lhs == pytest.approx(abs(_brute_box_average(fam, {}, sizes)), rel=1e-9)
+        norms = [_brute_box_average([g] * 2**k, {}, sizes).real ** (1 / 2**k) for g in fam]
+        assert rhs == pytest.approx(np.prod(norms), rel=1e-9) and ok
+        nus = _random_weights(rng, sizes)
+        raw = _brute_box_average([f] * 2**k, nus, sizes)
+        assert abs(raw.imag) <= 1e-9 * abs(raw)
+        res = gowers.weighted_box_norm(f, nus)
+        assert res.raw_power_average == pytest.approx(raw.real, rel=1e-9)
+
+
+def test_weighted_gvn_three_axes():
+    # each box norm over X_B takes nu_C, C a proper subset of B, relabelled to
+    # positions in sorted(B): for B = {1, 2}, nu_{1} acts on axis 0 of nu_B
+    rng = np.random.default_rng(12)
+    nu = _random_weights(rng, (4, 4, 4))
+    nu[frozenset(range(3))] = 0.2 + rng.random((4, 4, 4))
+    f = {b: (rng.random(np.shape(w)) * 2 - 1) * w for b, w in nu.items()}
+    e, n0, n1, n2 = (nu[frozenset(c)] for c in [(), (0,), (1,), (2,)])
+    pairs = {
+        (0, 1): {frozenset(): e, frozenset([0]): n0, frozenset([1]): n1},
+        (0, 2): {frozenset(): e, frozenset([0]): n0, frozenset([1]): n2},
+        (1, 2): {frozenset(): e, frozenset([0]): n1, frozenset([1]): n2},
+    }
+    full = frozenset(range(3))
+    expected = gowers.weighted_box_norm(f[full], {c: w for c, w in nu.items() if c < full}).norm
+    for b, weights in pairs.items():
+        expected *= gowers.weighted_box_norm(nu[frozenset(b)], weights).norm ** 0.5
+    for a in range(3):
+        expected *= gowers.weighted_box_norm(nu[frozenset([a])], {frozenset(): e}).norm ** 0.25
+    lhs, rhs, ok = gowers.weighted_gvn_check(f, nu)
+    assert rhs == pytest.approx(expected, rel=1e-12) and ok
+    general, direct, ok = gowers.nu_self_consistency(nu, (1, 2))
+    assert ok
+    assert general == pytest.approx(
+        gowers.weighted_box_norm(nu[frozenset([1, 2])], pairs[(1, 2)]).norm, rel=1e-12
+    )
 
 
 def test_weighted_gvn_inequality(rng):

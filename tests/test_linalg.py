@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,28 @@ def test_mod_p():
     assert linalg.rank_mod_p([[1, 1], [1, 2]], 5) == 2
     assert linalg.consistent_mod_p([[1, 1]], [3], 5)
     assert not linalg.consistent_mod_p([[2, 2], [1, 1]], [1, 1], 2)
+
+
+def test_nullspace_mod_p():
+    # brute force: rows x = 0 has p^(n_cols - rank) solutions over F_p.  A
+    # local generator leaves the session rng stream of the other tests unchanged.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        p = int(rng.choice([2, 3, 5, 7]))
+        n_rows, n_cols = (int(x) for x in rng.integers(1, 5, size=2))
+        rows = rng.integers(-9, 10, size=(n_rows, n_cols)).tolist()
+        basis = linalg.nullspace_mod_p(rows, p)
+        rank = linalg.rank_mod_p(rows, p)
+        assert len(basis) == n_cols - rank
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in rows)
+        assert linalg.rank_mod_p(basis, p) == len(basis)
+        if p ** n_cols <= 2500:
+            solutions = sum(
+                all(sum(a * x for a, x in zip(row, xs)) % p == 0 for row in rows)
+                for xs in itertools.product(range(p), repeat=n_cols)
+            )
+            assert solutions == p ** (n_cols - rank)
 
 
 def test_smith_normal_form(rng):
