@@ -1,13 +1,20 @@
 """Correlation sums over convex bodies, Hardy-Littlewood predictions and
 comparison reports.
 
-The run enumerator from geometry splits K into inner-coordinate segments;
-per segment, each form is affine in the inner variable, so weight lookups
-become strided views into the tables.  Weights supported on primes (or
-prime powers) drive the iteration through the sorted support array instead,
+The run enumerator from geometry splits K into inner-coordinate segments
+(runs), delivered in blocks of at most geometry.RUN_BLOCK runs.  Per block,
+one matrix product gives every form's offset on every run, and forms with a
+zero inner coefficient become a vectorised per-run constant factor.  Dense
+weights are then read run by run through strided views into the tables.
+Weights supported on primes (or prime powers) drive the iteration through
+the sorted support array instead: one searchsorted per block, candidates in
+chunks of about CAND_BLOCK, each further form filtered by its support mask,
 which is what makes the N = 10^6 progression experiments run in seconds.
-All accumulation is single-threaded in a fixed order (per-run partial sums
-combined with math.fsum), so results are bit-reproducible.
+All accumulation is single-threaded: each run contributes one partial sum,
+summed in a fixed order, and math.fsum combines the partials, so results are
+bit-reproducible and do not depend on RUN_BLOCK or CAND_BLOCK.  The exact
+Hardy-Littlewood integral is the same weighted count over a 1/log table
+(evaluated point by point where that table would outgrow the point count).
 """
 
 import itertools
@@ -22,6 +29,7 @@ from . import geometry, linalg
 from .localfactors import singular_series
 
 EXACT_INTEGRAL_POINT_GUARD = 2 * 10**7
+CAND_BLOCK = 2**16              # sparse-driver candidates per chunk; bounds working memory
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +40,8 @@ EXACT_INTEGRAL_POINT_GUARD = 2 * 10**7
 class Weight:
     """Per-form weight w(m) backed by a lookup table.
 
-    kind: 'sparse'  - support given by mask/sorted list (primes, prime powers)
+    kind: 'sparse'  - support given by a 0/1 uint8 mask and its sorted index
+                      list (primes, prime powers)
           'pm1'     - dense int8 values in {-1, 0, 1}
           'float'   - dense float values
           'one'     - constant 1
@@ -148,22 +157,32 @@ def affine_range_over_body(body, coeffs, const):
     return best_lo, best_hi
 
 
+def _form_bound(body, f):
+    """max |f(n)| over the lattice points n of K (an upper bound), None if K is empty.
+
+    f is integer-valued there, so the floor of the exact real bound suffices.
+    """
+    lo, hi = affine_range_over_body(body, f.linear_coeffs, f.constant)
+    if lo is None:
+        return None
+    return math.floor(max(abs(lo), abs(hi)))
+
+
 def _check_table_ranges(sys, body, weights):
     for f, w in zip(sys.forms, weights):
         if w.kind == "one":
             continue
-        lo, hi = affine_range_over_body(body, f.linear_coeffs, f.constant)
-        if lo is None:
+        bound = _form_bound(body, f)
+        if bound is None:
             return
-        if max(abs(lo), abs(hi)) > w.m_max:
+        if bound > w.m_max:
             raise ValueError(
-                f"form {f} ranges to {max(abs(lo), abs(hi))} beyond the "
-                f"{w.name} table (n_max={w.m_max})"
+                f"form {f} ranges to {bound} beyond the {w.name} table (n_max={w.m_max})"
             )
 
 
 # ---------------------------------------------------------------------------
-# strided views
+# table lookups
 
 
 def _strided_view(table, off, coef, lo, hi):
@@ -178,6 +197,20 @@ def _strided_view(table, off, coef, lo, hi):
     return table[start: stop: coef]
 
 
+def _table_values(w, m):
+    """w(m) for an int64 array m of arguments within the table (Weight.value_at, vectorised)."""
+    if w.reflect_negative:
+        return w.values[np.abs(m)]
+    return np.where(m >= 0, w.values[np.maximum(m, 0)], w.values.dtype.type(0))
+
+
+def _run_view(w, off, coef, lo, hi):
+    """w(off + coef*x) for x = lo..hi: a strided view unless an argument is negative."""
+    if w.reflect_negative or min(off + coef * lo, off + coef * hi) < 0:
+        return _table_values(w, off + coef * np.arange(lo, hi + 1, dtype=np.int64))
+    return _strided_view(w.values, off, coef, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # the counting engine
 
@@ -187,6 +220,14 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
 
     weights: list of selector names or Weight objects, one per form.
     Lambda-type weights vanish at nonpositive arguments.
+
+    The runs of K come in blocks (geometry.ConvexBody.run_blocks); forms with
+    a zero inner coefficient give a per-run constant factor, and the route for
+    the remaining forms is fixed once: a sparse driver (all of them sparse,
+    one with inner coefficient +-1), int16 products of +-1 views, or float
+    products of views.  Each run contributes one partial sum, and the partials
+    are combined with math.fsum, so the result does not depend on the block
+    sizes.
     """
     resolved = []
     for i, w in enumerate(weights):
@@ -201,107 +242,113 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
     if body.dim != sys.d:
         raise ValueError("body dimension != parameter count")
     _check_table_ranges(sys, body, weights)
+    return _weighted_count(sys, body, weights)
 
+
+def _weighted_count(sys, body, weights):
+    """The engine of weighted_count, for Weight objects whose tables cover every form over K."""
     d = sys.d
-    coeffs = [list(f.linear_coeffs) for f in sys.forms]
-    consts = [f.constant for f in sys.forms]
+    outer = np.array([f.linear_coeffs[:-1] for f in sys.forms], np.int64).reshape(sys.t, d - 1)
+    consts = np.array([f.constant for f in sys.forms], np.int64)
+    inner = [f.linear_coeffs[-1] for f in sys.forms]
     live = [i for i, w in enumerate(weights) if w.kind != "one"]
+    fixed = [i for i in live if inner[i] == 0]
+    varying = [i for i in live if inner[i] != 0]
 
+    driver = None
+    if all(weights[i].kind == "sparse" and not weights[i].reflect_negative for i in varying):
+        driver = next((i for i in varying if abs(inner[i]) == 1), None)
     all_pm1 = all(weights[i].kind == "pm1" for i in live)
-    run_sums = []
 
-    for prefix, lo, hi in body.runs():
-        # forms split by inner-coefficient
-        const_factor = 1.0
-        varying = []
-        skip = False
-        for i in live:
-            cf = coeffs[i][d - 1]
-            off = sum(coeffs[i][j] * prefix[j] for j in range(d - 1)) + consts[i]
-            if cf == 0:
-                v = weights[i].value_at(off)
-                if v == 0.0:
-                    skip = True
-                    break
-                const_factor *= v
-            else:
-                varying.append((i, cf, off))
-        if skip:
-            continue
+    partials = []
+    for prefix, lo, hi in body.run_blocks():
+        off = prefix @ outer.T + consts             # off[r, i] = psi_i(prefix[r], 0)
+        const = np.ones(len(lo))
+        nonzero = np.ones(len(lo), bool)
+        for i in fixed:
+            v = _table_values(weights[i], off[:, i])
+            nonzero &= v != 0
+            const = const * v
+        if fixed:
+            off, lo, hi, const = off[nonzero], lo[nonzero], hi[nonzero], const[nonzero]
         if not varying:
-            run_sums.append(const_factor * (hi - lo + 1))
-            continue
-
-        sparse_driver = None
-        if all(weights[i].kind == "sparse" for i, _, _ in varying):
-            for i, cf, off in varying:
-                if abs(cf) == 1:
-                    sparse_driver = (i, cf, off)
-                    break
-
-        if sparse_driver is not None:
-            i0, cf, off = sparse_driver
-            sup = weights[i0].support_list
-            vlo, vhi = off + cf * lo, off + cf * hi
-            if cf < 0:
-                vlo, vhi = vhi, vlo
-            a = np.searchsorted(sup, vlo, "left")
-            bnd = np.searchsorted(sup, vhi, "right")
-            if a >= bnd:
-                continue
-            xs = (sup[a:bnd] - off) * cf        # cf in {1,-1}
-            alive = None
-            for i, cfi, offi in varying:
-                if i == i0:
-                    continue
-                vals = cfi * xs + offi
-                m = weights[i].support_mask[np.clip(vals, 0, weights[i].m_max)]
-                m = m.astype(bool)
-                if (vals < 0).any() or (vals > weights[i].m_max).any():
-                    m &= (vals >= 0) & (vals <= weights[i].m_max)
-                alive = m if alive is None else (alive & m)
-            if alive is not None:
-                xs = xs[alive]
-            if len(xs) == 0:
-                continue
-            prod = None
-            for i, cfi, offi in varying:
-                vals = weights[i].values[cfi * xs + offi]
-                prod = vals.astype(np.float64) if prod is None else prod * vals
-            run_sums.append(const_factor * float(prod.sum()))
-        elif all_pm1:
-            acc = None
-            for i, cfi, offi in varying:
-                view = _strided_view(weights[i].values, offi, cfi, lo, hi)
-                if acc is None:
-                    acc = view.astype(np.int16)
-                else:
-                    acc *= view
-            s = int(acc.sum(dtype=np.int64))
-            if s:
-                run_sums.append(const_factor * s)
+            partials.extend((const * (hi - lo + 1)).tolist())
+        elif driver is not None:
+            partials.extend(_sparse_partials(weights, varying, inner, driver, off, lo, hi, const))
         else:
-            acc = None
-            for i, cfi, offi in varying:
-                w = weights[i]
-                if w.reflect_negative:
-                    pos = offi + cfi * np.arange(lo, hi + 1, dtype=np.int64)
-                    view = w.values[np.abs(pos)]
+            ws = [weights[i] for i in varying]
+            cfs = [inner[i] for i in varying]
+            for c, o, a, b in zip(const.tolist(), off[:, varying].tolist(), lo.tolist(), hi.tolist()):
+                acc = None
+                for w, cf, oi in zip(ws, cfs, o):
+                    view = _run_view(w, oi, cf, a, b)
+                    if acc is None:
+                        acc = view.astype(np.int16 if all_pm1 else np.float64)
+                    else:
+                        acc *= view
+                if all_pm1:
+                    s = int(acc.sum(dtype=np.int64))
+                    if s:
+                        partials.append(c * s)
                 else:
-                    view = _strided_view(w.values, offi, cfi, lo, hi)
-                    # Lambda-type weights vanish at m <= 0; table index must be valid
-                    first = offi + cfi * lo
-                    last = offi + cfi * hi
-                    if min(first, last) < 0:
-                        pos = offi + cfi * np.arange(lo, hi + 1, dtype=np.int64)
-                        view = np.where(pos >= 0, w.values[np.clip(pos, 0, w.m_max)], 0.0)
-                if acc is None:
-                    acc = np.asarray(view, dtype=np.float64).copy()
-                else:
-                    acc *= view
-            run_sums.append(const_factor * float(acc.sum()))
+                    partials.append(c * float(acc.sum()))
 
-    return math.fsum(run_sums)
+    return math.fsum(partials)
+
+
+def _sparse_partials(weights, varying, inner, i0, off, lo, hi, const):
+    """Yield the per-run partials of one block, driven by the support of form i0.
+
+    Form i0 has inner coefficient cf0 = +-1, so each run's candidates are a
+    slice of its sorted support list, found by one searchsorted per block.
+    Rows are taken in chunks of about CAND_BLOCK candidates; in terms of the
+    driver value v, form i is k_i v + delta_i(row) with k_i = cf_i cf0, and
+    each further form is evaluated only on the candidates that passed the
+    support masks of the forms before it.
+    """
+    cf0 = inner[i0]
+    sup = weights[i0].support_list
+    o0 = off[:, i0]
+    ends = o0 + cf0 * np.stack([lo, hi])
+    first = np.searchsorted(sup, ends.min(axis=0), "left")
+    count = np.searchsorted(sup, ends.max(axis=0), "right") - first
+    rows = np.flatnonzero(count)
+    others = [i for i in varying if i != i0]
+    # rows on which form i takes a negative value somewhere in the run
+    negative = {i: off[:, i] + np.minimum(inner[i] * lo, inner[i] * hi) < 0 for i in others}
+    cum = np.cumsum(count[rows])
+    s = 0
+    while s < len(rows):
+        base = int(cum[s - 1]) if s else 0
+        e = max(int(np.searchsorted(cum, base + CAND_BLOCK, "right")), s + 1)
+        r = rows[s:e]
+        n = count[r]
+        starts = cum[s:e] - n - base
+        v = sup[np.arange(starts[-1] + n[-1]) + np.repeat(first[r] - starts, n)]
+        args = {i0: v}          # the surviving candidates' argument of each form
+        kept = None             # their positions in v
+        surv = n                # their number per row
+        for i in others:
+            k = inner[i] * cf0
+            vals = k * args[i0] + np.repeat(off[r, i] - k * o0[r], surv)
+            mask = weights[i].support_mask
+            if negative[i][r].any():
+                sel = np.flatnonzero(mask[np.maximum(vals, 0)].view(bool) & (vals >= 0))
+            else:
+                sel = np.flatnonzero(mask[vals].view(bool))
+            args = {j: a[sel] for j, a in args.items()}
+            args[i] = vals[sel]
+            kept = sel if kept is None else kept[sel]
+            surv = np.diff(np.searchsorted(kept, starts), append=len(kept))
+        prod = None
+        for i in varying:
+            vals = weights[i].values[args[i]]
+            prod = vals.astype(np.float64) if prod is None else prod * vals
+        stops = np.cumsum(surv)
+        hit = surv > 0
+        for c, a, b in zip(const[r][hit].tolist(), (stops - surv)[hit].tolist(), stops[hit].tolist()):
+            yield c * float(prod[a:b].sum())
+        s = e
 
 
 def prime_point_count(sys, body, tables):
@@ -314,8 +361,27 @@ def prime_point_count(sys, body, tables):
 # predictions
 
 
-def _integral_sum_exact(sys, body):
-    """Lattice sum of prod 1_{psi_i > 2} / log psi_i over K."""
+def _integral_sum_exact(sys, body, npoints):
+    """Lattice sum of prod 1_{psi_i > 2} / log psi_i over K (npoints lattice points).
+
+    A weighted count with the float weight g(m) = 1/log m for m > 2 (else 0),
+    tabulated up to max |psi_i| over K.  Where that table would hold more
+    entries than the t * npoints logarithms of evaluating g point by point
+    (forms with large coefficients over few points), g is evaluated per point.
+    """
+    bounds = [_form_bound(body, f) for f in sys.forms]
+    if None in bounds:
+        return 0.0
+    m_max = max(bounds)
+    if m_max > sys.t * npoints:
+        return _integral_sum_pointwise(sys, body)
+    g = np.zeros(m_max + 1)
+    g[3:] = 1.0 / np.log(np.arange(3, m_max + 1))
+    return _weighted_count(sys, body, [weight_from_table("1/log", g)] * sys.t)
+
+
+def _integral_sum_pointwise(sys, body):
+    """The sum of _integral_sum_exact with 1/log evaluated at every lattice point."""
     d = sys.d
     coeffs = [list(f.linear_coeffs) for f in sys.forms]
     consts = [f.constant for f in sys.forms]
@@ -413,7 +479,7 @@ def predict(sys, body, ss, mode="integral"):
     # point count picks the evaluation route
     npoints = body.lattice_point_count()
     if npoints <= EXACT_INTEGRAL_POINT_GUARD or body.dim != 2:
-        val = _integral_sum_exact(sys, body)
+        val = _integral_sum_exact(sys, body, npoints)
     else:
         val = _integral_sum_quadrature(sys, body)
     return ss.truncated_product * val, ss

@@ -330,14 +330,18 @@ def weighted_box_norm(g, nu_family, method="direct"):
     """||g||_{box^B(nu; X_B)} with weights nu_C for proper subsets C of the axes.
 
     nu_family maps frozenset C (axis indices) -> nonnegative array over X_C.
-    Missing subsets default to the constant 1.  The defining average runs
-    over pairs (x0, x1) with the product of nu_C over all omega_C patterns.
+    Missing subsets default to the constant 1; a key that is not a proper
+    subset of the axes raises ValueError.  The defining average runs over
+    pairs (x0, x1) with the product of nu_C over all omega_C patterns.
     """
     if isinstance(g, BoxInput):
         g = g.values
     g = np.asarray(g, dtype=complex)
     k = g.ndim
-    raw = _box_average([g] * 2**k, {c: nu for c, nu in nu_family.items() if c < frozenset(range(k))})
+    bad = [sorted(c) for c in nu_family if not c < frozenset(range(k))]
+    if bad:
+        raise ValueError(f"weight keys {bad} are not proper subsets of the axes 0..{k - 1}")
+    raw = _box_average([g] * 2**k, nu_family)
     res = _finalize(raw, method, 2**k)
     if res.raw_power_average < -1e-9 * max(1.0, float(np.abs(g).max()) ** (2**k)):
         raise ValueError("weighted raw average significantly negative: bad weights?")

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affprimes import arith, counting, forms, geometry, localfactors
 
@@ -127,7 +130,7 @@ def test_quadrature_matches_exact_sum(tables_1e6):
     ap4 = forms.ap_system(4)
     for n in (3 * 10**3, 10**4):
         body = ap_body(4, n)
-        exact = counting._integral_sum_exact(ap4, body)
+        exact = counting._integral_sum_exact(ap4, body, body.lattice_point_count())
         approx = counting._integral_sum_quadrature(ap4, body)
         assert approx == pytest.approx(exact, rel=1e-5)
 
@@ -200,3 +203,116 @@ def test_table_range_guard(tables_1e6):
     body = geometry.ConvexBody.box(1, 1, 100, box_bound=100)
     with pytest.raises(ValueError, match="beyond"):
         counting.weighted_count(sys, body, ["lambda"], tables_1e6)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against brute force over body.lattice_points()
+
+TABLE_TOP = 64          # covers |psi| <= 3 * 3 * 5 + 12 on the generated systems
+
+
+def _brute_terms(sys_, body, weights):
+    return [
+        math.prod(w.value_at(f(p)) for f, w in zip(sys_.forms, weights))
+        for p in body.lattice_points()
+    ]
+
+
+def _make_weight(kind, reflect, rng):
+    m = np.arange(TABLE_TOP + 1)
+    if kind == "one":
+        return counting.Weight(name="one", kind="one")
+    if kind == "pm1":
+        vals = rng.integers(-1, 2, size=m.size).astype(np.int8)
+        return counting.Weight(name="pm1", kind="pm1", values=vals, reflect_negative=reflect)
+    support = rng.random(m.size) < 0.5
+    if kind == "sparse":
+        vals = np.where(support, rng.integers(1, 4, size=m.size), 0)
+        return counting.weight_from_table("sparse", vals, sparse=True, reflect_negative=reflect)
+    if kind == "sparse_float":
+        vals = np.where(support, np.log(m + 2.0), 0.0)
+        return counting.weight_from_table("sparse_float", vals, sparse=True, reflect_negative=reflect)
+    return counting.weight_from_table("float", rng.uniform(-1, 1, m.size), reflect_negative=reflect)
+
+
+@st.composite
+def _count_cases(draw):
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(1, 3))
+    coeff = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    rows = [draw(coeff.filter(any)) for _ in range(t)]
+    consts = draw(st.lists(st.integers(-12, 12), min_size=t, max_size=t))
+    # ConvexBody adds the box [-n, n]^d; extra halfspaces may empty it
+    hs = draw(st.lists(st.tuples(coeff, st.integers(-6, 6)), max_size=3))
+    n = draw(st.integers(1, 5))
+    sparse = ("sparse", "sparse_float")
+    kinds = draw(st.lists(
+        st.sampled_from(sparse if draw(st.booleans()) else sparse + ("pm1", "float", "one")),
+        min_size=t, max_size=t,
+    ))
+    reflect = draw(st.lists(st.booleans(), min_size=t, max_size=t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = [_make_weight(k, r and draw(st.booleans()), rng) for k, r in zip(kinds, reflect)]
+    return forms.system(rows, consts), geometry.ConvexBody(d, hs, n), weights
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_count_cases())
+def test_weighted_count_matches_brute_force(case):
+    # every driver route (sparse, +-1, float) against value_at over the lattice
+    # points; integer-valued weights exactly, float ones to 1e-12 of sum |term|
+    sys_, body, weights = case
+    fast = counting.weighted_count(sys_, body, weights)
+    terms = _brute_terms(sys_, body, weights)
+    if all(w.kind != "float" and w.name != "sparse_float" for w in weights):
+        assert fast == sum(terms)
+    else:
+        assert abs(fast - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+    # per-run partials combined by fsum: tiny blocks give the same bits
+    with mock.patch.object(geometry, "RUN_BLOCK", 3), mock.patch.object(counting, "CAND_BLOCK", 5):
+        assert counting.weighted_count(sys_, body, weights).hex() == fast.hex()
+
+
+def test_negative_arguments_of_sparse_and_pm1_weights(tables_1e6):
+    # a reflected sparse weight used to lose every negative argument, and a
+    # +-1 weight read a wrong table slice at one
+    vals = np.arange(TABLE_TOP + 1) % 3
+    w = counting.weight_from_table("mod3", vals, sparse=True, reflect_negative=True)
+    body = geometry.ConvexBody.box(1, -20, 20, box_bound=20)
+    for sys_ in (forms.system([[1]]), forms.system([[1], [1]], [0, 2])):
+        got = counting.weighted_count(sys_, body, [w] * sys_.t)
+        assert got == sum(_brute_terms(sys_, body, [w] * sys_.t)) > 0
+    shifted = forms.system([[1]], [-5])
+    body = geometry.ConvexBody.box(1, 1, 10, box_bound=10)
+    mu = counting.make_weight("mobius", tables_1e6)
+    assert counting.weighted_count(shifted, body, [mu]) == sum(_brute_terms(shifted, body, [mu])) == -2
+
+
+def test_integral_sum_exact_matches_brute_force(tables_1e6):
+    # forms that reach 2 or below (or negative values) contribute 0
+    def g(m):
+        return 1.0 / math.log(m) if m > 2 else 0.0
+
+    twins = forms.system([[1], [1]], [0, 2])
+    cases = [
+        (forms.ap_system(3), ap_body(3, 40, strict=False)),
+        (forms.system([[1, -1], [2, 1]], [-5, 3]), geometry.ConvexBody.box(2, -8, 12)),
+        (forms.system([[1, 1, -1], [1, 2, 1]], [0, 4]), geometry.ConvexBody.box(3, -3, 7)),
+        (forms.system([[1]], [-30]), geometry.ConvexBody.box(1, 1, 200, box_bound=200)),
+        (twins, geometry.ConvexBody(1, [((1,), 0), ((-1,), -1)], 5)),
+        # the largest |psi| sits on a fractional vertex (x = 21/2, x = 5/2)
+        (twins, geometry.ConvexBody(1, [((-1,), -1), ((2,), 21)], 21)),
+        (forms.system([[1]]), geometry.ConvexBody(1, [((-1,), -1), ((2,), 5)], 5)),
+        (forms.system([[-2, 1], [3, 1]], [7, 0]), geometry.ConvexBody(2, [((3, 2), 40), ((-1, 0), 0), ((0, -1), 0)], 40)),
+        # ranges far longer than the point count: 1/log evaluated per point
+        (forms.system([[10**8]]), geometry.ConvexBody.box(1, 1, 2)),
+        (forms.system([[1000], [1]], [0, 5]), geometry.ConvexBody.box(1, 1, 300, box_bound=300)),
+    ]
+    for sys_, body in cases:
+        brute = math.fsum(math.prod(g(f(p)) for f in sys_.forms) for p in body.lattice_points())
+        npoints = body.lattice_point_count()
+        assert counting._integral_sum_exact(sys_, body, npoints) == pytest.approx(brute, rel=1e-12, abs=0)
+        assert counting._integral_sum_pointwise(sys_, body) == pytest.approx(brute, rel=1e-12, abs=0)
+    # a whole comparison on a body with a fractional vertex (2n <= 21)
+    rep = counting.compare(twins, cases[5][1], 100, tables_1e6)
+    assert rep.empirical == 2 and rep.predicted_integral > 0

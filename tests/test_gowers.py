@@ -206,6 +206,17 @@ def test_weighted_box_norm(rng):
     assert gowers.weighted_box_norm(f, ones).norm == pytest.approx(plain, rel=1e-9)
 
 
+def test_weighted_box_norm_rejects_foreign_keys():
+    # a key that is not a proper subset of the axes used to be dropped silently,
+    # so {2} on a (3, 4) array gave exactly box_norm(g)
+    g = np.arange(12.0).reshape(3, 4)
+    for key in ({2}, {0, 1}, {1, 3}):
+        with pytest.raises(ValueError, match="proper subsets"):
+            gowers.weighted_box_norm(g, {frozenset(key): np.full(4, 5.0)})
+    plain = gowers.box_norm(g).norm
+    assert gowers.weighted_box_norm(g, {frozenset({1}): np.full(4, 5.0)}).norm > plain
+
+
 def test_weighted_nu_self_consistency(rng):
     nu = {
         frozenset(): np.array(1.0),
