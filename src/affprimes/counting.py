@@ -15,9 +15,19 @@ summed in a fixed order, and math.fsum combines the partials, so results are
 bit-reproducible and do not depend on RUN_BLOCK or CAND_BLOCK.  The exact
 Hardy-Littlewood integral is the same weighted count over a 1/log table
 (evaluated point by point where that table would outgrow the point count).
+
+Complexity-1 systems of three forms in two variables (AP3, Vinogradov) with
+integer weights in {-1, 0, 1} (prime indicator, mobius, liouville) take a
+Fourier route instead, the circle-method case of the paper: the forms obey
+one relation a.psi = c, the count is a sum over the lattice {a.m = c}, and
+that sum is one dilated convolution, computed by rfft (_fourier_count).
+Every convolution entry is an integer, so it is rounded; the route is exact
+because the FFT error stays far below 1/2, and a rounding error of 1/4 or
+more sends the call back to the drivers, as does any body or system outside
+the route's class.  Float weights (Lambda, 1/log) never take it: an FFT sum
+is not bit-equal to the drivers' per-run fsum.
 """
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,11 +35,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import geometry, linalg
+from . import arith, geometry, linalg
 from .localfactors import singular_series
 
 EXACT_INTEGRAL_POINT_GUARD = 2 * 10**7
 CAND_BLOCK = 2**16              # sparse-driver candidates per chunk; bounds working memory
+FFT_GUARD = 2**22               # longest convolution of the Fourier route; bounds working memory
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +108,13 @@ def make_weight(name, tables, wparams=None, b=None):
         return Weight(name=name, kind="sparse", values=tables.von_mangoldt_prime,
                       support_mask=tables.prime_mask, support_list=tables.primes)
     if name == "prime_indicator":
-        return Weight(name=name, kind="sparse",
-                      values=tables.is_prime.astype(np.float64),
+        return Weight(name=name, kind="sparse", values=tables.prime_mask,
                       support_mask=tables.prime_mask, support_list=tables.primes)
     if name in ("lambda_bw", "lambda_prime_bw"):
         if wparams is None or b is None:
             raise ValueError(f"{name} needs W-trick params and a residue b")
-        if math.gcd(b, wparams.W) != 1:
-            raise ValueError("b must be coprime to W")
-        table = tables.von_mangoldt if name == "lambda_bw" else tables.von_mangoldt_prime
-        n_hi = (tables.n_max - b) // wparams.W
-        vals = wparams.normalizer * table[b: b + n_hi * wparams.W + 1: wparams.W].copy()
+        vals = arith.lambda_bw_array((tables.n_max - b) // wparams.W, b, wparams, tables,
+                                     primed=name == "lambda_prime_bw", n_lo=0)
         vals[0] = 0.0       # n = 0 corresponds to the small argument b; keep Lambda support in n >= 1
         mask = (vals > 0).view(np.uint8)
         sup = np.nonzero(mask)[0].astype(np.int64)
@@ -133,28 +140,11 @@ def weight_from_table(name, values, sparse=False, reflect_negative=False):
 
 
 def affine_range_over_body(body, coeffs, const):
-    """Exact (min, max) of an affine functional over the body, via vertices."""
-    d = body.dim
-    hs = body.halfspaces
-    best_lo, best_hi = None, None
-    for subset in itertools.combinations(range(len(hs)), d):
-        rows = [list(hs[i][0]) for i in subset]
-        if linalg.rank(rows) != d:
-            continue
-        rhs = [hs[i][1] for i in subset]
-        x = linalg.solve(rows, rhs)
-        if x is None:
-            continue
-        if not all(
-            sum(a * xi for a, xi in zip(hs[i][0], x)) <= hs[i][1] for i in range(len(hs))
-        ):
-            continue
-        v = sum(Fraction(c) * xi for c, xi in zip(coeffs, x)) + const
-        best_lo = v if best_lo is None else min(best_lo, v)
-        best_hi = v if best_hi is None else max(best_hi, v)
-    if best_lo is None:
+    """Exact (min, max) of an affine functional over the body, via its vertices."""
+    vals = [sum(Fraction(c) * xi for c, xi in zip(coeffs, x)) + const for x in body.vertices()]
+    if not vals:
         return None, None       # empty body
-    return best_lo, best_hi
+    return min(vals), max(vals)
 
 
 def _form_bound(body, f):
@@ -218,31 +208,42 @@ def _run_view(w, off, coef, lo, hi):
 def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
     """Sum over K of prod_i w_i(psi_i(n)).
 
-    weights: list of selector names or Weight objects, one per form.
-    Lambda-type weights vanish at nonpositive arguments.
+    weights: list of selector names or Weight objects, one per form; each
+    distinct (selector, b) is resolved once.  Lambda-type weights vanish at
+    nonpositive arguments.
 
-    The runs of K come in blocks (geometry.ConvexBody.run_blocks); forms with
-    a zero inner coefficient give a per-run constant factor, and the route for
-    the remaining forms is fixed once: a sparse driver (all of them sparse,
-    one with inner coefficient +-1), int16 products of +-1 views, or float
-    products of views.  Each run contributes one partial sum, and the partials
-    are combined with math.fsum, so the result does not depend on the block
+    Three forms in two variables with integer weights in {-1, 0, 1} (prime
+    indicator, mobius, liouville) take the Fourier route (_fourier_count)
+    when the forms and K pass its tests: one FFT convolution whose entries
+    are rounded to integers.  The rounding error is checked to stay below
+    1/4 (the error bound of the convolution keeps it far smaller), so the
+    result is exactly the drivers' integer; otherwise the drivers run.
+
+    Driver route: the runs of K come in blocks
+    (geometry.ConvexBody.run_blocks); forms with a zero inner coefficient
+    give a per-run constant factor, and the route for the remaining forms is
+    fixed once: a sparse driver (all of them sparse, one with inner
+    coefficient +-1), int16 products of +-1 views, or float products of
+    views.  Each run contributes one partial sum, and the partials are
+    combined with math.fsum, so the result does not depend on the block
     sizes.
     """
-    resolved = []
-    for i, w in enumerate(weights):
-        if isinstance(w, Weight):
-            resolved.append(w)
-        else:
-            bb = b_list[i] if b_list is not None else None
-            resolved.append(make_weight(w, tables, wparams=wparams, b=bb))
-    weights = resolved
+    keys = [
+        None if isinstance(w, Weight) else (w, b_list[i] if b_list is not None else None)
+        for i, w in enumerate(weights)
+    ]
+    resolved = {
+        k: make_weight(k[0], tables, wparams=wparams, b=k[1])
+        for k in dict.fromkeys(keys) if k is not None
+    }
+    weights = [w if k is None else resolved[k] for w, k in zip(weights, keys)]
     if len(weights) != sys.t:
         raise ValueError("one weight per form required")
     if body.dim != sys.d:
         raise ValueError("body dimension != parameter count")
     _check_table_ranges(sys, body, weights)
-    return _weighted_count(sys, body, weights)
+    count = _fourier_count(sys, body, weights)
+    return _weighted_count(sys, body, weights) if count is None else count
 
 
 def _weighted_count(sys, body, weights):
@@ -349,6 +350,157 @@ def _sparse_partials(weights, varying, inner, i0, off, lo, hi, const):
         for c, a, b in zip(const[r][hit].tolist(), (stops - surv)[hit].tolist(), stops[hit].tolist()):
             yield c * float(prod[a:b].sum())
         s = e
+
+
+# ---------------------------------------------------------------------------
+# the Fourier route for complexity-1 systems (three forms in two variables)
+
+
+def _fourier_count(sys, body, weights):
+    """The weighted count as one dilated FFT convolution, or None off the route.
+
+    The route needs d = 2, t = 3 and weights that are non-reflecting integer
+    tables with values in {-1, 0, 1}.  The forms satisfy one primitive
+    relation a.psi = c with every a_i != 0; when the Smith invariant factors
+    of the linear part are (1, 1), psi maps Z^2 onto the whole lattice
+    L = {m : a.m = c}, so the count is a sum over m in L.  Each facet of K
+    (redundant halfspaces dropped; K must be full-dimensional) must bound a
+    single form, or be the one order facet psi_j < psi_i (or <=) between
+    two forms with a_i = a_j, equal weights and equal intervals; such a sum
+    is (all -+ diagonal) / 2 by the symmetry m_i <-> m_j.  Every form is
+    confined to an interval: its single-form facets, its range over K and
+    the table support [0, m_max].  With k the form of largest |a_k|, the
+    other two weights are placed at a_p m_p and a_q m_q, convolved by rfft,
+    and entry c - a_k m_k is read for each m_k.  Entries are integers of at
+    most FFT_GUARD in size; they are rounded, and a rounding error of 1/4 or
+    more (none is expected: the error of an FFT convolution is about
+    |g_p|_2 |g_q|_2 eps log n < 1e-6 here) sends the call back to the
+    drivers.
+    """
+    if sys.d != 2 or sys.t != 3 or not all(
+        w.kind != "one" and not w.reflect_negative and w.values.dtype.kind in "iu"
+        for w in weights
+    ):
+        return None
+    A = [list(f.linear_coeffs) for f in sys.forms]
+    b = [f.constant for f in sys.forms]
+    if linalg.smith_normal_form(A)[0] != [1, 1]:
+        return None
+    a = linalg.clear_denominators(linalg.nullspace([list(col) for col in zip(*A)])[0])
+    if 0 in a:
+        return None
+    c = sum(ai * bi for ai, bi in zip(a, b))
+
+    facets = _facet_forms(body, A, b, a)
+    if facets is None:
+        return None
+    bounds, order = facets
+    lo, hi = [0] * 3, [w.m_max for w in weights]
+    for i, s, bound in bounds:
+        if s > 0:
+            hi[i] = min(hi[i], math.floor(bound))
+        else:
+            lo[i] = max(lo[i], math.ceil(bound))
+    ranges = [affine_range_over_body(body, f.linear_coeffs, f.constant) for f in sys.forms]
+    if order:
+        j, i, _ = order             # psi_j < psi_i (or <=): j is the smaller form
+        # m_j >= lo_j and m_i <= hi_i bound both forms; the other two bounds must be implied
+        if lo[j] < lo[i] or hi[i] > hi[j]:
+            return None
+        lo[i], hi[j] = lo[j], hi[i]
+        ranges[i] = ranges[j] = (min(ranges[i][0], ranges[j][0]), max(ranges[i][1], ranges[j][1]))
+    for i, (rlo, rhi) in enumerate(ranges):
+        lo[i], hi[i] = max(lo[i], math.ceil(rlo)), min(hi[i], math.floor(rhi))
+    if any(l > h for l, h in zip(lo, hi)):
+        return 0.0
+    f = [w.values[l:h + 1] for w, l, h in zip(weights, lo, hi)]
+    if any(x.min() < -1 or x.max() > 1 for x in f):
+        return None
+    if order and not np.array_equal(f[order[0]], f[order[1]]):
+        return None
+
+    k = max(range(3), key=lambda i: abs(a[i]))
+    p, q = (i for i in range(3) if i != k)
+    (gp, offp), (gq, offq) = (_dilated(f[i], a[i], lo[i], hi[i]) for i in (p, q))
+    n = len(gp) + len(gq) - 1
+    nfft = 1 << (n - 1).bit_length()
+    if nfft > FFT_GUARD:
+        return None
+    conv = np.fft.irfft(np.fft.rfft(gp, nfft) * np.fft.rfft(gq, nfft), nfft)[:n]
+    idx = c - a[k] * np.arange(lo[k], hi[k] + 1, dtype=np.int64) - offp - offq
+    read = (idx >= 0) & (idx < n)
+    entries = conv[idx[read]]
+    rounded = np.rint(entries)
+    if len(entries) and np.abs(entries - rounded).max() >= 0.25:
+        return None
+    total = int(f[k][read].astype(np.int64) @ rounded.astype(np.int64))
+    if order:
+        j, i, strict = order
+        k = 3 - i - j
+        v = np.arange(lo[i], hi[i] + 1, dtype=np.int64)
+        num = c - (a[i] + a[j]) * v             # a_k m_k on the diagonal m_i = m_j = v
+        mk = num // a[k]
+        on = (num % a[k] == 0) & (mk >= lo[k]) & (mk <= hi[k])
+        prod = f[i][on].astype(np.int64) * f[j][on] * f[k][mk[on] - lo[k]]
+        diag = int(prod.sum())
+        total = (total - diag if strict else total + diag) // 2
+    return float(total)
+
+
+def _dilated(f, a, lo, hi):
+    """(g, off) with g[a m - off] = f[m - lo] for lo <= m <= hi, zero elsewhere."""
+    g = np.zeros(abs(a) * (hi - lo) + 1)
+    g[::abs(a)] = f if a > 0 else f[::-1]
+    return g, a * (lo if a > 0 else hi)
+
+
+def _facet_forms(body, A, b, a):
+    """K's facets in terms of the forms psi = A x + b, or None if one fits neither kind.
+
+    Returns (bounds, order): bounds lists (i, s, bound) for the facets
+    s (psi_i - bound) <= 0, and order is (j, i, strict) for the facet
+    psi_j < psi_i (strict) or psi_j <= psi_i, or None.  K must be
+    full-dimensional; a halfspace is then redundant exactly when its line
+    holds fewer than two vertices of K.  A facet h.x <= c0 is written as
+    l_i (psi_i - b_i) + l_j (psi_j - b_j) <= c0 for each pair (i, j), since
+    a_k != 0 makes any two rows of A independent.
+    """
+    verts = body.vertices()
+    if len(verts) < 3:
+        return None
+    bounds, order = [], None
+    for h, c0 in body.halfspaces:
+        if sum(h[0] * x + h[1] * y == c0 for x, y in verts) < 2:
+            continue
+        reps = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            det = A[i][0] * A[j][1] - A[i][1] * A[j][0]
+            li = Fraction(h[0] * A[j][1] - h[1] * A[j][0], det)
+            lj = Fraction(A[i][0] * h[1] - A[i][1] * h[0], det)
+            reps.append((i, li, j, lj))
+        single = [(j, lj) if li == 0 else (i, li) for i, li, j, lj in reps if li == 0 or lj == 0]
+        if single:
+            i, s = single[0]
+            bounds.append((i, s, c0 / s + b[i]))
+            continue
+        pairs = [(i, j, lj) for i, li, j, lj in reps if li == -lj and a[i] == a[j]]
+        if order is not None or not pairs:
+            return None
+        i, j, s = pairs[0]
+        if s < 0:
+            i, j, s = j, i, -s
+        # s (psi_j - psi_i) <= c0 + s (b_j - b_i); psi_j - psi_i runs over g Z + r
+        g = math.gcd(A[j][0] - A[i][0], A[j][1] - A[i][1])
+        r = (b[j] - b[i]) % g
+
+        def top(x):             # the largest value of psi_j - psi_i that is <= x
+            return r + g * ((x - r) // g)
+
+        t = top(math.floor(c0 / s + b[j] - b[i]))
+        if t not in (top(0), top(-1)):
+            return None
+        order = (j, i, t != top(0))
+    return bounds, order
 
 
 def prime_point_count(sys, body, tables):

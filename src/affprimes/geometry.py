@@ -19,6 +19,8 @@ from math import gcd
 
 import numpy as np
 
+from . import linalg
+
 ENUM_DIM_GUARD = 6
 RUN_BLOCK = 4096                # runs per enumeration block; bounds working memory
 _INT64_BOUND_LIMIT = 2**62
@@ -74,6 +76,7 @@ class ConvexBody:
                 best[a] = c
         self.halfspaces = sorted(best.items())
         self._chain = None
+        self._vertices = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -112,6 +115,25 @@ class ConvexBody:
         return all(
             sum(ai * xi for ai, xi in zip(a, point)) <= c for a, c in self.halfspaces
         )
+
+    def vertices(self):
+        """The distinct vertices of K as tuples of exact Fractions (cached); [] if K is empty.
+
+        Every dim-sized subset of halfspaces with independent normals gives a
+        candidate point; the feasible ones are the vertices.
+        """
+        if self._vertices is None:
+            hs = self.halfspaces
+            found = {}
+            for subset in itertools.combinations(hs, self.dim):
+                rows = [list(a) for a, _ in subset]
+                if linalg.rank(rows) != self.dim:
+                    continue
+                x = linalg.solve(rows, [c for _, c in subset])
+                if all(sum(ai * xi for ai, xi in zip(a, x)) <= c for a, c in hs):
+                    found[tuple(x)] = None
+            self._vertices = list(found)
+        return self._vertices
 
     # -- Fourier-Motzkin chain ---------------------------------------------------
 
@@ -299,8 +321,6 @@ def simplex_body(vertices, box_bound):
         face = [verts[i] for i in range(d + 1) if i != drop]
         # normal via nullspace of difference vectors
         diffs = [[face[i + 1][j] - face[0][j] for j in range(d)] for i in range(d - 1)]
-        from . import linalg
-
         normal = linalg.nullspace(diffs, n_cols=d)[0]
         c = sum(n * x for n, x in zip(normal, face[0]))
         inside = sum(n * x for n, x in zip(normal, verts[drop]))
@@ -317,8 +337,6 @@ def _dist2_point_to_faces(point, body):
     Minimizes over all faces: project onto each face's affine span and keep
     projections that satisfy the remaining constraints.  Exact rationals.
     """
-    from . import linalg
-
     d = body.dim
     hs = body.halfspaces
     p = [Fraction(x) for x in point]
@@ -353,8 +371,6 @@ def _dist2_point_to_faces(point, body):
 
 def _face_list(body):
     """Rank-r constraint subsets with their in-face check indices."""
-    from . import linalg
-
     hs = body.halfspaces
     faces = []
     for r in range(1, body.dim + 1):

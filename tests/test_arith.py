@@ -74,6 +74,16 @@ def test_factorize(tables_1e6):
     assert arith._next_prime(89) == 97 and arith._prev_prime(97) == 89
 
 
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(12)
+    ns = [0, 1, -1, 2, -12, 2**31 - 1, 999983 * 999979, 2**20 * 3**7]
+    ns += [int(x) for x in rng.integers(-10**9, 10**9, size=300)]
+    for n in ns:
+        want = {} if abs(n) < 2 else {int(p): e for p, e in sympy.factorint(abs(n)).items()}
+        assert arith.factorize(n) == want
+
+
 def test_w_trick():
     w = arith.w_trick(w=5)
     assert w.W == 30 and w.residues == (1, 7, 11, 13, 17, 19, 23, 29)

@@ -316,3 +316,141 @@ def test_integral_sum_exact_matches_brute_force(tables_1e6):
     # a whole comparison on a body with a fractional vertex (2n <= 21)
     rep = counting.compare(twins, cases[5][1], 100, tables_1e6)
     assert rep.empirical == 2 and rep.predicted_integral > 0
+
+
+# ---------------------------------------------------------------------------
+# the Fourier route (three forms in two variables, integer weights)
+
+FOURIER_TABLES = arith.build_tables(2000)
+FOURIER_WEIGHTS = ("prime_indicator", "mobius", "liouville")
+
+
+def _times(row, mat):
+    return [sum(r * m for r, m in zip(row, col)) for col in zip(*mat)]
+
+
+@st.composite
+def _fourier_cases(draw):
+    """(system, body, weights, variant) with psi_3 = al y1 + be y2 (+ constants), y = U x.
+
+    The relation (al, be, -1) has equal entries for a pair of forms when
+    al = -1, be = -1 or al = be; such a pair may carry an order facet.  The
+    variant "in" stays in the route's class; the others leave it.
+    """
+    al = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+    be = draw(st.sampled_from([-2, -1, 1, 2]))
+    u = draw(st.tuples(*[st.integers(-2, 2)] * 4).filter(lambda m: abs(m[0] * m[3] - m[1] * m[2]) == 1))
+    perm = draw(st.permutations(range(3)))
+    rel = [(al, be, -1)[p] for p in perm]
+    variant = draw(st.sampled_from(["in", "in", "in", "float", "index2", "mixed", "asym_order", "asym_bounds"]))
+    umat = [[u[0], u[1]], [u[2], u[3]]]
+    if variant == "index2":          # Psi(Z^2) of index 2 in the lattice of the relation
+        umat = [[u[0], 2 * u[1]], [u[2], 2 * u[3]]]
+    rows = [_times([[1, 0], [0, 1], [al, be]][p], umat) for p in perm]
+    consts = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+
+    def bound(i, lower, value):      # psi_i >= value (lower) or psi_i <= value
+        s = -1 if lower else 1
+        return ([s * x for x in rows[i]], s * (value - consts[i]))
+
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j and rel[i] == rel[j]]
+    order = draw(st.sampled_from(pairs)) if pairs and draw(st.integers(0, 3)) else None
+    if variant.startswith("asym") and order is None:
+        variant = "in"
+    lows = draw(st.lists(st.integers(-3, 6), min_size=3, max_size=3))
+    widths = draw(st.lists(st.integers(3, 30), min_size=3, max_size=3))
+    hs = []
+    if order:                        # psi_j < psi_i (or <=), psi_j >= low, psi_i <= high
+        j, i = order
+        k = 3 - i - j
+        strict = draw(st.booleans())
+        g = math.gcd(*(x - y for x, y in zip(rows[j], rows[i])))
+        top = -1 - 2 * g if variant == "asym_order" else (-1 if strict else 0)
+        hs.append(([x - y for x, y in zip(rows[j], rows[i])], top - consts[j] + consts[i]))
+        hs += [bound(j, True, lows[j]), bound(i, False, lows[j] + 2 * g + widths[j])]
+        if variant == "asym_bounds":  # a lower bound on psi_i that psi_j's does not imply
+            hs.append(bound(i, True, max(lows[j] + 2, 1)))
+    else:
+        k = draw(st.integers(0, 2))
+        for i in range(3):
+            if i != k:
+                hs += [bound(i, True, lows[i]), bound(i, False, lows[i] + widths[i])]
+    # shift the third form to start near 0 over the body so far, then bound it
+    # around its range; the top of the range gives degenerate and empty bodies
+    rlo, rhi = counting.affine_range_over_body(geometry.ConvexBody(2, hs, 1000), rows[k], 0)
+    if rlo is not None:
+        consts[k] = draw(st.integers(-2, 3)) - math.floor(rlo)
+        if not variant.startswith("asym"):
+            top = math.ceil(rhi - rlo) + 2 if draw(st.integers(0, 5)) == 5 else math.ceil(rhi - rlo)
+            lo_k = draw(st.integers(-3, top))
+            hs += [bound(k, True, lo_k), bound(k, False, lo_k + widths[k])]
+    body = geometry.ConvexBody(2, hs, 1000)
+    verts = body.vertices()
+    if variant == "mixed" and len(verts) >= 3:
+        # a cut through the vertex centroid along no form and no difference of forms
+        normals = [tuple(r) for r in rows] + [
+            tuple(x - y for x, y in zip(rows[i], rows[j])) for i in range(3) for j in range(3) if i != j
+        ]
+        h = next(h for h in [(1, 3), (3, -1), (2, 5), (5, -2), (4, 7)]
+                 if all(h[0] * n[1] != h[1] * n[0] for n in normals))
+        centre = [sum(v[c] for v in verts) / len(verts) for c in range(2)]
+        body = body.intersect([(h, h[0] * centre[0] + h[1] * centre[1])])
+    names = [draw(st.sampled_from(FOURIER_WEIGHTS)) for _ in range(3)]
+    if order:
+        names[order[0]] = names[order[1]]
+    weights = [counting.make_weight(n, FOURIER_TABLES) for n in names]
+    if variant == "float":
+        weights[draw(st.integers(0, 2))] = counting.weight_from_table("float", FOURIER_TABLES.prime_mask)
+    return forms.system(rows, consts), body, weights, variant
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_fourier_cases())
+def test_fourier_route_matches_driver(case):
+    # in the class (full-dimensional K) the route is taken and equals the
+    # driver's integer; float weights, an index-2 image lattice, a mixed
+    # facet and asymmetric order facets fall back to the driver
+    sys_, body, weights, variant = case
+    route = counting._fourier_count(sys_, body, weights)
+    driver = counting._weighted_count(sys_, body, weights)
+    assert counting.weighted_count(sys_, body, weights).hex() == driver.hex()
+    if variant == "in":
+        assert route is not None or len(body.vertices()) < 3
+        assert route is None or route.hex() == driver.hex()
+    else:
+        assert route is None
+
+
+def test_fourier_route_goldens():
+    # strict AP3 and Vinogradov at the benchmark sizes, both on the route
+    tables = arith.build_tables(50003)
+    ap3 = forms.ap_system(3)
+    vino = forms.vinogradov_system(50001)
+    vino_body = geometry.ConvexBody(2, [((-1, 0), -1), ((0, -1), -1), ((1, 1), 50001)], 50001)
+    for sys_, body, want in ((ap3, ap_body(3, 50000), 873953), (vino, vino_body, 2333238)):
+        weights = [counting.make_weight("prime_indicator", tables)] * 3
+        assert counting._fourier_count(sys_, body, weights) == want
+        assert counting.prime_point_count(sys_, body, tables) == want
+
+
+def test_weights_resolved_once(tables_1e6):
+    # one prime-indicator weight, backed by the uint8 prime mask, for all four forms
+    w = counting.make_weight("prime_indicator", tables_1e6)
+    assert w.values is tables_1e6.prime_mask and w.values.dtype == np.uint8
+    body = ap_body(4, 1000, strict=False)
+    with mock.patch.object(counting, "make_weight", wraps=counting.make_weight) as made:
+        counting.prime_point_count(forms.ap_system(4), body, tables_1e6)
+    assert made.call_count == 1
+
+
+def test_lambda_bw_weight_values():
+    # the W-tricked weight is arith.lambda_bw at every n >= 1 and 0 at n = 0
+    tables = arith.build_tables(3000)
+    wp = arith.w_trick(w=5)
+    for name, primed in (("lambda_bw", False), ("lambda_prime_bw", True)):
+        for b in wp.residues:
+            vals = counting.make_weight(name, tables, wparams=wp, b=b).values
+            assert len(vals) == (tables.n_max - b) // wp.W + 1
+            assert vals[0] == 0.0
+            for n in range(1, len(vals)):
+                assert vals[n] == arith.lambda_bw(n, b, wp, tables, primed=primed)

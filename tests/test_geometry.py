@@ -86,6 +86,41 @@ def test_enumeration_consistent_with_contains(monkeypatch):
         assert counting.weighted_count(sys_, body, ["one", "one"]) == len(brute)
 
 
+def _subset_vertex_range(body, coeffs, const):
+    """(min, max) of an affine functional over every feasible dim-subset solution."""
+    from affprimes import linalg
+
+    hs = body.halfspaces
+    vals = []
+    for subset in itertools.combinations(range(len(hs)), body.dim):
+        rows = [list(hs[i][0]) for i in subset]
+        if linalg.rank(rows) != body.dim:
+            continue
+        x = linalg.solve(rows, [hs[i][1] for i in subset])
+        if all(sum(a * xi for a, xi in zip(hs[i][0], x)) <= hs[i][1] for i in range(len(hs))):
+            vals.append(sum(Fraction(c) * xi for c, xi in zip(coeffs, x)) + const)
+    return (min(vals), max(vals)) if vals else (None, None)
+
+
+def test_vertices_match_subset_enumeration():
+    # the cached vertices give the same exact form ranges as solving every
+    # dim-subset of halfspaces; empty bodies have no vertices
+    rng = np.random.default_rng(6)
+    bodies = [_random_body(rng, d) for d in (1, 2, 3) for _ in range(40)]
+    assert any(not b.vertices() for b in bodies) and any(b.vertices() for b in bodies)
+    for body in bodies:
+        verts = body.vertices()
+        assert len(set(verts)) == len(verts) and body.vertices() is verts
+        assert all(body.contains(v) for v in verts)
+        for _ in range(3):
+            coeffs = [int(x) for x in rng.integers(-5, 6, size=body.dim)]
+            const = int(rng.integers(-9, 10))
+            got = counting.affine_range_over_body(body, coeffs, const)
+            assert got == _subset_vertex_range(body, coeffs, const)
+        if not verts:
+            assert body.lattice_point_count() == 0
+
+
 def test_int64_guard_rejects_overflowing_bodies(tmp_path):
     # 3e18 * x1 + x2 <= 6e18 + 3 over [-10, 10]^2 has 136 points, but its
     # bounds overflow int64 arithmetic; it is rejected instead of miscounted

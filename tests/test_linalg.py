@@ -77,6 +77,23 @@ def test_smith_normal_form(rng):
                 assert d[i + 1] % d[i] == 0
 
 
+def test_smith_normal_form_matches_sympy():
+    # invariant factors against sympy's; a local generator leaves the
+    # session rng stream unchanged
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = np.random.default_rng(11)
+    mats = [[[1, 0], [1, 2], [1, 4]], [[1, 0], [1, 1], [1, 2]], [[2, 4], [1, 2], [3, 6]], [[0, 0], [0, 0]]]
+    for _ in range(200):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        mats.append(rng.integers(-9, 10, size=(n, m)).tolist())
+    for a in mats:
+        d, _, _ = linalg.smith_normal_form(a)
+        want = [int(x) for x in invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)]
+        assert d == want + [0] * (len(d) - len(want))
+
+
 def test_hermite_column_lattice():
     a = [[2, 0], [0, 2]]
     b = [[2, 2], [0, 2]]
