@@ -38,8 +38,8 @@ class ArithTables:
     def factor(self, n):
         """Prime factorization of n >= 1 as a dict {p: exponent}.
 
-        Uses the spf table when available; falls back to trial division
-        (factorize) for n <= n_max**2.
+        Uses the spf table when available; falls back to factorize for
+        n <= n_max**2.
         """
         n = int(n)
         if n < 1:
@@ -268,31 +268,104 @@ def w_trick(w=None, W=None):
     return WTrickParams(w=float(w), W=W, residues=residues)
 
 
+_TRIAL_LIMIT = 1000             # factorize trial-divides by 2 and the odd numbers below this
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n):
+    """Miller-Rabin with the first 13 primes as bases.
+
+    Exact for n < 3317044064679887385961981 (about 3.3e24, the least strong
+    pseudoprime to all 13 bases); above it, a strong probable-prime test.
+    """
+    n = int(n)
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n):
+    """A proper factor of the odd composite n without factors below _TRIAL_LIMIT (Pollard-Brent rho)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:              # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"no factor of {n} found")
+
+
 def factorize(n):
-    """Prime factorization {p: exponent} of |n| by trial division; {} for 0 and +-1."""
-    n = abs(int(n))
+    """Prime factorization {p: exponent} of |n|, primes ascending; {} for 0 and +-1.
+
+    Trial division by small numbers, then is_prime and Pollard-Brent rho on
+    the cofactor, so a large prime factor costs a few modular powers rather
+    than sqrt(n) divisions.  Above 3.3e24 the primality of a factor is
+    probable (is_prime); the product of the factors is checked against n.
+    """
+    m = n = abs(int(n))
     out = {}
     p = 2
-    while p * p <= n:
+    while p < _TRIAL_LIMIT and p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        q = rest.pop()
+        if is_prime(q):
+            out[q] = out.get(q, 0) + 1
+        else:
+            f = _rho_factor(q)
+            rest += [f, q // f]
+    if m > 1 and math.prod(p**e for p, e in out.items()) != m:
+        raise ArithmeticError(f"factorization of {m} failed")
+    return dict(sorted(out.items()))
 
 
 def _next_prime(p):
     q = p + 1
-    while factorize(q) != {q: 1}:
+    while not is_prime(q):
         q += 1
     return q
 
 
 def _prev_prime(p):
     for q in range(p - 1, 1, -1):
-        if factorize(q) == {q: 1}:
+        if is_prime(q):
             return q
     raise ValueError("no prime below 2")
 

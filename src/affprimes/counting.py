@@ -4,17 +4,33 @@ comparison reports.
 The run enumerator from geometry splits K into inner-coordinate segments
 (runs), delivered in blocks of at most geometry.RUN_BLOCK runs.  Per block,
 one matrix product gives every form's offset on every run, and forms with a
-zero inner coefficient become a vectorised per-run constant factor.  Dense
-weights are then read run by run through strided views into the tables.
-Weights supported on primes (or prime powers) drive the iteration through
-the sorted support array instead: one searchsorted per block, candidates in
-chunks of about CAND_BLOCK, each further form filtered by its support mask,
-which is what makes the N = 10^6 progression experiments run in seconds.
-All accumulation is single-threaded: each run contributes one partial sum,
-summed in a fixed order, and math.fsum combines the partials, so results are
-bit-reproducible and do not depend on RUN_BLOCK or CAND_BLOCK.  The exact
-Hardy-Littlewood integral is the same weighted count over a 1/log table
-(evaluated point by point where that table would outgrow the point count).
+zero inner coefficient become a vectorised per-run constant factor.  Three
+drivers read the remaining forms:
+
+* Weights supported on primes (or prime powers) drive the iteration through
+  the sorted support array: one searchsorted per block, candidates in
+  chunks of about CAND_BLOCK, each further form filtered by its support
+  mask, which is what makes the N = 10^6 progression experiments run in
+  seconds.
+* When every weight is +-1 valued (mobius, liouville), the coordinates are
+  first reordered so that the inner one reads the most forms with unit
+  stride (_unit_stride: fewest coefficients of size > 1, then fewest
+  varying forms, ties keeping the last coordinate); for AP4 that is x1.
+  Rows of a block with equal bounds whose prefixes step by +1 in the last
+  outer coordinate form a segment, which each form reads as one 2-D
+  strided int8 view; chunks of at most PM1_CHUNK elements are multiplied
+  in place and summed exactly (_pm1_partials).
+* Other dense weights (float tables) are read run by run through strided
+  views.
+
+All accumulation is single-threaded: each run (or +-1 chunk) contributes one
+partial sum, summed in a fixed order, and math.fsum combines the partials,
+so results are bit-reproducible and do not depend on RUN_BLOCK, CAND_BLOCK
+or PM1_CHUNK.  Every +-1 partial is an exact integer, which is why that
+route may reorient K; float partials would change their fsum bits, so float
+and sparse counts keep the given coordinates.  The exact Hardy-Littlewood
+integral is the same weighted count over a 1/log table (evaluated point by
+point where that table would outgrow the point count).
 
 Complexity-1 systems of three forms in two variables (AP3, Vinogradov) with
 integer weights in {-1, 0, 1} (prime indicator, mobius, liouville) take a
@@ -41,6 +57,7 @@ from .localfactors import singular_series
 EXACT_INTEGRAL_POINT_GUARD = 2 * 10**7
 CAND_BLOCK = 2**16              # sparse-driver candidates per chunk; bounds working memory
 FFT_GUARD = 2**22               # longest convolution of the Fourier route; bounds working memory
+PM1_CHUNK = 2**20               # elements per int8 chunk of the +-1 route; its int32 sum cannot overflow
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +240,14 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
     (geometry.ConvexBody.run_blocks); forms with a zero inner coefficient
     give a per-run constant factor, and the route for the remaining forms is
     fixed once: a sparse driver (all of them sparse, one with inner
-    coefficient +-1), int16 products of +-1 views, or float products of
-    views.  Each run contributes one partial sum, and the partials are
-    combined with math.fsum, so the result does not depend on the block
-    sizes.
+    coefficient +-1), exact int8 products of 2-D +-1 views, or float
+    products of per-run views.  A count whose weights are all +-1 valued
+    first permutes the coordinates so that the inner one has the fewest
+    coefficients of size > 1, then the fewest varying forms (ties keep the
+    last coordinate); the lattice points of K map one to one, so the integer
+    does not change.  Each run or chunk contributes one partial sum, and the
+    partials are combined with math.fsum, so the result does not depend on
+    the block sizes.
     """
     keys = [
         None if isinstance(w, Weight) else (w, b_list[i] if b_list is not None else None)
@@ -248,32 +269,37 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
 
 def _weighted_count(sys, body, weights):
     """The engine of weighted_count, for Weight objects whose tables cover every form over K."""
-    d = sys.d
-    outer = np.array([f.linear_coeffs[:-1] for f in sys.forms], np.int64).reshape(sys.t, d - 1)
-    consts = np.array([f.constant for f in sys.forms], np.int64)
-    inner = [f.linear_coeffs[-1] for f in sys.forms]
     live = [i for i, w in enumerate(weights) if w.kind != "one"]
+    pm1 = all(weights[i].kind == "pm1" for i in live)
+    coeffs = np.array([f.linear_coeffs for f in sys.forms], np.int64).reshape(sys.t, sys.d)
+    if pm1:
+        coeffs, body = _unit_stride(coeffs, body, live)
+    outer = coeffs[:, :-1]
+    consts = np.array([f.constant for f in sys.forms], np.int64)
+    inner = coeffs[:, -1].tolist()
+    step = coeffs[:, -2].tolist() if sys.d > 1 else [0] * sys.t
     fixed = [i for i in live if inner[i] == 0]
     varying = [i for i in live if inner[i] != 0]
 
     driver = None
     if all(weights[i].kind == "sparse" and not weights[i].reflect_negative for i in varying):
         driver = next((i for i in varying if abs(inner[i]) == 1), None)
-    all_pm1 = all(weights[i].kind == "pm1" for i in live)
 
     partials = []
     for prefix, lo, hi in body.run_blocks():
         off = prefix @ outer.T + consts             # off[r, i] = psi_i(prefix[r], 0)
-        const = np.ones(len(lo))
+        const = np.ones(len(lo), np.int8 if pm1 else np.float64)
         nonzero = np.ones(len(lo), bool)
         for i in fixed:
             v = _table_values(weights[i], off[:, i])
             nonzero &= v != 0
             const = const * v
-        if fixed:
+        if fixed and not pm1:       # the +-1 route keeps such rows inside its 2-D chunks
             off, lo, hi, const = off[nonzero], lo[nonzero], hi[nonzero], const[nonzero]
         if not varying:
             partials.extend((const * (hi - lo + 1)).tolist())
+        elif pm1:
+            partials.extend(_pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const))
         elif driver is not None:
             partials.extend(_sparse_partials(weights, varying, inner, driver, off, lo, hi, const))
         else:
@@ -284,17 +310,97 @@ def _weighted_count(sys, body, weights):
                 for w, cf, oi in zip(ws, cfs, o):
                     view = _run_view(w, oi, cf, a, b)
                     if acc is None:
-                        acc = view.astype(np.int16 if all_pm1 else np.float64)
+                        acc = view.astype(np.float64)
                     else:
                         acc *= view
-                if all_pm1:
-                    s = int(acc.sum(dtype=np.int64))
-                    if s:
-                        partials.append(c * s)
-                else:
-                    partials.append(c * float(acc.sum()))
+                partials.append(c * float(acc.sum()))
 
     return math.fsum(partials)
+
+
+def _unit_stride(coeffs, body, live):
+    """(coeffs, body) with the coordinates reordered so that the inner one reads best.
+
+    The inner (last) coordinate becomes the k that minimises (live forms with
+    |coef_k| > 1, live forms with coef_k != 0, -k): unit-stride reads first,
+    then fewer varying forms; ties keep the last coordinate.  The box
+    [-N, N]^d is invariant, so the lattice points of K map one to one and an
+    integer-valued count is unchanged.
+    """
+    d = coeffs.shape[1]
+    a = np.abs(coeffs[live])
+    k = min(range(d), key=lambda k: (int((a[:, k] > 1).sum()), int((a[:, k] > 0).sum()), -k))
+    if k == d - 1:
+        return coeffs, body
+    perm = [j for j in range(d) if j != k] + [k]
+    return coeffs[:, perm], body.permuted(perm)
+
+
+def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
+    """Yield the exact integer partials of one block of a +-1 count, a 2-D chunk at a time.
+
+    A segment is a maximal stretch of rows with equal (lo, hi) whose prefixes
+    step by +1 in the last outer coordinate, so on it form i reads its table
+    at off + step_i r + inner_i x: one (rows, columns) view (_block_view).
+    Segments are cut into chunks of at most PM1_CHUNK elements, long rows
+    along x; the first view is copied into a C-ordered int8 accumulator, the
+    others and the rows' constant factors (0 on some rows) multiply it in
+    place, and its exact sum is the chunk's partial.
+    """
+    dp = np.diff(prefix, axis=0)
+    joins = (dp[:, :-1] == 0).all(axis=1) & (dp[:, -1:] == 1).all(axis=1)
+    cuts = np.flatnonzero(~(joins & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))) + 1
+    lo, hi = lo.tolist(), hi.tolist()
+    for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lo)]):
+        a, b = lo[s], hi[s]
+        width = min(b - a + 1, PM1_CHUNK)
+        height = PM1_CHUNK // width
+        for r in range(s, e, height):
+            c = const[r: min(r + height, e)]
+            if not c.any():
+                continue
+            for x in range(a, b + 1, width):
+                y = min(x + width - 1, b)
+                acc = None
+                for i in varying:
+                    view = _block_view(weights[i], int(off[r, i]), step[i], inner[i], len(c), x, y)
+                    if acc is None:
+                        acc = view.astype(np.int8, order="C")
+                    else:
+                        acc *= view
+                if c.min() < 1:
+                    acc *= c[:, None]
+                yield _int8_sum(acc)
+
+
+def _int8_sum(a):
+    """The exact sum of a C-ordered int8 array with entries in {-1, 0, 1}.
+
+    64 slices are first added in int8 (each entry stays within +-64), so the
+    widening int32 sum, the slow step, reads 1/64 of the elements.
+    """
+    flat = a.reshape(-1)
+    n = len(flat) - len(flat) % 64
+    tree = np.add.reduce(flat[:n].reshape(64, -1), axis=0, dtype=np.int8)
+    return int(tree.sum(dtype=np.int32)) + int(flat[n:].sum(dtype=np.int32))
+
+
+def _block_view(w, o, rs, cs, rows, a, b):
+    """w(o + rs r + cs x) for 0 <= r < rows and a <= x <= b, as a (rows, b - a + 1) array.
+
+    A read-only strided view into the table (the ndarray constructor checks
+    that it stays inside the buffer) unless the weight reflects negatives, an
+    argument is negative or the table is not contiguous; then the rows are
+    read one by one (_run_view).
+    """
+    v = w.values
+    first, last = o + cs * a, o + cs * b
+    if (w.reflect_negative or not v.flags.c_contiguous
+            or min(first, last, first + rs * (rows - 1), last + rs * (rows - 1)) < 0):
+        return np.stack([_run_view(w, o + rs * r, cs, a, b) for r in range(rows)])
+    view = np.ndarray((rows, b - a + 1), v.dtype, v, first * v.itemsize, (rs * v.itemsize, cs * v.itemsize))
+    view.flags.writeable = False
+    return view
 
 
 def _sparse_partials(weights, varying, inner, i0, off, lo, hi, const):

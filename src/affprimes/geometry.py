@@ -100,6 +100,14 @@ class ConvexBody:
     def intersect(self, halfspaces):
         return ConvexBody(self.dim, list(self.halfspaces) + list(halfspaces), self.box_bound)
 
+    def permuted(self, perm):
+        """The body in reordered coordinates: new coordinate j is old coordinate perm[j].
+
+        The box [-N, N]^d is invariant, so lattice points map one to one.
+        """
+        return ConvexBody(self.dim, [(tuple(a[p] for p in perm), c) for a, c in self.halfspaces],
+                          self.box_bound)
+
     def with_positive_forms(self, sys, threshold=1):
         """Intersect with {psi_i >= threshold for all i} (integer positivity)."""
         hs = [

@@ -79,9 +79,17 @@ def test_factorize_matches_sympy():
     rng = np.random.default_rng(12)
     ns = [0, 1, -1, 2, -12, 2**31 - 1, 999983 * 999979, 2**20 * 3**7]
     ns += [int(x) for x in rng.integers(-10**9, 10**9, size=300)]
+    ns += [int(x) for x in rng.integers(-10**18, 10**18, size=200)]
     for n in ns:
         want = {} if abs(n) < 2 else {int(p): e for p, e in sympy.factorint(abs(n)).items()}
-        assert arith.factorize(n) == want
+        got = arith.factorize(n)
+        assert got == want and list(got) == sorted(got)
+    # Mersenne primes, whose factorizations are known (sympy takes 0.6 s on the
+    # product); trial division would take ~1e9 steps on 2^61 - 1
+    m31, m61 = 2**31 - 1, 2**61 - 1
+    assert arith.factorize(m61) == {m61: 1} and arith.factorize(m31 * m61) == {m31: 1, m61: 1}
+    assert arith.factorize(1000003**3 * 7) == {7: 1, 1000003: 3}
+    assert arith.is_prime(2**89 - 1) and not arith.is_prime(2**89 + 1)
 
 
 def test_w_trick():

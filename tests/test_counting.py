@@ -236,7 +236,8 @@ def _make_weight(kind, reflect, rng):
 
 
 @st.composite
-def _count_cases(draw):
+def _count_cases(draw, pool=None):
+    """(system, body, weights); pool fixes the weight kinds, else sparse-only or mixed."""
     d = draw(st.integers(1, 3))
     t = draw(st.integers(1, 3))
     coeff = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
@@ -245,11 +246,10 @@ def _count_cases(draw):
     # ConvexBody adds the box [-n, n]^d; extra halfspaces may empty it
     hs = draw(st.lists(st.tuples(coeff, st.integers(-6, 6)), max_size=3))
     n = draw(st.integers(1, 5))
-    sparse = ("sparse", "sparse_float")
-    kinds = draw(st.lists(
-        st.sampled_from(sparse if draw(st.booleans()) else sparse + ("pm1", "float", "one")),
-        min_size=t, max_size=t,
-    ))
+    if pool is None:
+        sparse = ("sparse", "sparse_float")
+        pool = sparse if draw(st.booleans()) else sparse + ("pm1", "float", "one")
+    kinds = draw(st.lists(st.sampled_from(pool), min_size=t, max_size=t))
     reflect = draw(st.lists(st.booleans(), min_size=t, max_size=t))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = [_make_weight(k, r and draw(st.booleans()), rng) for k, r in zip(kinds, reflect)]
@@ -268,9 +268,75 @@ def test_weighted_count_matches_brute_force(case):
         assert fast == sum(terms)
     else:
         assert abs(fast - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
-    # per-run partials combined by fsum: tiny blocks give the same bits
-    with mock.patch.object(geometry, "RUN_BLOCK", 3), mock.patch.object(counting, "CAND_BLOCK", 5):
+    # per-run partials combined by fsum: tiny blocks give the same bits, and a
+    # chunk budget of 5 elements makes the +-1 route split rows and stack them
+    with mock.patch.object(geometry, "RUN_BLOCK", 3), mock.patch.object(counting, "CAND_BLOCK", 5), \
+            mock.patch.object(counting, "PM1_CHUNK", 5):
         assert counting.weighted_count(sys_, body, weights).hex() == fast.hex()
+
+
+def _signed_permutation(sys_, body, perm, signs):
+    """The system and body in the coordinates y_j = signs[j] x_perm[j]; [-N, N]^d is invariant."""
+    def turn(a):
+        return [a[p] * s for p, s in zip(perm, signs)]
+
+    turned = forms.system([turn(f.linear_coeffs) for f in sys_.forms], [f.constant for f in sys_.forms])
+    return turned, geometry.ConvexBody(body.dim, [(turn(a), c) for a, c in body.halfspaces], body.box_bound)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_count_cases(pool=("pm1", "pm1", "sparse", "one")), st.data())
+def test_integer_counts_invariant_under_signed_permutations(case, data):
+    # a coordinate permutation with signs maps the lattice points of K one to
+    # one, so integer-valued counts must not change (the +-1 route reorients)
+    sys_, body, weights = case
+    perm = data.draw(st.permutations(range(sys_.d)))
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=sys_.d, max_size=sys_.d))
+    turned_sys, turned_body = _signed_permutation(sys_, body, perm, signs)
+    want = counting.weighted_count(sys_, body, weights)
+    assert counting.weighted_count(turned_sys, turned_body, weights) == want
+
+
+def test_pm1_route_matches_brute_force():
+    # the 2-D chunks of the +-1 route on the cases their shortcuts touch, at
+    # the default chunk budget and at 7 elements (multi-row chunks, split rows)
+    tables = FOURIER_TABLES
+    mu, lam = (counting.make_weight(f, tables) for f in ("mobius", "liouville"))
+    folded = counting.Weight(name="mu(|m|)", kind="pm1", values=tables.mobius, reflect_negative=True)
+    cases = [
+        # x1 inner; one 21-row segment in which both forms go negative (per-row reads)
+        (forms.system([[1, 1], [1, 2]], [-5, 0]), geometry.ConvexBody.box(2, [1, -10], [30, 10]), [mu, lam]),
+        (forms.system([[1, 1], [1, 2]], [-5, 0]), geometry.ConvexBody.box(2, [1, -10], [30, 10]), [folded, mu]),
+        # x3 inner; mu(x1 + x2) vanishes on rows inside each x1 segment
+        (forms.system([[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]), geometry.ConvexBody.box(3, 1, 12), [mu] * 4),
+        # dim 1, one run reaching negative arguments
+        (forms.system([[1], [2]], [0, 1]), geometry.ConvexBody.box(1, -5, 40, box_bound=40), [mu, lam]),
+        (forms.system([[1], [1], [1]], [0, 1, 2]), geometry.ConvexBody.box(1, 1, 300, box_bound=300), [mu] * 3),
+        # x1 inner on a body without symmetries: the permutation (2, 3, 1) moves every axis
+        (forms.system([[1, 2, 3], [1, 0, 2], [-1, 3, 2]], [0, 1, 40]),
+         geometry.ConvexBody(3, [((1, 2, 1), 12), ((-1, 0, 0), -1), ((0, -1, 0), 0), ((0, 0, -1), -1)], 9),
+         [mu, lam, mu]),
+        # triangle: one-row segments
+        (forms.ap_system(4), ap_body(4, 60, strict=False), [lam] * 4),
+    ]
+    for sys_, body, weights in cases:
+        brute = sum(_brute_terms(sys_, body, weights))
+        with mock.patch.object(counting, "_run_view", wraps=counting._run_view) as per_row:
+            assert counting.weighted_count(sys_, body, weights) == brute
+        lowest = min(counting.affine_range_over_body(body, f.linear_coeffs, f.constant)[0] for f in sys_.forms)
+        assert per_row.called == (lowest < 0)
+        with mock.patch.object(counting, "PM1_CHUNK", 7):
+            assert counting.weighted_count(sys_, body, weights) == brute
+    # Chowla with a stride-2 form on the inner coordinate: y2 stays inner
+    factors = [forms.AffineForm((2, 1)), forms.AffineForm((1, 2)), forms.AffineForm((1, 0))]
+    n = 40
+    brute = sum(
+        int(tables.liouville[2 * a + b]) * int(tables.liouville[a + 2 * b]) * int(tables.liouville[a])
+        for a in range(1, n + 1) for b in range(1, n + 1)
+    )
+    for chunk in (counting.PM1_CHUNK, 7):
+        with mock.patch.object(counting, "PM1_CHUNK", chunk):
+            assert counting.chowla_check(factors, n, tables) == brute / n**2
 
 
 def test_negative_arguments_of_sparse_and_pm1_weights(tables_1e6):
