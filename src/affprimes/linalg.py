@@ -1,13 +1,16 @@
 """Exact linear algebra over Q, Z and F_p for small matrices.
 
-Everything here works on plain Python lists of Fraction/int entries.  The
+Matrices are plain Python lists of rows; entries may be ints, Fractions or
+floats (a float is read as the exact binary rational it stores).  The
 matrices that arise (coefficient matrices of affine-linear form systems)
-have at most a few dozen rows and columns, so simplicity and exactness win
-over speed.
+have at most a few dozen rows and columns, but `rank` is called thousands of
+times per complexity or local-data computation, so it runs fraction-free on
+Python ints (Bareiss elimination).  `row_echelon` keeps Fraction arithmetic
+for `solve` and `nullspace`, which need the reduced rows themselves.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac_rows(rows):
@@ -47,10 +50,45 @@ def row_echelon(rows):
     return pivots
 
 
+def _integer_row(row):
+    """The row scaled by the lcm of its entries' denominators (a list of ints)."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    ratios = [Fraction(x).as_integer_ratio() for x in row]
+    den = lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios]
+
+
 def rank(rows):
+    """Rank over Q by fraction-free (Bareiss) elimination on integer rows.
+
+    Scaling a row by a nonzero integer keeps the rank.  After k pivot steps
+    every live entry is a (k+1)-minor of the scaled matrix, so the division by
+    the previous pivot is exact (Sylvester's identity); the entries stay
+    bounded by Hadamard's bound instead of growing like products.
+    """
     if not rows:
         return 0
-    return len(row_echelon(frac_rows(rows)))
+    m = [_integer_row(row) for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    r = 0
+    prev = 1
+    for c in range(n_cols):
+        pr = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        top = m[r]
+        piv = top[c]
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            f = row[c]
+            m[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = piv
+        r += 1
+        if r == n_rows:
+            break
+    return r
 
 
 def in_span(vec, rows):

@@ -201,10 +201,18 @@ class LocalProfile:
 
 
 def local_profile(sys, p_max):
-    """Exact beta_p for all primes up to p_max (small p_max; exact Fractions)."""
+    """Exact beta_p (Fractions) for all primes up to p_max.
+
+    Off the exceptional primes the subsystem ranks and consistency mod p are
+    the rational ones, so beta_p is the generic formula; only the exceptional
+    primes go through `local_factor`, as in `singular_series`.
+    """
+    data = SystemLocalData(sys)
+    exceptional = set(data.exceptional)
     mask = prime_sieve(p_max)
     primes = [int(p) for p in np.nonzero(mask)[0]]
-    return LocalProfile(primes=primes, beta=[local_factor(sys, p) for p in primes], system_ref=sys)
+    beta = [local_factor(sys, p) if p in exceptional else data.generic_beta(p) for p in primes]
+    return LocalProfile(primes=primes, beta=beta, system_ref=sys)
 
 
 @dataclass

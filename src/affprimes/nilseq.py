@@ -1,14 +1,18 @@
 """Explicit nilmanifold computations on the Heisenberg group.
 
 Elements are the upper unitriangular matrices [[1, x, z], [0, 1, y], [0, 0, 1]],
-stored as coordinate triples.  Exact-rational mode (Fraction coordinates) is
-the default for constraint checks: the group law, fundamental-domain
-reduction and Host-Kra factorization are then identities with no tolerance.
-Float mode is used only for bulk correlation sums.
+stored as coordinate triples.  Exact-rational mode (int or Fraction
+coordinates) is the default for constraint checks: the group law,
+fundamental-domain reduction and Host-Kra factorization are then identities
+with no tolerance.  The Host-Kra peel runs on integer triples, through an
+isomorphism that clears the cube's denominators, and rejects float
+coordinates.  Float mode is used only for bulk correlation sums.
 """
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,8 +35,16 @@ class HeisenbergElement:
         return HeisenbergElement(-self.x, -self.y, -self.z + self.x * self.y)
 
     def power(self, n):
-        """g^n = (n x, n y, n z + C(n,2) x y); valid for negative n as well."""
-        binom = n * (n - 1) // 2 if isinstance(n, int) else n * (n - 1) / 2
+        """g^n = (n x, n y, n z + C(n,2) x y); valid for negative n as well.
+
+        An integral n (int or numpy integer) keeps exact coordinates exact.
+        """
+        try:
+            n = operator.index(n)
+        except TypeError:
+            binom = n * (n - 1) / 2
+        else:
+            binom = n * (n - 1) // 2
         return HeisenbergElement(n * self.x, n * self.y, n * self.z + binom * self.x * self.y)
 
     def is_identity(self):
@@ -231,20 +243,17 @@ def skew_orbit_parallelepiped(alpha, x, y, n, h):
 # Host-Kra factorization for the Heisenberg group, s = 2
 
 
-def _lower_faces_decreasing():
-    """Lower faces of {0,1}^3 ordered by decreasing |max(F)|, then lexicographic.
+_OMEGAS = tuple(itertools.product((0, 1), repeat=3))
 
-    A lower face is determined by its maximal vertex m: F = {w : w <= m}.
-    Bigger faces come first, so the order is decreasing in the paper's sense.
-    """
-    ms = sorted(
-        itertools.product((0, 1), repeat=3), key=lambda m: (-sum(m), m)
-    )
-    return ms
-
-
-def _face_members(m):
-    return [w for w in itertools.product((0, 1), repeat=3) if all(wi <= mi for wi, mi in zip(w, m))]
+# Lower faces of {0,1}^3 in decreasing order: a lower face is determined by
+# its maximal vertex m, F = {w : w <= m}; faces are sorted by decreasing |m|,
+# then lexicographically, so bigger faces come first.  Each entry is
+# (m, codimension, index of m in _OMEGAS, indices of the members of F).
+_FACES = tuple(
+    (m, 3 - sum(m), _OMEGAS.index(m),
+     tuple(i for i, w in enumerate(_OMEGAS) if all(a <= b for a, b in zip(w, m))))
+    for m in sorted(_OMEGAS, key=lambda m: (-sum(m), m))
+)
 
 
 @dataclass
@@ -252,6 +261,14 @@ class HKFactorization:
     taus: list              # (max_vertex, HeisenbergElement) in peel order
     success: bool
     failures: list
+
+
+def _exact(c):
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, numbers.Rational):
+        return Fraction(c)
+    raise ValueError(f"the Host-Kra peel is exact: coordinate {c!r} is not an int or Fraction")
 
 
 def hk_factorize_heisenberg(cube):
@@ -263,38 +280,64 @@ def hk_factorize_heisenberg(cube):
     for codimension <= 1, central for codimension 2, identity for
     codimension 3.  The reconstruction prod tau_i = cube holds by
     construction whenever success is True (and is re-checked).
+
+    The peel runs on integers: with a, b the lcm of the x and y denominators
+    and k the least integer making k a b z integral for every z, the
+    map (x, y, z) -> (a x, b y, k a b z) is an isomorphism onto the group
+    with law (X, Y, Z)(X', Y', Z') = (X + X', Y + Y', Z + Z' + k X Y') and
+    takes the cube to integer triples.  It maps the centre and the identity
+    onto theirs, so every test reads the same on the images; the taus are
+    mapped back to Fraction coordinates.
+    Coordinates must be int or Fraction (any numbers.Rational); a float
+    raises ValueError.
     """
     cube = dict(cube)
-    omegas = list(itertools.product((0, 1), repeat=3))
-    if set(cube) != set(omegas):
+    if set(cube) != set(_OMEGAS):
         raise ValueError("need all eight vertices")
-    residual = dict(cube)
+    coords = [tuple(_exact(c) for c in (cube[w].x, cube[w].y, cube[w].z)) for w in _OMEGAS]
+    a = math.lcm(*(x.denominator for x, _, _ in coords))
+    b = math.lcm(*(y.denominator for _, y, _ in coords))
+    ab = a * b
+    den_z = math.lcm(*(z.denominator for _, _, z in coords))
+    k = den_z // math.gcd(den_z, ab)
+    s = k * ab
+    target = [
+        (x.numerator * (a // x.denominator), y.numerator * (b // y.denominator),
+         z.numerator * (s // z.denominator))
+        for x, y, z in coords
+    ]
+    residual = list(target)
     taus = []
     failures = []
-    for m in _lower_faces_decreasing():
-        codim = 3 - sum(m)
-        tau = residual[m]
-        if codim == 2 and not tau.in_center():
+    for m, codim, top, members in _FACES:
+        tx, ty, tz = residual[top]
+        if codim == 2 and (tx or ty):
             failures.append((m, "not central"))
-        if codim == 3 and not tau.is_identity():
+        if codim == 3 and (tx or ty or tz):
             failures.append((m, "not identity"))
-        taus.append((m, tau))
-        inv = tau.inverse()
-        for w in _face_members(m):
-            residual[w] = inv * residual[w]
-    success = not failures and all(residual[w].is_identity() for w in omegas)
+        taus.append((m, tx, ty, tz))
+        for i in members:
+            # tau^{-1} * residual, with tau^{-1} = (-tx, -ty, -tz + k tx ty)
+            rx, ry, rz = residual[i]
+            residual[i] = (rx - tx, ry - ty, rz - tz - k * tx * (ry - ty))
+    success = not failures and not any(any(r) for r in residual)
     if success:
         # reconstruct and compare exactly
-        rebuilt = {w: HeisenbergElement.identity() for w in omegas}
-        for m, tau in taus:
-            for w in _face_members(m):
-                rebuilt[w] = rebuilt[w] * tau
-        if any(
-            rebuilt[w].x != cube[w].x or rebuilt[w].y != cube[w].y or rebuilt[w].z != cube[w].z
-            for w in omegas
-        ):
+        rebuilt = [(0, 0, 0)] * len(_OMEGAS)
+        for (_, _, _, members), (_, tx, ty, tz) in zip(_FACES, taus):
+            for i in members:
+                rx, ry, rz = rebuilt[i]
+                rebuilt[i] = (rx + tx, ry + ty, rz + tz + k * rx * ty)
+        if rebuilt != target:
             raise AssertionError("reconstruction mismatch despite successful peel")
-    return HKFactorization(taus=taus, success=success, failures=failures)
+    return HKFactorization(
+        taus=[
+            (m, HeisenbergElement(Fraction(tx, a), Fraction(ty, b), Fraction(tz, s)))
+            for m, tx, ty, tz in taus
+        ],
+        success=success,
+        failures=failures,
+    )
 
 
 def orbit_parallelepiped(g, x0, n, h):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affprimes import linalg
 
@@ -13,6 +15,47 @@ def test_rank_and_span():
     assert linalg.in_span([1, 2], [[2, 4]])
     assert not linalg.in_span([1, 0], [[0, 1]])
     assert linalg.in_span([0, 0], [])
+
+
+_ENTRIES = {
+    "int": st.integers(-50, 50),
+    "fraction": st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    "float": st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def _rank_cases(draw):
+    """Int, Fraction or float matrices, wide or tall, sparse or dense, with zero,
+    duplicate and dependent rows."""
+    kind = draw(st.sampled_from(sorted(_ENTRIES)))
+    n_cols = draw(st.integers(1, 7))
+    entry = _ENTRIES[kind]
+    if draw(st.booleans()):
+        # about half the entries zero: pivots skip columns and rows sit out steps
+        entry = st.one_of(st.just(0), entry)
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        extra = draw(st.sampled_from(["zero", "duplicate", "dependent"]))
+        if extra == "zero":
+            new = [0 * x for x in rows[i]]
+        elif extra == "duplicate":
+            new = list(rows[i])
+        else:
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            new = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_rank_cases())
+def test_rank_matches_row_echelon(rows):
+    # the integer (Bareiss) rank against Fraction Gauss-Jordan elimination
+    want = len(linalg.row_echelon(linalg.frac_rows(rows)))
+    assert linalg.rank(rows) == want
+    assert linalg.rank([list(col) for col in zip(*rows)]) == want
 
 
 def test_solve_and_nullspace():

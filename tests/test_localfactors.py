@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affprimes import forms, localfactors as lf
 from affprimes.arith import prime_sieve
@@ -177,3 +179,37 @@ def test_local_profile_rows():
     rows = list(prof.rows())
     assert rows[0] == (2, 4, 1, 4.0)
     assert rows[1][:3] == (3, 9, 8)
+
+
+@st.composite
+def _exceptional_systems(draw):
+    """Systems with a row scaled by 2, 3 or 5, constants, and forms sharing a homogeneous part."""
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-4, 4), min_size=d, max_size=d).filter(any)
+    rows = draw(st.lists(row, min_size=t, max_size=t))
+    consts = draw(st.lists(st.integers(-6, 6), min_size=t, max_size=t))
+    if draw(st.booleans()):
+        # psi_j - psi_i is a nonzero constant: {psi_i = psi_j = 0} is inconsistent over Q
+        i, j = draw(st.integers(0, t - 1)), draw(st.integers(0, t - 1))
+        if i != j:
+            rows[j] = list(rows[i])
+            consts[j] = consts[i] + draw(st.sampled_from([-3, -1, 1, 2, 6]))
+    # a coefficient row (or the whole form) with a common factor: rank drops mod factor
+    factor = draw(st.sampled_from([2, 3, 5]))
+    scaled = draw(st.integers(0, t - 1))
+    rows[scaled] = [factor * x for x in rows[scaled]]
+    if draw(st.booleans()):
+        consts[scaled] *= factor
+    return forms.system(rows, consts), factor
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_exceptional_systems())
+def test_local_profile_matches_local_factor(case):
+    # generic formula off the exceptional primes, local_factor at them
+    sys, factor = case
+    assert factor in lf.SystemLocalData(sys).exceptional
+    prof = lf.local_profile(sys, 200)
+    assert prof.primes == small_primes(200)
+    assert prof.beta == [lf.local_factor(sys, p) for p in prof.primes]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affprimes import nilseq
 
@@ -35,6 +37,19 @@ class TestGroup:
             assert acc == g.power(n)
         assert g.power(-13) == g.inverse().power(13)
         assert g.power(0).is_identity()
+
+    def test_numpy_exponent_stays_exact(self):
+        g = H.exact(Fraction(1, 3), Fraction(2, 5), Fraction(1, 7))
+        for n in (np.int64(5), np.int32(-4), np.uint8(3)):
+            got = g.power(n)
+            assert got == g.power(int(n))
+            assert all(type(c) is Fraction for c in (got.x, got.y, got.z))
+        assert g.power(np.int64(5)).z == Fraction(43, 21)
+        x0 = H.exact(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+        h = tuple(np.array([1, 3, 4], dtype=np.int64))
+        cube = nilseq.orbit_parallelepiped(g, x0, np.int64(2), h)
+        assert cube == nilseq.orbit_parallelepiped(g, x0, 2, (1, 3, 4))
+        assert all(type(v.z) is Fraction for v in cube.values())
 
     def test_commutators_central(self, rng):
         for _ in range(100):
@@ -148,7 +163,82 @@ class TestParallelepipeds:
         assert any(r != 0 for r in chk.x_residuals)
 
 
+def _fraction_peel(cube):
+    """The Host-Kra peel in HeisenbergElement arithmetic: the oracle of the integer peel."""
+    omegas = list(itertools.product((0, 1), repeat=3))
+    residual = dict(cube)
+    taus = []
+    failures = []
+    for m in sorted(omegas, key=lambda m: (-sum(m), m)):
+        codim = 3 - sum(m)
+        tau = residual[m]
+        if codim == 2 and not tau.in_center():
+            failures.append((m, "not central"))
+        if codim == 3 and not tau.is_identity():
+            failures.append((m, "not identity"))
+        taus.append((m, tau))
+        inv = tau.inverse()
+        for w in omegas:
+            if all(wi <= mi for wi, mi in zip(w, m)):
+                residual[w] = inv * residual[w]
+    success = not failures and all(residual[w].is_identity() for w in omegas)
+    return nilseq.HKFactorization(taus=taus, success=success, failures=failures)
+
+
+def _rational(max_den):
+    return st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, max_den))
+
+
+@st.composite
+def _hk_cubes(draw):
+    """Orbit cubes, possibly with a central or non-central shift of one vertex."""
+    max_den = draw(st.sampled_from([1, 12, 10**12]))
+    frac = _rational(max_den)
+    g = H(draw(frac), draw(frac), draw(frac))
+    x0 = H(draw(frac), draw(frac), draw(frac))
+    n = draw(st.integers(-6, 6))
+    h = tuple(draw(st.lists(st.integers(-6, 6), min_size=3, max_size=3)))
+    cube = nilseq.orbit_parallelepiped(g, x0, n, h)
+    shift = draw(st.sampled_from(["none", "x", "y", "z"]))
+    if shift != "none":
+        w = draw(st.sampled_from(sorted(cube)))
+        delta = draw(_rational(max_den).filter(lambda v: v != 0))
+        v = cube[w]
+        cube[w] = H(v.x + (shift == "x") * delta, v.y + (shift == "y") * delta,
+                    v.z + (shift == "z") * delta)
+    return cube
+
+
 class TestHostKra:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_hk_cubes())
+    def test_integer_peel_matches_fraction_peel(self, cube):
+        want = _fraction_peel(cube)
+        got = nilseq.hk_factorize_heisenberg(cube)
+        assert (got.success, got.failures) == (want.success, want.failures)
+        assert got.taus == want.taus
+        assert all(type(c) is Fraction for _, tau in got.taus for c in (tau.x, tau.y, tau.z))
+
+    def test_integer_coordinate_cubes(self):
+        ident = {w: H.identity() for w in itertools.product((0, 1), repeat=3)}
+        assert nilseq.hk_factorize_heisenberg(ident) == _fraction_peel(ident)
+        g, x0 = H(2, -3, 5), H(1, 4, -7)
+        cube = nilseq.orbit_parallelepiped(g, x0, 3, (1, -2, 4))
+        got = nilseq.hk_factorize_heisenberg(cube)
+        assert got.success and got == _fraction_peel(cube)
+        mixed = dict(cube)
+        mixed[(1, 1, 1)] = H(np.int64(4), Fraction(1, 2), 3)
+        assert nilseq.hk_factorize_heisenberg(mixed) == _fraction_peel(mixed)
+
+    def test_float_coordinates_rejected(self):
+        cube = {w: H.identity() for w in itertools.product((0, 1), repeat=3)}
+        cube[(0, 1, 0)] = H(0, 0.5, 0)
+        with pytest.raises(ValueError, match="exact"):
+            nilseq.hk_factorize_heisenberg(cube)
+        cube[(0, 1, 0)] = H(0, 0, np.float64(1.0))
+        with pytest.raises(ValueError, match="exact"):
+            nilseq.hk_factorize_heisenberg(cube)
+
     def test_orbit_cubes_factor(self, rng):
         for _ in range(1000):
             g, x0 = rand_el(rng, den=8, span=20), rand_el(rng, den=8, span=20)
