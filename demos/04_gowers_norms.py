@@ -40,7 +40,7 @@ for s, n in [(1, 5), (2, 8)]:
 print()
 print("=== W-tricked von Mangoldt is increasingly U^2-uniform ===")
 w30 = arith.w_trick(w=5)
-tables = arith.build_tables(30 * 10**5 + 30, fields=("von_mangoldt", "von_mangoldt_prime"))
+tables = arith.build_tables(30 * 10**5 + 30)
 for n in (10**3, 10**4, 10**5):
     f = arith.lambda_bw_array(n, 1, w30, tables, primed=True) - 1.0
     print(f"  || Lambda'_(1,30) - 1 ||_U2[{n}] = {gowers.gowers_norm_local(f, 1).norm:.4f}")

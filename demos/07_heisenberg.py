@@ -57,7 +57,7 @@ print(f"  after z-perturbation of the 0-vertex: success = "
 
 print()
 print("=== Mobius against nilsequences ===")
-tables = arith.build_tables(10**5, fields=("spf", "mobius"))
+tables = arith.build_tables(10**5)
 th = (np.sqrt(5) - 1) / 2
 gf = H(-th, 2.0, -th)
 func = nilseq.smooth_cell_function(0.0, 0.0)

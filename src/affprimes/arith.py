@@ -1,14 +1,16 @@
 """Sieve-built tables of arithmetic functions and the W-trick.
 
-All tables are numpy arrays indexed by n (index 0 unused).  Construction is
-vectorised: a boolean prime sieve first, then mobius/liouville by stripping
-prime factors p <= sqrt(n_max) and flipping signs for the single large
-leftover prime.
+All tables are numpy arrays indexed by n (index 0 unused).  build_tables
+sieves the primes; every other field (FIELDS) is built on its first read and
+cached, so a run pays only for the fields it uses.  Construction is
+vectorised: mobius/liouville strip prime factors p <= sqrt(n_max) and flip
+signs for the single large leftover prime.
 """
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,32 +21,90 @@ FIELDS = ("spf", "von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
 
 @dataclass
 class ArithTables:
+    """is_prime and primes up to n_max; each name in FIELDS is a cached
+    property computed on first read (load may supply it from a cache)."""
+
     n_max: int
     is_prime: np.ndarray            # bool, length n_max+1
     primes: np.ndarray              # int64, sorted
-    spf: np.ndarray | None = None
-    von_mangoldt: np.ndarray | None = None          # Lambda, float64
-    von_mangoldt_prime: np.ndarray | None = None    # Lambda', float64
-    mobius: np.ndarray | None = None                # int8
-    liouville: np.ndarray | None = None             # int8
-    _prime_mask_u8: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def prime_mask(self):
-        if self._prime_mask_u8 is None:
-            self._prime_mask_u8 = self.is_prime.view(np.uint8)
-        return self._prime_mask_u8
+        return self.is_prime.view(np.uint8)
+
+    def _small_primes(self):
+        """The primes p <= sqrt(n_max) as Python ints."""
+        return self.primes[: np.searchsorted(self.primes, math.isqrt(self.n_max), "right")].tolist()
+
+    @cached_property
+    def spf(self):
+        """Smallest prime factor, int32 (spf[1] = 1)."""
+        n_max = self.n_max
+        spf = np.zeros(n_max + 1, dtype=np.int32)
+        for p in self._small_primes():
+            sl = spf[p::p]
+            sl[sl == 0] = p
+        rest = spf[2:] == 0     # entries with no factor <= sqrt(n_max) are prime
+        spf[2:][rest] = np.arange(2, n_max + 1, dtype=np.int32)[rest]
+        spf[1] = 1
+        return spf
+
+    @cached_property
+    def von_mangoldt_prime(self):
+        """Lambda'(n): log p at primes, 0 elsewhere (float64)."""
+        vmp = np.zeros(self.n_max + 1)
+        vmp[self.primes] = np.log(self.primes.astype(np.float64))
+        return vmp
+
+    @cached_property
+    def von_mangoldt(self):
+        """Lambda(n): log p at prime powers p^k, 0 elsewhere (float64)."""
+        vm = np.zeros(self.n_max + 1)
+        vm[self.primes] = np.log(self.primes.astype(np.float64))
+        for p in self._small_primes():
+            lp = math.log(p)
+            pk = p * p
+            while pk <= self.n_max:
+                vm[pk] = lp
+                pk *= p
+        return vm
+
+    @cached_property
+    def mobius(self):
+        """mu(n), int8."""
+        mob = np.ones(self.n_max + 1, dtype=np.int8)
+        small = self._small_primes()
+        for p in small:
+            mob[p::p] *= -1
+            mob[p * p:: p * p] = 0
+        mob[_has_large_prime(self.n_max, small)] *= -1
+        mob[0] = 0
+        return mob
+
+    @cached_property
+    def liouville(self):
+        """lambda(n) = (-1)^Omega(n), int8."""
+        lio = np.ones(self.n_max + 1, dtype=np.int8)
+        small = self._small_primes()
+        for p in small:
+            pk = p
+            while pk <= self.n_max:
+                lio[pk::pk] *= -1
+                pk *= p
+        lio[_has_large_prime(self.n_max, small)] *= -1
+        lio[0] = 0
+        return lio
 
     def factor(self, n):
         """Prime factorization of n >= 1 as a dict {p: exponent}.
 
-        Uses the spf table when available; falls back to factorize for
+        Uses the spf table for n <= n_max; falls back to factorize for
         n <= n_max**2.
         """
         n = int(n)
         if n < 1:
             raise ValueError("factor expects n >= 1")
-        if self.spf is None or n > self.n_max:
+        if n > self.n_max:
             if n > self.n_max * self.n_max:
                 raise ValueError("n too large to factor with this table")
             return factorize(n)
@@ -66,21 +126,43 @@ class ArithTables:
         return sorted(divs)
 
     def save(self, path):
-        """Binary cache of is_prime and every built field (see _write_records)."""
+        """Binary cache of is_prime and every field, building any not yet read
+        (see _write_records)."""
         arrays = {"is_prime": self.is_prime.view(np.uint8)}
-        arrays.update((f, getattr(self, f)) for f in FIELDS if getattr(self, f) is not None)
+        arrays.update((f, getattr(self, f)) for f in FIELDS)
         _write_records(path, self.n_max, arrays)
 
     @classmethod
     def load(cls, path):
+        """Tables from a save file; fields absent from the file are built on first read."""
         n_max, records = _read_records(path)
         arrays = dict(records)
         for name, arr in arrays.items():
+            if name != "is_prime" and name not in FIELDS:
+                raise ValueError(f"{path}: unknown field {name!r}")
             if len(arr) != n_max + 1:
                 raise ValueError(f"{path}: {name} has {len(arr)} entries, expected {n_max + 1}")
         is_prime = arrays.pop("is_prime").view(bool)
         primes = np.nonzero(is_prime)[0].astype(np.int64)
-        return cls(n_max=n_max, is_prime=is_prime, primes=primes, **arrays)
+        t = cls(n_max=n_max, is_prime=is_prime, primes=primes)
+        t.__dict__.update(arrays)
+        return t
+
+
+def _has_large_prime(n_max, small):
+    """Mask of n <= n_max with a prime factor > sqrt(n_max).
+
+    rem holds what is left of n after dividing out all p <= sqrt(n_max); a
+    leftover > 1 is a single large prime.
+    """
+    rem = np.arange(n_max + 1, dtype=np.int64)
+    for p in small:
+        rem[p::p] //= p
+        pk = p * p
+        while pk <= n_max:
+            rem[pk::pk] //= p
+            pk *= p
+    return rem > 1
 
 
 def _write_records(path, n_max, arrays):
@@ -145,75 +227,15 @@ def prime_sieve(n_max):
     return is_p
 
 
-def build_tables(n_max, fields=FIELDS):
-    """Build ArithTables up to n_max with the requested fields."""
+def build_tables(n_max):
+    """ArithTables up to n_max: the prime sieve now, every other field on first read."""
     n_max = int(n_max)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if n_max > 2**31:
         raise ValueError("n_max exceeds the 2^31 allocation guard")
-    fields = set(fields)
     is_p = prime_sieve(n_max)
-    primes = np.nonzero(is_p)[0].astype(np.int64)
-    small = [int(p) for p in primes[primes <= math.isqrt(n_max)]]
-    t = ArithTables(n_max=n_max, is_prime=is_p, primes=primes)
-
-    if "spf" in fields:
-        spf = np.zeros(n_max + 1, dtype=np.int32)
-        for p in small:
-            sl = spf[p::p]
-            sl[sl == 0] = p
-        rest = spf[2:] == 0     # entries with no factor <= sqrt(n_max) are prime
-        spf[2:][rest] = np.arange(2, n_max + 1, dtype=np.int32)[rest]
-        spf[1] = 1
-        t.spf = spf
-
-    if "von_mangoldt" in fields or "von_mangoldt_prime" in fields:
-        vmp = np.zeros(n_max + 1)
-        vmp[primes] = np.log(primes.astype(np.float64))
-        if "von_mangoldt_prime" in fields:
-            t.von_mangoldt_prime = vmp.copy() if "von_mangoldt" in fields else vmp
-        if "von_mangoldt" in fields:
-            vm = vmp if "von_mangoldt_prime" not in fields else vmp.copy()
-            for p in small:
-                lp = math.log(p)
-                pk = p * p
-                while pk <= n_max:
-                    vm[pk] = lp
-                    pk *= p
-            t.von_mangoldt = vm
-
-    if "mobius" in fields or "liouville" in fields:
-        # rem holds what is left of n after dividing out all p <= sqrt(n_max);
-        # a leftover > 1 is a single large prime.
-        rem = np.arange(n_max + 1, dtype=np.int64)
-        mob = np.ones(n_max + 1, dtype=np.int8) if "mobius" in fields else None
-        lio = np.ones(n_max + 1, dtype=np.int8) if "liouville" in fields else None
-        for p in small:
-            if mob is not None:
-                mob[p::p] *= -1
-                mob[p * p:: p * p] = 0
-            if lio is not None:
-                pk = p
-                while pk <= n_max:
-                    lio[pk::pk] *= -1
-                    pk *= p
-            rem[p::p] //= p
-            pk = p * p
-            while pk <= n_max:
-                rem[pk::pk] //= p
-                pk *= p
-        big = rem > 1
-        if mob is not None:
-            mob[big] *= -1
-            mob[0] = 0
-            t.mobius = mob
-        if lio is not None:
-            lio[big] *= -1
-            lio[0] = 0
-            t.liouville = lio
-
-    return t
+    return ArithTables(n_max=n_max, is_prime=is_p, primes=np.nonzero(is_p)[0].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def _body(cfg, n_scale=None):
     return geometry.convex_body_from_json(_need(cfg, "body", dict), n_scale=n_scale)
 
 
-def _tables_for(sys_, body, fields=("spf", "von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")):
+def _tables_for(sys_, body):
     m = 2
     for f in sys_.forms:
         lo, hi = counting.affine_range_over_body(body, f.linear_coeffs, f.constant)
@@ -69,7 +69,7 @@ def _tables_for(sys_, body, fields=("spf", "von_mangoldt", "von_mangoldt_prime",
             m = max(m, abs(int(lo)), abs(int(hi)))
     if m > TABLE_GUARD:
         raise ResourceGuard(f"table of size {m} exceeds the {TABLE_GUARD} guard")
-    return arith.build_tables(m + 2, fields=fields)
+    return arith.build_tables(m + 2)
 
 
 def _write_report(out_dir, payload, csv_rows=None, csv_header=None, fmt="json"):
@@ -213,7 +213,7 @@ def cmd_mobius_corr(cfg):
     sys_ = _system(cfg, n)
     body = _body(cfg, n)
     func = cfg.get("f", "mobius")
-    tables = _tables_for(sys_, body, fields=("spf", "mobius", "liouville"))
+    tables = _tables_for(sys_, body)
     val = counting.mobius_correlation(sys_, body, tables, func=func)
     return {
         "system": forms.form_system_to_json(sys_),
@@ -231,7 +231,7 @@ def cmd_chowla(cfg):
     )
     if m > TABLE_GUARD:
         raise ResourceGuard("table too large")
-    tables = arith.build_tables(m + 2, fields=("spf", "liouville"))
+    tables = arith.build_tables(m + 2)
     val = counting.chowla_check(factors, n, tables)
     return {"N": n, "factors": [list(f.linear_coeffs) for f in factors], "value": val}, None, None
 
@@ -246,7 +246,7 @@ def cmd_gowers(cfg):
         m = wp.W * n + b
         if m > TABLE_GUARD:
             raise ResourceGuard("table too large")
-        tables = arith.build_tables(m + 2, fields=("von_mangoldt", "von_mangoldt_prime"))
+        tables = arith.build_tables(m + 2)
         f = arith.lambda_bw_array(n, b, wp, tables, primed=True) - 1.0
         norm = gowers.gowers_norm_local(f, s).norm
         meta = {"b": b, "W": wp.W}
@@ -352,7 +352,7 @@ def cmd_mn_corr(cfg):
     kind = cfg.get("kind", "phase")
     if n > TABLE_GUARD:
         raise ResourceGuard("table too large")
-    tables = arith.build_tables(n + 2, fields=("spf", "mobius"))
+    tables = arith.build_tables(n + 2)
     if kind == "phase":
         alpha = float(cfg.get("alpha", 0.5 * (math.sqrt(5) - 1)))
         val = nilseq.mobius_phase_correlation(n, alpha, tables)

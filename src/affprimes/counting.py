@@ -687,21 +687,32 @@ def _integral_sum_quadrature(sys, body, nodes=12, panels=8):
             np.minimum(hi, (2.5 - base) / a1, out=hi)
     keep &= lo < hi
     x1, lo, hi = x1[keep], lo[keep], hi[keep]
-    if len(x1) == 0:
-        return 0.0
+    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    total = np.zeros(len(x1))
+    # Rows are independent, so they go in blocks of RUN_BLOCK: full-length
+    # temporaries at every node cost as many page faults as arithmetic.
+    for s in range(0, len(x1), geometry.RUN_BLOCK):
+        rows = slice(s, s + geometry.RUN_BLOCK)
+        total[rows] = _row_quadrature(sys.forms, x1[rows], lo[rows], hi[rows], gl_x, gl_w, panels)
+    return float(total.sum())
 
-    def g_and_dg(x2):
+
+def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels):
+    """Per row x1: Gauss-Legendre sum of g over [lo, hi] plus (g'(lo) - g'(hi))/24."""
+
+    def g_at(x2, derivative=False):
+        """g(x2), or g'(x2) when derivative is set."""
         g = np.ones(len(x1))
         dg_over_g = np.zeros(len(x1))
-        for f in sys.forms:
+        for f in forms:
             a0, a1 = f.linear_coeffs
             vals = np.maximum(a0 * x1 + a1 * x2 + f.constant, 3.0)
             lg = np.log(vals)
             g *= 1.0 / lg
-            dg_over_g -= a1 / (vals * lg)
-        return g, g * dg_over_g
+            if derivative:
+                dg_over_g -= a1 / (vals * lg)
+        return g * dg_over_g if derivative else g
 
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
     span = hi - lo + 1.0
     edges = [lo + (span ** (k / panels) - 1.0) for k in range(panels + 1)]
     total = np.zeros(len(x1))
@@ -710,12 +721,9 @@ def _integral_sum_quadrature(sys, body, nodes=12, panels=8):
         half = (bnd - a) / 2.0
         mid = (bnd + a) / 2.0
         for xi, wi in zip(gl_x, gl_w):
-            g, _ = g_and_dg(mid + half * xi)
-            total += wi * half * g
-    _, dg_lo = g_and_dg(lo)
-    _, dg_hi = g_and_dg(hi)
-    total += (dg_lo - dg_hi) / 24.0
-    return float(total.sum())
+            total += wi * half * g_at(mid + half * xi)
+    total += (g_at(lo, derivative=True) - g_at(hi, derivative=True)) / 24.0
+    return total
 
 
 def predict(sys, body, ss, mode="integral"):

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from . import counting, gowers, linalg
-from .arith import w_trick
+from . import arith, counting, gowers, linalg
 
 
 def _smoothstep(u):
@@ -203,15 +202,18 @@ def truncated_divisor_sum(n, chi, big_r, a, tables):
 
 
 def divisor_sum_core_array(chi, big_r, n_max, tables):
-    """Array of D(n) = sum_{d|n, d squarefree} mu(d) chi(log d/log R), n <= n_max."""
+    """Array of D(n) = sum_{d|n, d squarefree} mu(d) chi(log d/log R), n <= n_max.
+
+    mu(d) is read for d <= R only, from its own table of that size; tables
+    is not read.
+    """
     log_r = math.log(big_r)
     d_hi = int(min(n_max, math.floor(chi.support_radius * big_r)))
     core = np.zeros(n_max + 1)
     core[1:] = float(chi(0.0))
-    if tables.mobius is None or tables.n_max < d_hi:
-        raise ValueError("need a mobius table up to R")
+    mobius = arith.build_tables(max(d_hi, 2)).mobius
     for d in range(2, d_hi + 1):
-        mu = int(tables.mobius[d])
+        mu = int(mobius[d])
         if mu == 0:
             continue
         core[d::d] += mu * float(chi(math.log(d) / log_r))
@@ -296,27 +298,18 @@ class EnvelopingSieve:
 
     def save(self, path):
         """Cache nu in the arith-tables binary format (bit-exact)."""
-        from .arith import save_array
-
-        save_array(path, "enveloping_nu", self.nu, self.n_prime)
+        arith.save_array(path, "enveloping_nu", self.nu, self.n_prime)
 
     @staticmethod
     def load_nu(path):
-        from .arith import load_array
-
-        name, arr, n_prime = load_array(path)
+        name, arr, n_prime = arith.load_array(path)
         if name != "enveloping_nu":
             raise ValueError("not an enveloping-sieve cache")
         return arr, n_prime
 
 
 def _least_prime_at_least(n):
-    from .arith import prime_sieve
-
-    # Bertrand guarantees a prime in [n, 2n]
-    sieve = prime_sieve(2 * n + 10)
-    idx = np.nonzero(sieve[n:])[0]
-    return int(n + idx[0])
+    return n if arith.is_prime(n) else arith._next_prime(n)
 
 
 def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, chi=None):
@@ -325,7 +318,7 @@ def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, 
         raise ValueError("C must be >= 20")
     if not 0 < gamma < 0.6:
         raise ValueError("gamma must lie in (0, 3/5)")
-    wparams = w_trick(w=w)
+    wparams = arith.w_trick(w=w)
     for b in b_list:
         if math.gcd(b, wparams.W) != 1:
             raise ValueError(f"residue {b} not coprime to W={wparams.W}")
@@ -473,31 +466,37 @@ def correlation_check(sieve, m, h_list, tables, kappa=1.0, cap=None):
 
 
 def tau_moments(sieve, tables, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
-    """E tau^q over n in [1, n_limit] (vectorised sieve over prime divisors)."""
+    """E tau^q over n in [1, n_limit].
+
+    For each residue pair, s(n) = sum of p^{-1/2} over primes w < p with
+    p | W n + bi - bj, summed by one bincount over the hits n0 + j p in
+    prime-major order, so every s(n) adds its terms in ascending p.
+    """
     if cap is None:
         cap = math.log(sieve.n_scale) ** 2
     n_limit = n_limit or sieve.n_scale
     w = sieve.wparams
     bl = sieve.b_list
     pairs = [(bi, bj) for k, bi in enumerate(bl) for bj in bl[k:]]
-    from .arith import prime_sieve
-
     hi = w.W * n_limit + max(b for b, _ in pairs) + 1
-    psieve = np.nonzero(prime_sieve(min(hi, w.W * n_limit + w.W)))[0]
-    psieve = psieve[psieve > w.w]
+    primes = np.nonzero(arith.prime_sieve(min(hi, w.W * n_limit + w.W)))[0]
+    primes = primes[primes > w.w]
+    # W^{-1} mod p = (k p + 1) / W with k p + 1 = 0 mod W, k in [0, W) read off p mod W
+    k_of = np.zeros(w.W, dtype=np.int64)
+    for r in w.residues:
+        k_of[r] = -pow(r, -1, w.W) % w.W
+    inv = (k_of[primes % w.W] * primes + 1) // w.W
     tau = np.zeros(n_limit + 1)
     for bi, bj in pairs:
-        db = bi - bj
-        s = np.zeros(n_limit + 1)
-        for p in psieve:
-            p = int(p)
-            # n with p | W n + db
-            inv = pow(w.W % p, p - 2, p)
-            n0 = (-db * inv) % p
-            if n0 == 0:
-                n0 = p
-            if n0 <= n_limit:
-                s[n0::p] += p ** -0.5
+        # the least n >= 1 with p | W n + bi - bj, and its hits n0 + j p <= n_limit
+        n0 = (-(bi - bj) * inv) % primes
+        n0[n0 == 0] = primes[n0 == 0]
+        hit = n0 <= n_limit
+        p, n0 = primes[hit], n0[hit]
+        reps = (n_limit - n0) // p + 1
+        j = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        s = np.bincount(np.repeat(n0, reps) + np.repeat(p, reps) * j,
+                        weights=np.repeat([q ** -0.5 for q in p.tolist()], reps), minlength=n_limit + 1)
         term = np.minimum(np.exp(kappa * s), cap)
         tau += term
     tau /= len(pairs)

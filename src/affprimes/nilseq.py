@@ -405,16 +405,17 @@ def smooth_cell_function(center_x, center_y, width=0.25):
 
 def mobius_nil_correlation(n_max, g, x0, func, tables):
     """E_{n <= N} mu(n) F(g^n x0) along the Heisenberg orbit."""
-    if tables.mobius is None or tables.n_max < n_max:
+    if tables.n_max < n_max:
         raise ValueError("need a mobius table up to N")
+    # read mu before the orbit arrays exist: its first read builds the table
+    mu = tables.mobius[1: n_max + 1]
     xx, yy, zz = heisenberg_orbit_coords(g, x0, n_max)
     vals = func(xx, yy, zz)
-    mu = tables.mobius[1: n_max + 1].astype(np.float64)
-    return complex(np.mean(mu * vals))
+    return complex(np.mean(mu.astype(np.float64) * vals))
 
 
 def mobius_phase_correlation(n_max, alpha, tables):
     """E_{n <= N} mu(n) e(alpha n): the s = 1 specialisation."""
-    n = np.arange(1, n_max + 1, dtype=np.float64)
     mu = tables.mobius[1: n_max + 1].astype(np.float64)
+    n = np.arange(1, n_max + 1, dtype=np.float64)
     return complex(np.mean(mu * np.exp(2j * np.pi * alpha * n)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -117,7 +118,7 @@ def test_lambda_bw_values(tables_1e6):
 def test_lambda_bw_mean_value():
     # E_{n <= 1e6} Lambda_{b,W}(n) = 1 +- 0.05 for W = 30, every coprime b
     w = arith.w_trick(w=5)
-    tables = arith.build_tables(30 * 10**6 + 30, fields=("von_mangoldt",))
+    tables = arith.build_tables(30 * 10**6 + 30)
     for b in w.residues:
         mean = float(arith.lambda_bw_array(10**6, b, w, tables).mean())
         assert abs(mean - 1.0) <= 0.05, (b, mean)
@@ -136,6 +137,45 @@ def test_cache_roundtrip(tmp_path, tables_1e6):
     rebuilt = arith.build_tables(10**4)
     assert (rebuilt.von_mangoldt == small.von_mangoldt).all()
     assert (rebuilt.mobius == small.mobius).all()
+
+
+def test_fields_built_on_first_read():
+    for name in arith.FIELDS:
+        t = arith.build_tables(1000)
+        assert not set(arith.FIELDS) & set(vars(t))
+        getattr(t, name)
+        assert set(arith.FIELDS) & set(vars(t)) == {name}
+        assert getattr(t, name) is getattr(t, name)        # cached
+
+
+def test_field_bytes_independent_of_read_order():
+    ref = arith.build_tables(2000)
+    fac = [{}, {}] + [arith.factorize(n) for n in range(2, 2001)]
+    assert ref.spf.tolist() == [0, 1] + [min(f) for f in fac[2:]]
+    assert ref.mobius.tolist() == [0] + [0 if any(e > 1 for e in f.values()) else (-1) ** len(f) for f in fac[1:]]
+    assert ref.liouville.tolist() == [0] + [(-1) ** sum(f.values()) for f in fac[1:]]
+    lam = [math.log(min(f)) if len(f) == 1 else 0.0 for f in fac]
+    assert ref.von_mangoldt.tolist() == pytest.approx(lam, rel=1e-15, abs=0)
+    lam1 = [math.log(min(f)) if list(f.values()) == [1] else 0.0 for f in fac]
+    assert ref.von_mangoldt_prime.tolist() == pytest.approx(lam1, rel=1e-15, abs=0)
+    want = {f: (getattr(ref, f).dtype.str, getattr(ref, f).tobytes()) for f in arith.FIELDS}
+    for order in itertools.permutations(arith.FIELDS):
+        t = arith.build_tables(2000)
+        got = {f: (getattr(t, f).dtype.str, getattr(t, f).tobytes()) for f in order}
+        assert got == want, order
+
+
+def test_load_builds_absent_fields(tmp_path):
+    full = arith.build_tables(3000)
+    path = tmp_path / "partial.bin"
+    arith._write_records(path, 3000, {"is_prime": full.is_prime.view(np.uint8), "mobius": full.mobius})
+    loaded = arith.ArithTables.load(path)
+    assert set(arith.FIELDS) & set(vars(loaded)) == {"mobius"}
+    for name in arith.FIELDS:
+        assert getattr(loaded, name).tobytes() == getattr(full, name).tobytes()
+    arith._write_records(path, 3000, {"is_prime": full.is_prime.view(np.uint8), "sigma": full.mobius})
+    with pytest.raises(ValueError, match="sigma"):
+        arith.ArithTables.load(path)
 
 
 def test_truncated_cache_rejected(tmp_path):

@@ -135,6 +135,69 @@ def test_quadrature_matches_exact_sum(tables_1e6):
         assert approx == pytest.approx(exact, rel=1e-5)
 
 
+def _quadrature_with_dg_at_nodes(sys, body, nodes=12, panels=8):
+    """_integral_sum_quadrature as it was when g and g' came from one
+    g_and_dg at every Gauss node over all rows at once; kept as the oracle of
+    the g-only nodes and the row blocks."""
+    prefix, lo, hi = body.outer_values_and_bounds()
+    x1 = prefix[:, 0].astype(np.float64)
+    lo = lo.astype(np.float64) - 0.5
+    hi = hi.astype(np.float64) + 0.5
+    keep = np.ones(len(x1), dtype=bool)
+    for f in sys.forms:
+        a0, a1 = f.linear_coeffs
+        base = a0 * x1 + f.constant
+        if a1 == 0:
+            keep &= base > 2
+        elif a1 > 0:
+            np.maximum(lo, (2.5 - base) / a1, out=lo)
+        else:
+            np.minimum(hi, (2.5 - base) / a1, out=hi)
+    keep &= lo < hi
+    x1, lo, hi = x1[keep], lo[keep], hi[keep]
+
+    def g_and_dg(x2):
+        g = np.ones(len(x1))
+        dg_over_g = np.zeros(len(x1))
+        for f in sys.forms:
+            a0, a1 = f.linear_coeffs
+            vals = np.maximum(a0 * x1 + a1 * x2 + f.constant, 3.0)
+            lg = np.log(vals)
+            g *= 1.0 / lg
+            dg_over_g -= a1 / (vals * lg)
+        return g, g * dg_over_g
+
+    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    span = hi - lo + 1.0
+    edges = [lo + (span ** (k / panels) - 1.0) for k in range(panels + 1)]
+    total = np.zeros(len(x1))
+    for k in range(panels):
+        a, bnd = edges[k], edges[k + 1]
+        half = (bnd - a) / 2.0
+        mid = (bnd + a) / 2.0
+        for xi, wi in zip(gl_x, gl_w):
+            g, _ = g_and_dg(mid + half * xi)
+            total += wi * half * g
+    _, dg_lo = g_and_dg(lo)
+    _, dg_hi = g_and_dg(hi)
+    total += (dg_lo - dg_hi) / 24.0
+    return float(total.sum())
+
+
+def test_quadrature_bit_identical_to_g_and_dg_nodes():
+    # the AP3 / AP4 compare bodies of the hl-progressions benchmark (N = 5e4),
+    # both on the quadrature route of predict
+    n = 5 * 10**4
+    for k in (3, 4):
+        sys = forms.ap_system(k)
+        body = geometry.ConvexBody(2, [((-1, 0), -1), ((0, -(k - 1)), -(k - 1)), ((1, k - 1), n)], n)
+        assert body.lattice_point_count() > counting.EXACT_INTEGRAL_POINT_GUARD
+        want = _quadrature_with_dg_at_nodes(sys, body).hex()
+        assert counting._integral_sum_quadrature(sys, body).hex() == want
+        with mock.patch.object(geometry, "RUN_BLOCK", 1000):
+            assert counting._integral_sum_quadrature(sys, body).hex() == want
+
+
 def test_compare_report_fields(tables_1e6):
     ap3 = forms.ap_system(3)
     body = ap_body(3, 5000)

@@ -1,7 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affprimes import arith, forms, geometry, gysieve
 
@@ -311,3 +314,76 @@ def test_linear_forms_character_sum_vs_brute_force(tables_4e6):
     for a in range(p):
         total += float(np.sum(nu[a] * nu[b] * nu[(a + b + 3) % p]))
     assert res.expectation == pytest.approx(total / p**2, abs=1e-9)
+
+
+def _tau_moments_loop(sieve, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
+    """tau_moments as a Python loop over every prime up to W n_limit + W, one
+    pow and one strided add per prime; kept as the oracle of the bincount."""
+    if cap is None:
+        cap = math.log(sieve.n_scale) ** 2
+    n_limit = n_limit or sieve.n_scale
+    w = sieve.wparams
+    bl = sieve.b_list
+    pairs = [(bi, bj) for k, bi in enumerate(bl) for bj in bl[k:]]
+    hi = w.W * n_limit + max(b for b, _ in pairs) + 1
+    psieve = np.nonzero(arith.prime_sieve(min(hi, w.W * n_limit + w.W)))[0]
+    psieve = psieve[psieve > w.w]
+    tau = np.zeros(n_limit + 1)
+    for bi, bj in pairs:
+        db = bi - bj
+        s = np.zeros(n_limit + 1)
+        for p in psieve:
+            p = int(p)
+            inv = pow(w.W % p, p - 2, p)
+            n0 = (-db * inv) % p
+            if n0 == 0:
+                n0 = p
+            if n0 <= n_limit:
+                s[n0::p] += p ** -0.5
+        tau += np.minimum(np.exp(kappa * s), cap)
+    tau /= len(pairs)
+    tau = tau[1:]
+    return {q: float((tau**q).mean()) for q in qs}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.data())
+def test_tau_moments_matches_prime_loop(data):
+    wp = arith.w_trick(w=data.draw(st.sampled_from([3.0, 5.0, 7.0])))
+    units = [b + k * wp.W for b in wp.residues for k in (0, 1)]
+    b_list = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=4))
+    n_scale = data.draw(st.integers(2, 300))
+    n_limit = data.draw(st.one_of(st.none(), st.integers(1, 300)))
+    kappa = data.draw(st.floats(0.05, 3.0))
+    cap = data.draw(st.one_of(st.none(), st.floats(1.0, 40.0)))
+    sieve = types.SimpleNamespace(n_scale=n_scale, wparams=wp, b_list=tuple(b_list))
+    got = gysieve.tau_moments(sieve, None, (1, 2, 3), n_limit, kappa, cap)
+    want = _tau_moments_loop(sieve, (1, 2, 3), n_limit, kappa, cap)
+    assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)]
+
+
+def test_tau_moments_bit_identical_at_benchmark_size(tables_4e6):
+    # the sieve-gowers tau-moments op (N = 1e5, W = 30, one residue)
+    sv = gysieve.build_enveloping_sieve(10**5, 0.3, 5.0, [11], tables=tables_4e6)
+    got = gysieve.tau_moments(sv, tables_4e6)
+    want = _tau_moments_loop(sv)
+    assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)]
+
+
+def test_nu_matches_full_size_mobius_field(monkeypatch, tables_4e6):
+    # mu(d), d <= R, read from a table of size R gives the nu of the 4e6 field
+    for gamma, b_list in ((0.3, [11]), (0.3, [1, 7, 11]), (0.45, [1, 29])):
+        sized = gysieve.build_enveloping_sieve(10**5, gamma, 5.0, b_list, tables=tables_4e6)
+        with monkeypatch.context() as m:
+            m.setattr(arith, "build_tables", lambda n_max: tables_4e6)
+            full = gysieve.build_enveloping_sieve(10**5, gamma, 5.0, b_list, tables=tables_4e6)
+        assert sized.nu.tobytes() == full.nu.tobytes()
+
+
+def test_least_prime_at_least_matches_sieve():
+    sieve = arith.prime_sieve(2 * 10**6 + 10)
+    rng = np.random.default_rng(11)
+    ns = [1, 2, 3, 4, 999983, 999984] + rng.integers(1, 10**6 + 1, 300).tolist()
+    ns += np.flatnonzero(sieve[: 10**6])[rng.integers(0, 78498, 100)].tolist()
+    for n in ns:
+        assert gysieve._least_prime_at_least(n) == n + int(np.flatnonzero(sieve[n:])[0]), n
