@@ -23,6 +23,8 @@ from scipy.integrate import quad
 
 from . import arith, counting, gowers, linalg
 
+MC_CHUNK = 2**16            # Monte-Carlo sample rows drawn at a time; bounds working memory
+
 
 def _smoothstep(u):
     """Quintic C^2 step: 0 -> 1 on [0, 1]."""
@@ -376,7 +378,8 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
 
     Exact routes: full rank mod N' factors into (E nu)^t; corank 1 reduces to
     a single character sum via the FFT of nu.  Otherwise Monte Carlo with a
-    recorded seed and standard error.
+    recorded seed and standard error; the samples are drawn MC_CHUNK rows at
+    a time.
     """
     p = sieve.n_prime
     nu = sieve.nu
@@ -405,14 +408,18 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
         e = float(np.real(np.sum(prod * phases)))
         return LinearFormsResult(abs(e - 1.0), e, "exact:character-sum")
     rng = np.random.default_rng(seed)
-    samples = rng.integers(0, p, size=(sample_budget, sys.d))
     prod = np.ones(sample_budget)
-    for i, f in enumerate(sys.forms):
-        vals = np.zeros(sample_budget, dtype=np.int64)
-        for j, c in enumerate(f.linear_coeffs):
-            vals += c * samples[:, j]
-        vals = (vals + f.constant) % p
-        prod *= nu[vals]
+    # Rows of MC_CHUNK samples at a time: the generator's stream does not
+    # depend on how the draws are split, so the samples are the one-shot ones.
+    for lo in range(0, sample_budget, MC_CHUNK):
+        rows = prod[lo:lo + MC_CHUNK]
+        samples = rng.integers(0, p, size=(len(rows), sys.d))
+        for f in sys.forms:
+            vals = np.zeros(len(rows), dtype=np.int64)
+            for j, c in enumerate(f.linear_coeffs):
+                vals += c * samples[:, j]
+            vals = (vals + f.constant) % p
+            rows *= nu[vals]
     e = float(prod.mean())
     se = float(prod.std(ddof=1) / math.sqrt(sample_budget))
     return LinearFormsResult(abs(e - 1.0), e, "montecarlo", stderr=se)
@@ -427,6 +434,8 @@ def tau_weight(sieve, n_values, tables, kappa=1.0, cap=None):
 
     The constants are unspecified in the correlation condition; kappa and the
     tau(0) cap are surfaced as parameters (defaults kappa=1, cap=log^2 N).
+    Each W n + bi - bj is factored by trial division (arith.factorize), so no
+    smallest-prime-factor table is built; tables is not read.
     """
     if cap is None:
         cap = math.log(sieve.n_scale) ** 2
@@ -442,7 +451,7 @@ def tau_weight(sieve, n_values, tables, kappa=1.0, cap=None):
                 acc += cap
                 continue
             s = 0.0
-            for p in tables.factor(abs(v)):
+            for p in arith.factorize(v):
                 if p > w.w:
                     s += p ** -0.5
             acc += min(math.exp(kappa * s), cap)

@@ -4,16 +4,19 @@ Elements are the upper unitriangular matrices [[1, x, z], [0, 1, y], [0, 0, 1]],
 stored as coordinate triples.  Exact-rational mode (int or Fraction
 coordinates) is the default for constraint checks: the group law,
 fundamental-domain reduction and Host-Kra factorization are then identities
-with no tolerance.  The Host-Kra peel runs on integer triples, through an
-isomorphism that clears the cube's denominators, and rejects float
-coordinates.  Float mode is used only for bulk correlation sums.
+with no tolerance.  The exact kernels (orbit cubes, fundamental-domain
+reduction, the quadratic-phase orbit and the Host-Kra peel) work on integer
+numerators over common denominators and build Fractions only for the values
+they return; they reject float coordinates.  Float mode is used only for
+bulk correlation sums.
 """
 
+import functools
 import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -77,43 +80,55 @@ class NilPoint:
                 raise ValueError("NilPoint coordinates must lie in (-1/2, 1/2]")
 
 
-def _centered(t):
-    """(t - k, k) with the shifted value in (-1/2, 1/2]."""
-    k = math.ceil((t - Fraction(1, 2)) if isinstance(t, Fraction) else (t - 0.5))
-    return t - k, k
+def _ratio(c):
+    """(numerator, denominator) of an exact coordinate, as Python ints."""
+    if isinstance(c, (int, Fraction, numbers.Rational)):   # concrete types first: fast
+        return operator.index(c.numerator), operator.index(c.denominator)
+    raise ValueError(f"exact Heisenberg arithmetic: coordinate {c!r} is not an int or Fraction")
+
+
+def _shift(num, den):
+    """The integer k = ceil(num/den - 1/2), for den > 0: num/den - k lies in (-1/2, 1/2]."""
+    return -((den - 2 * num) // (2 * den))
 
 
 def reduce_to_fundamental_domain(g):
     """Right-multiply by gamma in Gamma to land in (-1/2, 1/2]^3.
 
     Order matters: normalise y first (which feeds x*b into z), then x, then z.
-    Returns (NilPoint, gamma) with g * gamma exactly the reduced element.
+    Returns (NilPoint, gamma) with g * gamma exactly the reduced element; the
+    point has Fraction and gamma int coordinates.  Coordinates must be
+    numbers.Rational; a float raises ValueError.
     """
-    y1, b = _centered(g.y)
-    b = -b
-    g1 = g * HeisenbergElement(0, b, 0)
-    x1, a = _centered(g1.x)
-    a = -a
-    g2 = g1 * HeisenbergElement(a, 0, 0)
-    z1, c = _centered(g2.z)
-    c = -c
-    g3 = g2 * HeisenbergElement(0, 0, c)
-    gamma = HeisenbergElement(0, b, 0) * HeisenbergElement(a, 0, 0) * HeisenbergElement(0, 0, c)
-    return NilPoint(g3.x, g3.y, g3.z), gamma
+    x, a = _ratio(g.x)
+    y, b = _ratio(g.y)
+    z, c = _ratio(g.z)
+    # z over a multiple of a, so that the x * by term of the y step stays integral
+    s = math.lcm(c, a)
+    z *= s // c
+    by = -_shift(y, b)
+    z += x * by * (s // a)
+    bx = -_shift(x, a)
+    bz = -_shift(z, s)
+    point = NilPoint(Fraction(x + bx * a, a), Fraction(y + by * b, b), Fraction(z + bz * s, s))
+    return point, HeisenbergElement(bx, by, bz)
 
 
 def quadratic_phase_orbit(theta, n):
     """Reduced orbit point of g = [[1, -theta, -theta], [0, 1, 2], [0, 0, 1]].
 
     In exact mode the result equals ({-n theta}, 0, {n^2 theta}) with
-    fractional parts in (-1/2, 1/2]; the equality is asserted.
+    fractional parts in (-1/2, 1/2]; the equality is asserted.  The orbit
+    point is g.power(n) reduced to the fundamental domain; the closed form
+    centres the integer numerators of -n theta and n^2 theta.
     """
-    theta = Fraction(theta)
-    g = HeisenbergElement(-theta, Fraction(2), -theta)
-    gn = g.power(int(n))
-    pt, _ = reduce_to_fundamental_domain(gn)
-    expect_x, _ = _centered(-n * theta)
-    expect_z, _ = _centered(n * n * theta)
+    t, d = _ratio(theta)
+    theta = Fraction(t, d)
+    n = operator.index(n)
+    pt, _ = reduce_to_fundamental_domain(HeisenbergElement(-theta, 2, -theta).power(n))
+    ex, ez = -n * t, n * n * t
+    expect_x = Fraction(ex - _shift(ex, d) * d, d)
+    expect_z = Fraction(ez - _shift(ez, d) * d, d)
     if not (pt.x == expect_x and pt.y == 0 and pt.z == expect_z):
         raise AssertionError(
             f"orbit point {pt} differs from closed form ({expect_x}, 0, {expect_z})"
@@ -258,17 +273,24 @@ _FACES = tuple(
 
 @dataclass
 class HKFactorization:
-    taus: list              # (max_vertex, HeisenbergElement) in peel order
+    """Verdict of the Host-Kra peel.
+
+    taus, the (max_vertex, HeisenbergElement) factors in peel order, is built
+    from the peel's integer taus (X, Y, Z) = (a x, b y, s z) on its first read.
+    """
+
     success: bool
     failures: list
+    scaled_taus: list = field(repr=False)   # (max_vertex, X, Y, Z) in peel order
+    scale: tuple = field(repr=False)         # (a, b, s)
 
-
-def _exact(c):
-    if isinstance(c, (int, Fraction)):
-        return c
-    if isinstance(c, numbers.Rational):
-        return Fraction(c)
-    raise ValueError(f"the Host-Kra peel is exact: coordinate {c!r} is not an int or Fraction")
+    @functools.cached_property
+    def taus(self):
+        a, b, s = self.scale
+        return [
+            (m, HeisenbergElement(Fraction(tx, a), Fraction(ty, b), Fraction(tz, s)))
+            for m, tx, ty, tz in self.scaled_taus
+        ]
 
 
 def hk_factorize_heisenberg(cube):
@@ -287,24 +309,23 @@ def hk_factorize_heisenberg(cube):
     with law (X, Y, Z)(X', Y', Z') = (X + X', Y + Y', Z + Z' + k X Y') and
     takes the cube to integer triples.  It maps the centre and the identity
     onto theirs, so every test reads the same on the images; the taus are
-    mapped back to Fraction coordinates.
+    mapped back to Fraction coordinates when HKFactorization.taus is read.
     Coordinates must be int or Fraction (any numbers.Rational); a float
     raises ValueError.
     """
     cube = dict(cube)
     if set(cube) != set(_OMEGAS):
         raise ValueError("need all eight vertices")
-    coords = [tuple(_exact(c) for c in (cube[w].x, cube[w].y, cube[w].z)) for w in _OMEGAS]
-    a = math.lcm(*(x.denominator for x, _, _ in coords))
-    b = math.lcm(*(y.denominator for _, y, _ in coords))
+    coords = [tuple(_ratio(c) for c in (cube[w].x, cube[w].y, cube[w].z)) for w in _OMEGAS]
+    a = math.lcm(*(dx for (_, dx), _, _ in coords))
+    b = math.lcm(*(dy for _, (_, dy), _ in coords))
     ab = a * b
-    den_z = math.lcm(*(z.denominator for _, _, z in coords))
+    den_z = math.lcm(*(dz for _, _, (_, dz) in coords))
     k = den_z // math.gcd(den_z, ab)
     s = k * ab
     target = [
-        (x.numerator * (a // x.denominator), y.numerator * (b // y.denominator),
-         z.numerator * (s // z.denominator))
-        for x, y, z in coords
+        (x * (a // dx), y * (b // dy), z * (s // dz))
+        for (x, dx), (y, dy), (z, dz) in coords
     ]
     residual = list(target)
     taus = []
@@ -330,22 +351,39 @@ def hk_factorize_heisenberg(cube):
                 rebuilt[i] = (rx + tx, ry + ty, rz + tz + k * rx * ty)
         if rebuilt != target:
             raise AssertionError("reconstruction mismatch despite successful peel")
-    return HKFactorization(
-        taus=[
-            (m, HeisenbergElement(Fraction(tx, a), Fraction(ty, b), Fraction(tz, s)))
-            for m, tx, ty, tz in taus
-        ],
-        success=success,
-        failures=failures,
-    )
+    return HKFactorization(success, failures, taus, (a, b, s))
 
 
 def orbit_parallelepiped(g, x0, n, h):
-    """(g^{n + w.h} x0)_{w in {0,1}^3} as group elements."""
-    return {
-        w: g.power(n + sum(wi * hi for wi, hi in zip(w, h))) * x0
-        for w in itertools.product((0, 1), repeat=3)
-    }
+    """(g^{n + w.h} x0)_{w in {0,1}^3} as group elements with Fraction coordinates.
+
+    Each vertex is the closed form g^m x0 = (m gx + ux, m gy + uy,
+    m (gz + gx uy) + C(m, 2) gx gy + uz), evaluated on integer numerators
+    over one common denominator per coordinate.  Coordinates must be
+    numbers.Rational and n, h integral; a float raises ValueError.
+    """
+    (gx, dgx), (gy, dgy), (gz, dgz) = (_ratio(c) for c in (g.x, g.y, g.z))
+    (ux, dux), (uy, duy), (uz, duz) = (_ratio(c) for c in (x0.x, x0.y, x0.z))
+    n = operator.index(n)
+    h = [operator.index(v) for v in h]
+    # x = (m ax + bx) / dx, y = (m ay + by) / dy, z = (m az + C(m, 2) qz + bz) / dz
+    dx = math.lcm(dgx, dux)
+    ax, bx = gx * (dx // dgx), ux * (dx // dux)
+    dy = math.lcm(dgy, duy)
+    ay, by = gy * (dy // dgy), uy * (dy // duy)
+    dz = math.lcm(dgz, dgx * duy, dgx * dgy, duz)
+    az = gz * (dz // dgz) + gx * uy * (dz // (dgx * duy))
+    qz = gx * gy * (dz // (dgx * dgy))
+    bz = uz * (dz // duz)
+    cube = {}
+    for w in _OMEGAS:
+        m = n + w[0] * h[0] + w[1] * h[1] + w[2] * h[2]
+        cube[w] = HeisenbergElement(
+            Fraction(m * ax + bx, dx),
+            Fraction(m * ay + by, dy),
+            Fraction(m * az + m * (m - 1) // 2 * qz + bz, dz),
+        )
+    return cube
 
 
 # ---------------------------------------------------------------------------

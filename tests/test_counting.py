@@ -184,6 +184,61 @@ def _quadrature_with_dg_at_nodes(sys, body, nodes=12, panels=8):
     return float(total.sum())
 
 
+@st.composite
+def _dim2_integrals(draw):
+    """A random dim-2 body (a box cut by up to two half-planes) and 1-3 forms.
+
+    kind "smooth": every form is x2 + a0 x1 + c with psi >= 4 at every
+    lattice point of the body; "unit": inner coefficients +-1; "any":
+    coefficients in [-3, 3].
+    """
+    n = draw(st.integers(2, 250))
+    hs = [((1, 0), n), ((-1, 0), n), ((0, 1), n), ((0, -1), n)]
+    coef = st.integers(-4, 4)
+    for a in draw(st.lists(st.tuples(coef, coef).filter(any), max_size=2)):
+        hs.append((a, draw(st.integers(0, 2 * n))))
+    body = geometry.ConvexBody(2, hs, n)
+    kind = draw(st.sampled_from(["smooth", "unit", "any"]))
+    inner = {"smooth": st.just(1), "unit": st.sampled_from([-1, 1]), "any": st.integers(-3, 3)}[kind]
+    rows = draw(st.lists(st.tuples(st.integers(-3, 3), inner).filter(any), min_size=1, max_size=3))
+    consts = draw(st.lists(st.integers(-20, 20), min_size=len(rows), max_size=len(rows)))
+    if kind == "smooth":
+        prefix, lo, _ = body.outer_values_and_bounds()
+        if len(lo):
+            lowest = [int((a0 * prefix[:, 0] + lo).min()) for a0, _ in rows]
+            consts = [4 - m + abs(c) for m, c in zip(lowest, consts)]
+    return forms.system([list(r) for r in rows], consts), body, kind
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_dim2_integrals())
+def test_quadrature_close_to_exact_sum_on_random_bodies(case):
+    # The tolerance is per row of the body, in units of g_max = (1/log 3)^t,
+    # the largest value of g = prod 1/log psi_i over psi_i >= 3.  Each row's
+    # sum is the integral over its points' unit cells plus the g' end
+    # correction, so the error sits at the two ends of the row:
+    # - smooth (psi >= 4 on the body, inner coefficient +1): the cells reach
+    #   psi >= 3.5, the clip to psi >= 5/2 and g's floor at psi = 3 never
+    #   act, and what is left is the Euler-Maclaurin remainder after the g'
+    #   term and the Gauss-Legendre error, at most 2e-4 g_max per row on 1500
+    #   random bodies; allow 2e-3.  (The panels are graded from the lower end
+    #   of each row, where an increasing psi has its steepest g; with inner
+    #   coefficient -1 the same bodies give up to 2.7e-2.)
+    # - unit (inner coefficients +-1, any constants): the clip to psi >= 5/2
+    #   falls on a cell boundary, but the cell of a point with psi = 3 holds
+    #   g's floor and g's steepest part, at most 0.11 g_max per row on 1500
+    #   random bodies; allow 0.25.
+    # - any: the clip can land anywhere in a cell, so each end may gain or
+    #   lose up to one cell of an integrand <= g_max: allow 2 g_max.
+    sys_, body, kind = case
+    npoints = body.lattice_point_count()
+    exact = counting._integral_sum_exact(sys_, body, npoints)
+    approx = counting._integral_sum_quadrature(sys_, body)
+    rows = len(body.outer_values_and_bounds()[1])
+    g_max = math.log(3) ** -sys_.t
+    assert abs(approx - exact) <= rows * g_max * {"smooth": 2e-3, "unit": 0.25, "any": 2.0}[kind]
+
+
 def test_quadrature_bit_identical_to_g_and_dg_nodes():
     # the AP3 / AP4 compare bodies of the hl-progressions benchmark (N = 5e4),
     # both on the quadrature route of predict

@@ -387,3 +387,75 @@ def test_least_prime_at_least_matches_sieve():
     ns += np.flatnonzero(sieve[: 10**6])[rng.integers(0, 78498, 100)].tolist()
     for n in ns:
         assert gysieve._least_prime_at_least(n) == n + int(np.flatnonzero(sieve[n:])[0]), n
+
+
+def _tau_weight_spf(sieve, n_values, tables, kappa=1.0, cap=None):
+    """tau_weight as it factored through the spf table (tables.factor); kept
+    as the oracle of the trial-division factorization."""
+    if cap is None:
+        cap = math.log(sieve.n_scale) ** 2
+    w = sieve.wparams
+    bl = sieve.b_list
+    pairs = [(bi, bj) for k, bi in enumerate(bl) for bj in bl[k:]]
+    out = []
+    for n in n_values:
+        acc = 0.0
+        for bi, bj in pairs:
+            v = w.W * int(n) + bi - bj
+            if v == 0:
+                acc += cap
+                continue
+            s = 0.0
+            for p in tables.factor(abs(v)):
+                if p > w.w:
+                    s += p ** -0.5
+            acc += min(math.exp(kappa * s), cap)
+        out.append(acc / len(pairs))
+    return out
+
+
+def test_tau_weight_matches_spf_factorization(tables_1e6):
+    ns = list(range(-400, 401)) + [10**4, -(10**4) + 1, 33333]
+    for w, b_list, kappa, cap in ((3.0, (1, 5), 1.0, None), (5.0, (1, 7, 11, 29), 0.7, 9.0),
+                                  (7.0, (11, 13 + 210, 209), 2.5, None)):
+        sieve = types.SimpleNamespace(n_scale=10**5, wparams=arith.w_trick(w=w), b_list=b_list)
+        got = gysieve.tau_weight(sieve, ns, None, kappa, cap)
+        want = _tau_weight_spf(sieve, ns, tables_1e6, kappa, cap)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_correlation_check_builds_no_spf_table(tables_4e6):
+    sv = gysieve.build_enveloping_sieve(40, 0.3, 3.0, [1, 5], c_factor=20, tables=tables_4e6)
+    fresh = arith.build_tables(10**4)
+    want = gysieve.correlation_check(sv, 3, [1, 5, 11], tables_4e6)
+    assert gysieve.correlation_check(sv, 3, [1, 5, 11], fresh) == want
+    assert "spf" not in vars(fresh)
+
+
+def _montecarlo_one_shot(sieve, sys, sample_budget, seed):
+    """The Monte-Carlo route drawing every sample at once; kept as the oracle
+    of the row chunks.  Returns (expectation, stderr)."""
+    p, nu = sieve.n_prime, sieve.nu
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(0, p, size=(sample_budget, sys.d))
+    prod = np.ones(sample_budget)
+    for f in sys.forms:
+        vals = np.zeros(sample_budget, dtype=np.int64)
+        for j, c in enumerate(f.linear_coeffs):
+            vals += c * samples[:, j]
+        prod *= nu[(vals + f.constant) % p]
+    return float(prod.mean()), float(prod.std(ddof=1) / math.sqrt(sample_budget))
+
+
+def test_montecarlo_chunks_match_one_shot_draw(monkeypatch, tables_4e6):
+    sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5], tables=tables_4e6)
+    quad = forms.system([[1, 0], [0, 1], [1, 1], [1, 2]], [0, 3, 0, 1])
+    cases = [(chunk, seed, budget) for chunk in (7, 1000) for seed, budget in
+             ((0, 2), (1, 999), (2, 12345))]
+    cases += [(gysieve.MC_CHUNK, seed, budget) for seed, budget in ((3, 2**17 + 3), (4, 5000))]
+    for chunk, seed, budget in cases:
+        monkeypatch.setattr(gysieve, "MC_CHUNK", chunk)
+        got = gysieve.linear_forms_check(sv, quad, sample_budget=budget, seed=seed)
+        assert got.method == "montecarlo"
+        e, se = _montecarlo_one_shot(sv, quad, budget, seed)
+        assert (got.expectation.hex(), got.stderr.hex()) == (e.hex(), se.hex()), (chunk, seed, budget)

@@ -1,5 +1,10 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +62,73 @@ class TestGroup:
             assert a.commutator(b).in_center()
 
 
+def _centered(t):
+    """(t - k, k) with the shifted value in (-1/2, 1/2]."""
+    k = math.ceil(t - Fraction(1, 2))
+    return t - k, k
+
+
+def _fraction_reduce(g):
+    """reduce_to_fundamental_domain in Fraction arithmetic: the oracle of the integer centring."""
+    g = H.exact(g.x, g.y, g.z)
+    _, b = _centered(g.y)
+    g1 = g * H(0, -b, 0)
+    _, a = _centered(g1.x)
+    g2 = g1 * H(-a, 0, 0)
+    _, c = _centered(g2.z)
+    g3 = g2 * H(0, 0, -c)
+    gamma = H(0, -b, 0) * H(-a, 0, 0) * H(0, 0, -c)
+    return nilseq.NilPoint(g3.x, g3.y, g3.z), gamma
+
+
+def _rational(max_den):
+    return st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, max_den))
+
+
+def _coordinate(max_den):
+    """A Fraction, or an int / numpy int when the denominator is 1."""
+    frac = _rational(max_den)
+    if max_den > 1:
+        return frac
+    return st.one_of(frac, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).map(np.int64))
+
+
+def _elements(max_den):
+    c = _coordinate(max_den)
+    return st.builds(H, c, c, c)
+
+
+_DENS = st.sampled_from([1, 2, 12, 10**12])
+
+_exponents = st.one_of(
+    st.integers(-10**4, 10**4),
+    st.integers(-10**4, 10**4).map(np.int64),
+    st.integers(-100, 100).map(np.int32),
+)
+
+
 class TestReduction:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_DENS.flatmap(_elements))
+    def test_integer_centring_matches_fraction_route(self, g):
+        pt, gamma = nilseq.reduce_to_fundamental_domain(g)
+        want_pt, want_gamma = _fraction_reduce(g)
+        assert pt == want_pt and gamma == want_gamma
+        assert all(type(c) is Fraction for c in (pt.x, pt.y, pt.z))
+        assert all(type(c) is int for c in (gamma.x, gamma.y, gamma.z))
+
+    def test_half_integers_stay_at_one_half(self):
+        for v in (Fraction(1, 2), Fraction(-1, 2), Fraction(7, 2), Fraction(-9, 2)):
+            for g in (H(v, 0, 0), H(0, v, 0), H(0, 0, v)):
+                pt, gamma = nilseq.reduce_to_fundamental_domain(g)
+                assert (pt, gamma) == _fraction_reduce(g)
+                assert Fraction(1, 2) in (pt.x, pt.y, pt.z)
+
+    def test_float_coordinates_rejected(self):
+        for g in (H(0.5, 0, 0), H(0, np.float64(1.0), 0), H(0, 0, 0.25)):
+            with pytest.raises(ValueError, match="exact"):
+                nilseq.reduce_to_fundamental_domain(g)
+
     def test_integer_elements_reduce_to_origin(self):
         pt, gamma = nilseq.reduce_to_fundamental_domain(H.exact(3, -2, 7))
         assert (pt.x, pt.y, pt.z) == (0, 0, 0)
@@ -96,6 +167,29 @@ class TestQuadraticPhase:
         assert nilseq.quadratic_phase_orbit(Fraction(1, 7), 0) == nilseq.NilPoint(0, 0, 0)
         for n in (-5, 0, 3, 12):
             assert nilseq.quadratic_phase_orbit(Fraction(0), n) == nilseq.NilPoint(0, 0, 0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_DENS.flatmap(_rational), _exponents)
+    def test_matches_fraction_closed_form(self, theta, n):
+        pt = nilseq.quadratic_phase_orbit(theta, n)
+        x, _ = _centered(-int(n) * theta)
+        z, _ = _centered(int(n) ** 2 * theta)
+        assert pt == nilseq.NilPoint(x, Fraction(0), z)
+
+    def test_numpy_exponent_does_not_wrap(self):
+        # n * n overflows int64 for this n; the closed form must square a Python int
+        n = 3_037_000_500
+        assert n * n > np.iinfo(np.int64).max
+        theta = Fraction(1, 7)
+        want = nilseq.quadratic_phase_orbit(theta, n)
+        assert nilseq.quadratic_phase_orbit(theta, np.int64(n)) == want
+        assert want.z == _centered(n * n * theta)[0]
+
+    def test_float_arguments_rejected(self):
+        with pytest.raises(ValueError, match="exact"):
+            nilseq.quadratic_phase_orbit(0.25, 3)
+        with pytest.raises(TypeError):
+            nilseq.quadratic_phase_orbit(Fraction(1, 4), 3.0)
 
     def test_random_realizations_exact(self, rng):
         # the orbit of [[1,-t,-t],[0,1,2],[0,0,1]] reduces to ({-nt}, 0, {n^2 t})
@@ -153,6 +247,27 @@ class TestParallelepipeds:
         chk = nilseq.skew_constraint(seven, true_vertex=cube[(0, 0, 0)])
         assert chk.residual == 0
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_orbit_cube_matches_group_law(self, data):
+        max_den = data.draw(_DENS)
+        g, x0 = data.draw(_elements(max_den)), data.draw(_elements(max_den))
+        n = data.draw(_exponents)
+        h = tuple(data.draw(st.lists(_exponents, min_size=3, max_size=3)))
+        cube = nilseq.orbit_parallelepiped(g, x0, n, h)
+        assert cube == _power_cube(g, x0, n, h)
+        assert list(cube) == list(itertools.product((0, 1), repeat=3))
+        assert all(type(c) is Fraction for v in cube.values() for c in (v.x, v.y, v.z))
+
+    def test_orbit_cube_rejects_floats(self):
+        g, x0 = H.exact(1, 2, 3), H.identity()
+        with pytest.raises(ValueError, match="exact"):
+            nilseq.orbit_parallelepiped(H(0.5, 0, 0), x0, 1, (1, 2, 3))
+        with pytest.raises(ValueError, match="exact"):
+            nilseq.orbit_parallelepiped(g, H(0, 0, np.float64(0.5)), 1, (1, 2, 3))
+        with pytest.raises(TypeError):
+            nilseq.orbit_parallelepiped(g, x0, 1.0, (1, 2, 3))
+
     def test_skew_random_points_violate(self, rng):
         pts = {
             w: (Fraction(int(rng.integers(1, 97)), 97), Fraction(int(rng.integers(1, 97)), 97))
@@ -163,8 +278,19 @@ class TestParallelepipeds:
         assert any(r != 0 for r in chk.x_residuals)
 
 
+def _power_cube(g, x0, n, h):
+    """orbit_parallelepiped by the group law g.power(m) * x0: the oracle of the closed form."""
+    g, x0 = H.exact(g.x, g.y, g.z), H.exact(x0.x, x0.y, x0.z)
+    return {
+        w: g.power(n + sum(wi * hi for wi, hi in zip(w, h))) * x0
+        for w in itertools.product((0, 1), repeat=3)
+    }
+
+
 def _fraction_peel(cube):
-    """The Host-Kra peel in HeisenbergElement arithmetic: the oracle of the integer peel."""
+    """The Host-Kra peel in HeisenbergElement arithmetic: the oracle of the integer peel.
+
+    Returns (taus, success, failures)."""
     omegas = list(itertools.product((0, 1), repeat=3))
     residual = dict(cube)
     taus = []
@@ -182,22 +308,21 @@ def _fraction_peel(cube):
             if all(wi <= mi for wi, mi in zip(w, m)):
                 residual[w] = inv * residual[w]
     success = not failures and all(residual[w].is_identity() for w in omegas)
-    return nilseq.HKFactorization(taus=taus, success=success, failures=failures)
+    return taus, success, failures
 
 
-def _rational(max_den):
-    return st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, max_den))
+def _verdict(res):
+    return res.taus, res.success, res.failures
 
 
 @st.composite
 def _hk_cubes(draw):
     """Orbit cubes, possibly with a central or non-central shift of one vertex."""
-    max_den = draw(st.sampled_from([1, 12, 10**12]))
-    frac = _rational(max_den)
-    g = H(draw(frac), draw(frac), draw(frac))
-    x0 = H(draw(frac), draw(frac), draw(frac))
-    n = draw(st.integers(-6, 6))
-    h = tuple(draw(st.lists(st.integers(-6, 6), min_size=3, max_size=3)))
+    max_den = draw(_DENS)
+    g, x0 = draw(_elements(max_den)), draw(_elements(max_den))
+    small = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(np.int64))
+    n = draw(small)
+    h = tuple(draw(st.lists(small, min_size=3, max_size=3)))
     cube = nilseq.orbit_parallelepiped(g, x0, n, h)
     shift = draw(st.sampled_from(["none", "x", "y", "z"]))
     if shift != "none":
@@ -213,22 +338,26 @@ class TestHostKra:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_hk_cubes())
     def test_integer_peel_matches_fraction_peel(self, cube):
-        want = _fraction_peel(cube)
         got = nilseq.hk_factorize_heisenberg(cube)
-        assert (got.success, got.failures) == (want.success, want.failures)
-        assert got.taus == want.taus
+        assert _verdict(got) == _fraction_peel(cube)
         assert all(type(c) is Fraction for _, tau in got.taus for c in (tau.x, tau.y, tau.z))
+
+    def test_taus_built_on_first_read(self):
+        g, x0 = H.exact(Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)), H.identity()
+        res = nilseq.hk_factorize_heisenberg(nilseq.orbit_parallelepiped(g, x0, 2, (1, 3, 4)))
+        assert res.success and "taus" not in vars(res)
+        assert res.taus is res.taus and "taus" in vars(res)
 
     def test_integer_coordinate_cubes(self):
         ident = {w: H.identity() for w in itertools.product((0, 1), repeat=3)}
-        assert nilseq.hk_factorize_heisenberg(ident) == _fraction_peel(ident)
+        assert _verdict(nilseq.hk_factorize_heisenberg(ident)) == _fraction_peel(ident)
         g, x0 = H(2, -3, 5), H(1, 4, -7)
         cube = nilseq.orbit_parallelepiped(g, x0, 3, (1, -2, 4))
         got = nilseq.hk_factorize_heisenberg(cube)
-        assert got.success and got == _fraction_peel(cube)
+        assert got.success and _verdict(got) == _fraction_peel(cube)
         mixed = dict(cube)
         mixed[(1, 1, 1)] = H(np.int64(4), Fraction(1, 2), 3)
-        assert nilseq.hk_factorize_heisenberg(mixed) == _fraction_peel(mixed)
+        assert _verdict(nilseq.hk_factorize_heisenberg(mixed)) == _fraction_peel(mixed)
 
     def test_float_coordinates_rejected(self):
         cube = {w: H.identity() for w in itertools.product((0, 1), repeat=3)}
@@ -338,3 +467,14 @@ def test_skew_state_iteration_matches_closed_form(rng):
         assert nilseq.torus_distance(cur.x, cx + alpha) == 0
         assert nilseq.torus_distance(cur.y, cy) == 0
     assert 0 <= float(cur.x) < 1 and 0 <= float(cur.y) < 1
+
+
+def test_demo_07_output_unchanged():
+    # stdout of demos/07_heisenberg.py, byte for byte: reductions, taus and verdicts
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "demos" / "07_heisenberg.py")],
+        cwd=root, env=env, capture_output=True, check=True,
+    ).stdout
+    assert out == (root / "demos" / "07_heisenberg.expected.txt").read_bytes()
