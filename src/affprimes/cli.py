@@ -8,12 +8,14 @@ Exit codes: 0 ok, 1 validation error, 2 resource guard, 3 internal assertion.
 import argparse
 import csv
 import json
+import locale  # noqa: F401 -- argparse's gettext loads it at the first parse; loaded here, it is start-up time
 import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import numpy.random
 
 from . import arith, counting, forms, geometry, gowers, gysieve, localfactors, nilseq
 

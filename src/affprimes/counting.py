@@ -1,55 +1,50 @@
 """Correlation sums over convex bodies, Hardy-Littlewood predictions and
 comparison reports.
 
-The run enumerator from geometry splits K into inner-coordinate segments
-(runs), delivered in blocks of at most geometry.RUN_BLOCK runs.  Per block,
-one matrix product gives every form's offset on every run, and forms with a
-zero inner coefficient become a vectorised per-run constant factor.  Three
-drivers read the remaining forms:
+weighted_count tries two exact routes for integer weights before the
+run-by-run drivers:
 
-* Weights supported on primes (or prime powers) drive the iteration through
-  the sorted support array: one searchsorted per block, candidates in
-  chunks of about CAND_BLOCK, each further form filtered by its support
-  mask, which is what makes the N = 10^6 progression experiments run in
-  seconds.
-* When every weight is +-1 valued (mobius, liouville), the coordinates are
-  first reordered so that the inner one reads the most forms with unit
-  stride (_unit_stride: fewest coefficients of size > 1, then fewest
-  varying forms, ties keeping the last coordinate); for AP4 that is x1.
-  Rows of a block with equal bounds whose prefixes step by +1 in the last
-  outer coordinate form a segment, which each form reads as one 2-D
-  strided int8 view; chunks of at most PM1_CHUNK elements are multiplied
-  in place and summed exactly (_pm1_partials).
-* Other dense weights (float tables) are read run by run through strided
-  views.
+* Fourier (_fourier_count), the circle-method case of the paper: three forms
+  in two variables (AP3, Vinogradov) with weights in {-1, 0, 1} obey one
+  relation a.psi = c, and the count over the lattice {a.m = c} is one
+  dilated rfft convolution whose integer entries are rounded; a rounding
+  error of 1/4 or more, or a body or system outside the class, falls back.
+* Bitset (_bitset_count), the paper's W-trick with W = BITSET_W = 6, for
+  prime-indicator counts with inner coefficient +-1 in every varying form
+  after reorientation (AP4, twins).  Points where a form is 2 or 3 are
+  counted directly; the others lie in classes mod 6 of the inner coordinate
+  where every form is a unit, read as ANDs of bit-packed prime masks.
 
-All accumulation is single-threaded: each run (or +-1 chunk) contributes one
-partial sum, summed in a fixed order, and math.fsum combines the partials,
-so results are bit-reproducible and do not depend on RUN_BLOCK, CAND_BLOCK
-or PM1_CHUNK.  Every +-1 partial is an exact integer, which is why that
-route may reorient K; float partials would change their fsum bits, so float
-and sparse counts keep the given coordinates.  The exact Hardy-Littlewood
-integral is the same weighted count over a 1/log table (evaluated point by
-point where that table would outgrow the point count).
+The drivers split K into inner-coordinate runs, in blocks of at most
+geometry.RUN_BLOCK runs; one matrix product per block gives every form's
+offset on every run, and forms with a zero inner coefficient give a per-run
+constant factor.  Weights supported on primes (or prime powers) drive the
+iteration through the sorted support array: one searchsorted per block,
+candidates in chunks of about CAND_BLOCK, each further form filtered by its
+support mask.  +-1 weights (mobius, liouville) read segments of rows with
+equal bounds whose prefixes step by +1 in the last outer coordinate as 2-D
+strided int8 views, multiplied in place and summed exactly in chunks of at
+most PM1_CHUNK elements (_pm1_partials).  Float tables are read run by run.
 
-Complexity-1 systems of three forms in two variables (AP3, Vinogradov) with
-integer weights in {-1, 0, 1} (prime indicator, mobius, liouville) take a
-Fourier route instead, the circle-method case of the paper: the forms obey
-one relation a.psi = c, the count is a sum over the lattice {a.m = c}, and
-that sum is one dilated convolution, computed by rfft (_fourier_count).
-Every convolution entry is an integer, so it is rounded; the route is exact
-because the FFT error stays far below 1/2, and a rounding error of 1/4 or
-more sends the call back to the drivers, as does any body or system outside
-the route's class.  Float weights (Lambda, 1/log) never take it: an FFT sum
-is not bit-equal to the drivers' per-run fsum.
+Accumulation is single-threaded: each run or chunk contributes one partial
+sum, and math.fsum combines them, so results are bit-reproducible and do not
+depend on the block sizes.  Routes with integer partials (+-1, bitset) first
+reorient K so that the inner coordinate reads the most forms with unit
+stride (_unit_stride; for AP4 that is x1); float partials would change their
+fsum bits, so float and sparse counts keep the given coordinates and float
+weights never take the Fourier route.  The exact Hardy-Littlewood integral is
+the same weighted count over a 1/log table (evaluated point by point where
+that table would outgrow the point count).
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import numpy.fft
+import numpy.polynomial
 
 from . import arith, geometry, linalg
 from .localfactors import singular_series
@@ -58,6 +53,10 @@ EXACT_INTEGRAL_POINT_GUARD = 2 * 10**7
 CAND_BLOCK = 2**16              # sparse-driver candidates per chunk; bounds working memory
 FFT_GUARD = 2**22               # longest convolution of the Fourier route; bounds working memory
 PM1_CHUNK = 2**20               # elements per int8 chunk of the +-1 route; its int32 sum cannot overflow
+BITSET_W = 6                    # the bitset route's W: the product of the primes up to w = 3
+BITSET_CHUNK = 2**20            # bytes per AND buffer of the bitset route; bounds working memory
+_W_PRIMES = tuple(arith.factorize(BITSET_W))
+_TAILS = np.packbits(np.arange(8) <= np.arange(8)[:, None], axis=1)[:, 0]     # _TAILS[m]: the first m + 1 bits
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +73,7 @@ class Weight:
           'float'   - dense float values
           'one'     - constant 1
     Values at m <= 0 are zero unless reflect_negative is set (then w(-m)=w(m)).
+    prime_indicator is set by make_weight's 'prime_indicator' selector only.
     """
 
     name: str
@@ -82,6 +82,7 @@ class Weight:
     support_mask: np.ndarray | None = None
     support_list: np.ndarray | None = None
     reflect_negative: bool = False
+    prime_indicator: bool = False
 
     @property
     def m_max(self):
@@ -126,7 +127,8 @@ def make_weight(name, tables, wparams=None, b=None):
                       support_mask=tables.prime_mask, support_list=tables.primes)
     if name == "prime_indicator":
         return Weight(name=name, kind="sparse", values=tables.prime_mask,
-                      support_mask=tables.prime_mask, support_list=tables.primes)
+                      support_mask=tables.prime_mask, support_list=tables.primes,
+                      prime_indicator=True)
     if name in ("lambda_bw", "lambda_prime_bw"):
         if wparams is None or b is None:
             raise ValueError(f"{name} needs W-trick params and a residue b")
@@ -229,24 +231,14 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
     distinct (selector, b) is resolved once.  Lambda-type weights vanish at
     nonpositive arguments.
 
-    Three forms in two variables with integer weights in {-1, 0, 1} (prime
-    indicator, mobius, liouville) take the Fourier route (_fourier_count)
-    when the forms and K pass its tests: one FFT convolution whose entries
-    are rounded to integers.  The rounding error is checked to stay below
-    1/4 (the error bound of the convolution keeps it far smaller), so the
-    result is exactly the drivers' integer; otherwise the drivers run.
-
-    Driver route: the runs of K come in blocks
-    (geometry.ConvexBody.run_blocks); forms with a zero inner coefficient
-    give a per-run constant factor, and the route for the remaining forms is
-    fixed once: a sparse driver (all of them sparse, one with inner
-    coefficient +-1), exact int8 products of 2-D +-1 views, or float
-    products of per-run views.  A count whose weights are all +-1 valued
-    first permutes the coordinates so that the inner one has the fewest
-    coefficients of size > 1, then the fewest varying forms (ties keep the
-    last coordinate); the lattice points of K map one to one, so the integer
-    does not change.  Each run or chunk contributes one partial sum, and the
-    partials are combined with math.fsum, so the result does not depend on
+    The Fourier route, the bitset route (live weights all from the
+    'prime_indicator' selector; a user-built Weight never takes it) and the
+    drivers are tried in that order (see the module docstring).  The drivers
+    fix the route of the varying forms once: sparse (all of them sparse, one
+    with inner coefficient +-1), exact int8 2-D +-1 blocks, or float per-run
+    views.  Integer routes may first permute the coordinates (_unit_stride);
+    the lattice points of K map one to one, so the integer does not change.
+    Partials are combined with math.fsum, so the result does not depend on
     the block sizes.
     """
     keys = [
@@ -264,6 +256,8 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
         raise ValueError("body dimension != parameter count")
     _check_table_ranges(sys, body, weights)
     count = _fourier_count(sys, body, weights)
+    if count is None:
+        count = _bitset_count(sys, body, weights)
     return _weighted_count(sys, body, weights) if count is None else count
 
 
@@ -609,6 +603,116 @@ def _facet_forms(body, A, b, a):
     return bounds, order
 
 
+# ---------------------------------------------------------------------------
+# the bitset route for prime-indicator counts (the W-trick)
+
+
+def _bitset_count(sys, body, weights):
+    """The prime point count by the W-trick, or None off the route (see the module docstring).
+
+    On a row, x = x0 + W j (x0 in a class mod W) makes form i u_i + cf_i W j.
+    If every u_i is a unit r_i mod W, form i reads bits k = (u_i - r_i) / W +
+    cf_i j >= 0 of the plane of is_prime(W k + r_i) (_bit_planes); other
+    classes hold only the prime points of _bitset_corrections.
+    """
+    live = [i for i, w in enumerate(weights) if w.kind != "one"]
+    if not live or not all(weights[i].prime_indicator for i in live):
+        return None
+    coeffs = np.array([f.linear_coeffs for f in sys.forms], np.int64).reshape(sys.t, sys.d)
+    coeffs, body = _unit_stride(coeffs, body, live)
+    varying = [i for i in live if coeffs[i, -1] != 0]
+    if not varying or np.abs(coeffs[varying, -1]).max() != 1:
+        return None
+    fixed = [i for i in live if coeffs[i, -1] == 0]
+    consts = np.array([f.constant for f in sys.forms], np.int64)
+    cf = coeffs[varying, -1]
+    mask = max((weights[i].values for i in live), key=len)      # all prime masks: the longest serves
+    planes, plane_of, k_top = _bit_planes(mask)
+    W = BITSET_W
+    unit = np.tile(plane_of >= 0, 2)            # unit[v]: v mod W is a unit, 0 <= v < 2W
+    turn = cf * np.arange(W)[:, None] % W       # turn[c, i]: the residue form i adds in class c
+    total = 0
+    for prefix, lo, hi in body.run_blocks():
+        off = prefix @ coeffs[:, :-1].T + consts
+        keep = (off[:, fixed] > 0).all(axis=1) & mask[np.maximum(off[:, fixed], 0)].all(axis=1)
+        off, lo, hi = off[keep][:, varying], lo[keep], hi[keep]
+        total += _bitset_corrections(mask, off, cf, lo, hi)
+        r, c = np.nonzero(unit[(off % W)[:, None, :] + turn].all(axis=2))
+        x0 = lo[r] + (c - lo[r]) % W
+        u = off[r] + cf * x0[:, None]
+        res = u % W
+        k0 = (u - res) // W
+        last = (hi[r] - x0) // W
+        jlo = np.maximum(np.where(cf > 0, -k0, 0).max(axis=1), 0)
+        jhi = np.minimum(np.where(cf < 0, k0, last[:, None]).min(axis=1), last)
+        ok = jlo <= jhi
+        # first bit of each slice: k0 + jlo in the plane, k_top - k0 + jlo in the reversed one
+        start = np.where(cf > 0, k0[ok], k_top - k0[ok]) + jlo[ok, None]
+        row = plane_of[res[ok]] + (cf < 0) * 8 + start % 8
+        total += _and_count(planes.reshape(-1), row * planes.shape[1] + start // 8, jhi[ok] - jlo[ok] + 1)
+    return float(total)
+
+
+def _bit_planes(mask):
+    """(planes, plane_of, k_top): the prime mask's residue classes mod W, bit-packed.
+
+    For a unit r mod W, row plane_of[r] + 8 o + s packs the bits s, s + 1,
+    ... of is_prime(W k + r), k = 0..k_top, ascending (o = 0) or descending
+    (o = 1): any run of bits starts on a byte of one of the 8 shifted copies.
+    plane_of is -1 off the units.
+    """
+    W = BITSET_W
+    units = [r for r in range(W) if math.gcd(r, W) == 1]
+    k = -(-len(mask) // W)
+    planes = np.zeros((len(units), 2, 8, k // 8 + 2), np.uint8)
+    for u, r in enumerate(units):
+        col = np.zeros(k + 8, np.uint8)
+        col[:len(mask[r::W])] = mask[r::W]
+        for o, bits in enumerate((col, np.concatenate([col[k - 1::-1], col[k:]]))):
+            packed = np.packbits(np.lib.stride_tricks.sliding_window_view(bits, k)[:8], axis=1)
+            planes[u, o, :, :packed.shape[1]] = packed
+    plane_of = np.array([16 * units.index(r) if r in units else -1 for r in range(W)])
+    return planes.reshape(len(units) * 16, -1), plane_of, k - 1
+
+
+def _and_count(flat, first, nbits):
+    """Sum over p of the set bits in the first nbits[p] bits of AND_i flat[first[p, i]:].
+
+    Slices are ANDed into buffers of about BITSET_CHUNK bytes; bits past a slice are cleared (_TAILS).
+    """
+    nb = (nbits + 7) // 8
+    tail = _TAILS[(nbits - 1) % 8]
+    ends = np.cumsum(nb)
+    total = s = 0
+    while s < len(nb):
+        base = int(ends[s - 1]) if s else 0
+        e = max(int(np.searchsorted(ends, base + BITSET_CHUNK, "right")), s + 1)
+        acc = np.empty(-(-(int(ends[e - 1]) - base) // 8) * 8, np.uint8)      # whole uint64 words
+        acc[int(ends[e - 1]) - base:] = 0
+        for at, n, o in zip(first[s:e].tolist(), nb[s:e].tolist(), (ends[s:e] - nb[s:e] - base).tolist()):
+            out = acc[o:o + n]
+            out[:] = flat[at[0]:at[0] + n]
+            for a in at[1:]:
+                np.bitwise_and(out, flat[a:a + n], out=out)
+        acc[ends[s:e] - base - 1] &= tail[s:e]
+        total += int(np.bitwise_count(acc.view(np.uint64)).sum())
+        s = e
+    return total
+
+
+def _bitset_corrections(mask, off, cf, lo, hi):
+    """The prime points of the runs (off, lo, hi) at which some form equals a prime p | W.
+
+    Form i is p at x = cf_i (p - off_i).  A point counts for its first form <= w (W is a
+    primorial: a prime divides W exactly when it is at most w), hence once.
+    """
+    x = cf * (np.array(_W_PRIMES)[:, None, None] - off)
+    p, r, i = np.nonzero((lo[:, None] <= x) & (x <= hi[:, None]))
+    vals = off[r] + x[p, r, i][:, None] * cf
+    first = ~((vals <= _W_PRIMES[-1]) & (np.arange(len(cf)) < i[:, None])).any(axis=1)
+    return int((first & (vals > 0).all(axis=1) & mask[np.maximum(vals, 0)].all(axis=1)).sum())
+
+
 def prime_point_count(sys, body, tables):
     """#{n in K : every psi_i(n) is prime}."""
     count = weighted_count(sys, body, ["prime_indicator"] * sys.t, tables)
@@ -699,18 +803,22 @@ def _integral_sum_quadrature(sys, body, nodes=12, panels=8):
 
 def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels):
     """Per row x1: Gauss-Legendre sum of g over [lo, hi] plus (g'(lo) - g'(hi))/24."""
+    coeffs = [(*f.linear_coeffs, f.constant) for f in forms]
+    # a form with a1 = 0 has the same 1/log psi at every node and no g'/g term: computed once
+    fixed = [1.0 / np.log(np.maximum(a0 * x1 + c, 3.0)) if a1 == 0 else None for a0, a1, c in coeffs]
 
     def g_at(x2, derivative=False):
         """g(x2), or g'(x2) when derivative is set."""
         g = np.ones(len(x1))
-        dg_over_g = np.zeros(len(x1))
-        for f in forms:
-            a0, a1 = f.linear_coeffs
-            vals = np.maximum(a0 * x1 + a1 * x2 + f.constant, 3.0)
-            lg = np.log(vals)
-            g *= 1.0 / lg
-            if derivative:
-                dg_over_g -= a1 / (vals * lg)
+        dg_over_g = np.zeros(len(x1)) if derivative else None
+        for (a0, a1, c), inv in zip(coeffs, fixed):
+            if inv is None:
+                vals = np.maximum(a0 * x1 + a1 * x2 + c, 3.0)
+                lg = np.log(vals)
+                inv = 1.0 / lg
+                if derivative:
+                    dg_over_g -= a1 / (vals * lg)
+            g *= inv
         return g * dg_over_g if derivative else g
 
     span = hi - lo + 1.0
@@ -766,15 +874,7 @@ class CorrelationReport:
     meta: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "empirical": self.empirical,
-            "predicted_log_power": self.predicted_log_power,
-            "predicted_integral": self.predicted_integral,
-            "ratio_log_power": self.ratio_log_power,
-            "ratio_integral": self.ratio_integral,
-            "N": self.N,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
     def csv_row(self):
         return (
@@ -839,7 +939,7 @@ def chowla_check(factors, n_scale, tables):
     pairs (lambda^2 = 1 on nonzero values); if everything cancels the
     product is a perfect-square multiple and the check is rejected.
     """
-    from .forms import FormSystem
+    from .forms import AffineForm, FormSystem
 
     for f in factors:
         if f.constant != 0:
@@ -851,8 +951,6 @@ def chowla_check(factors, n_scale, tables):
     odd = [k for k, c in counts.items() if c % 2]
     if not odd:
         raise ValueError("product is a rational multiple of a perfect square")
-    from .forms import AffineForm
-
     sys = FormSystem(tuple(AffineForm(k) for k in odd))
     body = geometry.ConvexBody.box(2, 1, n_scale)
     return mobius_correlation(sys, body, tables, func="liouville")

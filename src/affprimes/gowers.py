@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft
 
 NAIVE_WORK_GUARD = 10**9
 # Largest einsum intermediate in elements (16 MB complex); optimize=True caps it

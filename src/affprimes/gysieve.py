@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+import numpy.fft
+import numpy.random
 
 from . import arith, counting, gowers, linalg
 
@@ -36,9 +37,6 @@ def _smoothstep_int(u):
     """int_0^u smoothstep."""
     u = np.clip(u, 0.0, 1.0)
     return u**4 * (2.5 - 3.0 * u + u * u)
-
-
-_SMOOTHSTEP_SQ_INT = 0.39177489177489176      # int_0^1 s(u)^2 du = 36/11-18+345/9-75/2+100/7
 
 
 @dataclass
@@ -92,12 +90,6 @@ def normalized_bump(eps=1e-6):
         breakpoints=(eps, 1 - eps, 1.0),
         smooth_at_zero=True,
     )
-
-
-def normalized_bump_c2_exact(eps=1e-6):
-    """Closed-form c_{chi,2} of the normalized bump."""
-    q = _SMOOTHSTEP_SQ_INT
-    return (1 - 2 * eps + 2 * eps * q) / (1 - eps) ** 2
 
 
 def tent_taper(delta=0.1):
@@ -234,6 +226,8 @@ def sieve_factor(chi, a):
     if a == 1:
         return -float(chi.derivative(0.0))
     if a == 2:
+        from scipy.integrate import quad     # scipy is loaded only here; no other path needs it
+
         pts = [b for b in chi.breakpoints if 0 < b < chi.support_radius]
         val, _ = quad(
             lambda x: float(chi.derivative(x)) ** 2,
@@ -301,13 +295,6 @@ class EnvelopingSieve:
     def save(self, path):
         """Cache nu in the arith-tables binary format (bit-exact)."""
         arith.save_array(path, "enveloping_nu", self.nu, self.n_prime)
-
-    @staticmethod
-    def load_nu(path):
-        name, arr, n_prime = arith.load_array(path)
-        if name != "enveloping_nu":
-            raise ValueError("not an enveloping-sieve cache")
-        return arr, n_prime
 
 
 def _least_prime_at_least(n):

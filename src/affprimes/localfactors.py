@@ -112,33 +112,6 @@ def local_factor(sys, p):
     return Fraction(p, p - 1) ** t * total
 
 
-def local_factor_enumerate(sys, p):
-    """Direct-enumeration oracle for beta_p (p^d must stay small)."""
-    d, t = sys.d, sys.t
-    if p**d > 10**6:
-        raise ValueError("enumeration guard: p^d too large")
-    rows = sys.coefficient_matrix()
-    consts = sys.constants()
-    count = 0
-    point = [0] * d
-    while True:
-        if all(
-            (sum(r[j] * point[j] for j in range(d)) + c) % p
-            for r, c in zip(rows, consts)
-        ):
-            count += 1
-        j = 0
-        while j < d:
-            point[j] += 1
-            if point[j] < p:
-                break
-            point[j] = 0
-            j += 1
-        if j == d:
-            break
-    return Fraction(p, p - 1) ** t * Fraction(count, p**d)
-
-
 def local_factor_q(sys, q):
     """beta_q for squarefree q via multiplicativity (beta_q = prod beta_p)."""
     if q < 1:
@@ -147,34 +120,6 @@ def local_factor_q(sys, q):
     if any(e > 1 for e in primes.values()):
         raise ValueError("q must be squarefree")
     return math.prod((local_factor(sys, p) for p in primes), start=Fraction(1))
-
-
-def local_factor_q_enumerate(sys, q):
-    """Direct beta_q over Z_q for general q (oracle; q^d small)."""
-    d, t = sys.d, sys.t
-    if q**d > 10**6:
-        raise ValueError("enumeration guard: q^d too large")
-    rows = sys.coefficient_matrix()
-    consts = sys.constants()
-    total = Fraction(0)
-    point = [0] * d
-    while True:
-        prod = Fraction(1)
-        for r, c in zip(rows, consts):
-            prod *= local_von_mangoldt(q, sum(ri * xi for ri, xi in zip(r, point)) + c)
-            if prod == 0:
-                break
-        total += prod
-        j = 0
-        while j < d:
-            point[j] += 1
-            if point[j] < q:
-                break
-            point[j] = 0
-            j += 1
-        if j == d:
-            break
-    return total / q**d
 
 
 def ap_k_local_factor(k, p):
@@ -243,9 +188,7 @@ def singular_series(sys, p_max, min_prime=2):
     primes = np.nonzero(mask)[0].astype(np.int64)
     primes = primes[primes >= min_prime]
     exc = [p for p in data.exceptional if min_prime <= p <= p_max]
-    exc_set = set(exc)
-    keep = np.array([int(p) not in exc_set for p in primes])
-    generic = primes[keep]
+    generic = primes[~np.isin(primes, exc)]
     beta = data.generic_beta_array(generic)
     vanishing = False
     log_sum = 0.0
@@ -295,37 +238,6 @@ def alpha_p(a_rows, b, p):
     sys, _ = parameterize_matrix_system(a_rows, b, n_scale)
     return local_factor(sys, p)
 
-
-def alpha_p_direct(a_rows, b, p, box):
-    """Truncated-limit evaluation of the alpha_p definition over [-box, box]^t."""
-    t = len(a_rows[0])
-    s = len(a_rows)
-    total = Fraction(0)
-    count = 0
-    point = [-box] * t
-    while True:
-        if all(
-            sum(a_rows[i][j] * point[j] for j in range(t)) == b[i] for i in range(s)
-        ):
-            count += 1
-            prod = Fraction(1)
-            for x in point:
-                prod *= local_von_mangoldt(p, x)
-                if prod == 0:
-                    break
-            total += prod
-        j = 0
-        while j < t:
-            point[j] += 1
-            if point[j] <= box:
-                break
-            point[j] = -box
-            j += 1
-        if j == t:
-            break
-    if count == 0:
-        raise ValueError("no lattice points in the box")
-    return total / count
 
 
 # ---------------------------------------------------------------------------

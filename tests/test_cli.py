@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -168,3 +171,16 @@ def test_report_payload_deterministic(tmp_path):
     rep1.pop("timing")
     rep2.pop("timing")
     assert rep1 == rep2
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only c_{chi,2} (gysieve.sieve_factor with a = 2) and is
+    # imported there; the numpy submodules the commands use load with the CLI
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, affprimes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    code = "import sys, affprimes.cli; print(all(m in sys.modules for m in ('numpy.fft', 'numpy.polynomial', 'numpy.random')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"

@@ -336,10 +336,15 @@ def _brute_terms(sys_, body, weights):
     ]
 
 
+PRIME_TABLES = arith.build_tables(TABLE_TOP)
+
+
 def _make_weight(kind, reflect, rng):
     m = np.arange(TABLE_TOP + 1)
     if kind == "one":
         return counting.Weight(name="one", kind="one")
+    if kind == "prime":
+        return counting.make_weight("prime_indicator", PRIME_TABLES)
     if kind == "pm1":
         vals = rng.integers(-1, 2, size=m.size).astype(np.int8)
         return counting.Weight(name="pm1", kind="pm1", values=vals, reflect_negative=reflect)
@@ -403,10 +408,11 @@ def _signed_permutation(sys_, body, perm, signs):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_count_cases(pool=("pm1", "pm1", "sparse", "one")), st.data())
+@given(_count_cases(pool=("pm1", "pm1", "sparse", "one", "prime", "prime")), st.data())
 def test_integer_counts_invariant_under_signed_permutations(case, data):
     # a coordinate permutation with signs maps the lattice points of K one to
-    # one, so integer-valued counts must not change (the +-1 route reorients)
+    # one, so integer-valued counts must not change (the +-1 and bitset
+    # routes reorient)
     sys_, body, weights = case
     perm = data.draw(st.permutations(range(sys_.d)))
     signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=sys_.d, max_size=sys_.d))
@@ -500,6 +506,93 @@ def test_integral_sum_exact_matches_brute_force(tables_1e6):
     # a whole comparison on a body with a fractional vertex (2n <= 21)
     rep = counting.compare(twins, cases[5][1], 100, tables_1e6)
     assert rep.empirical == 2 and rep.predicted_integral > 0
+
+
+# ---------------------------------------------------------------------------
+# the bitset route (prime-indicator counts, the W-trick)
+
+BITSET_TABLES = arith.build_tables(4000)     # covers |psi| <= 3 * 600 * 2 + 12 on the generated systems
+
+
+@st.composite
+def _bitset_cases(draw):
+    """(system, body, weights, expected): inner coefficients in {-1, 0, 1}, prime and 'one' weights.
+
+    Bodies are small boxes cut by extra halfspaces (possibly empty), long
+    dim-1 intervals (slices of many bytes) or dim-2 strips of long rows in
+    either coordinate.  Constants in -12..12 make forms reach 2 and 3 and
+    negative values.  expected says whether the route applies: every
+    coordinate is read by some prime-weighted form, so the unit-stride
+    coordinate has varying forms.
+    """
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(1, 4))
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1), st.sampled_from([-1, 0, 1]))
+    rows = [draw(row.map(lambda r: r[0] + [r[1]]).filter(any)) for _ in range(t)]
+    consts = draw(st.lists(st.integers(-12, 12), min_size=t, max_size=t))
+    one = draw(st.lists(st.integers(0, 4), min_size=t, max_size=t))
+    live = [i for i in range(t) if one[i]] or [0]
+    n = draw(st.integers(1, 8) | st.integers(400, 3000)) if d == 1 else draw(st.integers(1, 8))
+    hs = draw(st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=d, max_size=d), st.integers(-6, 6)),
+                       max_size=2))
+    if d == 2 and draw(st.booleans()):
+        n = draw(st.integers(100, 600))
+        k = draw(st.integers(0, 1))             # a strip 3 wide in x_(k+1)
+        a = draw(st.integers(-n, n - 2))
+        e = [int(j == k) for j in range(2)]
+        hs = [(e, a + 2), ([-x for x in e], -a)]
+    body = geometry.ConvexBody(d, hs, n)
+    prime = counting.make_weight("prime_indicator", BITSET_TABLES)
+    weights = [prime if i in live else counting.Weight(name="one", kind="one") for i in range(t)]
+    expected = all(any(rows[i][j] for i in live) for j in range(d))
+    return forms.system(rows, consts), body, weights, expected
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_bitset_cases())
+def test_bitset_route_matches_brute_force_and_driver(case):
+    # the route's integer against value_at over the lattice points and the
+    # sparse driver, at the default sizes and with AND buffers of 1 or 3
+    # bytes (one slice each, or several) and 3-row blocks
+    sys_, body, weights, expected = case
+    brute = sum(_brute_terms(sys_, body, weights))
+    assert counting._weighted_count(sys_, body, weights) == brute
+    route = counting._bitset_count(sys_, body, weights)
+    assert (route is not None) == expected
+    if route is None:
+        return
+    assert route == brute
+    for chunk in (1, 3):
+        with mock.patch.object(counting, "BITSET_CHUNK", chunk), mock.patch.object(geometry, "RUN_BLOCK", 3):
+            assert counting._bitset_count(sys_, body, weights) == brute
+
+
+def test_bitset_route_cases():
+    # points where forms divide W, counted once; a user-built weight and a
+    # stride-2 inner coordinate stay on the sparse driver
+    tables = BITSET_TABLES
+    prime = counting.make_weight("prime_indicator", tables)
+    line = geometry.ConvexBody.box(1, 1, 3000, box_bound=3000)
+    cases = [
+        (forms.system([[1], [1]], [0, 1]), line, 1),            # (2, 3): two forms divide W at one point
+        (forms.system([[1], [1], [1]], [0, 2, 4]), line, 1),    # (3, 5, 7)
+        (forms.system([[1], [-1]], [0, 3000]), line, 208),      # ordered Goldbach pairs of 3000
+        # twins on 1..768: 128 points per class, slices of whole bytes (no tail to clear)
+        (forms.system([[1], [1]], [0, 2]), geometry.ConvexBody.box(1, 1, 768, box_bound=768), None),
+        (forms.ap_system(4), ap_body(4, 400, strict=False), None),
+    ]
+    for sys_, body, want in cases:
+        weights = [prime] * sys_.t
+        brute = sum(_brute_terms(sys_, body, weights))
+        assert want is None or brute == want
+        assert counting.weighted_count(sys_, body, weights) == brute
+        for chunk in (counting.BITSET_CHUNK, 1, 7):
+            with mock.patch.object(counting, "BITSET_CHUNK", chunk):
+                assert counting._bitset_count(sys_, body, weights) == brute
+    user = counting.Weight(name="prime_indicator", kind="sparse", values=tables.prime_mask,
+                           support_mask=tables.prime_mask, support_list=tables.primes)
+    assert counting._bitset_count(forms.ap_system(4), ap_body(4, 300), [user] * 4) is None
+    assert counting._bitset_count(forms.system([[2], [2]], [1, 3]), line, [prime] * 2) is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,14 @@ from hypothesis import strategies as st
 from affprimes import arith, forms, geometry, gysieve
 
 
+SMOOTHSTEP_SQ_INT = 0.39177489177489176      # int_0^1 s(u)^2 du = 36/11-18+345/9-75/2+100/7
+
+
+def normalized_bump_c2_exact(eps=1e-6):
+    """Closed-form c_{chi,2} of the normalized bump."""
+    return (1 - 2 * eps + 2 * eps * SMOOTHSTEP_SQ_INT) / (1 - eps) ** 2
+
+
 def divisor_loop_oracle(n, chi, big_r, a, tables):
     """From-scratch full divisor loop (not restricted to squarefree d)."""
     log_r = math.log(big_r)
@@ -43,7 +51,7 @@ class TestCutoffs:
         chi = gysieve.normalized_bump()
         c2 = gysieve.sieve_factor(chi, 2)
         assert abs(c2 - 1.0) <= 1e-6
-        assert c2 == pytest.approx(gysieve.normalized_bump_c2_exact(), rel=1e-9)
+        assert c2 == pytest.approx(normalized_bump_c2_exact(), rel=1e-9)
 
     def test_tent_taper_factors(self):
         tent = gysieve.tent_taper(0.1)
@@ -297,7 +305,8 @@ def test_sieve_cache_roundtrip(tmp_path, tables_4e6):
     sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5], tables=tables_4e6)
     path = tmp_path / "nu.bin"
     sv.save(path)
-    arr, n_prime = gysieve.EnvelopingSieve.load_nu(path)
+    name, arr, n_prime = arith.load_array(path)
+    assert name == "enveloping_nu"
     assert n_prime == sv.n_prime
     assert (arr == sv.nu).all()
 

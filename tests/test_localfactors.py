@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,37 @@ AP4 = forms.ap_system(4)
 
 def small_primes(limit):
     return [int(p) for p in np.nonzero(prime_sieve(limit))[0]]
+
+
+def _form_values(sys, point):
+    return [sum(r * x for r, x in zip(row, point)) + c for row, c in zip(sys.coefficient_matrix(), sys.constants())]
+
+
+def local_factor_enumerate(sys, p):
+    """beta_p by enumerating Z_p^d: the oracle of local_factor (p^d small)."""
+    count = sum(all(v % p for v in _form_values(sys, x)) for x in itertools.product(range(p), repeat=sys.d))
+    return Fraction(p, p - 1) ** sys.t * Fraction(count, p**sys.d)
+
+
+def local_factor_q_enumerate(sys, q):
+    """beta_q by enumerating Z_q^d for any q: the oracle of local_factor_q (q^d small)."""
+    total = sum(
+        math.prod((lf.local_von_mangoldt(q, v) for v in _form_values(sys, x)), start=Fraction(1))
+        for x in itertools.product(range(q), repeat=sys.d)
+    )
+    return total / q**sys.d
+
+
+def alpha_p_direct(a_rows, b, p, box):
+    """The defining limit of alpha_p truncated to [-box, box]^t: the oracle of alpha_p."""
+    points = [
+        x for x in itertools.product(range(-box, box + 1), repeat=len(a_rows[0]))
+        if all(sum(a * xi for a, xi in zip(row, x)) == bi for row, bi in zip(a_rows, b))
+    ]
+    if not points:
+        raise ValueError("no lattice points in the box")
+    total = sum(math.prod((lf.local_von_mangoldt(p, xi) for xi in x), start=Fraction(1)) for x in points)
+    return total / len(points)
 
 
 def test_local_von_mangoldt():
@@ -49,7 +82,7 @@ def test_inclusion_exclusion_vs_enumeration():
     for sys in fixtures:
         for p in small_primes(23):
             if p**sys.d <= 10**6:
-                assert lf.local_factor(sys, p) == lf.local_factor_enumerate(sys, p), (
+                assert lf.local_factor(sys, p) == local_factor_enumerate(sys, p), (
                     str(sys),
                     p,
                 )
@@ -69,7 +102,7 @@ def test_multiplicativity():
     # direct enumeration over Z_q for pq <= 1000, d <= 2
     for sys in (forms.ap_system(3), forms.balog_system(2)):
         for q in (6, 10, 15, 21, 35):
-            assert lf.local_factor_q(sys, q) == lf.local_factor_q_enumerate(sys, q)
+            assert lf.local_factor_q(sys, q) == local_factor_q_enumerate(sys, q)
     with pytest.raises(ValueError):
         lf.local_factor_q(AP4, 12)
 
@@ -110,6 +143,19 @@ def test_singular_series_golden_constants():
     assert s1.tail_log_bound < 1e-4 and s2.tail_log_bound < 1e-4
 
 
+def test_singular_series_bit_identical():
+    # the generic/exceptional split (np.isin) keeps every bit of the product
+    # and its parts; the values are those of the per-prime set filter it replaced
+    want = {
+        "ap4": ("0x1.6ddb1be9421a1p+1", "0x1.0cda839fec91fp+0", "0x1.80142260b0b94p+1", [2, 3]),
+        "cube4": ("0x1.b1278bb8b0a9cp+5", "0x1.feee7b4765366p+1", "0x1.2246946dd1400p-10", [2]),
+    }
+    for name, sys in (("ap4", AP4), ("cube4", forms.cube_system(4))):
+        ss = lf.singular_series(sys, 10**6)
+        got = (ss.truncated_product.hex(), ss.log_product.hex(), ss.envelope_constant.hex(), ss.exceptional_primes)
+        assert got == want[name]
+
+
 def test_singular_series_vanishing():
     consec = forms.system([[1], [1]], [0, 1])
     ss = lf.singular_series(consec, 1000)
@@ -136,7 +182,7 @@ def test_alpha_p_truncated_limit_direct():
     a = [[1, 1, 1]]
     for p in (2, 3):
         exact = lf.alpha_p(a, [n], p)
-        approx = lf.alpha_p_direct(a, [n], p, box=12)
+        approx = alpha_p_direct(a, [n], p, box=12)
         assert abs(float(approx) - float(exact)) < 0.4, (p, approx, exact)
 
 
