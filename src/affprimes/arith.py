@@ -18,6 +18,12 @@ _MAGIC = b"APTBL\x00\x01\x00"
 
 FIELDS = ("spf", "von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
 
+TABLE_GUARD = 3 * 10**8         # most entries build_tables allocates (it counts entries, not bytes)
+
+
+class ResourceGuard(ValueError):
+    """A table or run too large to allocate; raised before anything is allocated."""
+
 
 @dataclass
 class ArithTables:
@@ -228,12 +234,12 @@ def prime_sieve(n_max):
 
 
 def build_tables(n_max):
-    """ArithTables up to n_max: the prime sieve now, every other field on first read."""
+    """ArithTables up to n_max <= TABLE_GUARD: primes now, every other field on first read."""
     n_max = int(n_max)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if n_max > 2**31:
-        raise ValueError("n_max exceeds the 2^31 allocation guard")
+    if n_max > TABLE_GUARD:
+        raise ResourceGuard(f"table of size {n_max} exceeds the {TABLE_GUARD} guard")
     is_p = prime_sieve(n_max)
     return ArithTables(n_max=n_max, is_prime=is_p, primes=np.nonzero(is_p)[0].astype(np.int64))
 

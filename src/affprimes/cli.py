@@ -2,7 +2,7 @@
 
 Every run writes report.json (stable key order, full resolved config) into
 --out; table-like results are also written as RFC-4180 CSV when --format csv.
-Exit codes: 0 ok, 1 validation error, 2 resource guard, 3 internal assertion.
+Exit codes: 0 ok, 1 validation error, 2 resource guard, 3 internal error.
 """
 
 import argparse
@@ -19,14 +19,8 @@ import numpy.random
 
 from . import arith, counting, forms, geometry, gowers, gysieve, localfactors, nilseq
 
-TABLE_GUARD = 3 * 10**8
-
 
 class ValidationError(Exception):
-    pass
-
-
-class ResourceGuard(Exception):
     pass
 
 
@@ -39,6 +33,8 @@ def _load_config(args):
             raise ValidationError(f"malformed JSON in {args.config}: line {e.lineno} column {e.colno}: {e.msg}")
         except OSError as e:
             raise ValidationError(str(e))
+        if not isinstance(cfg, dict):
+            raise ValidationError(f"{args.config} must hold a JSON object")
     for key in ("pmax", "gamma", "w", "seed", "threads", "N"):
         v = getattr(args, key, None)
         if v is not None:
@@ -46,32 +42,50 @@ def _load_config(args):
     return cfg
 
 
-def _need(cfg, key, kind=None):
+def _get(cfg, key, kind, default=..., of=None, exact=False):
+    """cfg[key] as kind, or default when the key is absent (no default: required).
+
+    int and float values are converted (int(v), float(v)) unless exact; a
+    value of any other kind (list, dict, str) must have that type, and a
+    list's items the type of.  A violation is a ValidationError naming the key.
+    """
     if key not in cfg:
-        raise ValidationError(f"config key {key!r} required")
+        if default is ...:
+            raise ValidationError(f"config key {key!r} required")
+        return default
     v = cfg[key]
-    if kind is not None and not isinstance(v, kind):
-        raise ValidationError(f"config key {key!r} must be {kind}")
+    if kind in (int, float) and not exact:
+        try:
+            return kind(v)
+        except (TypeError, ValueError):
+            raise ValidationError(f"config key {key!r} must be a number, not {v!r}") from None
+    if not isinstance(v, kind) or (of is not None and not all(isinstance(x, of) for x in v)):
+        items = f" of {of.__name__}" if of else ""
+        raise ValidationError(f"config key {key!r} must be a {kind.__name__}{items}")
     return v
 
 
-def _system(cfg, n_scale=None):
-    return forms.form_system_from_json(_need(cfg, "system", dict), n_scale=n_scale)
+def _parsed(cfg, key, from_json):
+    """The JSON object cfg[key] read by from_json at the scale N (if given)."""
+    try:
+        return from_json(_get(cfg, key, dict), n_scale=_get(cfg, "N", int, None, exact=True))
+    except (TypeError, AttributeError) as e:
+        raise ValidationError(f"config key {key!r} is malformed: {e}") from None
 
 
-def _body(cfg, n_scale=None):
-    return geometry.convex_body_from_json(_need(cfg, "body", dict), n_scale=n_scale)
+def _system(cfg):
+    return _parsed(cfg, "system", forms.form_system_from_json)
+
+
+def _problem(cfg):
+    """(N, system, body) of a command that counts over a body K."""
+    n = _get(cfg, "N", int, exact=True)
+    return n, _system(cfg), _parsed(cfg, "body", geometry.convex_body_from_json)
 
 
 def _tables_for(sys_, body):
-    m = 2
-    for f in sys_.forms:
-        lo, hi = counting.affine_range_over_body(body, f.linear_coeffs, f.constant)
-        if lo is not None:
-            m = max(m, abs(int(lo)), abs(int(hi)))
-    if m > TABLE_GUARD:
-        raise ResourceGuard(f"table of size {m} exceeds the {TABLE_GUARD} guard")
-    return arith.build_tables(m + 2)
+    """Tables up to max |psi_i| over K (at least 2), plus two."""
+    return arith.build_tables(max(2, *(counting._form_bound(body, f) or 0 for f in sys_.forms)) + 2)
 
 
 def _write_report(out_dir, payload, csv_rows=None, csv_header=None, fmt="json"):
@@ -93,7 +107,7 @@ def _write_report(out_dir, payload, csv_rows=None, csv_header=None, fmt="json"):
 
 
 def cmd_complexity(cfg):
-    sys_ = _system(cfg, cfg.get("N"))
+    sys_ = _system(cfg)
     res = forms.complexity(sys_)
     return {
         "system": forms.form_system_to_json(sys_),
@@ -104,8 +118,8 @@ def cmd_complexity(cfg):
 
 
 def cmd_normalize(cfg):
-    sys_ = _system(cfg, cfg.get("N"))
-    s = _need(cfg, "s", int)
+    sys_ = _system(cfg)
+    s = _get(cfg, "s", int, exact=True)
     ext, fvecs = forms.normal_form_extension(sys_, s)
     ok, witnesses = forms.is_normal_form(ext, s, with_witness=True)
     return {
@@ -120,10 +134,10 @@ def cmd_normalize(cfg):
 
 
 def cmd_local_factors(cfg):
-    sys_ = _system(cfg, cfg.get("N"))
-    p_max = int(cfg.get("pmax", 100))
+    sys_ = _system(cfg)
+    p_max = _get(cfg, "pmax", int, 100)
     if p_max > 10**5:
-        raise ResourceGuard("exact per-prime profile limited to pmax <= 1e5")
+        raise arith.ResourceGuard("exact per-prime profile limited to pmax <= 1e5")
     prof = localfactors.local_profile(sys_, p_max)
     rows = [(p, num, den, val) for p, num, den, val in prof.rows()]
     return (
@@ -140,13 +154,14 @@ def cmd_local_factors(cfg):
 
 
 def cmd_singular_series(cfg):
-    sys_ = _system(cfg, cfg.get("N"))
-    p_max = int(cfg.get("pmax", 10**6))
-    ss = localfactors.singular_series(sys_, p_max, min_prime=int(cfg.get("min_prime", 2)))
+    sys_ = _system(cfg)
+    p_max = _get(cfg, "pmax", int, 10**6)
+    min_prime = _get(cfg, "min_prime", int, 2)
+    ss = localfactors.singular_series(sys_, p_max, min_prime=min_prime)
     return {
         "system": forms.form_system_to_json(sys_),
         "pmax": p_max,
-        "min_prime": int(cfg.get("min_prime", 2)),
+        "min_prime": min_prime,
         "truncated_product": ss.truncated_product,
         "tail_log_bound": ss.tail_log_bound,
         "envelope_constant": ss.envelope_constant,
@@ -156,11 +171,9 @@ def cmd_singular_series(cfg):
 
 
 def cmd_predict(cfg):
-    n = _need(cfg, "N", int)
-    sys_ = _system(cfg, n)
-    body = _body(cfg, n)
-    p_max = int(cfg.get("pmax", 10**5))
-    mode = cfg.get("mode", "integral")
+    n, sys_, body = _problem(cfg)
+    p_max = _get(cfg, "pmax", int, 10**5)
+    mode = _get(cfg, "mode", str, "integral")
     val, ss = counting.predict(sys_, body, localfactors.singular_series(sys_, p_max), mode)
     return {
         "system": forms.form_system_to_json(sys_),
@@ -175,18 +188,16 @@ def cmd_predict(cfg):
 
 
 def cmd_count(cfg):
-    n = _need(cfg, "N", int)
-    sys_ = _system(cfg, n)
-    body = _body(cfg, n)
-    weights = cfg.get("weights", ["prime_indicator"] * sys_.t)
+    n, sys_, body = _problem(cfg)
+    weights = _get(cfg, "weights", list, ["prime_indicator"] * sys_.t, of=str)
     if len(weights) != sys_.t:
         raise ValidationError("weights must list one selector per form")
     wp = None
     if any(w in ("lambda_bw", "lambda_prime_bw") for w in weights):
-        wp = arith.w_trick(w=float(cfg.get("w", 5.0)))
+        wp = arith.w_trick(w=_get(cfg, "w", float, 5.0))
     tables = _tables_for(sys_, body)
     val = counting.weighted_count(
-        sys_, body, weights, tables, wparams=wp, b_list=cfg.get("b_list")
+        sys_, body, weights, tables, wparams=wp, b_list=_get(cfg, "b_list", list, None, of=int)
     )
     return {
         "system": forms.form_system_to_json(sys_),
@@ -198,10 +209,8 @@ def cmd_count(cfg):
 
 
 def cmd_compare(cfg):
-    n = _need(cfg, "N", int)
-    sys_ = _system(cfg, n)
-    body = _body(cfg, n)
-    p_max = int(cfg.get("pmax", 10**5))
+    n, sys_, body = _problem(cfg)
+    p_max = _get(cfg, "pmax", int, 10**5)
     tables = _tables_for(sys_, body)
     rep = counting.compare(sys_, body, p_max, tables)
     payload = rep.to_json()
@@ -211,10 +220,8 @@ def cmd_compare(cfg):
 
 
 def cmd_mobius_corr(cfg):
-    n = _need(cfg, "N", int)
-    sys_ = _system(cfg, n)
-    body = _body(cfg, n)
-    func = cfg.get("f", "mobius")
+    n, sys_, body = _problem(cfg)
+    func = _get(cfg, "f", str, "mobius")
     tables = _tables_for(sys_, body)
     val = counting.mobius_correlation(sys_, body, tables, func=func)
     return {
@@ -226,29 +233,21 @@ def cmd_mobius_corr(cfg):
 
 
 def cmd_chowla(cfg):
-    n = _need(cfg, "N", int)
-    factors = [forms.AffineForm(tuple(row)) for row in _need(cfg, "factors", list)]
-    m = max(
-        sum(abs(c) for c in f.linear_coeffs) * n for f in factors
-    )
-    if m > TABLE_GUARD:
-        raise ResourceGuard("table too large")
-    tables = arith.build_tables(m + 2)
+    n = _get(cfg, "N", int, exact=True)
+    factors = [forms.AffineForm(tuple(row)) for row in _get(cfg, "factors", list, of=list)]
+    tables = arith.build_tables(max(sum(map(abs, f.linear_coeffs)) * n for f in factors) + 2)
     val = counting.chowla_check(factors, n, tables)
     return {"N": n, "factors": [list(f.linear_coeffs) for f in factors], "value": val}, None, None
 
 
 def cmd_gowers(cfg):
-    n = _need(cfg, "N", int)
-    s = int(cfg.get("s", 1))
-    kind = cfg.get("input", "wtrick")
+    n = _get(cfg, "N", int, exact=True)
+    s = _get(cfg, "s", int, 1)
+    kind = _get(cfg, "input", str, "wtrick")
     if kind == "wtrick":
-        wp = arith.w_trick(w=float(cfg.get("w", 5.0)))
-        b = int(cfg.get("b", 1))
-        m = wp.W * n + b
-        if m > TABLE_GUARD:
-            raise ResourceGuard("table too large")
-        tables = arith.build_tables(m + 2)
+        wp = arith.w_trick(w=_get(cfg, "w", float, 5.0))
+        b = _get(cfg, "b", int, 1)
+        tables = arith.build_tables(wp.W * n + b + 2)
         f = arith.lambda_bw_array(n, b, wp, tables, primed=True) - 1.0
         norm = gowers.gowers_norm_local(f, s).norm
         meta = {"b": b, "W": wp.W}
@@ -263,37 +262,31 @@ def cmd_gowers(cfg):
 
 
 def cmd_gy_verify(cfg):
-    n = _need(cfg, "N", int)
-    sys_ = _system(cfg, n)
-    body = _body(cfg, n)
-    gamma = float(cfg.get("gamma", 1 / 20))
-    a_list = cfg.get("a_list", [1] * sys_.t)
-    chi_name = cfg.get("chi", "tent_taper")
+    n, sys_, body = _problem(cfg)
+    gamma = _get(cfg, "gamma", float, 1 / 20)
+    a_list = _get(cfg, "a_list", list, [1] * sys_.t, of=int)
+    chi_name = _get(cfg, "chi", str, "tent_taper")
     chi = {"tent_taper": gysieve.tent_taper, "normalized_bump": gysieve.normalized_bump}[
         chi_name
     ]()
-    tables = _tables_for(sys_, body)
     out = gysieve.gy_estimate_check(
-        sys_, body, [chi] * sys_.t, a_list, gamma, tables, p_max=int(cfg.get("pmax", 10**5))
+        sys_, body, [chi] * sys_.t, a_list, gamma, None, p_max=_get(cfg, "pmax", int, 10**5)
     )
     out.update({"N": n, "gamma": gamma, "chi": chi_name, "a_list": a_list})
     return out, None, None
 
 
 def cmd_sieve_check(cfg):
-    n = _need(cfg, "N", int)
-    gamma = float(cfg.get("gamma", 1 / 20))
-    w = float(cfg.get("w", 5.0))
-    b_list = cfg.get("b_list", [1])
-    c_factor = int(cfg.get("C", 20))
+    n = _get(cfg, "N", int, exact=True)
+    gamma = _get(cfg, "gamma", float, 1 / 20)
+    w = _get(cfg, "w", float, 5.0)
+    b_list = _get(cfg, "b_list", list, [1], of=int)
+    c_factor = _get(cfg, "C", int, 20)
     wp = arith.w_trick(w=w)
-    m = wp.W * n + max(b_list)
-    if m > TABLE_GUARD:
-        raise ResourceGuard("table too large")
-    tables = arith.build_tables(m + 2)
+    tables = arith.build_tables(wp.W * n + max(b_list) + 2)
     sieve = gysieve.build_enveloping_sieve(n, gamma, w, b_list, c_factor, tables=tables)
     dep = forms.system([[1, 0], [1, 1]])
-    lf = gysieve.linear_forms_check(sieve, dep, seed=int(cfg.get("seed", 0)))
+    lf = gysieve.linear_forms_check(sieve, dep, seed=_get(cfg, "seed", int, 0))
     lhs, rhs, holds = gysieve.correlation_check(sieve, 2, [3, 9], tables)
     return {
         "N": n,
@@ -313,8 +306,8 @@ def cmd_sieve_check(cfg):
 
 
 def cmd_nil_check(cfg):
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 100))
+    seed = _get(cfg, "seed", int, 0)
+    trials = _get(cfg, "trials", int, 100)
     rng = np.random.default_rng(seed)
     from fractions import Fraction
 
@@ -350,17 +343,15 @@ def cmd_nil_check(cfg):
 
 
 def cmd_mn_corr(cfg):
-    n = _need(cfg, "N", int)
-    kind = cfg.get("kind", "phase")
-    if n > TABLE_GUARD:
-        raise ResourceGuard("table too large")
+    n = _get(cfg, "N", int, exact=True)
+    kind = _get(cfg, "kind", str, "phase")
     tables = arith.build_tables(n + 2)
     if kind == "phase":
-        alpha = float(cfg.get("alpha", 0.5 * (math.sqrt(5) - 1)))
+        alpha = _get(cfg, "alpha", float, 0.5 * (math.sqrt(5) - 1))
         val = nilseq.mobius_phase_correlation(n, alpha, tables)
         meta = {"alpha": alpha}
     elif kind == "heisenberg":
-        theta = float(cfg.get("theta", 0.5 * (math.sqrt(5) - 1)))
+        theta = _get(cfg, "theta", float, 0.5 * (math.sqrt(5) - 1))
         g = nilseq.HeisenbergElement(-theta, 2.0, -theta)
         func = nilseq.smooth_cell_function(0.0, 0.0)
         val = nilseq.mobius_nil_correlation(n, g, nilseq.HeisenbergElement.identity(), func, tables)
@@ -412,14 +403,14 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         payload, rows, header = COMMANDS[args.command](cfg)
+    except arith.ResourceGuard as e:        # a ValueError: caught first, so it exits 2
+        print(f"resource guard: {e}", file=sys.stderr)
+        return 2
     except (ValidationError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ResourceGuard as e:
-        print(f"resource guard: {e}", file=sys.stderr)
-        return 2
-    except AssertionError as e:
-        print(f"internal assertion: {e}", file=sys.stderr)
+    except Exception as e:
+        print(f"internal error: {e!r}", file=sys.stderr)
         return 3
     report = {
         "command": args.command,

@@ -436,16 +436,6 @@ def parameterize_matrix_system(a_rows, b, n_scale, n_cols=None):
     return sys, x0
 
 
-def unimodular_reparameterize(sys, umat):
-    """Apply n -> U n for a unimodular integer matrix U (test helper)."""
-    d = sys.d
-    new_forms = []
-    for f in sys.forms:
-        row = [sum(f.linear_coeffs[i] * umat[i][j] for i in range(d)) for j in range(d)]
-        new_forms.append(AffineForm(tuple(row), f.constant))
-    return FormSystem(tuple(new_forms))
-
-
 # ---------------------------------------------------------------------------
 # JSON schema
 

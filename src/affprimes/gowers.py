@@ -327,7 +327,7 @@ def second_gcs_check(fb, tol=1e-9):
 # weighted box norms
 
 
-def weighted_box_norm(g, nu_family, method="direct"):
+def weighted_box_norm(g, nu_family):
     """||g||_{box^B(nu; X_B)} with weights nu_C for proper subsets C of the axes.
 
     nu_family maps frozenset C (axis indices) -> nonnegative array over X_C.
@@ -343,7 +343,7 @@ def weighted_box_norm(g, nu_family, method="direct"):
     if bad:
         raise ValueError(f"weight keys {bad} are not proper subsets of the axes 0..{k - 1}")
     raw = _box_average([g] * 2**k, nu_family)
-    res = _finalize(raw, method, 2**k)
+    res = _finalize(raw, "direct", 2**k)
     if res.raw_power_average < -1e-9 * max(1.0, float(np.abs(g).max()) ** (2**k)):
         raise ValueError("weighted raw average significantly negative: bad weights?")
     return res

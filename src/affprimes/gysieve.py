@@ -506,31 +506,17 @@ def tau_moments(sieve, tables, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
 
 def gy_estimate_check(sys, body, chi_list, a_list, gamma, tables, p_max=10**5):
     """Empirical sum of prod Lambda_{chi_i,R,a_i}(psi_i(n)) over K against
-    prod c_{chi_i,a_i} * |K| * prod_{p<=p_max} beta_p."""
+    prod c_{chi_i,a_i} * |K| * prod_{p<=p_max} beta_p.
+
+    The weights are tables of their own, so tables is not read (None will do).
+    """
     from .localfactors import singular_series
 
     n_scale = body.box_bound
     big_r = float(n_scale) ** gamma
     if big_r <= 1:
         raise ValueError("R = N^gamma must exceed 1")
-    lo_hi = [
-        counting.affine_range_over_body(body, f.linear_coeffs, f.constant)
-        for f in sys.forms
-    ]
-    if any(lo is None for lo, _ in lo_hi):
-        ss = singular_series(sys, p_max)
-        return {
-            "empirical": 0.0,
-            "predicted": 0.0,
-            "ratio": float("nan"),
-            "R": big_r,
-            "sieve_factors": math.prod(
-                sieve_factor(chi, a) for chi, a in zip(chi_list, a_list)
-            ),
-            "singular_series": ss.truncated_product,
-            "volume": 0,
-        }
-    m_max = max(max(abs(int(lo)), abs(int(hi))) for lo, hi in lo_hi)
+    m_max = max(counting._form_bound(body, f) or 0 for f in sys.forms)     # 0 on an empty K
     weights = [
         counting.weight_from_table(
             f"gy[{chi.family_id},a={a}]",
@@ -542,15 +528,12 @@ def gy_estimate_check(sys, body, chi_list, a_list, gamma, tables, p_max=10**5):
     empirical = counting.weighted_count(sys, body, weights, tables)
     ss = singular_series(sys, p_max)
     vol = body.lattice_point_count()
-    c_prod = 1.0
-    for chi, a in zip(chi_list, a_list):
-        c_prod *= sieve_factor(chi, a)
+    c_prod = math.prod(sieve_factor(chi, a) for chi, a in zip(chi_list, a_list))
     predicted = c_prod * vol * ss.truncated_product
-    ratio = empirical / predicted if predicted else float("nan")
     return {
         "empirical": empirical,
         "predicted": predicted,
-        "ratio": ratio,
+        "ratio": empirical / predicted if predicted else float("nan"),
         "R": big_r,
         "sieve_factors": c_prod,
         "singular_series": ss.truncated_product,

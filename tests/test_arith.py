@@ -204,5 +204,7 @@ def test_truncated_cache_rejected(tmp_path):
 def test_guards():
     with pytest.raises(ValueError):
         arith.build_tables(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(arith.ResourceGuard):
         arith.build_tables(2**31 + 1)
+    with pytest.raises(arith.ResourceGuard):
+        arith.build_tables(arith.TABLE_GUARD + 1)     # raised before the sieve allocates

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from affprimes import cli
+from affprimes import arith, cli, forms
 
 AP4_SYSTEM = {
     "d": 2,
@@ -184,3 +184,82 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, affprimes.cli; print(all(m in sys.modules for m in ('numpy.fft', 'numpy.polynomial', 'numpy.random')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "True"
+
+
+TWIN_1000 = {
+    "system": {"d": 1, "t": 2, "forms": [{"coeffs": [1], "const": 0}, {"coeffs": [1], "const": 2}]},
+    "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": -1}, {"a": [1], "c": 998}]},
+    "N": 1000,
+}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("count", TWIN_1000),
+    ("compare", TWIN_1000),
+    ("mobius-corr", TWIN_1000),
+    ("chowla", {"N": 500, "factors": [[1, 0], [0, 1], [1, 1]]}),
+    ("gowers", {"N": 1000, "s": 1, "input": "wtrick"}),
+    ("sieve-check", {"N": 1000, "gamma": 0.3, "w": 3.0, "b_list": [1]}),
+])
+def test_table_guard_exits_2_before_sieving(tmp_path, monkeypatch, capsys, command, cfg):
+    # the one table-size guard is arith.build_tables; patched down, no table is allocated
+    sieved = []
+    monkeypatch.setattr(arith, "TABLE_GUARD", 100)
+    monkeypatch.setattr(arith, "prime_sieve", lambda n_max: sieved.append(n_max))
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 2 and report is None
+    assert sieved == []
+    assert "exceeds the 100 guard" in capsys.readouterr().err
+
+
+def test_gy_verify_builds_only_r_sized_tables(tmp_path, monkeypatch):
+    sizes = []
+    build = arith.build_tables
+    monkeypatch.setattr(arith, "build_tables", lambda n_max: sizes.append(n_max) or build(n_max))
+    code, report, _ = run(tmp_path, "gy-verify", {**TWIN_1000, "gamma": 0.3})
+    assert code == 0
+    assert sizes and max(sizes) <= report["result"]["R"]
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("sieve-check", {"N": 1000, "b_list": 5}, "b_list"),
+    ("sieve-check", {"N": 1000, "b_list": ["1"]}, "b_list"),
+    ("sieve-check", {"N": 1000, "gamma": [0.3]}, "gamma"),
+    ("count", {**TWIN_1000, "weights": "mobius"}, "weights"),
+    ("count", {**TWIN_1000, "weights": [["mobius"], "mobius"]}, "weights"),
+    ("count", {**TWIN_1000, "N": "1000"}, "N"),
+    ("count", {**TWIN_1000, "system": [1, 2]}, "system"),
+    ("count", {**TWIN_1000, "system": {"forms": [5]}}, "system"),
+    ("count", {**TWIN_1000, "body": {"dim": 1, "halfspaces": [7]}}, "body"),
+    ("gy-verify", {**TWIN_1000, "chi": ["tent_taper"]}, "chi"),
+    ("gy-verify", {**TWIN_1000, "a_list": 1}, "a_list"),
+    ("mobius-corr", {**TWIN_1000, "f": None}, "f"),
+    ("gowers", {"N": 16, "s": "two", "input": "delta"}, "s"),
+    ("chowla", {"N": 500, "factors": [1, 2]}, "factors"),
+    ("mn-corr", {"N": 100, "kind": 3}, "kind"),
+    ("nil-check", {"trials": {}}, "trials"),
+])
+def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key):
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("cfg", [[AP4_SYSTEM], "N system"])
+def test_config_must_be_an_object(tmp_path, capsys, cfg):
+    code, _, _ = run(tmp_path, "complexity", cfg, extra=["--pmax", "10"])
+    assert code == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [TypeError("a\nb"), AssertionError("broken invariant"), ZeroDivisionError()])
+def test_internal_fault_exits_3(tmp_path, monkeypatch, capsys, exc):
+    def fault(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(forms, "complexity", fault)
+    code, report, _ = run(tmp_path, "complexity", {"system": AP4_SYSTEM})
+    assert code == 3 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: " + type(exc).__name__) and err.count("\n") == 1

@@ -282,11 +282,22 @@ class TestGYEstimate:
         assert abs(out["ratio"] - 1) <= 0.1
 
     def test_empty_body(self, tables_1e6):
+        # the whole report, bit for bit: an empty K counts 0.0 over volume 0
         tent = gysieve.tent_taper(0.1)
         twin = forms.system([[1], [1]], [0, 2])
         body = geometry.ConvexBody(1, [((1,), 0), ((-1,), -1)], 10)
-        out = gysieve.gy_estimate_check(twin, body, [tent, tent], [1, 1], 0.3, tables_1e6)
-        assert out["empirical"] == 0.0 and out["volume"] == 0
+        for a_list, c_hex in (([1, 1], "0x1.0000000000000p+0"), ([2, 1], "0x1.05d9f7390d2a7p+0")):
+            out = gysieve.gy_estimate_check(twin, body, [tent, tent], a_list, 0.3, tables_1e6)
+            assert math.isnan(out.pop("ratio"))
+            assert type(out["volume"]) is int
+            assert {k: v.hex() if isinstance(v, float) else v for k, v in out.items()} == {
+                "empirical": "0x0.0p+0",
+                "predicted": "0x0.0p+0",
+                "R": "0x1.fec982d5bb8afp+0",
+                "sieve_factors": c_hex,
+                "singular_series": "0x1.5200cc87a921bp+0",
+                "volume": 0,
+            }
 
     def test_degenerate_small_r_regime(self, tables_1e6):
         # R = N^{1/20} < 2 leaves only the d = 1 divisor: the sum collapses to
