@@ -44,6 +44,6 @@ print("  same affine lattice as AP4:", forms.is_extension(ap4, ext))
 
 print()
 print("=== parameterizing a matrix system ===")
-sys3, base = forms.parameterize_matrix_system([[1, -2, 1]], [0], 100)
+sys3, base = forms.parameterize_matrix_system([[1, -2, 1]], [0])
 print("  {x : x1 - 2x2 + x3 = 0} =", sys3, " base point", base)
 print("  complexity:", forms.complexity(sys3).overall)

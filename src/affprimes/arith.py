@@ -4,7 +4,8 @@ All tables are numpy arrays indexed by n (index 0 unused).  build_tables
 sieves the primes; every other field (FIELDS) is built on its first read and
 cached, so a run pays only for the fields it uses.  Construction is
 vectorised: mobius/liouville strip prime factors p <= sqrt(n_max) and flip
-signs for the single large leftover prime.
+signs for the single large leftover prime.  Single integers are factored by
+factorize, the one factorization helper, which needs no table.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 
 _MAGIC = b"APTBL\x00\x01\x00"
 
-FIELDS = ("spf", "von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
+FIELDS = ("von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
 
 TABLE_GUARD = 3 * 10**8         # most entries build_tables allocates (it counts entries, not bytes)
 
@@ -41,19 +42,6 @@ class ArithTables:
     def _small_primes(self):
         """The primes p <= sqrt(n_max) as Python ints."""
         return self.primes[: np.searchsorted(self.primes, math.isqrt(self.n_max), "right")].tolist()
-
-    @cached_property
-    def spf(self):
-        """Smallest prime factor, int32 (spf[1] = 1)."""
-        n_max = self.n_max
-        spf = np.zeros(n_max + 1, dtype=np.int32)
-        for p in self._small_primes():
-            sl = spf[p::p]
-            sl[sl == 0] = p
-        rest = spf[2:] == 0     # entries with no factor <= sqrt(n_max) are prime
-        spf[2:][rest] = np.arange(2, n_max + 1, dtype=np.int32)[rest]
-        spf[1] = 1
-        return spf
 
     @cached_property
     def von_mangoldt_prime(self):
@@ -100,36 +88,6 @@ class ArithTables:
         lio[_has_large_prime(self.n_max, small)] *= -1
         lio[0] = 0
         return lio
-
-    def factor(self, n):
-        """Prime factorization of n >= 1 as a dict {p: exponent}.
-
-        Uses the spf table for n <= n_max; falls back to factorize for
-        n <= n_max**2.
-        """
-        n = int(n)
-        if n < 1:
-            raise ValueError("factor expects n >= 1")
-        if n > self.n_max:
-            if n > self.n_max * self.n_max:
-                raise ValueError("n too large to factor with this table")
-            return factorize(n)
-        out = {}
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return out
-
-    def squarefree_divisors(self, n):
-        """Sorted squarefree divisors of n with their mobius signs."""
-        divs = [(1, 1)]
-        for p in self.factor(n):
-            divs += [(d * p, -s) for d, s in divs]
-        return sorted(divs)
 
     def save(self, path):
         """Binary cache of is_prime and every field, building any not yet read
@@ -382,6 +340,16 @@ def factorize(n):
     if m > 1 and math.prod(p**e for p, e in out.items()) != m:
         raise ArithmeticError(f"factorization of {m} failed")
     return dict(sorted(out.items()))
+
+
+def squarefree_divisors(n):
+    """Sorted squarefree divisors d of n >= 1 with their signs mu(d)."""
+    if n < 1:
+        raise ValueError("squarefree_divisors expects n >= 1")
+    divs = [(1, 1)]
+    for p in factorize(n):
+        divs += [(d * p, -s) for d, s in divs]
+    return sorted(divs)
 
 
 def _next_prime(p):

@@ -266,11 +266,11 @@ def cmd_gy_verify(cfg):
     gamma = _get(cfg, "gamma", float, 1 / 20)
     a_list = _get(cfg, "a_list", list, [1] * sys_.t, of=int)
     chi_name = _get(cfg, "chi", str, "tent_taper")
-    chi = {"tent_taper": gysieve.tent_taper, "normalized_bump": gysieve.normalized_bump}[
-        chi_name
-    ]()
+    cutoffs = {"tent_taper": gysieve.tent_taper, "normalized_bump": gysieve.normalized_bump}
+    if chi_name not in cutoffs:
+        raise ValidationError(f"config key 'chi' must be one of {', '.join(cutoffs)}; got {chi_name!r}")
     out = gysieve.gy_estimate_check(
-        sys_, body, [chi] * sys_.t, a_list, gamma, None, p_max=_get(cfg, "pmax", int, 10**5)
+        sys_, body, [cutoffs[chi_name]()] * sys_.t, a_list, gamma, p_max=_get(cfg, "pmax", int, 10**5)
     )
     out.update({"N": n, "gamma": gamma, "chi": chi_name, "a_list": a_list})
     return out, None, None
@@ -281,13 +281,15 @@ def cmd_sieve_check(cfg):
     gamma = _get(cfg, "gamma", float, 1 / 20)
     w = _get(cfg, "w", float, 5.0)
     b_list = _get(cfg, "b_list", list, [1], of=int)
+    if not b_list:
+        raise ValidationError("config key 'b_list' must not be empty")
     c_factor = _get(cfg, "C", int, 20)
     wp = arith.w_trick(w=w)
-    tables = arith.build_tables(wp.W * n + max(b_list) + 2)
-    sieve = gysieve.build_enveloping_sieve(n, gamma, w, b_list, c_factor, tables=tables)
+    tables = arith.build_tables(wp.W * n + max(b_list) + 2)     # for domination_constant's Lambda'
+    sieve = gysieve.build_enveloping_sieve(n, gamma, w, b_list, c_factor)
     dep = forms.system([[1, 0], [1, 1]])
     lf = gysieve.linear_forms_check(sieve, dep, seed=_get(cfg, "seed", int, 0))
-    lhs, rhs, holds = gysieve.correlation_check(sieve, 2, [3, 9], tables)
+    lhs, rhs, holds = gysieve.correlation_check(sieve, 2, [3, 9])
     return {
         "N": n,
         "gamma": gamma,

@@ -299,7 +299,7 @@ def is_normal_form(sys, s, with_witness=False):
     return (True, witnesses) if with_witness else True
 
 
-def _witness_vector(rows, class_rows, target):
+def _witness_vector(class_rows, target):
     """Primitive integer f with row·f = 0 for rows in the class and target·f != 0.
 
     Exists because target is outside the class span; chosen as the shortest
@@ -344,7 +344,7 @@ def normal_form_extension(sys, s):
         target = rows[i]
         new_fs = []
         for cls in classes:
-            f = _witness_vector(rows, [rows[j] for j in cls], target)
+            f = _witness_vector([rows[j] for j in cls], target)
             new_fs.append(f)
         # append one parameter column per class: column value is psi_j.(f)
         new_forms = []
@@ -392,7 +392,7 @@ def _small_support_in_rowspace(a_rows):
     return False
 
 
-def parameterize_matrix_system(a_rows, b, n_scale, n_cols=None):
+def parameterize_matrix_system(a_rows, b, *, n_cols=None):
     """Multiplicity-free parameterization of {x : A x = b} as a FormSystem.
 
     Smith form UAV = D; with y = V^{-1} x the system is D y = U b, so the free

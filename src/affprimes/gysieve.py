@@ -13,10 +13,13 @@ Cutoff functions are piecewise polynomial with closed-form derivatives:
   makes it the natural cutoff for a = 1 experiments.
 * sharp/flat split pieces of the identity function chi(x) = x, transitioning
   on [1/2, 1] through a fixed quintic smoothstep.
+
+The divisor sums need mu(d) for d <= R only (arith.factorize for one n, an
+R-sized mu table for arrays); only domination_constant reads an ArithTables.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft
@@ -177,29 +180,26 @@ def split_sharp_flat():
 # truncated divisor sums
 
 
-def truncated_divisor_sum(n, chi, big_r, a, tables):
+def truncated_divisor_sum(n, chi, big_r, a):
     """Lambda_{chi,R,a}(n) = log R (sum_{d|n} mu(d) chi(log d / log R))^a.
 
-    Extended to negative n through |n| (the sum only sees divisors).
+    Extended to negative n through |n| (the sum only sees divisors); n = 0 raises.
     """
-    if n == 0:
-        raise ValueError("n = 0 rejected")
     if big_r <= 1:
         raise ValueError("R must exceed 1")
     log_r = math.log(big_r)
     acc = 0.0
-    for d, sign in tables.squarefree_divisors(abs(int(n))):
+    for d, sign in arith.squarefree_divisors(abs(int(n))):
         if d > chi.support_radius * big_r + 1:
             break
         acc += sign * float(chi(math.log(d) / log_r))
     return log_r * acc**a
 
 
-def divisor_sum_core_array(chi, big_r, n_max, tables):
+def divisor_sum_core_array(chi, big_r, n_max):
     """Array of D(n) = sum_{d|n, d squarefree} mu(d) chi(log d/log R), n <= n_max.
 
-    mu(d) is read for d <= R only, from its own table of that size; tables
-    is not read.
+    mu(d) is read for d <= R only, from its own table of that size.
     """
     log_r = math.log(big_r)
     d_hi = int(min(n_max, math.floor(chi.support_radius * big_r)))
@@ -211,13 +211,12 @@ def divisor_sum_core_array(chi, big_r, n_max, tables):
         if mu == 0:
             continue
         core[d::d] += mu * float(chi(math.log(d) / log_r))
-    core[0] = 0.0
     return core
 
 
-def gy_weight_array(chi, big_r, a, n_max, tables):
+def gy_weight_array(chi, big_r, a, n_max):
     """Lambda_{chi,R,a} as a dense table over [0, n_max]."""
-    core = divisor_sum_core_array(chi, big_r, n_max, tables)
+    core = divisor_sum_core_array(chi, big_r, n_max)
     return math.log(big_r) * core**a
 
 
@@ -244,30 +243,30 @@ def sieve_factor(chi, a):
 # the sharp split of Lambda
 
 
-def lambda_sharp_array(n_max, big_r, tables):
+def lambda_sharp_array(n_max, big_r):
     """Lambda^sharp(n) = -log R sum_{d|n} mu(d) chi_sharp(log d / log R)."""
     chi_s, _ = split_sharp_flat()
-    core = divisor_sum_core_array(chi_s, big_r, n_max, tables)
+    core = divisor_sum_core_array(chi_s, big_r, n_max)
     return -math.log(big_r) * core
 
 
-def lambda_flat_value(n, big_r, tables):
+def lambda_flat_value(n, big_r):
     """Lambda^flat(n) by direct divisor enumeration (all squarefree divisors)."""
     _, flat = split_sharp_flat()
     log_r = math.log(big_r)
     acc = 0.0
-    for d, sign in tables.squarefree_divisors(int(n)):
+    for d, sign in arith.squarefree_divisors(int(n)):
         acc += sign * float(flat(math.log(d) / log_r))
     return -log_r * acc
 
 
-def sharp_gowers_check(n_scale, b, wparams, s, gamma, tables):
+def sharp_gowers_check(n_scale, b, wparams, s, gamma):
     """|| (phi(W)/W) Lambda^sharp(W n + b) - 1 ||_{U^{s+1}[N]}."""
     big_r = float(n_scale) ** gamma
     if big_r <= 1:
         raise ValueError("R = N^gamma must exceed 1")
     m_max = wparams.W * n_scale + b
-    sharp = lambda_sharp_array(m_max, big_r, tables)
+    sharp = lambda_sharp_array(m_max, big_r)
     f = wparams.normalizer * sharp[wparams.W + b: m_max + 1: wparams.W] - 1.0
     return gowers.gowers_norm_local(f, s).norm
 
@@ -287,7 +286,6 @@ class EnvelopingSieve:
     wparams: object
     b_list: tuple
     chi: SmoothCutoff
-    meta: dict = field(default_factory=dict)
 
     def mean(self):
         return float(self.nu.mean())
@@ -302,7 +300,10 @@ def _least_prime_at_least(n):
 
 
 def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, chi=None):
-    """nu = 1/2 + (1/2) E_i (phi(W)/W) Lambda_{chi,R,2}(W n + b_i) on [N], 1 elsewhere."""
+    """nu = 1/2 + (1/2) E_i (phi(W)/W) Lambda_{chi,R,2}(W n + b_i) on [N], 1 elsewhere.
+
+    tables is not read; it stays only because perfbench/workloads.py passes it.
+    """
     if c_factor < 20:
         raise ValueError("C must be >= 20")
     if not 0 < gamma < 0.6:
@@ -317,10 +318,7 @@ def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, 
     big_r = float(n_scale) ** gamma
     if chi is None:
         chi = normalized_bump()
-    m_max = wparams.W * n_scale + max(b_list)
-    if tables is None or tables.n_max < m_max:
-        raise ValueError("need tables up to W*N + max(b)")
-    gy = gy_weight_array(chi, big_r, 2, m_max, tables)
+    gy = gy_weight_array(chi, big_r, 2, wparams.W * n_scale + max(b_list))
     nu_tilde = np.zeros(n_scale + 1)
     for b in b_list:
         nu_tilde[1:] += gy[wparams.W + b: wparams.W * n_scale + b + 1: wparams.W]
@@ -416,13 +414,12 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
 # correlation condition
 
 
-def tau_weight(sieve, n_values, tables, kappa=1.0, cap=None):
+def tau_weight(sieve, n_values, kappa=1.0, cap=None):
     """Diagnostic tau(n) = mean over residue pairs of exp(kappa sum p^{-1/2}).
 
     The constants are unspecified in the correlation condition; kappa and the
     tau(0) cap are surfaced as parameters (defaults kappa=1, cap=log^2 N).
-    Each W n + bi - bj is factored by trial division (arith.factorize), so no
-    smallest-prime-factor table is built; tables is not read.
+    Each W n + bi - bj is factored by arith.factorize; no table is built.
     """
     if cap is None:
         cap = math.log(sieve.n_scale) ** 2
@@ -446,7 +443,7 @@ def tau_weight(sieve, n_values, tables, kappa=1.0, cap=None):
     return out
 
 
-def correlation_check(sieve, m, h_list, tables, kappa=1.0, cap=None):
+def correlation_check(sieve, m, h_list, kappa=1.0, cap=None):
     """lhs = E_n prod_i nu(n + h_i) vs rhs = sum_{i<j} tau(h_i - h_j)."""
     if not 1 < m <= 16:
         raise ValueError("need 1 < m <= 16")
@@ -457,16 +454,17 @@ def correlation_check(sieve, m, h_list, tables, kappa=1.0, cap=None):
         prod *= np.roll(sieve.nu, -int(h))
     lhs = float(prod.mean())
     diffs = [h_list[i] - h_list[j] for i in range(m) for j in range(i + 1, m)]
-    rhs = float(sum(tau_weight(sieve, diffs, tables, kappa=kappa, cap=cap)))
+    rhs = float(sum(tau_weight(sieve, diffs, kappa=kappa, cap=cap)))
     return lhs, rhs, lhs <= rhs
 
 
-def tau_moments(sieve, tables, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
+def tau_moments(sieve, tables=None, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
     """E tau^q over n in [1, n_limit].
 
     For each residue pair, s(n) = sum of p^{-1/2} over primes w < p with
     p | W n + bi - bj, summed by one bincount over the hits n0 + j p in
-    prime-major order, so every s(n) adds its terms in ascending p.
+    prime-major order, so every s(n) adds its terms in ascending p.  tables is
+    not read; it stays only because perfbench/workloads.py passes it.
     """
     if cap is None:
         cap = math.log(sieve.n_scale) ** 2
@@ -504,11 +502,11 @@ def tau_moments(sieve, tables, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
 # Goldston-Yildirim estimate check
 
 
-def gy_estimate_check(sys, body, chi_list, a_list, gamma, tables, p_max=10**5):
+def gy_estimate_check(sys, body, chi_list, a_list, gamma, p_max=10**5):
     """Empirical sum of prod Lambda_{chi_i,R,a_i}(psi_i(n)) over K against
     prod c_{chi_i,a_i} * |K| * prod_{p<=p_max} beta_p.
 
-    The weights are tables of their own, so tables is not read (None will do).
+    The weights build their own R-sized mu table; no form-sized table is built.
     """
     from .localfactors import singular_series
 
@@ -520,12 +518,12 @@ def gy_estimate_check(sys, body, chi_list, a_list, gamma, tables, p_max=10**5):
     weights = [
         counting.weight_from_table(
             f"gy[{chi.family_id},a={a}]",
-            gy_weight_array(chi, big_r, a, m_max + 2, tables),
+            gy_weight_array(chi, big_r, a, m_max + 2),
             reflect_negative=True,
         )
         for chi, a in zip(chi_list, a_list)
     ]
-    empirical = counting.weighted_count(sys, body, weights, tables)
+    empirical = counting.weighted_count(sys, body, weights)
     ss = singular_series(sys, p_max)
     vol = body.lattice_point_count()
     c_prod = math.prod(sieve_factor(chi, a) for chi, a in zip(chi_list, a_list))

@@ -12,6 +12,8 @@ for `solve` and `nullspace`, which need the reduced rows themselves.
 from fractions import Fraction
 from math import gcd, lcm
 
+from .arith import factorize
+
 
 def frac_rows(rows):
     """Copy a matrix into Fraction entries."""
@@ -364,16 +366,14 @@ def smith_normal_form(mat):
     return d, u, v
 
 
-def invariant_factor_primes(mat, factorizer):
+def invariant_factor_primes(mat):
     """Primes dividing the largest invariant factor of an integer matrix.
 
-    These are exactly the primes modulo which the rank drops below the
-    rational rank.  `factorizer(n)` must return the prime factors of n >= 1
-    (an iterable; a {p: exponent} dict such as arith.factorize gives works).
+    These are the primes modulo which the rank drops below the rational rank.
     """
     d, _, _ = smith_normal_form(mat)
     ps = set()
     for x in d:
         if x > 1:
-            ps.update(factorizer(x))
+            ps.update(factorize(x))
     return ps

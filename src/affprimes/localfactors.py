@@ -63,8 +63,8 @@ class SystemLocalData:
             r = linalg.rank(sub)
             r_aug = linalg.rank(aug)
             self.profiles[mask] = SubsetProfile(rank=r, consistent=(r_aug == r))
-            bad |= linalg.invariant_factor_primes(sub, factorize)
-            bad |= linalg.invariant_factor_primes(aug, factorize)
+            bad |= linalg.invariant_factor_primes(sub)
+            bad |= linalg.invariant_factor_primes(aug)
         self.exceptional = sorted(bad)
         # generic beta_p = (p/(p-1))^t * sum_r coeff[r] p^{-r}
         coeff = {}
@@ -234,8 +234,7 @@ def singular_series(sys, p_max, min_prime=2):
 
 def alpha_p(a_rows, b, p):
     """Local density of {A x = b} at p, via the lattice parameterization."""
-    n_scale = max([abs(int(x)) for x in b] + [1])
-    sys, _ = parameterize_matrix_system(a_rows, b, n_scale)
+    sys, _ = parameterize_matrix_system(a_rows, b)
     return local_factor(sys, p)
 
 

@@ -221,24 +221,24 @@ def test_criterion_07_wtricked_uniformity_decay(tables_4e6):
 # -- criterion 8 -------------------------------------------------------------
 
 
-def _gy_twin_ratios(tables_1e6):
+def _gy_twin_ratios():
     tent = gysieve.tent_taper(0.1)
     twin = forms.system([[1], [1]], [0, 2])
     out = {}
     for n in (10**4, 10**5):
         body = geometry.ConvexBody.box(1, 1, n - 2, box_bound=n)
         out[n] = gysieve.gy_estimate_check(
-            twin, body, [tent, tent], [1, 1], 1 / 20, tables_1e6
+            twin, body, [tent, tent], [1, 1], 1 / 20
         )["ratio"]
     return out
 
 
-def test_criterion_08a_gy_ratio_at_stated_gamma(tables_1e6):
+def test_criterion_08a_gy_ratio_at_stated_gamma():
     # Faithful to the stated parameters (gamma = 1/20).  EXPECTED RED:
     # R = 10^0.25 < 2 admits only the divisor d = 1, so the ratio is
     # analytically (gamma ln N)^2 / (2 C_2) ~ 0.25 and cannot reach the
     # bracket at any desk-scale N.  Recorded in notes/decisions.md.
-    ratios = _gy_twin_ratios(tables_1e6)
+    ratios = _gy_twin_ratios()
     ok = 0.85 <= ratios[10**5] <= 1.15
     report(
         "criterion 8a: GY twin ratio in [0.85, 1.15] at gamma=1/20, N=1e5",
@@ -251,8 +251,8 @@ def test_criterion_08a_gy_ratio_at_stated_gamma(tables_1e6):
     )
 
 
-def test_criterion_08b_gy_ratio_improving(tables_1e6):
-    ratios = _gy_twin_ratios(tables_1e6)
+def test_criterion_08b_gy_ratio_improving():
+    ratios = _gy_twin_ratios()
     ok = abs(ratios[10**5] - 1) < abs(ratios[10**4] - 1)
     assert report(
         "criterion 8b: GY ratio improving from N=1e4",
@@ -272,7 +272,7 @@ def test_criterion_08c_normalized_sieve_factor():
 
 def test_criterion_09_enveloping_sieve(tables_4e6):
     sieves = {
-        n: gysieve.build_enveloping_sieve(n, 1 / 20, 5.0, [1, 7, 11], tables=tables_4e6)
+        n: gysieve.build_enveloping_sieve(n, 1 / 20, 5.0, [1, 7, 11])
         for n in (10**4, 10**5)
     }
     sv = sieves[10**5]
@@ -301,10 +301,10 @@ def test_criterion_09_enveloping_sieve(tables_4e6):
 
 def test_criterion_10_sharp_split(tables_4e6):
     big_r = 40.0
-    sharp = gysieve.lambda_sharp_array(10**4, big_r, tables_4e6)
+    sharp = gysieve.lambda_sharp_array(10**4, big_r)
     ok = True
     for n in range(1, 10**4 + 1):
-        flat = gysieve.lambda_flat_value(n, big_r, tables_4e6)
+        flat = gysieve.lambda_flat_value(n, big_r)
         if abs(sharp[n] + flat - tables_4e6.von_mangoldt[n]) > 1e-9:
             ok = False
             break
@@ -313,7 +313,7 @@ def test_criterion_10_sharp_split(tables_4e6):
     # at these scales -- see notes/decisions.md)
     w30 = arith.w_trick(w=5)
     vals = {
-        n: gysieve.sharp_gowers_check(n, 1, w30, 1, 0.4, tables_4e6)
+        n: gysieve.sharp_gowers_check(n, 1, w30, 1, 0.4)
         for n in (10**4, 10**5)
     }
     ok = ok and vals[10**5] < vals[10**4]

@@ -7,7 +7,7 @@ import pytest
 from affprimes import arith
 
 
-def test_prime_power_values(tables_1e6):
+def test_prime_power_values(tables_1e6, spf_sieve):
     t = tables_1e6
     assert t.von_mangoldt[8] == pytest.approx(math.log(2))
     assert t.von_mangoldt[7] == pytest.approx(math.log(7))
@@ -17,8 +17,9 @@ def test_prime_power_values(tables_1e6):
     assert t.mobius[30] == -1
     assert t.mobius[12] == 0
     assert t.liouville[12] == -1
-    assert t.spf[91] == 7
-    assert t.spf[97] == 97
+    spf = spf_sieve(100)
+    assert spf[91] == 7
+    assert spf[97] == 97
 
 
 def test_mobius_liouville_multiplicative(tables_1e6, rng):
@@ -49,7 +50,7 @@ def test_divisor_identity(tables_1e6):
     # sum_{d|n} mu(d) log(n/d) = Lambda(n)
     t = tables_1e6
     for n in range(2, 10**4 + 1):
-        s = sum(sign * math.log(n / d) for d, sign in t.squarefree_divisors(n))
+        s = sum(sign * math.log(n / d) for d, sign in arith.squarefree_divisors(n))
         assert abs(s - t.von_mangoldt[n]) <= 1e-9
 
 
@@ -60,17 +61,17 @@ def test_lambda_vs_lambda_prime_support(tables_1e6):
     # they differ exactly on proper prime powers
     diff_idx = np.nonzero(t.von_mangoldt != t.von_mangoldt_prime)[0]
     for n in diff_idx[:50]:
-        f = t.factor(int(n))
+        f = arith.factorize(int(n))
         assert len(f) == 1 and list(f.values())[0] >= 2
 
 
-def test_factorize(tables_1e6):
+def test_factorize(tables_1e6, spf_factor):
     assert arith.factorize(1) == {} and arith.factorize(-12) == {2: 2, 3: 1}
     assert arith.factorize(2**20 * 999983) == {2: 20, 999983: 1}
     for n in range(2, 3000):
         f = arith.factorize(n)
         assert math.prod(p**e for p, e in f.items()) == n
-        assert f == tables_1e6.factor(n)
+        assert f == spf_factor(n) and list(f) == list(spf_factor(n))
         assert all(tables_1e6.is_prime[p] for p in f)
     assert arith._next_prime(89) == 97 and arith._prev_prime(97) == 89
 
@@ -148,10 +149,10 @@ def test_fields_built_on_first_read():
         assert getattr(t, name) is getattr(t, name)        # cached
 
 
-def test_field_bytes_independent_of_read_order():
+def test_field_bytes_independent_of_read_order(spf_sieve):
     ref = arith.build_tables(2000)
     fac = [{}, {}] + [arith.factorize(n) for n in range(2, 2001)]
-    assert ref.spf.tolist() == [0, 1] + [min(f) for f in fac[2:]]
+    assert spf_sieve(2000).tolist() == [0, 1] + [min(f) for f in fac[2:]]
     assert ref.mobius.tolist() == [0] + [0 if any(e > 1 for e in f.values()) else (-1) ** len(f) for f in fac[1:]]
     assert ref.liouville.tolist() == [0] + [(-1) ** sum(f.values()) for f in fac[1:]]
     lam = [math.log(min(f)) if len(f) == 1 else 0.0 for f in fac]
@@ -176,6 +177,45 @@ def test_load_builds_absent_fields(tmp_path):
     arith._write_records(path, 3000, {"is_prime": full.is_prime.view(np.uint8), "sigma": full.mobius})
     with pytest.raises(ValueError, match="sigma"):
         arith.ArithTables.load(path)
+
+
+def test_save_writes_four_fields_and_load_rejects_spf(tmp_path, spf_sieve):
+    assert arith.FIELDS == ("von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
+    t = arith.build_tables(3000)
+    path = tmp_path / "tables.bin"
+    t.save(path)
+    n_max, records = arith._read_records(path)
+    assert n_max == 3000 and [name for name, _ in records] == ["is_prime", *arith.FIELDS]
+    # a file written when spf was a field is rejected, naming the field
+    old = {"is_prime": t.is_prime.view(np.uint8), "spf": spf_sieve(3000), "mobius": t.mobius}
+    arith._write_records(path, 3000, old)
+    with pytest.raises(ValueError, match="unknown field 'spf'"):
+        arith.ArithTables.load(path)
+
+
+def _brute_squarefree_divisors(n, mobius):
+    return [(d, int(mobius[d])) for d in range(1, n + 1) if n % d == 0 and mobius[d]]
+
+
+def test_squarefree_divisors(tables_1e6):
+    rng = np.random.default_rng(13)
+    for n in list(range(1, 300)) + rng.integers(300, 10**4 + 1, 300).tolist():
+        assert arith.squarefree_divisors(n) == _brute_squarefree_divisors(n, tables_1e6.mobius), n
+    for bad in (0, -1, -30):
+        with pytest.raises(ValueError):
+            arith.squarefree_divisors(bad)
+
+
+def test_squarefree_divisors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(14)
+    ns = [2**61 - 1, 30030 * 999983, 2**20 * 3**7 * 5, 10**18]
+    ns += rng.integers(10**6, 10**18, 200).tolist()    # beyond any table
+    for n in ns:
+        ps = sorted(int(p) for p in sympy.factorint(n))
+        want = sorted((math.prod(sub), (-1) ** len(sub))
+                      for k in range(len(ps) + 1) for sub in itertools.combinations(ps, k))
+        assert arith.squarefree_divisors(n) == want, n
 
 
 def test_truncated_cache_rejected(tmp_path):

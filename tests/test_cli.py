@@ -238,12 +238,16 @@ def test_gy_verify_builds_only_r_sized_tables(tmp_path, monkeypatch):
     ("chowla", {"N": 500, "factors": [1, 2]}, "factors"),
     ("mn-corr", {"N": 100, "kind": 3}, "kind"),
     ("nil-check", {"trials": {}}, "trials"),
+    ("gy-verify", {**TWIN_1000, "chi": "bump"}, "chi"),
+    ("sieve-check", {"N": 1000, "b_list": []}, "b_list"),
 ])
 def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key):
     code, report, _ = run(tmp_path, command, cfg)
     assert code == 1 and report is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
+    if cfg.get("chi") == "bump":
+        assert "tent_taper" in err and "normalized_bump" in err
 
 
 @pytest.mark.parametrize("cfg", [[AP4_SYSTEM], "N system"])

@@ -192,7 +192,7 @@ def test_normal_form_extension_infinite_complexity_rejected():
 
 def test_parameterize_ap3():
     # x1 - 2x2 + x3 = 0: three-term progressions
-    sys, x0 = forms.parameterize_matrix_system([[1, -2, 1]], [0], 100)
+    sys, x0 = forms.parameterize_matrix_system([[1, -2, 1]], [0])
     assert sys.t == 3 and sys.d == 2
     assert forms.complexity(sys).overall == 1
     # lattice equality with the standard progression system, via Smith form:
@@ -207,7 +207,7 @@ def test_parameterize_ap3():
 
 def test_parameterize_vinogradov():
     n = 101
-    sys, x0 = forms.parameterize_matrix_system([[1, 1, 1]], [n], n)
+    sys, x0 = forms.parameterize_matrix_system([[1, 1, 1]], [n])
     assert sys.t == 3 and sys.d == 2
     for pt in [(0, 0), (5, -3), (40, 61)]:
         assert sum(sys.evaluate(pt)) == n
@@ -215,11 +215,11 @@ def test_parameterize_vinogradov():
 
 def test_parameterize_errors():
     with pytest.raises(ValueError, match="not full rank"):
-        forms.parameterize_matrix_system([[1, 1, 1], [2, 2, 2]], [0, 0], 10)
+        forms.parameterize_matrix_system([[1, 1, 1], [2, 2, 2]], [0, 0])
     with pytest.raises(ValueError, match="inconsistent"):
-        forms.parameterize_matrix_system([[2, 2, 2]], [1], 10)
+        forms.parameterize_matrix_system([[2, 2, 2]], [1])
     with pytest.raises(ValueError, match="degenerate"):
-        forms.parameterize_matrix_system([[1, 1, 0], [0, 0, 1]], [0, 0], 10)
+        forms.parameterize_matrix_system([[1, 1, 0], [0, 0, 1]], [0, 0])
 
 
 def test_form_system_json_roundtrip():
@@ -254,11 +254,11 @@ def test_invariants_rejected():
 
 
 def test_parameterize_empty_matrix_identity():
-    sys0, x0 = forms.parameterize_matrix_system([], [], 10, n_cols=3)
+    sys0, x0 = forms.parameterize_matrix_system([], [], n_cols=3)
     assert sys0 == forms.identity_system(3)
     assert x0 == [0, 0, 0]
     with pytest.raises(ValueError):
-        forms.parameterize_matrix_system([], [], 10)
+        forms.parameterize_matrix_system([], [])
 
 
 def test_ip_cube_complexity():

@@ -94,14 +94,14 @@ class TestCutoffs:
 
 
 class TestDivisorSums:
-    def test_examples(self, tables_1e6):
+    def test_examples(self):
         chi = gysieve.normalized_bump()
         big_r = 4.0
-        assert gysieve.truncated_divisor_sum(1, chi, big_r, 1, tables_1e6) == (
+        assert gysieve.truncated_divisor_sum(1, chi, big_r, 1) == (
             pytest.approx(math.log(big_r))
         )
         # prime above R: only d = 1 contributes
-        assert gysieve.truncated_divisor_sum(101, chi, big_r, 1, tables_1e6) == (
+        assert gysieve.truncated_divisor_sum(101, chi, big_r, 1) == (
             pytest.approx(math.log(big_r))
         )
         expect = math.log(big_r) * (
@@ -109,32 +109,32 @@ class TestDivisorSums:
             - float(chi(math.log(2) / math.log(4)))
             - float(chi(math.log(3) / math.log(4)))
         )
-        assert gysieve.truncated_divisor_sum(6, chi, big_r, 1, tables_1e6) == (
+        assert gysieve.truncated_divisor_sum(6, chi, big_r, 1) == (
             pytest.approx(expect)
         )
         with pytest.raises(ValueError):
-            gysieve.truncated_divisor_sum(0, chi, big_r, 1, tables_1e6)
+            gysieve.truncated_divisor_sum(0, chi, big_r, 1)
 
     def test_matches_divisor_loop_oracle(self, tables_1e6):
         chi = gysieve.normalized_bump()
         for big_r, a in [(30.0, 1), (30.0, 2), (200.0, 2)]:
             for n in list(range(1, 200)) + [1024, 5040, 9240, 9973]:
-                fast = gysieve.truncated_divisor_sum(n, chi, big_r, a, tables_1e6)
+                fast = gysieve.truncated_divisor_sum(n, chi, big_r, a)
                 slow = divisor_loop_oracle(n, chi, big_r, a, tables_1e6)
                 assert fast == pytest.approx(slow, abs=1e-12), (n, big_r, a)
 
-    def test_array_matches_pointwise(self, tables_1e6):
+    def test_array_matches_pointwise(self):
         chi = gysieve.tent_taper(0.1)
-        arr = gysieve.gy_weight_array(chi, 50.0, 2, 4000, tables_1e6)
+        arr = gysieve.gy_weight_array(chi, 50.0, 2, 4000)
         for n in (1, 2, 16, 30, 210, 2310, 3989):
             assert arr[n] == pytest.approx(
-                gysieve.truncated_divisor_sum(n, chi, 50.0, 2, tables_1e6), abs=1e-10
+                gysieve.truncated_divisor_sum(n, chi, 50.0, 2), abs=1e-10
             )
 
     def test_nonnegativity_and_prime_value(self, tables_1e6):
         chi = gysieve.normalized_bump()
         big_r = 100.0
-        arr = gysieve.gy_weight_array(chi, big_r, 2, 10**5, tables_1e6)
+        arr = gysieve.gy_weight_array(chi, big_r, 2, 10**5)
         assert (arr >= -1e-12).all()
         primes = tables_1e6.primes[(tables_1e6.primes > 100) & (tables_1e6.primes < 10**5)]
         assert np.allclose(arr[primes], math.log(big_r))
@@ -144,31 +144,52 @@ class TestDivisorSums:
         n, gamma = 10**5, 0.25
         big_r = float(n) ** gamma
         chi = gysieve.normalized_bump()
-        arr = gysieve.gy_weight_array(chi, big_r, 2, n, tables_1e6)
+        arr = gysieve.gy_weight_array(chi, big_r, 2, n)
         lo = int(big_r) + 1
         lhs = tables_1e6.von_mangoldt_prime[lo: n + 1]
         rhs = arr[lo: n + 1] / (gamma * float(chi(0.0)) ** 2)
         assert (lhs <= rhs + 1e-9).all()
 
 
+def test_divisor_sums_keep_their_bits():
+    # .hex() values recorded when the divisors came from a smallest-prime-factor table
+    bump, tent = gysieve.normalized_bump(), gysieve.tent_taper(0.1)
+    ns = (1, 6, 210, -9240, 720720, 30030 * 7919)
+    assert [gysieve.truncated_divisor_sum(n, bump, 200.0, 2).hex() for n in ns] == [
+        "0x1.5317a1b949c53p+2", "0x1.74d630fd3c4eap-40", "0x1.d71d8fe903b63p-12",
+        "0x1.2a79475502b0ap-2", "0x1.a165f6d02d6c3p+0", "0x1.a165f6d02d6c3p+0"]
+    assert [gysieve.truncated_divisor_sum(n, tent, 30.0, 1).hex() for n in (2, 30, 9973, -5040)] == [
+        "0x1.62e42fefa39edp-1", "0x1.b35a6f90bd69bp-52", "0x1.b35a6f90bd69bp+1", "-0x1.588c2d9133483p-2"]
+    assert [gysieve.lambda_flat_value(n, 40.0).hex() for n in (1, 12, 30, 9240, 720720, 30030 * 7919)] == [
+        "-0x0.0p+0", "-0x0.0p+0", "0x1.df749608cd0adp+0",
+        "0x1.e4b67bc8eda31p-1", "-0x1.1fa8ed6da5750p-1", "-0x1.1fa8ed6da56aep-1"]
+    with pytest.raises(ValueError):
+        gysieve.lambda_flat_value(0, 40.0)
+    arr = gysieve.gy_weight_array(tent, 50.0, 2, 4000)
+    assert [float(arr[n]).hex() for n in (1, 2, 30, 210, 2310, 3989)] == [
+        "0x1.f4bd2b7ac1bafp+1", "0x1.f70c4d03afddap-4", "0x0.0p+0",
+        "0x1.7a863e884d99ap-5", "0x1.6c9c93d3987e5p-8", "0x1.f4bd2b7ac1bafp+1"]
+    assert float(arr.sum()).hex() == "0x1.ab3e45f749da4p+11"
+
+
 class TestSharpSplit:
     def test_identity_on_initial_segment(self, tables_1e6):
         big_r = 40.0
-        sharp = gysieve.lambda_sharp_array(10**4, big_r, tables_1e6)
+        sharp = gysieve.lambda_sharp_array(10**4, big_r)
         for n in range(1, 10**4 + 1):
-            flat = gysieve.lambda_flat_value(n, big_r, tables_1e6)
+            flat = gysieve.lambda_flat_value(n, big_r)
             assert abs(sharp[n] + flat - tables_1e6.von_mangoldt[n]) <= 1e-9, n
 
-    def test_sharp_gowers_decay(self, tables_4e6):
+    def test_sharp_gowers_decay(self):
         w30 = arith.w_trick(w=5)
         vals = {}
         for n in (10**4, 10**5):
-            vals[n] = gysieve.sharp_gowers_check(n, 1, w30, 1, 0.4, tables_4e6)
+            vals[n] = gysieve.sharp_gowers_check(n, 1, w30, 1, 0.4)
         assert vals[10**5] < vals[10**4]
         # W = 2 variant decays as well
         w2 = arith.w_trick(w=2)
-        a = gysieve.sharp_gowers_check(10**4, 1, w2, 1, 0.4, tables_4e6)
-        b = gysieve.sharp_gowers_check(10**5, 1, w2, 1, 0.4, tables_4e6)
+        a = gysieve.sharp_gowers_check(10**4, 1, w2, 1, 0.4)
+        b = gysieve.sharp_gowers_check(10**5, 1, w2, 1, 0.4)
         assert b < a
 
     def test_constant_replacement_gives_zero(self):
@@ -179,9 +200,9 @@ class TestSharpSplit:
 
 
 @pytest.fixture(scope="module")
-def sieve(tables_4e6):
+def sieve():
     return gysieve.build_enveloping_sieve(
-        10**5, 1 / 20, 5.0, [1, 7, 11], c_factor=20, tables=tables_4e6
+        10**5, 1 / 20, 5.0, [1, 7, 11], c_factor=20
     )
 
 
@@ -211,22 +232,22 @@ class TestEnvelopingSieve:
         r2 = gysieve.linear_forms_check(sieve, indep)
         assert r2.expectation == pytest.approx(sieve.mean() ** 2)
 
-    def test_linear_forms_dependent_system(self, tables_4e6):
+    def test_linear_forms_dependent_system(self):
         devs = {}
         for n in (10**4, 10**5):
             sv = gysieve.build_enveloping_sieve(
-                n, 1 / 20, 5.0, [1, 7, 11], tables=tables_4e6
+                n, 1 / 20, 5.0, [1, 7, 11]
             )
             dep = forms.system([[1, 0], [1, 1]])
             devs[n] = gysieve.linear_forms_check(sv, dep).deviation
         assert devs[10**5] <= 0.2
         assert devs[10**5] < devs[10**4]
 
-    def test_linear_forms_character_sum_route(self, tables_4e6):
+    def test_linear_forms_character_sum_route(self):
         # t = rank + 1 system goes through the exact FFT character sum; a tiny
         # Monte Carlo run should agree within sampling error
         sv = gysieve.build_enveloping_sieve(
-            2000, 0.3, 3.0, [1, 5], c_factor=20, tables=tables_4e6
+            2000, 0.3, 3.0, [1, 5], c_factor=20
         )
         tri = forms.system([[1, 0], [0, 1], [1, 1]])
         exact = gysieve.linear_forms_check(sv, tri)
@@ -237,57 +258,57 @@ class TestEnvelopingSieve:
         assert mc.method == "montecarlo"
         assert abs(mc.expectation - 1.0) < 0.2
 
-    def test_correlation_condition(self, sieve, tables_4e6):
-        lhs, rhs, holds = gysieve.correlation_check(sieve, 2, [3, 9], tables_4e6)
+    def test_correlation_condition(self, sieve):
+        lhs, rhs, holds = gysieve.correlation_check(sieve, 2, [3, 9])
         assert holds and rhs >= 1.0
         # equal shifts route through the tau(0) cap
-        lhs0, rhs0, holds0 = gysieve.correlation_check(sieve, 2, [4, 4], tables_4e6)
+        lhs0, rhs0, holds0 = gysieve.correlation_check(sieve, 2, [4, 4])
         assert holds0 and rhs0 > rhs
-        lhs3, rhs3, holds3 = gysieve.correlation_check(sieve, 3, [1, 5, 11], tables_4e6)
+        lhs3, rhs3, holds3 = gysieve.correlation_check(sieve, 3, [1, 5, 11])
         assert holds3
 
-    def test_tau_moments(self, sieve, tables_4e6):
-        mom = gysieve.tau_moments(sieve, tables_4e6, qs=(1, 2, 3), n_limit=10**5)
+    def test_tau_moments(self, sieve):
+        mom = gysieve.tau_moments(sieve, qs=(1, 2, 3), n_limit=10**5)
         for q in (1, 2, 3):
             assert mom[q] < 10.0
 
-    def test_parameter_guards(self, tables_4e6):
+    def test_parameter_guards(self):
         with pytest.raises(ValueError):
-            gysieve.build_enveloping_sieve(100, 0.7, 3.0, [1], tables=tables_4e6)
+            gysieve.build_enveloping_sieve(100, 0.7, 3.0, [1])
         with pytest.raises(ValueError):
-            gysieve.build_enveloping_sieve(100, 0.1, 3.0, [1], c_factor=10, tables=tables_4e6)
+            gysieve.build_enveloping_sieve(100, 0.1, 3.0, [1], c_factor=10)
         with pytest.raises(ValueError):
-            gysieve.build_enveloping_sieve(100, 0.1, 3.0, [2], tables=tables_4e6)
+            gysieve.build_enveloping_sieve(100, 0.1, 3.0, [2])
 
 
 class TestGYEstimate:
-    def test_twin_fixture_viable_gamma(self, tables_1e6):
+    def test_twin_fixture_viable_gamma(self):
         tent = gysieve.tent_taper(0.1)
         twin = forms.system([[1], [1]], [0, 2])
         ratios = {}
         for n in (10**4, 10**5):
             body = geometry.ConvexBody.box(1, 1, n - 2, box_bound=n)
             out = gysieve.gy_estimate_check(
-                twin, body, [tent, tent], [1, 1], 0.45, tables_1e6
+                twin, body, [tent, tent], [1, 1], 0.45
             )
             ratios[n] = out["ratio"]
         assert abs(ratios[10**5] - 1) <= 0.15
         assert abs(ratios[10**5] - 1) < abs(ratios[10**4] - 1)
 
-    def test_single_form(self, tables_1e6):
+    def test_single_form(self):
         tent = gysieve.tent_taper(0.1)
         one = forms.system([[1]])
         body = geometry.ConvexBody.box(1, 1, 10**5, box_bound=10**5)
-        out = gysieve.gy_estimate_check(one, body, [tent], [1], 0.45, tables_1e6)
+        out = gysieve.gy_estimate_check(one, body, [tent], [1], 0.45)
         assert abs(out["ratio"] - 1) <= 0.1
 
-    def test_empty_body(self, tables_1e6):
+    def test_empty_body(self):
         # the whole report, bit for bit: an empty K counts 0.0 over volume 0
         tent = gysieve.tent_taper(0.1)
         twin = forms.system([[1], [1]], [0, 2])
         body = geometry.ConvexBody(1, [((1,), 0), ((-1,), -1)], 10)
         for a_list, c_hex in (([1, 1], "0x1.0000000000000p+0"), ([2, 1], "0x1.05d9f7390d2a7p+0")):
-            out = gysieve.gy_estimate_check(twin, body, [tent, tent], a_list, 0.3, tables_1e6)
+            out = gysieve.gy_estimate_check(twin, body, [tent, tent], a_list, 0.3)
             assert math.isnan(out.pop("ratio"))
             assert type(out["volume"]) is int
             assert {k: v.hex() if isinstance(v, float) else v for k, v in out.items()} == {
@@ -299,7 +320,7 @@ class TestGYEstimate:
                 "volume": 0,
             }
 
-    def test_degenerate_small_r_regime(self, tables_1e6):
+    def test_degenerate_small_r_regime(self):
         # R = N^{1/20} < 2 leaves only the d = 1 divisor: the sum collapses to
         # (log R)^2 N and the ratio to (log R)^2 / singular product.  This is
         # the analytically forced value at the spec's asymptotic default.
@@ -307,13 +328,13 @@ class TestGYEstimate:
         twin = forms.system([[1], [1]], [0, 2])
         n = 10**5
         body = geometry.ConvexBody.box(1, 1, n - 2, box_bound=n)
-        out = gysieve.gy_estimate_check(twin, body, [tent, tent], [1, 1], 1 / 20, tables_1e6)
+        out = gysieve.gy_estimate_check(twin, body, [tent, tent], [1, 1], 1 / 20)
         forced = math.log(float(n) ** (1 / 20)) ** 2 / out["singular_series"]
         assert out["ratio"] == pytest.approx(forced * (n - 2) / out["volume"], rel=1e-6)
 
 
-def test_sieve_cache_roundtrip(tmp_path, tables_4e6):
-    sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5], tables=tables_4e6)
+def test_sieve_cache_roundtrip(tmp_path):
+    sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5])
     path = tmp_path / "nu.bin"
     sv.save(path)
     name, arr, n_prime = arith.load_array(path)
@@ -322,9 +343,9 @@ def test_sieve_cache_roundtrip(tmp_path, tables_4e6):
     assert (arr == sv.nu).all()
 
 
-def test_linear_forms_character_sum_vs_brute_force(tables_4e6):
+def test_linear_forms_character_sum_vs_brute_force():
     # exact FFT character sum agrees with full enumeration on a tiny sieve
-    sv = gysieve.build_enveloping_sieve(40, 0.3, 3.0, [1, 5], c_factor=20, tables=tables_4e6)
+    sv = gysieve.build_enveloping_sieve(40, 0.3, 3.0, [1, 5], c_factor=20)
     tri = forms.system([[1, 0], [0, 1], [1, 1]], [0, 0, 3])
     res = gysieve.linear_forms_check(sv, tri)
     assert res.method == "exact:character-sum"
@@ -382,10 +403,10 @@ def test_tau_moments_matches_prime_loop(data):
     assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)]
 
 
-def test_tau_moments_bit_identical_at_benchmark_size(tables_4e6):
+def test_tau_moments_bit_identical_at_benchmark_size():
     # the sieve-gowers tau-moments op (N = 1e5, W = 30, one residue)
-    sv = gysieve.build_enveloping_sieve(10**5, 0.3, 5.0, [11], tables=tables_4e6)
-    got = gysieve.tau_moments(sv, tables_4e6)
+    sv = gysieve.build_enveloping_sieve(10**5, 0.3, 5.0, [11])
+    got = gysieve.tau_moments(sv)
     want = _tau_moments_loop(sv)
     assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)]
 
@@ -393,10 +414,10 @@ def test_tau_moments_bit_identical_at_benchmark_size(tables_4e6):
 def test_nu_matches_full_size_mobius_field(monkeypatch, tables_4e6):
     # mu(d), d <= R, read from a table of size R gives the nu of the 4e6 field
     for gamma, b_list in ((0.3, [11]), (0.3, [1, 7, 11]), (0.45, [1, 29])):
-        sized = gysieve.build_enveloping_sieve(10**5, gamma, 5.0, b_list, tables=tables_4e6)
+        sized = gysieve.build_enveloping_sieve(10**5, gamma, 5.0, b_list)
         with monkeypatch.context() as m:
             m.setattr(arith, "build_tables", lambda n_max: tables_4e6)
-            full = gysieve.build_enveloping_sieve(10**5, gamma, 5.0, b_list, tables=tables_4e6)
+            full = gysieve.build_enveloping_sieve(10**5, gamma, 5.0, b_list)
         assert sized.nu.tobytes() == full.nu.tobytes()
 
 
@@ -409,9 +430,9 @@ def test_least_prime_at_least_matches_sieve():
         assert gysieve._least_prime_at_least(n) == n + int(np.flatnonzero(sieve[n:])[0]), n
 
 
-def _tau_weight_spf(sieve, n_values, tables, kappa=1.0, cap=None):
-    """tau_weight as it factored through the spf table (tables.factor); kept
-    as the oracle of the trial-division factorization."""
+def _tau_weight_spf(sieve, n_values, spf_factor, kappa=1.0, cap=None):
+    """tau_weight factoring through a sieved smallest-prime-factor table up to
+    1e6 (arith.factorize above it); kept as the oracle of arith.factorize."""
     if cap is None:
         cap = math.log(sieve.n_scale) ** 2
     w = sieve.wparams
@@ -426,7 +447,7 @@ def _tau_weight_spf(sieve, n_values, tables, kappa=1.0, cap=None):
                 acc += cap
                 continue
             s = 0.0
-            for p in tables.factor(abs(v)):
+            for p in spf_factor(abs(v)) if abs(v) <= 10**6 else arith.factorize(v):
                 if p > w.w:
                     s += p ** -0.5
             acc += min(math.exp(kappa * s), cap)
@@ -434,22 +455,23 @@ def _tau_weight_spf(sieve, n_values, tables, kappa=1.0, cap=None):
     return out
 
 
-def test_tau_weight_matches_spf_factorization(tables_1e6):
+def test_tau_weight_matches_spf_factorization(spf_factor):
     ns = list(range(-400, 401)) + [10**4, -(10**4) + 1, 33333]
     for w, b_list, kappa, cap in ((3.0, (1, 5), 1.0, None), (5.0, (1, 7, 11, 29), 0.7, 9.0),
                                   (7.0, (11, 13 + 210, 209), 2.5, None)):
         sieve = types.SimpleNamespace(n_scale=10**5, wparams=arith.w_trick(w=w), b_list=b_list)
-        got = gysieve.tau_weight(sieve, ns, None, kappa, cap)
-        want = _tau_weight_spf(sieve, ns, tables_1e6, kappa, cap)
+        got = gysieve.tau_weight(sieve, ns, kappa, cap)
+        want = _tau_weight_spf(sieve, ns, spf_factor, kappa, cap)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
-def test_correlation_check_builds_no_spf_table(tables_4e6):
-    sv = gysieve.build_enveloping_sieve(40, 0.3, 3.0, [1, 5], c_factor=20, tables=tables_4e6)
-    fresh = arith.build_tables(10**4)
-    want = gysieve.correlation_check(sv, 3, [1, 5, 11], tables_4e6)
-    assert gysieve.correlation_check(sv, 3, [1, 5, 11], fresh) == want
-    assert "spf" not in vars(fresh)
+def test_correlation_check_builds_no_spf_table(monkeypatch):
+    # tau factors each h_i - h_j with arith.factorize: no table of any kind is built
+    sv = gysieve.build_enveloping_sieve(40, 0.3, 3.0, [1, 5], c_factor=20)
+    monkeypatch.setattr(arith, "build_tables", lambda n_max: pytest.fail("table built"))
+    monkeypatch.setattr(arith, "prime_sieve", lambda n_max: pytest.fail("primes sieved"))
+    lhs, rhs, holds = gysieve.correlation_check(sv, 3, [1, 5, 11])
+    assert (lhs.hex(), rhs.hex(), holds) == ("0x1.edbd81c9bcfa7p-1", "0x1.dbc85c44db088p+1", True)
 
 
 def _montecarlo_one_shot(sieve, sys, sample_budget, seed):
@@ -467,8 +489,8 @@ def _montecarlo_one_shot(sieve, sys, sample_budget, seed):
     return float(prod.mean()), float(prod.std(ddof=1) / math.sqrt(sample_budget))
 
 
-def test_montecarlo_chunks_match_one_shot_draw(monkeypatch, tables_4e6):
-    sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5], tables=tables_4e6)
+def test_montecarlo_chunks_match_one_shot_draw(monkeypatch):
+    sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5])
     quad = forms.system([[1, 0], [0, 1], [1, 1], [1, 2]], [0, 3, 0, 1])
     cases = [(chunk, seed, budget) for chunk in (7, 1000) for seed, budget in
              ((0, 2), (1, 999), (2, 12345))]

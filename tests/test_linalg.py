@@ -160,6 +160,12 @@ def test_invariant_factor_primes():
             out.add(n)
         return out
 
-    ps = linalg.invariant_factor_primes([[2, 0], [0, 6]], fac)
+    ps = linalg.invariant_factor_primes([[2, 0], [0, 6]])
     assert ps == {2, 3}
-    assert linalg.invariant_factor_primes([[1, 0], [0, 1]], fac) == set()
+    assert linalg.invariant_factor_primes([[1, 0], [0, 1]]) == set()
+    # random matrices: the primes of the invariant factors, by trial division
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        mat = rng.integers(-30, 31, size=rng.integers(1, 5, 2)).tolist()
+        d, _, _ = linalg.smith_normal_form(mat)
+        assert linalg.invariant_factor_primes(mat) == set().union(*(fac(abs(x)) for x in d if abs(x) > 1))
