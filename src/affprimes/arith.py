@@ -19,7 +19,7 @@ _MAGIC = b"APTBL\x00\x01\x00"
 
 FIELDS = ("von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
 
-TABLE_GUARD = 3 * 10**8         # most entries build_tables allocates (it counts entries, not bytes)
+TABLE_GUARD = 3 * 10**8         # most entries prime_sieve allocates (it counts entries, not bytes)
 
 
 class ResourceGuard(ValueError):
@@ -183,6 +183,9 @@ def load_array(path):
 
 
 def prime_sieve(n_max):
+    """is_prime for 0..n_max as a bool array; n_max <= TABLE_GUARD, checked before allocating."""
+    if n_max > TABLE_GUARD:
+        raise ResourceGuard(f"table of size {n_max} exceeds the {TABLE_GUARD} guard")
     is_p = np.ones(n_max + 1, dtype=bool)
     is_p[:2] = False
     for p in range(2, math.isqrt(n_max) + 1):
@@ -196,8 +199,6 @@ def build_tables(n_max):
     n_max = int(n_max)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if n_max > TABLE_GUARD:
-        raise ResourceGuard(f"table of size {n_max} exceeds the {TABLE_GUARD} guard")
     is_p = prime_sieve(n_max)
     return ArithTables(n_max=n_max, is_prime=is_p, primes=np.nonzero(is_p)[0].astype(np.int64))
 

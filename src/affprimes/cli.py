@@ -2,7 +2,8 @@
 
 Every run writes report.json (stable key order, full resolved config) into
 --out; table-like results are also written as RFC-4180 CSV when --format csv.
-Exit codes: 0 ok, 1 validation error, 2 resource guard, 3 internal error.
+Exit codes: 0 ok (also for --help), 1 validation error (a malformed flag
+included), 2 resource guard, 3 internal error.
 """
 
 import argparse
@@ -35,7 +36,7 @@ def _load_config(args):
             raise ValidationError(str(e))
         if not isinstance(cfg, dict):
             raise ValidationError(f"{args.config} must hold a JSON object")
-    for key in ("pmax", "gamma", "w", "seed", "threads", "N"):
+    for key in ("pmax", "gamma", "w", "seed", "N"):
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
@@ -389,7 +390,6 @@ def build_parser():
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=None, help="recorded; execution is serial")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--pmax", type=int, default=None)
     p.add_argument("--gamma", type=float, default=None)
@@ -400,7 +400,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:     # argparse has printed the usage; a malformed flag is a validation error
+        return 1 if e.code else 0
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args)

@@ -1,40 +1,40 @@
 """Correlation sums over convex bodies, Hardy-Littlewood predictions and
 comparison reports.
 
-weighted_count tries two exact routes for integer weights before the
-run-by-run drivers:
+weighted_count first tries the Fourier route (_fourier_count), the
+circle-method case of the paper: three forms in two variables (AP3,
+Vinogradov) with weights in {-1, 0, 1} obey one relation a.psi = c, and the
+count over the lattice {a.m = c} is one dilated rfft convolution whose
+integer entries are rounded; a rounding error of 1/4 or more, or a body or
+system outside the class, falls back to the engine (_weighted_count).
 
-* Fourier (_fourier_count), the circle-method case of the paper: three forms
-  in two variables (AP3, Vinogradov) with weights in {-1, 0, 1} obey one
-  relation a.psi = c, and the count over the lattice {a.m = c} is one
-  dilated rfft convolution whose integer entries are rounded; a rounding
-  error of 1/4 or more, or a body or system outside the class, falls back.
-* Bitset (_bitset_count), the paper's W-trick with W = BITSET_W = 6, for
-  prime-indicator counts with inner coefficient +-1 in every varying form
-  after reorientation (AP4, twins).  Points where a form is 2 or 3 are
-  counted directly; the others lie in classes mod 6 of the inner coordinate
-  where every form is a unit, read as ANDs of bit-packed prime masks.
-
-The drivers split K into inner-coordinate runs, in blocks of at most
+The engine splits K into inner-coordinate runs, in blocks of at most
 geometry.RUN_BLOCK runs; one matrix product per block gives every form's
 offset on every run, and forms with a zero inner coefficient give a per-run
-constant factor.  Weights supported on primes (or prime powers) drive the
-iteration through the sorted support array: one searchsorted per block,
-candidates in chunks of about CAND_BLOCK, each further form filtered by its
-support mask.  +-1 weights (mobius, liouville) read segments of rows with
-equal bounds whose prefixes step by +1 in the last outer coordinate as 2-D
-strided int8 views, multiplied in place and summed exactly in chunks of at
-most PM1_CHUNK elements (_pm1_partials).  Float tables are read run by run.
+constant factor.  Each block goes to the first driver that applies:
 
-Accumulation is single-threaded: each run or chunk contributes one partial
-sum, and math.fsum combines them, so results are bit-reproducible and do not
-depend on the block sizes.  Routes with integer partials (+-1, bitset) first
+* bitset, the paper's W-trick with W = BITSET_W = 6, when every live weight
+  is the prime indicator and every varying form has inner coefficient +-1
+  (AP4, twins): points where a form is 2 or 3 are counted directly, the
+  others lie in the classes mod 6 of the inner coordinate where every form
+  is a unit and are read as ANDs of bit-packed prime masks;
+* +-1 (mobius, liouville): 2-D strided int8 views of row segments,
+  multiplied in place and summed exactly in chunks (_pm1_partials);
+* sparse (weights supported on primes or prime powers): the sorted support
+  of a form with inner coefficient +-1 drives the iteration, each further
+  form filtered by its support mask (_sparse_partials);
+* float: tables read run by run.
+
+Accumulation is single-threaded: each run, chunk or block contributes one
+partial sum, and math.fsum combines them, so results are bit-reproducible
+and do not depend on the block sizes.  Counts whose partials are integers
+(every live weight +-1, or every live weight the prime indicator) first
 reorient K so that the inner coordinate reads the most forms with unit
-stride (_unit_stride; for AP4 that is x1); float partials would change their
-fsum bits, so float and sparse counts keep the given coordinates and float
-weights never take the Fourier route.  The exact Hardy-Littlewood integral is
-the same weighted count over a 1/log table (evaluated point by point where
-that table would outgrow the point count).
+stride (_unit_stride; for AP4 that is x1).  Other counts keep the given
+coordinates, since float partials would change their fsum bits, and float
+weights never take the Fourier route.  The exact Hardy-Littlewood integral is the
+same weighted count over a 1/log table (evaluated point by point where that
+table would outgrow the point count).
 """
 
 import math
@@ -231,15 +231,14 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
     distinct (selector, b) is resolved once.  Lambda-type weights vanish at
     nonpositive arguments.
 
-    The Fourier route, the bitset route (live weights all from the
-    'prime_indicator' selector; a user-built Weight never takes it) and the
-    drivers are tried in that order (see the module docstring).  The drivers
-    fix the route of the varying forms once: sparse (all of them sparse, one
-    with inner coefficient +-1), exact int8 2-D +-1 blocks, or float per-run
-    views.  Integer routes may first permute the coordinates (_unit_stride);
-    the lattice points of K map one to one, so the integer does not change.
-    Partials are combined with math.fsum, so the result does not depend on
-    the block sizes.
+    The Fourier route is tried first, then the engine's drivers: bitset
+    (live weights all from the 'prime_indicator' selector; a user-built
+    Weight never takes it), exact int8 2-D +-1 blocks, sparse (all varying
+    forms sparse, one with inner coefficient +-1) or float per-run views, in
+    that order (see the module docstring).  Integer counts may first permute
+    the coordinates (_unit_stride); the lattice points of K map one to one,
+    so the integer does not change.  Partials are combined with math.fsum,
+    so the result does not depend on the block sizes.
     """
     keys = [
         None if isinstance(w, Weight) else (w, b_list[i] if b_list is not None else None)
@@ -256,8 +255,6 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
         raise ValueError("body dimension != parameter count")
     _check_table_ranges(sys, body, weights)
     count = _fourier_count(sys, body, weights)
-    if count is None:
-        count = _bitset_count(sys, body, weights)
     return _weighted_count(sys, body, weights) if count is None else count
 
 
@@ -265,8 +262,9 @@ def _weighted_count(sys, body, weights):
     """The engine of weighted_count, for Weight objects whose tables cover every form over K."""
     live = [i for i, w in enumerate(weights) if w.kind != "one"]
     pm1 = all(weights[i].kind == "pm1" for i in live)
+    primes = all(weights[i].prime_indicator for i in live)
     coeffs = np.array([f.linear_coeffs for f in sys.forms], np.int64).reshape(sys.t, sys.d)
-    if pm1:
+    if pm1 or primes:
         coeffs, body = _unit_stride(coeffs, body, live)
     outer = coeffs[:, :-1]
     consts = np.array([f.constant for f in sys.forms], np.int64)
@@ -275,8 +273,12 @@ def _weighted_count(sys, body, weights):
     fixed = [i for i in live if inner[i] == 0]
     varying = [i for i in live if inner[i] != 0]
 
-    driver = None
-    if all(weights[i].kind == "sparse" and not weights[i].reflect_negative for i in varying):
+    bits = driver = None
+    if primes and varying and all(abs(inner[i]) == 1 for i in varying):
+        mask = max((weights[i].values for i in live), key=len)      # all prime masks: the longest serves
+        bits = _bit_planes(mask)
+        signs = coeffs[varying, -1]
+    elif all(weights[i].kind == "sparse" and not weights[i].reflect_negative for i in varying):
         driver = next((i for i in varying if abs(inner[i]) == 1), None)
 
     partials = []
@@ -292,6 +294,8 @@ def _weighted_count(sys, body, weights):
             off, lo, hi, const = off[nonzero], lo[nonzero], hi[nonzero], const[nonzero]
         if not varying:
             partials.extend((const * (hi - lo + 1)).tolist())
+        elif bits is not None:
+            partials.append(_bitset_partial(mask, bits, signs, off[:, varying], lo, hi))
         elif pm1:
             partials.extend(_pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const))
         elif driver is not None:
@@ -607,50 +611,34 @@ def _facet_forms(body, A, b, a):
 # the bitset route for prime-indicator counts (the W-trick)
 
 
-def _bitset_count(sys, body, weights):
-    """The prime point count by the W-trick, or None off the route (see the module docstring).
+def _bitset_partial(mask, bits, cf, off, lo, hi):
+    """The prime points of one block's runs by the W-trick (see the module docstring).
 
-    On a row, x = x0 + W j (x0 in a class mod W) makes form i u_i + cf_i W j.
-    If every u_i is a unit r_i mod W, form i reads bits k = (u_i - r_i) / W +
-    cf_i j >= 0 of the plane of is_prime(W k + r_i) (_bit_planes); other
-    classes hold only the prime points of _bitset_corrections.
+    off holds the varying forms' offsets and cf their inner coefficients
+    (+-1).  On a row, x = x0 + W j (x0 in a class mod W) makes form i
+    u_i + cf_i W j.  If every u_i is a unit r_i mod W, form i reads bits
+    k = (u_i - r_i) / W + cf_i j >= 0 of the plane of is_prime(W k + r_i)
+    (bits = _bit_planes(mask)); other classes hold only the prime points of
+    _bitset_corrections.
     """
-    live = [i for i, w in enumerate(weights) if w.kind != "one"]
-    if not live or not all(weights[i].prime_indicator for i in live):
-        return None
-    coeffs = np.array([f.linear_coeffs for f in sys.forms], np.int64).reshape(sys.t, sys.d)
-    coeffs, body = _unit_stride(coeffs, body, live)
-    varying = [i for i in live if coeffs[i, -1] != 0]
-    if not varying or np.abs(coeffs[varying, -1]).max() != 1:
-        return None
-    fixed = [i for i in live if coeffs[i, -1] == 0]
-    consts = np.array([f.constant for f in sys.forms], np.int64)
-    cf = coeffs[varying, -1]
-    mask = max((weights[i].values for i in live), key=len)      # all prime masks: the longest serves
-    planes, plane_of, k_top = _bit_planes(mask)
+    planes, plane_of, k_top = bits
     W = BITSET_W
     unit = np.tile(plane_of >= 0, 2)            # unit[v]: v mod W is a unit, 0 <= v < 2W
     turn = cf * np.arange(W)[:, None] % W       # turn[c, i]: the residue form i adds in class c
-    total = 0
-    for prefix, lo, hi in body.run_blocks():
-        off = prefix @ coeffs[:, :-1].T + consts
-        keep = (off[:, fixed] > 0).all(axis=1) & mask[np.maximum(off[:, fixed], 0)].all(axis=1)
-        off, lo, hi = off[keep][:, varying], lo[keep], hi[keep]
-        total += _bitset_corrections(mask, off, cf, lo, hi)
-        r, c = np.nonzero(unit[(off % W)[:, None, :] + turn].all(axis=2))
-        x0 = lo[r] + (c - lo[r]) % W
-        u = off[r] + cf * x0[:, None]
-        res = u % W
-        k0 = (u - res) // W
-        last = (hi[r] - x0) // W
-        jlo = np.maximum(np.where(cf > 0, -k0, 0).max(axis=1), 0)
-        jhi = np.minimum(np.where(cf < 0, k0, last[:, None]).min(axis=1), last)
-        ok = jlo <= jhi
-        # first bit of each slice: k0 + jlo in the plane, k_top - k0 + jlo in the reversed one
-        start = np.where(cf > 0, k0[ok], k_top - k0[ok]) + jlo[ok, None]
-        row = plane_of[res[ok]] + (cf < 0) * 8 + start % 8
-        total += _and_count(planes.reshape(-1), row * planes.shape[1] + start // 8, jhi[ok] - jlo[ok] + 1)
-    return float(total)
+    r, c = np.nonzero(unit[(off % W)[:, None, :] + turn].all(axis=2))
+    x0 = lo[r] + (c - lo[r]) % W
+    u = off[r] + cf * x0[:, None]
+    res = u % W
+    k0 = (u - res) // W
+    last = (hi[r] - x0) // W
+    jlo = np.maximum(np.where(cf > 0, -k0, 0).max(axis=1), 0)
+    jhi = np.minimum(np.where(cf < 0, k0, last[:, None]).min(axis=1), last)
+    ok = jlo <= jhi
+    # first bit of each slice: k0 + jlo in the plane, k_top - k0 + jlo in the reversed one
+    start = np.where(cf > 0, k0[ok], k_top - k0[ok]) + jlo[ok, None]
+    row = plane_of[res[ok]] + (cf < 0) * 8 + start % 8
+    return (_bitset_corrections(mask, off, cf, lo, hi)
+            + _and_count(planes.reshape(-1), row * planes.shape[1] + start // 8, jhi[ok] - jlo[ok] + 1))
 
 
 def _bit_planes(mask):

@@ -339,41 +339,40 @@ def simplex_body(vertices, box_bound):
     return ConvexBody(d, hs, box_bound)
 
 
-def _dist2_point_to_faces(point, body):
+def _dist2_point_to_faces(point, body, faces):
     """Exact squared distance from a point to the boundary of the body.
 
-    Minimizes over all faces: project onto each face's affine span and keep
-    projections that satisfy the remaining constraints.  Exact rationals.
+    Minimizes over the faces (_face_list(body)): project onto each face's
+    affine span and keep projections that satisfy the remaining constraints.
+    Exact rationals.
     """
     d = body.dim
     hs = body.halfspaces
     p = [Fraction(x) for x in point]
     best = None
-    for r in range(1, d + 1):
-        for subset in itertools.combinations(range(len(hs)), r):
-            rows = [list(hs[i][0]) for i in subset]
-            if linalg.rank(rows) != r:
-                continue
-            rhs = [hs[i][1] for i in subset]
-            # project p onto {x: rows x = rhs}: x = p + rows^T mu with rows x = rhs
-            gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(r)] for i in range(r)]
-            target = [rhs[i] - sum(a * b for a, b in zip(rows[i], p)) for i in range(r)]
-            mu = linalg.solve([list(map(Fraction, g)) for g in gram], target)
-            if mu is None:
-                continue
-            proj = [
-                p[j] + sum(mu[i] * rows[i][j] for i in range(r)) for j in range(d)
-            ]
-            ok = all(
-                sum(a * x for a, x in zip(hs[i][0], proj)) <= hs[i][1]
-                for i in range(len(hs))
-                if i not in subset
-            )
-            if not ok:
-                continue
-            d2 = sum((a - b) ** 2 for a, b in zip(p, proj))
-            if best is None or d2 < best:
-                best = d2
+    for subset in faces:
+        r = len(subset)
+        rows = [list(hs[i][0]) for i in subset]
+        rhs = [hs[i][1] for i in subset]
+        # project p onto {x: rows x = rhs}: x = p + rows^T mu with rows x = rhs
+        gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(r)] for i in range(r)]
+        target = [rhs[i] - sum(a * b for a, b in zip(rows[i], p)) for i in range(r)]
+        mu = linalg.solve([list(map(Fraction, g)) for g in gram], target)
+        if mu is None:
+            continue
+        proj = [
+            p[j] + sum(mu[i] * rows[i][j] for i in range(r)) for j in range(d)
+        ]
+        ok = all(
+            sum(a * x for a, x in zip(hs[i][0], proj)) <= hs[i][1]
+            for i in range(len(hs))
+            if i not in subset
+        )
+        if not ok:
+            continue
+        d2 = sum((a - b) ** 2 for a, b in zip(p, proj))
+        if best is None or d2 < best:
+            best = d2
     return best
 
 
@@ -417,7 +416,8 @@ def boundary_shell_count(body, eps):
     c_vec = np.array([c for _, c in hs], dtype=np.float64)
     slack = c_vec[None, :] - pts @ a_mat.T          # >= 0 inside each halfspace
     best = np.full(len(pts), np.inf)
-    for subset in _face_list(body):
+    faces = _face_list(body)
+    for subset in faces:
         rows = a_mat[list(subset)]
         rhs = c_vec[list(subset)]
         gram = rows @ rows.T
@@ -437,7 +437,7 @@ def boundary_shell_count(body, eps):
     count = int(np.count_nonzero((best < r2) & ~inside))
     # exact confirmation on the borderline points
     for idx in np.nonzero(inside)[0]:
-        d2 = _dist2_point_to_faces(tuple(int(x) for x in pts[idx]), body)
+        d2 = _dist2_point_to_faces(tuple(int(x) for x in pts[idx]), body, faces)
         if d2 is not None and d2 < radius * radius:
             count += 1
     return count

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from affprimes import arith, cli, forms
@@ -186,6 +187,22 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "True"
 
 
+def _spy_allocations(monkeypatch):
+    """The lengths of the np.ones arrays arith allocates from now on (prime_sieve's among them)."""
+    sizes = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def ones(self, shape, *args, **kwargs):
+            sizes.append(shape)
+            return np.ones(shape, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "np", Numpy())
+    return sizes
+
+
 TWIN_1000 = {
     "system": {"d": 1, "t": 2, "forms": [{"coeffs": [1], "const": 0}, {"coeffs": [1], "const": 2}]},
     "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": -1}, {"a": [1], "c": 998}]},
@@ -202,14 +219,49 @@ TWIN_1000 = {
     ("sieve-check", {"N": 1000, "gamma": 0.3, "w": 3.0, "b_list": [1]}),
 ])
 def test_table_guard_exits_2_before_sieving(tmp_path, monkeypatch, capsys, command, cfg):
-    # the one table-size guard is arith.build_tables; patched down, no table is allocated
-    sieved = []
+    # the one table-size guard is arith.prime_sieve's; patched down, no table is allocated
+    sieved = _spy_allocations(monkeypatch)
     monkeypatch.setattr(arith, "TABLE_GUARD", 100)
-    monkeypatch.setattr(arith, "prime_sieve", lambda n_max: sieved.append(n_max))
     code, report, _ = run(tmp_path, command, cfg)
     assert code == 2 and report is None
     assert sieved == []
     assert "exceeds the 100 guard" in capsys.readouterr().err
+
+
+TWIN_50 = {**TWIN_1000, "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": -1}, {"a": [1], "c": 48}]}, "N": 50}
+
+
+@pytest.mark.parametrize("command, cfg, sieved", [
+    ("singular-series", {"system": AP4_SYSTEM, "pmax": 1000}, []),
+    ("predict", {**TWIN_50, "pmax": 1000}, []),
+    ("compare", {**TWIN_50, "pmax": 1000}, [53]),     # the count's table, up to 50 + 2, comes first
+])
+def test_pmax_past_the_table_guard_exits_2(tmp_path, monkeypatch, capsys, command, cfg, sieved):
+    # the singular series sieves up to pmax through the same guarded prime_sieve
+    allocated = _spy_allocations(monkeypatch)
+    monkeypatch.setattr(arith, "TABLE_GUARD", 100)
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 2 and report is None
+    assert allocated == sieved
+    assert "table of size 1000 exceeds the 100 guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--N", "abc"],
+    ["count", "--bogus"],
+    ["count", "--threads", "2"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_error_exits_1(capsys, argv):
+    # argparse's own exit code 2 would read as a resource guard
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: affprimes")
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: affprimes")
 
 
 def test_gy_verify_builds_only_r_sized_tables(tmp_path, monkeypatch):

@@ -548,28 +548,45 @@ def _bitset_cases(draw):
     return forms.system(rows, consts), body, weights, expected
 
 
+def _user_prime(tables):
+    """The prime indicator as a user-built Weight: the same tables, off the bitset route."""
+    return counting.Weight(name="prime_indicator", kind="sparse", values=tables.prime_mask,
+                           support_mask=tables.prime_mask, support_list=tables.primes)
+
+
+def _engine_count(sys_, body, weights):
+    """(_weighted_count, whether it took the bitset route); _bit_planes runs once per bitset count.
+
+    The engine reorients at most once, whichever driver it picks.
+    """
+    with mock.patch.object(counting, "_bit_planes", wraps=counting._bit_planes) as planes, \
+            mock.patch.object(counting, "_unit_stride", wraps=counting._unit_stride) as stride:
+        count = counting._weighted_count(sys_, body, weights)
+    assert stride.call_count <= 1
+    return count, planes.called
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_bitset_cases())
 def test_bitset_route_matches_brute_force_and_driver(case):
-    # the route's integer against value_at over the lattice points and the
-    # sparse driver, at the default sizes and with AND buffers of 1 or 3
-    # bytes (one slice each, or several) and 3-row blocks
+    # the engine's integer against value_at over the lattice points and the
+    # sparse driver (the user-built weight), at the default sizes and with
+    # AND buffers of 1 or 3 bytes (one slice each, or several) and 3-row blocks
     sys_, body, weights, expected = case
     brute = sum(_brute_terms(sys_, body, weights))
-    assert counting._weighted_count(sys_, body, weights) == brute
-    route = counting._bitset_count(sys_, body, weights)
-    assert (route is not None) == expected
-    if route is None:
+    user = [w if w.kind == "one" else _user_prime(BITSET_TABLES) for w in weights]
+    assert _engine_count(sys_, body, user) == (brute, False)
+    assert _engine_count(sys_, body, weights) == (brute, expected)
+    if not expected:
         return
-    assert route == brute
     for chunk in (1, 3):
         with mock.patch.object(counting, "BITSET_CHUNK", chunk), mock.patch.object(geometry, "RUN_BLOCK", 3):
-            assert counting._bitset_count(sys_, body, weights) == brute
+            assert _engine_count(sys_, body, weights) == (brute, True)
 
 
 def test_bitset_route_cases():
-    # points where forms divide W, counted once; a user-built weight and a
-    # stride-2 inner coordinate stay on the sparse driver
+    # points where forms divide W, counted once; a user-built weight (sparse
+    # driver) and a stride-2 inner coordinate (float driver) miss the route
     tables = BITSET_TABLES
     prime = counting.make_weight("prime_indicator", tables)
     line = geometry.ConvexBody.box(1, 1, 3000, box_bound=3000)
@@ -588,11 +605,14 @@ def test_bitset_route_cases():
         assert counting.weighted_count(sys_, body, weights) == brute
         for chunk in (counting.BITSET_CHUNK, 1, 7):
             with mock.patch.object(counting, "BITSET_CHUNK", chunk):
-                assert counting._bitset_count(sys_, body, weights) == brute
-    user = counting.Weight(name="prime_indicator", kind="sparse", values=tables.prime_mask,
-                           support_mask=tables.prime_mask, support_list=tables.primes)
-    assert counting._bitset_count(forms.ap_system(4), ap_body(4, 300), [user] * 4) is None
-    assert counting._bitset_count(forms.system([[2], [2]], [1, 3]), line, [prime] * 2) is None
+                assert _engine_count(sys_, body, weights) == (brute, True)
+    misses = [
+        (forms.ap_system(4), ap_body(4, 300), [_user_prime(tables)] * 4),
+        # 2x + 1 and 2x + 3 on 1..1500 stay inside the table
+        (forms.system([[2], [2]], [1, 3]), geometry.ConvexBody.box(1, 1, 1500, box_bound=1500), [prime] * 2),
+    ]
+    for sys_, body, weights in misses:
+        assert _engine_count(sys_, body, weights) == (sum(_brute_terms(sys_, body, weights)), False)
 
 
 # ---------------------------------------------------------------------------
