@@ -182,10 +182,15 @@ def load_array(path):
     return name, arr, n_max
 
 
-def prime_sieve(n_max):
-    """is_prime for 0..n_max as a bool array; n_max <= TABLE_GUARD, checked before allocating."""
+def check_table_size(n_max):
+    """Raise ResourceGuard for a table over 0..n_max with n_max > TABLE_GUARD."""
     if n_max > TABLE_GUARD:
         raise ResourceGuard(f"table of size {n_max} exceeds the {TABLE_GUARD} guard")
+
+
+def prime_sieve(n_max):
+    """is_prime for 0..n_max as a bool array; n_max <= TABLE_GUARD, checked before allocating."""
+    check_table_size(n_max)
     is_p = np.ones(n_max + 1, dtype=bool)
     is_p[:2] = False
     for p in range(2, math.isqrt(n_max) + 1):

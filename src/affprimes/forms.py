@@ -38,12 +38,7 @@ class AffineForm:
 
     def parallel_to(self, other):
         """True iff the homogeneous parts are rational multiples of each other."""
-        a, b = self.linear_coeffs, other.linear_coeffs
-        for i in range(len(a)):
-            for j in range(len(a)):
-                if a[i] * b[j] != a[j] * b[i]:
-                    return False
-        return True
+        return linalg.rank([self.linear_coeffs, other.linear_coeffs]) < 2
 
     def __str__(self):
         terms = []
@@ -72,12 +67,10 @@ class FormSystem:
         if any(f.d != d for f in self.forms):
             raise ValueError("forms live on different Z^d")
         if self.check_pairwise_independent:
-            for i in range(len(self.forms)):
-                for j in range(i + 1, len(self.forms)):
-                    fi, fj = self.forms[i], self.forms[j]
-                    a, b = fi.linear_coeffs + (fi.constant,), fj.linear_coeffs + (fj.constant,)
-                    if all(a[k] * b[l] == a[l] * b[k] for k in range(len(a)) for l in range(len(a))):
-                        raise ValueError(f"forms {i} and {j} are rational multiples")
+            rows = [f.linear_coeffs + (f.constant,) for f in self.forms]
+            for i, j in itertools.combinations(range(len(rows)), 2):
+                if linalg.rank([rows[i], rows[j]]) < 2:
+                    raise ValueError(f"forms {i} and {j} are rational multiples")
 
     @property
     def d(self):

@@ -15,7 +15,7 @@ ValueError.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial
 
 import numpy as np
 
@@ -27,19 +27,9 @@ _INT64_BOUND_LIMIT = 2**62
 
 
 def _clear_halfspace(a, c):
-    """Scale (a, c) to integers with content 1."""
-    fr = [Fraction(x) for x in a] + [Fraction(c)]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    iv = [int(x * den) for x in fr]
-    g = 0
-    for x in iv[:-1]:
-        g = gcd(g, abs(x))
-    g = gcd(g, abs(iv[-1]))
-    if g > 1:
-        iv = [x // g for x in iv]
-    return tuple(iv[:-1]), iv[-1]
+    """Scale (a, c) by a positive rational to integers with content 1."""
+    *a, c = linalg._primitive([*a, c])
+    return tuple(a), c
 
 
 @dataclass
@@ -293,31 +283,7 @@ def volume_simplex(vertices):
         [Fraction(vertices[i + 1][j]) - Fraction(vertices[0][j]) for j in range(d)]
         for i in range(d)
     ]
-    det = _det(rows)
-    fact = 1
-    for i in range(2, d + 1):
-        fact *= i
-    return abs(det) / fact
-
-
-def _det(rows):
-    m = [row[:] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    return abs(linalg.det(rows)) / factorial(d)
 
 
 def simplex_body(vertices, box_bound):

@@ -199,8 +199,10 @@ def truncated_divisor_sum(n, chi, big_r, a):
 def divisor_sum_core_array(chi, big_r, n_max):
     """Array of D(n) = sum_{d|n, d squarefree} mu(d) chi(log d/log R), n <= n_max.
 
-    mu(d) is read for d <= R only, from its own table of that size.
+    mu(d) is read for d <= R only, from its own table of that size.  n_max
+    passes the table guard before anything is allocated.
     """
+    arith.check_table_size(n_max)
     log_r = math.log(big_r)
     d_hi = int(min(n_max, math.floor(chi.support_radius * big_r)))
     core = np.zeros(n_max + 1)

@@ -3,14 +3,16 @@
 Matrices are plain Python lists of rows; entries may be ints, Fractions or
 floats (a float is read as the exact binary rational it stores).  The
 matrices that arise (coefficient matrices of affine-linear form systems)
-have at most a few dozen rows and columns, but `rank` is called thousands of
-times per complexity or local-data computation, so it runs fraction-free on
-Python ints (Bareiss elimination).  `row_echelon` keeps Fraction arithmetic
-for `solve` and `nullspace`, which need the reduced rows themselves.
+have at most a few dozen rows and columns.  There are two elimination
+kernels.  `_gauss_jordan` reduces rows over a field, Q (Fraction entries) or
+F_p (ints mod p); `row_echelon`, `solve`, the nullspaces and the mod-p rank
+and consistency read their answers off its reduced rows.  `_bareiss` runs
+fraction-free on Python ints and gives `rank` and `det`; `rank` is called
+thousands of times per complexity or local-data computation.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .arith import factorize
 
@@ -20,66 +22,92 @@ def frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _gauss_jordan(m, p=None):
+    """Reduce m in place over Q (p None, Fraction entries) or F_p (entries in
+    [0, p)); return the list of pivot columns.
+
+    Row i of the result has a 1 in column pivots[i] and zeros in every other
+    pivot column; elimination stops once every row holds a pivot.
+    """
+    n_rows = len(m)
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        if p:
+            inv = pow(m[r][c], -1, p)
+            top = m[r] = [x * inv % p for x in m[r]]
+        else:
+            inv = 1 / Fraction(m[r][c])
+            top = m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = ([(a - f * b) % p for a, b in zip(m[i], top)] if p
+                        else [a - f * b for a, b in zip(m[i], top)])
+        pivots.append(c)
+        if r + 1 == n_rows:
+            break
+    return pivots
+
+
 def row_echelon(rows):
     """Reduce a Fraction matrix in place; return the list of pivot columns.
 
     The rank is len(pivots).
     """
-    if not rows:
-        return []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = None
-        for i in range(r, n_rows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / Fraction(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
+    return _gauss_jordan(rows)
+
+
+def _kernel(m, p=None):
+    """Nullspace basis of the matrix m over Q (p None) or F_p, reducing m in place.
+
+    Per free column f: x_f = 1, zeros at the other free columns, and minus the
+    reduced row's entry in column f at that row's pivot column.
+    """
+    n_cols = len(m[0])
+    pivots = _gauss_jordan(m, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    basis = []
+    for fc in sorted(set(range(n_cols)).difference(pivots)):
+        v = [zero] * n_cols
+        v[fc] = one
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fc] % p if p else -row[fc]
+        basis.append(v)
+    return basis
 
 
 def _integer_row(row):
-    """The row scaled by the lcm of its entries' denominators (a list of ints)."""
+    """(ints, den): the row scaled by the lcm den of its entries' denominators."""
     if all(type(x) is int for x in row):
-        return list(row)
+        return list(row), 1
     ratios = [Fraction(x).as_integer_ratio() for x in row]
     den = lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios]
+    return [n * (den // d) for n, d in ratios], den
 
 
-def rank(rows):
-    """Rank over Q by fraction-free (Bareiss) elimination on integer rows.
+def _bareiss(m):
+    """(rank, det) of an integer matrix by fraction-free (Bareiss) elimination, in place.
 
-    Scaling a row by a nonzero integer keeps the rank.  After k pivot steps
-    every live entry is a (k+1)-minor of the scaled matrix, so the division by
-    the previous pivot is exact (Sylvester's identity); the entries stay
-    bounded by Hadamard's bound instead of growing like products.
+    After k pivot steps every live entry is a (k+1)-minor of m, so the division
+    by the previous pivot is exact (Sylvester's identity); the entries stay
+    bounded by Hadamard's bound instead of growing like products.  For a
+    square matrix of full rank the last pivot is the determinant up to the
+    sign of the row swaps; det is 0 for any other shape or rank.
     """
-    if not rows:
-        return 0
-    m = [_integer_row(row) for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    prev = 1
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    r, prev, sign = 0, 1, 1
     for c in range(n_cols):
         pr = next((i for i in range(r, n_rows) if m[i][c]), None)
         if pr is None:
             continue
-        m[r], m[pr] = m[pr], m[r]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
         top = m[r]
         piv = top[c]
         for i in range(r + 1, n_rows):
@@ -90,7 +118,18 @@ def rank(rows):
         r += 1
         if r == n_rows:
             break
-    return r
+    return r, sign * prev if r == n_rows == n_cols else 0
+
+
+def rank(rows):
+    """Rank over Q.  Scaling a row by a nonzero integer keeps the rank."""
+    return _bareiss([_integer_row(row)[0] for row in rows])[0]
+
+
+def det(rows):
+    """Determinant of a square rational matrix, as a Fraction (1 for 0 x 0)."""
+    scaled = [_integer_row(row) for row in rows]
+    return Fraction(_bareiss([ints for ints, _ in scaled])[1], prod(den for _, den in scaled))
 
 
 def in_span(vec, rows):
@@ -109,14 +148,12 @@ def solve(rows, rhs):
         return None
     n_cols = len(rows[0])
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = row_echelon(aug)
+    pivots = _gauss_jordan(aug)
     if n_cols in pivots:
         return None
     x = [Fraction(0)] * n_cols
-    r = 0
-    for c in pivots:
-        x[c] = aug[r][n_cols]
-        r += 1
+    for row, c in zip(aug, pivots):
+        x[c] = row[n_cols]
     return x
 
 
@@ -126,104 +163,45 @@ def nullspace(rows, n_cols=None):
         if n_cols is None:
             raise ValueError("need n_cols for an empty matrix")
         return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
-    n_cols = len(rows[0])
-    m = frac_rows(rows)
-    pivots = row_echelon(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
+    return _kernel(frac_rows(rows))
+
+
+def _primitive(vec):
+    """The rational vector times a positive rational: integers with gcd 1 (0 stays 0)."""
+    iv = _integer_row(vec)[0]
+    g = gcd(*iv)
+    return [x // g for x in iv] if g > 1 else iv
 
 
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    fr = [Fraction(x) for x in vec]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    iv = [int(x * den) for x in fr]
-    g = 0
-    for x in iv:
-        g = gcd(g, abs(x))
-    if g > 1:
-        iv = [x // g for x in iv]
-    for x in iv:
-        if x != 0:
-            if x < 0:
-                iv = [-y for y in iv]
-            break
-    return iv
+    iv = _primitive(vec)
+    return [-x for x in iv] if next((x for x in iv if x), 0) < 0 else iv
 
 
 # ---------------------------------------------------------------------------
 # mod-p arithmetic
 
 
-def _echelon_mod_p(rows, p):
-    """Forward elimination over F_p: (reduced rows, pivot columns).
-
-    Row i of the result has a 1 in column pivots[i] and zeros before it;
-    elimination stops once every row holds a pivot.
-    """
-    m = [[x % p for x in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = None
-        for i in range(r, n_rows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(r + 1, n_rows):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+def _pivots_mod_p(rows, p):
+    """Pivot columns of the rows reduced over F_p."""
+    return _gauss_jordan([[x % p for x in row] for row in rows], p)
 
 
 def rank_mod_p(rows, p):
     """Rank of an integer matrix over F_p."""
-    if not rows:
-        return 0
-    return len(_echelon_mod_p(rows, p)[1])
+    return len(_pivots_mod_p(rows, p))
 
 
 def nullspace_mod_p(rows, p):
-    """Basis of {x : rows x = 0 mod p}: per free column f, x_f = 1, zeros at the
-    other free columns, pivot entries by back-substitution in the echelon form.
-    """
-    n_cols = len(rows[0])
-    m, pivots = _echelon_mod_p(rows, p)
-    basis = []
-    for fc in sorted(set(range(n_cols)) - set(pivots)):
-        v = [0] * n_cols
-        v[fc] = 1
-        for row, pc in reversed(list(zip(m, pivots))):
-            v[pc] = -sum(row[j] * v[j] for j in range(pc + 1, n_cols)) % p
-        basis.append(v)
-    return basis
+    """Basis of {x : rows x = 0 mod p}, read off the reduced rows as in `nullspace`."""
+    return _kernel([[x % p for x in row] for row in rows], p)
 
 
 def consistent_mod_p(rows, rhs, p):
-    """True iff rows·x = rhs has a solution over F_p."""
+    """True iff rows·x = rhs has a solution over F_p: no pivot in the rhs column."""
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    return rank_mod_p(rows, p) == rank_mod_p(aug, p)
+    return not rows or len(rows[0]) not in _pivots_mod_p(aug, p)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ truncated Euler product computable vectorised over all primes <= P_max
 with exact Fraction values at the finitely many bad primes.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,13 +103,11 @@ def local_factor(sys, p):
     total = Fraction(1)     # empty subset
     for mask in range(1, 1 << t):
         idx = [i for i in range(t) if mask >> i & 1]
-        sub = [rows[i] for i in idx]
-        rhs = [-consts[i] for i in idx]
-        if not linalg.consistent_mod_p(sub, rhs, p):
-            continue
-        r = linalg.rank_mod_p(sub, p)
-        sign = -1 if len(idx) % 2 else 1
-        total += Fraction(sign, p**r)
+        # one reduction of the augmented rows: the subset is consistent iff the
+        # constants' column holds no pivot, and its rank is the number of pivots
+        pivots = linalg._pivots_mod_p([rows[i] + [-consts[i]] for i in idx], p)
+        if sys.d not in pivots:
+            total += Fraction(-1 if len(idx) % 2 else 1, p ** len(pivots))
     return Fraction(p, p - 1) ** t * total
 
 
@@ -254,24 +253,20 @@ def exceptional_primes(sys, p_limit=None):
 
     For the pair (i, j) these are the primes dividing every 2x2 minor of the
     2 x (d+1) matrix of homogeneous coefficients extended by the constants.
-    A pair that is dependent over Q makes the set infinite: error.
+    That gcd is d1·d2 for the Smith invariant factors d1 | d2, so it has the
+    primes of d2 and is 0 iff d2 is.  A pair that is dependent over Q makes
+    the set infinite: error.
     """
-    t, d = sys.t, sys.d
+    rows = [list(f.linear_coeffs) + [f.constant] for f in sys.forms]
     out = set()
-    for i in range(t):
-        for j in range(i + 1, t):
-            a = list(sys.forms[i].linear_coeffs) + [sys.forms[i].constant]
-            b = list(sys.forms[j].linear_coeffs) + [sys.forms[j].constant]
-            g = 0
-            for k in range(d + 1):
-                for l in range(k + 1, d + 1):
-                    g = math.gcd(g, abs(a[k] * b[l] - a[l] * b[k]))
-            if g == 0:
-                raise ValueError(f"forms {i}, {j} are parallel over Q: infinite exceptional set")
-            if g > 1:
-                ps = set(factorize(g))
-                if p_limit is not None:
-                    ps = {p for p in ps if p <= p_limit}
-                out |= ps
+    for i, j in itertools.combinations(range(sys.t), 2):
+        d2 = linalg.smith_normal_form([rows[i], rows[j]])[0][1]
+        if d2 == 0:
+            raise ValueError(f"forms {i}, {j} are parallel over Q: infinite exceptional set")
+        if d2 > 1:
+            ps = set(factorize(d2))
+            if p_limit is not None:
+                ps = {p for p in ps if p <= p_limit}
+            out |= ps
     primes = sorted(out)
     return ExceptionalPrimeSet(primes=primes, X=sum(p ** -0.5 for p in primes))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affprimes import arith, cli, forms
+from affprimes import arith, cli, forms, gysieve
 
 AP4_SYSTEM = {
     "d": 2,
@@ -146,8 +146,11 @@ def test_missing_key_exit_code(tmp_path):
     assert code == 1
 
 
-def test_resource_guard_exit_code(tmp_path):
-    cfg = {"N": 10**9, "kind": "phase"}
+def test_resource_guard_exit_code(tmp_path, monkeypatch):
+    # a guard patched down to 100 and N = 1000: were the guard to stop firing,
+    # the test fails on a small table instead of allocating past memory
+    monkeypatch.setattr(arith, "TABLE_GUARD", 100)
+    cfg = {"N": 1000, "kind": "phase"}
     code, _, _ = run(tmp_path, "mn-corr", cfg)
     assert code == 2
 
@@ -187,19 +190,18 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "True"
 
 
-def _spy_allocations(monkeypatch):
-    """The lengths of the np.ones arrays arith allocates from now on (prime_sieve's among them)."""
+def _spy_allocations(monkeypatch, module=arith, alloc="ones"):
+    """The lengths of the np.<alloc> arrays `module` allocates from now on
+    (by default arith's np.ones, prime_sieve's among them)."""
     sizes = []
 
     class Numpy:
         def __getattr__(self, name):
-            return getattr(np, name)
+            if name != alloc:
+                return getattr(np, name)
+            return lambda shape, *args, **kwargs: sizes.append(shape) or getattr(np, name)(shape, *args, **kwargs)
 
-        def ones(self, shape, *args, **kwargs):
-            sizes.append(shape)
-            return np.ones(shape, *args, **kwargs)
-
-    monkeypatch.setattr(arith, "np", Numpy())
+    monkeypatch.setattr(module, "np", Numpy())
     return sizes
 
 
@@ -244,6 +246,18 @@ def test_pmax_past_the_table_guard_exits_2(tmp_path, monkeypatch, capsys, comman
     assert code == 2 and report is None
     assert allocated == sieved
     assert "table of size 1000 exceeds the 100 guard" in capsys.readouterr().err
+
+
+def test_gy_tables_past_the_table_guard_exit_2(tmp_path, monkeypatch, capsys):
+    # pmax is under the guard but the forms reach 1000: gysieve's form-sized
+    # weight table is refused before its np.zeros, as prime_sieve refuses
+    zeros = _spy_allocations(monkeypatch, gysieve, "zeros")
+    sieved = _spy_allocations(monkeypatch)
+    monkeypatch.setattr(arith, "TABLE_GUARD", 100)
+    code, report, _ = run(tmp_path, "gy-verify", {**TWIN_1000, "gamma": 0.3, "pmax": 50})
+    assert code == 2 and report is None
+    assert zeros == [] and sieved == []
+    assert "table of size 1002 exceeds the 100 guard" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

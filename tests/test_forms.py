@@ -1,8 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affprimes import forms, linalg
 
@@ -251,6 +255,47 @@ def test_invariants_rejected():
             (forms.AffineForm((1, 0)), forms.AffineForm((2, 0))),
             check_pairwise_independent=True,
         )
+
+
+def _minors_vanish(a, b):
+    """Every 2x2 minor of the rows a, b is 0: the loop parallel_to and the
+    pairwise check ran before they called linalg.rank, kept as their oracle."""
+    return all(a[k] * b[l] == a[l] * b[k] for k in range(len(a)) for l in range(len(a)))
+
+
+@st.composite
+def _form_lists(draw):
+    """2-4 forms on Z^1..Z^3; a drawn form may be an integer multiple of another's
+    primitive homogeneous part, with the matching constant or another one."""
+    d = draw(st.integers(1, 3))
+    out = []
+    for _ in range(draw(st.integers(2, 4))):
+        if out and draw(st.booleans()):
+            base = draw(st.sampled_from(out))
+            g = math.gcd(*base.linear_coeffs)
+            k = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            same = base.constant % g == 0 and draw(st.booleans())
+            const = k * base.constant // g if same else draw(st.integers(-6, 6))
+            out.append(forms.AffineForm(tuple(k * x // g for x in base.linear_coeffs), const))
+        else:
+            coeffs = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d).filter(any))
+            out.append(forms.AffineForm(tuple(coeffs), draw(st.integers(-6, 6))))
+    return out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_form_lists())
+def test_rank_checks_match_minor_loops(fs):
+    for f, g in itertools.product(fs, repeat=2):
+        assert f.parallel_to(g) == _minors_vanish(f.linear_coeffs, g.linear_coeffs)
+    rows = [f.linear_coeffs + (f.constant,) for f in fs]
+    pairs = itertools.combinations(range(len(fs)), 2)
+    bad = next(((i, j) for i, j in pairs if _minors_vanish(rows[i], rows[j])), None)
+    if bad is None:
+        forms.FormSystem(tuple(fs), check_pairwise_independent=True)
+    else:
+        with pytest.raises(ValueError, match=f"forms {bad[0]} and {bad[1]} are rational multiples"):
+            forms.FormSystem(tuple(fs), check_pairwise_independent=True)
 
 
 def test_parameterize_empty_matrix_identity():

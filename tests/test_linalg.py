@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,16 +26,17 @@ _ENTRIES = {
 
 
 @st.composite
-def _rank_cases(draw):
-    """Int, Fraction or float matrices, wide or tall, sparse or dense, with zero,
-    duplicate and dependent rows."""
-    kind = draw(st.sampled_from(sorted(_ENTRIES)))
-    n_cols = draw(st.integers(1, 7))
+def _rank_cases(draw, kinds=tuple(sorted(_ENTRIES)), square=False):
+    """Int, Fraction or float matrices, wide or tall (or square), sparse or
+    dense, with zero, duplicate and dependent rows."""
+    kind = draw(st.sampled_from(kinds))
+    n_cols = draw(st.integers(1, 5 if square else 7))
     entry = _ENTRIES[kind]
     if draw(st.booleans()):
         # about half the entries zero: pivots skip columns and rows sit out steps
         entry = st.one_of(st.just(0), entry)
-    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=1, max_size=7))
+    lo, hi = (n_cols, n_cols) if square else (1, 7)
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=lo, max_size=hi))
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
         extra = draw(st.sampled_from(["zero", "duplicate", "dependent"]))
@@ -46,6 +48,8 @@ def _rank_cases(draw):
             a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
             new = [a * x + b * y for x, y in zip(rows[i], rows[j])]
         rows.insert(draw(st.integers(0, len(rows))), new)
+        if square:      # drop a row to stay square, often leaving the matrix singular
+            del rows[draw(st.integers(0, len(rows) - 1))]
     return rows
 
 
@@ -56,6 +60,106 @@ def test_rank_matches_row_echelon(rows):
     want = len(linalg.row_echelon(linalg.frac_rows(rows)))
     assert linalg.rank(rows) == want
     assert linalg.rank([list(col) for col in zip(*rows)]) == want
+
+
+def _fraction(q):
+    """A sympy rational (a Rational or a QQ element) as a Fraction."""
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_rank_cases(kinds=("int",)), st.sampled_from([2, 3, 5, 7, 101]), st.data())
+def test_mod_p_kernels_match_sympy(rows, p, data):
+    # rank, nullspace basis and consistency over F_p against sympy's DomainMatrix over GF(p)
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    field = GF(p, symmetric=False)
+
+    def gf(mat):
+        return DomainMatrix([[field(x) for x in row] for row in mat], (len(mat), len(mat[0])), field)
+
+    want = gf(rows)
+    assert linalg.rank_mod_p(rows, p) == want.rank()
+    # sympy scales each basis vector so that its last nonzero entry, the free one, is 1
+    basis = want.nullspace(divide_last=True).to_list()
+    assert linalg.nullspace_mod_p(rows, p) == [[field.to_int(x) for x in v] for v in basis]
+    if data.draw(st.booleans()):    # a right-hand side in the image: consistent
+        x = data.draw(st.lists(st.integers(-9, 9), min_size=len(rows[0]), max_size=len(rows[0])))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(st.integers(-9, 9), min_size=len(rows), max_size=len(rows)))
+    aug = [row + [b] for row, b in zip(rows, rhs)]
+    assert linalg.consistent_mod_p(rows, rhs, p) == (gf(aug).rank() == want.rank())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_rank_cases())
+def test_rational_kernels_match_sympy(rows):
+    # row_echelon's reduced rows and pivots, and the nullspace basis, against
+    # sympy's rref and nullspace over QQ
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    m = linalg.frac_rows(rows)
+    want = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m], (len(m), len(m[0])), QQ)
+    reduced, pivots = want.rref()
+    assert linalg.row_echelon(m) == list(pivots)
+    assert m == [[_fraction(x) for x in row] for row in reduced.to_list()]
+    basis = want.nullspace(divide_last=True).to_list()
+    assert linalg.nullspace(rows) == [[_fraction(x) for x in v] for v in basis]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_rank_cases(kinds=("int", "fraction"), square=True))
+def test_det_matches_sympy(rows):
+    # Bareiss det against sympy's, on the matrix and on it with two rows swapped
+    sympy = pytest.importorskip("sympy")
+    mat = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+    want = _fraction(mat.det())
+    got = linalg.det(rows)
+    assert type(got) is Fraction and got == want
+    if len(rows) > 1:
+        assert linalg.det([rows[1], rows[0]] + rows[2:]) == -want
+
+
+def test_det_cases():
+    assert linalg.det([]) == 1
+    assert linalg.det([[0, 1], [1, 0]]) == -1                  # a swap before the first pivot
+    assert linalg.det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert linalg.det([[1, 2], [2, 4]]) == 0
+    assert linalg.det([[0, 1], [0, 2]]) == 0                   # no pivot in the first column
+    assert linalg.det([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
+
+
+def _primitive_oracle(vec):
+    """lcm of the denominators times the vector, divided by the gcd of the result."""
+    fr = [Fraction(x) for x in vec]
+    den = 1
+    for x in fr:
+        den = den * x.denominator // math.gcd(den, x.denominator)
+    iv = [int(x * den) for x in fr]
+    g = 0
+    for x in iv:
+        g = math.gcd(g, abs(x))
+    return [x // g for x in iv] if g > 1 else iv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.just(0), *_ENTRIES.values()), min_size=1, max_size=6))
+def test_primitive_vectors(vec):
+    # _clear_halfspace keeps the sign (it scales an inequality); clear_denominators
+    # makes the first nonzero entry positive
+    from affprimes.geometry import _clear_halfspace
+
+    want = _primitive_oracle(vec)
+    a, c = _clear_halfspace(vec[:-1], vec[-1])
+    assert (list(a) + [c]) == want and type(a) is tuple
+    first = next((x for x in want if x), 0)
+    assert linalg.clear_denominators(vec) == ([-x for x in want] if first < 0 else want)
+    assert all(type(x) is int for x in linalg.clear_denominators(vec))
 
 
 def test_solve_and_nullspace():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affprimes import forms, localfactors as lf
-from affprimes.arith import prime_sieve
+from affprimes.arith import factorize, prime_sieve
 
 AP4 = forms.ap_system(4)
 
@@ -218,6 +218,47 @@ def test_exceptional_primes():
     assert ident.primes == [] and ident.X == 0
     with pytest.raises(ValueError, match="infinite"):
         lf.exceptional_primes(forms.system([[1], [2]], [0, 0]))
+
+
+def _exceptional_oracle(sys, p_limit):
+    """The 2x2-minor loop exceptional_primes ran before it read Smith's d2."""
+    t, d = sys.t, sys.d
+    out = set()
+    for i in range(t):
+        for j in range(i + 1, t):
+            a = list(sys.forms[i].linear_coeffs) + [sys.forms[i].constant]
+            b = list(sys.forms[j].linear_coeffs) + [sys.forms[j].constant]
+            g = 0
+            for k in range(d + 1):
+                for l in range(k + 1, d + 1):
+                    g = math.gcd(g, abs(a[k] * b[l] - a[l] * b[k]))
+            if g == 0:
+                return None
+            out |= {p for p in factorize(g) if p_limit is None or p <= p_limit}
+    return sorted(out)
+
+
+@st.composite
+def _small_systems(draw):
+    """2-4 forms on Z^1..Z^3 with entries in [-12, 12]; sometimes also 3 times the first."""
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-12, 12), min_size=d, max_size=d).filter(any), min_size=2, max_size=4))
+    consts = draw(st.lists(st.integers(-12, 12), min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):     # dependent over Q: the exceptional set is infinite
+        rows.append([3 * x for x in rows[0]])
+        consts.append(3 * consts[0])
+    return forms.system(rows, consts)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_small_systems(), st.one_of(st.none(), st.integers(2, 20)))
+def test_exceptional_primes_match_minor_loop(sys, p_limit):
+    want = _exceptional_oracle(sys, p_limit)
+    if want is None:
+        with pytest.raises(ValueError, match="infinite"):
+            lf.exceptional_primes(sys, p_limit)
+    else:
+        assert lf.exceptional_primes(sys, p_limit).primes == want
 
 
 def test_local_profile_rows():
