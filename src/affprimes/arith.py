@@ -9,13 +9,10 @@ factorize, the one factorization helper, which needs no table.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-_MAGIC = b"APTBL\x00\x01\x00"
 
 FIELDS = ("von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
 
@@ -29,7 +26,7 @@ class ResourceGuard(ValueError):
 @dataclass
 class ArithTables:
     """is_prime and primes up to n_max; each name in FIELDS is a cached
-    property computed on first read (load may supply it from a cache)."""
+    property computed on first read."""
 
     n_max: int
     is_prime: np.ndarray            # bool, length n_max+1
@@ -89,29 +86,6 @@ class ArithTables:
         lio[0] = 0
         return lio
 
-    def save(self, path):
-        """Binary cache of is_prime and every field, building any not yet read
-        (see _write_records)."""
-        arrays = {"is_prime": self.is_prime.view(np.uint8)}
-        arrays.update((f, getattr(self, f)) for f in FIELDS)
-        _write_records(path, self.n_max, arrays)
-
-    @classmethod
-    def load(cls, path):
-        """Tables from a save file; fields absent from the file are built on first read."""
-        n_max, records = _read_records(path)
-        arrays = dict(records)
-        for name, arr in arrays.items():
-            if name != "is_prime" and name not in FIELDS:
-                raise ValueError(f"{path}: unknown field {name!r}")
-            if len(arr) != n_max + 1:
-                raise ValueError(f"{path}: {name} has {len(arr)} entries, expected {n_max + 1}")
-        is_prime = arrays.pop("is_prime").view(bool)
-        primes = np.nonzero(is_prime)[0].astype(np.int64)
-        t = cls(n_max=n_max, is_prime=is_prime, primes=primes)
-        t.__dict__.update(arrays)
-        return t
-
 
 def _has_large_prime(n_max, small):
     """Mask of n <= n_max with a prime factor > sqrt(n_max).
@@ -127,59 +101,6 @@ def _has_large_prime(n_max, small):
             rem[pk::pk] //= p
             pk *= p
     return rem > 1
-
-
-def _write_records(path, n_max, arrays):
-    """Little-endian cache: magic, n_max, record count, then per named array
-    three length-prefixed fields: name, dtype string and raw data."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<qq", int(n_max), len(arrays)))
-        for name, arr in arrays.items():
-            for data in (name.encode(), arr.dtype.str.encode(), np.ascontiguousarray(arr).tobytes()):
-                fh.write(struct.pack("<q", len(data)))
-                fh.write(data)
-
-
-def _read_records(path):
-    """(n_max, [(name, array), ...]) from a _write_records file.
-
-    Raises ValueError on a bad header or any short read, so a truncated
-    cache is never loaded.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("bad magic header")
-
-        def read(n):
-            data = fh.read(n) if n >= 0 else b""
-            if len(data) != n:
-                raise ValueError(f"{path}: truncated cache")
-            return data
-
-        def field():
-            return read(struct.unpack("<q", read(8))[0])
-
-        n_max, count = struct.unpack("<qq", read(16))
-        records = []
-        for _ in range(count):
-            name, dt = field().decode(), np.dtype(field().decode())
-            records.append((name, np.frombuffer(field(), dtype=dt).copy()))
-    return n_max, records
-
-
-def save_array(path, name, arr, n_max):
-    """Single named array in the same little-endian magic-header format."""
-    _write_records(path, n_max, {name: arr})
-
-
-def load_array(path):
-    """(name, array, n_max) from a single-array cache file."""
-    n_max, records = _read_records(path)
-    if len(records) != 1:
-        raise ValueError("expected a single-array cache")
-    (name, arr), = records
-    return name, arr, n_max
 
 
 def check_table_size(n_max):

@@ -66,11 +66,20 @@ def _get(cfg, key, kind, default=..., of=None, exact=False):
     return v
 
 
+def _scale(cfg, default=...):
+    """The scale cfg["N"], an int of at least 1 (default when absent, if given)."""
+    n = _get(cfg, "N", int, default, exact=True)
+    if n is not None and n < 1:
+        raise ValidationError(f"config key 'N' must be at least 1, not {n}")
+    return n
+
+
 def _parsed(cfg, key, from_json):
     """The JSON object cfg[key] read by from_json at the scale N (if given)."""
+    obj, n = _get(cfg, key, dict), _scale(cfg, None)
     try:
-        return from_json(_get(cfg, key, dict), n_scale=_get(cfg, "N", int, None, exact=True))
-    except (TypeError, AttributeError) as e:
+        return from_json(obj, n_scale=n)
+    except (TypeError, AttributeError, KeyError) as e:
         raise ValidationError(f"config key {key!r} is malformed: {e}") from None
 
 
@@ -80,7 +89,7 @@ def _system(cfg):
 
 def _problem(cfg):
     """(N, system, body) of a command that counts over a body K."""
-    n = _get(cfg, "N", int, exact=True)
+    n = _scale(cfg)
     return n, _system(cfg), _parsed(cfg, "body", geometry.convex_body_from_json)
 
 
@@ -234,15 +243,17 @@ def cmd_mobius_corr(cfg):
 
 
 def cmd_chowla(cfg):
-    n = _get(cfg, "N", int, exact=True)
+    n = _scale(cfg)
     factors = [forms.AffineForm(tuple(row)) for row in _get(cfg, "factors", list, of=list)]
+    if not factors:
+        raise ValidationError("config key 'factors' must not be empty")
     tables = arith.build_tables(max(sum(map(abs, f.linear_coeffs)) * n for f in factors) + 2)
     val = counting.chowla_check(factors, n, tables)
     return {"N": n, "factors": [list(f.linear_coeffs) for f in factors], "value": val}, None, None
 
 
 def cmd_gowers(cfg):
-    n = _get(cfg, "N", int, exact=True)
+    n = _scale(cfg)
     s = _get(cfg, "s", int, 1)
     kind = _get(cfg, "input", str, "wtrick")
     if kind == "wtrick":
@@ -278,7 +289,7 @@ def cmd_gy_verify(cfg):
 
 
 def cmd_sieve_check(cfg):
-    n = _get(cfg, "N", int, exact=True)
+    n = _scale(cfg)
     gamma = _get(cfg, "gamma", float, 1 / 20)
     w = _get(cfg, "w", float, 5.0)
     b_list = _get(cfg, "b_list", list, [1], of=int)
@@ -346,7 +357,7 @@ def cmd_nil_check(cfg):
 
 
 def cmd_mn_corr(cfg):
-    n = _get(cfg, "N", int, exact=True)
+    n = _scale(cfg)
     kind = _get(cfg, "kind", str, "phase")
     tables = arith.build_tables(n + 2)
     if kind == "phase":

@@ -199,9 +199,11 @@ def truncated_divisor_sum(n, chi, big_r, a):
 def divisor_sum_core_array(chi, big_r, n_max):
     """Array of D(n) = sum_{d|n, d squarefree} mu(d) chi(log d/log R), n <= n_max.
 
-    mu(d) is read for d <= R only, from its own table of that size.  n_max
-    passes the table guard before anything is allocated.
+    mu(d) is read for d <= R only, from its own table of that size.  R must
+    exceed 1, and n_max passes the table guard, before anything is allocated.
     """
+    if big_r <= 1:
+        raise ValueError("R = N^gamma must exceed 1")
     arith.check_table_size(n_max)
     log_r = math.log(big_r)
     d_hi = int(min(n_max, math.floor(chi.support_radius * big_r)))
@@ -265,8 +267,6 @@ def lambda_flat_value(n, big_r):
 def sharp_gowers_check(n_scale, b, wparams, s, gamma):
     """|| (phi(W)/W) Lambda^sharp(W n + b) - 1 ||_{U^{s+1}[N]}."""
     big_r = float(n_scale) ** gamma
-    if big_r <= 1:
-        raise ValueError("R = N^gamma must exceed 1")
     m_max = wparams.W * n_scale + b
     sharp = lambda_sharp_array(m_max, big_r)
     f = wparams.normalizer * sharp[wparams.W + b: m_max + 1: wparams.W] - 1.0
@@ -291,10 +291,6 @@ class EnvelopingSieve:
 
     def mean(self):
         return float(self.nu.mean())
-
-    def save(self, path):
-        """Cache nu in the arith-tables binary format (bit-exact)."""
-        arith.save_array(path, "enveloping_nu", self.nu, self.n_prime)
 
 
 def _least_prime_at_least(n):
@@ -514,8 +510,6 @@ def gy_estimate_check(sys, body, chi_list, a_list, gamma, p_max=10**5):
 
     n_scale = body.box_bound
     big_r = float(n_scale) ** gamma
-    if big_r <= 1:
-        raise ValueError("R = N^gamma must exceed 1")
     m_max = max(counting._form_bound(body, f) or 0 for f in sys.forms)     # 0 on an empty K
     weights = [
         counting.weight_from_table(

@@ -8,13 +8,11 @@ kernels.  `_gauss_jordan` reduces rows over a field, Q (Fraction entries) or
 F_p (ints mod p); `row_echelon`, `solve`, the nullspaces and the mod-p rank
 and consistency read their answers off its reduced rows.  `_bareiss` runs
 fraction-free on Python ints and gives `rank` and `det`; `rank` is called
-thousands of times per complexity or local-data computation.
+thousands of times per complexity computation.
 """
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-
-from .arith import factorize
 
 
 def frac_rows(rows):
@@ -342,16 +340,3 @@ def smith_normal_form(mat):
             t += 1
     d = [a[i][i] if i < m else 0 for i in range(min(n, m))]
     return d, u, v
-
-
-def invariant_factor_primes(mat):
-    """Primes dividing the largest invariant factor of an integer matrix.
-
-    These are the primes modulo which the rank drops below the rational rank.
-    """
-    d, _, _ = smith_normal_form(mat)
-    ps = set()
-    for x in d:
-        if x > 1:
-            ps.update(factorize(x))
-    return ps

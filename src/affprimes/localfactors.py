@@ -45,6 +45,13 @@ class SubsetProfile:
     consistent: bool
 
 
+def _rank_and_primes(mat):
+    """Rank over Q of an integer matrix and the primes mod which it drops, from
+    one Smith form: the nonzero invariant factors and the primes of those > 1."""
+    d = linalg.smith_normal_form(mat)[0]
+    return sum(x != 0 for x in d), {p for x in d if x > 1 for p in factorize(x)}
+
+
 class SystemLocalData:
     """Per-subset ranks/consistency over Q plus the primes where they change."""
 
@@ -59,13 +66,10 @@ class SystemLocalData:
         bad = set()
         for mask in range(1, 1 << t):
             idx = [i for i in range(t) if mask >> i & 1]
-            sub = [rows[i] for i in idx]
-            aug = [rows[i] + [-consts[i]] for i in idx]
-            r = linalg.rank(sub)
-            r_aug = linalg.rank(aug)
+            r, ps = _rank_and_primes([rows[i] for i in idx])
+            r_aug, ps_aug = _rank_and_primes([rows[i] + [-consts[i]] for i in idx])
             self.profiles[mask] = SubsetProfile(rank=r, consistent=(r_aug == r))
-            bad |= linalg.invariant_factor_primes(sub)
-            bad |= linalg.invariant_factor_primes(aug)
+            bad |= ps | ps_aug
         self.exceptional = sorted(bad)
         # generic beta_p = (p/(p-1))^t * sum_r coeff[r] p^{-r}
         coeff = {}

@@ -125,22 +125,8 @@ def test_lambda_bw_mean_value():
         assert abs(mean - 1.0) <= 0.05, (b, mean)
 
 
-def test_cache_roundtrip(tmp_path, tables_1e6):
-    small = arith.build_tables(10**4)
-    path = tmp_path / "tables.bin"
-    small.save(path)
-    loaded = arith.ArithTables.load(path)
-    assert loaded.n_max == small.n_max
-    for name in arith.FIELDS:
-        a, b = getattr(small, name), getattr(loaded, name)
-        assert (a == b).all()
-    # bit-exact across a rebuild
-    rebuilt = arith.build_tables(10**4)
-    assert (rebuilt.von_mangoldt == small.von_mangoldt).all()
-    assert (rebuilt.mobius == small.mobius).all()
-
-
 def test_fields_built_on_first_read():
+    assert arith.FIELDS == ("von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
     for name in arith.FIELDS:
         t = arith.build_tables(1000)
         assert not set(arith.FIELDS) & set(vars(t))
@@ -166,33 +152,6 @@ def test_field_bytes_independent_of_read_order(spf_sieve):
         assert got == want, order
 
 
-def test_load_builds_absent_fields(tmp_path):
-    full = arith.build_tables(3000)
-    path = tmp_path / "partial.bin"
-    arith._write_records(path, 3000, {"is_prime": full.is_prime.view(np.uint8), "mobius": full.mobius})
-    loaded = arith.ArithTables.load(path)
-    assert set(arith.FIELDS) & set(vars(loaded)) == {"mobius"}
-    for name in arith.FIELDS:
-        assert getattr(loaded, name).tobytes() == getattr(full, name).tobytes()
-    arith._write_records(path, 3000, {"is_prime": full.is_prime.view(np.uint8), "sigma": full.mobius})
-    with pytest.raises(ValueError, match="sigma"):
-        arith.ArithTables.load(path)
-
-
-def test_save_writes_four_fields_and_load_rejects_spf(tmp_path, spf_sieve):
-    assert arith.FIELDS == ("von_mangoldt", "von_mangoldt_prime", "mobius", "liouville")
-    t = arith.build_tables(3000)
-    path = tmp_path / "tables.bin"
-    t.save(path)
-    n_max, records = arith._read_records(path)
-    assert n_max == 3000 and [name for name, _ in records] == ["is_prime", *arith.FIELDS]
-    # a file written when spf was a field is rejected, naming the field
-    old = {"is_prime": t.is_prime.view(np.uint8), "spf": spf_sieve(3000), "mobius": t.mobius}
-    arith._write_records(path, 3000, old)
-    with pytest.raises(ValueError, match="unknown field 'spf'"):
-        arith.ArithTables.load(path)
-
-
 def _brute_squarefree_divisors(n, mobius):
     return [(d, int(mobius[d])) for d in range(1, n + 1) if n % d == 0 and mobius[d]]
 
@@ -216,29 +175,6 @@ def test_squarefree_divisors_match_sympy():
         want = sorted((math.prod(sub), (-1) ** len(sub))
                       for k in range(len(ps) + 1) for sub in itertools.combinations(ps, k))
         assert arith.squarefree_divisors(n) == want, n
-
-
-def test_truncated_cache_rejected(tmp_path):
-    path = tmp_path / "tables.bin"
-    arith.build_tables(1000).save(path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-300])
-    with pytest.raises(ValueError, match="truncated"):
-        arith.ArithTables.load(path)
-    # a well-formed file whose arrays disagree with n_max
-    short = arith.build_tables(1000)
-    short.liouville = short.liouville[:701]
-    short.save(path)
-    with pytest.raises(ValueError, match="liouville"):
-        arith.ArithTables.load(path)
-    # single-array file cut by a whole number of items
-    arr = np.arange(50, dtype=np.float64)
-    arith.save_array(path, "nu", arr, 50)
-    name, back, n_max = arith.load_array(path)
-    assert name == "nu" and n_max == 50 and (back == arr).all()
-    path.write_bytes(path.read_bytes()[:-3 * arr.itemsize])
-    with pytest.raises(ValueError, match="truncated"):
-        arith.load_array(path)
 
 
 def test_guards():

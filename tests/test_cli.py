@@ -306,6 +306,9 @@ def test_gy_verify_builds_only_r_sized_tables(tmp_path, monkeypatch):
     ("nil-check", {"trials": {}}, "trials"),
     ("gy-verify", {**TWIN_1000, "chi": "bump"}, "chi"),
     ("sieve-check", {"N": 1000, "b_list": []}, "b_list"),
+    ("chowla", {"N": 500, "factors": []}, "factors"),
+    ("local-factors", {"system": {"coeffs": [1]}}, "system"),
+    ("count", {**TWIN_1000, "body": {"halfspaces": [{"a": [-1], "c": -1}]}}, "body"),
 ])
 def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key):
     code, report, _ = run(tmp_path, command, cfg)
@@ -314,6 +317,33 @@ def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key):
     assert err.startswith("error: ") and repr(key) in err
     if cfg.get("chi") == "bump":
         assert "tent_taper" in err and "normalized_bump" in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("count", TWIN_1000),
+    ("predict", TWIN_1000),
+    ("compare", TWIN_1000),
+    ("mobius-corr", TWIN_1000),
+    ("gy-verify", {**TWIN_1000, "gamma": 0.3}),
+    ("chowla", {"factors": [[1, 0], [0, 1], [1, 1]]}),
+    ("gowers", {"s": 1, "input": "delta"}),
+    ("gowers", {"s": 1, "input": "wtrick"}),
+    ("sieve-check", {"gamma": 0.3, "w": 3.0, "b_list": [1]}),
+    ("mn-corr", {"kind": "phase"}),
+    ("mn-corr", {"kind": "constant"}),
+])
+@pytest.mark.parametrize("n", [0, -1])
+def test_scale_below_one_exits_1_naming_n(tmp_path, capsys, command, cfg, n):
+    code, report, _ = run(tmp_path, command, {**cfg, "N": n})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"error: config key 'N' must be at least 1, not {n}\n"
+
+
+def test_sieve_check_at_r_one_exits_1(tmp_path, capsys):
+    # N = 1 passes the N >= 1 check, but R = N^gamma = 1 leaves no sieve
+    code, report, _ = run(tmp_path, "sieve-check", {"N": 1, "gamma": 0.3})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == "error: R = N^gamma must exceed 1\n"
 
 
 @pytest.mark.parametrize("cfg", [[AP4_SYSTEM], "N system"])

@@ -333,14 +333,20 @@ class TestGYEstimate:
         assert out["ratio"] == pytest.approx(forced * (n - 2) / out["volume"], rel=1e-6)
 
 
-def test_sieve_cache_roundtrip(tmp_path):
-    sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5])
-    path = tmp_path / "nu.bin"
-    sv.save(path)
-    name, arr, n_prime = arith.load_array(path)
-    assert name == "enveloping_nu"
-    assert n_prime == sv.n_prime
-    assert (arr == sv.nu).all()
+def test_r_at_most_one_is_refused_by_the_divisor_sum_kernel():
+    # R = N^gamma <= 1 leaves no divisor d > 1 below R: every entry point that
+    # reaches divisor_sum_core_array refuses it there, before allocating
+    msg = r"R = N\^gamma must exceed 1"
+    with pytest.raises(ValueError, match=msg):
+        gysieve.divisor_sum_core_array(gysieve.normalized_bump(), 1.0, 100)
+    with pytest.raises(ValueError, match=msg):
+        gysieve.build_enveloping_sieve(1, 0.3, 3.0, [1])
+    with pytest.raises(ValueError, match=msg):
+        gysieve.sharp_gowers_check(1, 1, arith.w_trick(w=3), 1, 0.3)
+    twin = forms.system([[1], [1]], [0, 2])
+    with pytest.raises(ValueError, match=msg):
+        gysieve.gy_estimate_check(twin, geometry.ConvexBody.box(1, 1, 1, box_bound=1),
+                                  [gysieve.tent_taper()] * 2, [1, 1], 0.3)
 
 
 def test_linear_forms_character_sum_vs_brute_force():

@@ -249,27 +249,3 @@ def test_hermite_column_lattice():
     # permuted and recombined generators
     c = [[4, 2, 0], [2, 0, 2]]
     assert linalg.same_column_lattice([[2, 0], [0, 2]], c)
-
-
-def test_invariant_factor_primes():
-    def fac(n):
-        out = set()
-        p = 2
-        while p * p <= n:
-            while n % p == 0:
-                out.add(p)
-                n //= p
-            p += 1
-        if n > 1:
-            out.add(n)
-        return out
-
-    ps = linalg.invariant_factor_primes([[2, 0], [0, 6]])
-    assert ps == {2, 3}
-    assert linalg.invariant_factor_primes([[1, 0], [0, 1]]) == set()
-    # random matrices: the primes of the invariant factors, by trial division
-    rng = np.random.default_rng(15)
-    for _ in range(200):
-        mat = rng.integers(-30, 31, size=rng.integers(1, 5, 2)).tolist()
-        d, _, _ = linalg.smith_normal_form(mat)
-        assert linalg.invariant_factor_primes(mat) == set().union(*(fac(abs(x)) for x in d if abs(x) > 1))

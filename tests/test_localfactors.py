@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affprimes import forms, localfactors as lf
+from affprimes import forms, linalg, localfactors as lf
 from affprimes.arith import factorize, prime_sieve
 
 AP4 = forms.ap_system(4)
@@ -300,3 +300,54 @@ def test_local_profile_matches_local_factor(case):
     prof = lf.local_profile(sys, 200)
     assert prof.primes == small_primes(200)
     assert prof.beta == [lf.local_factor(sys, p) for p in prof.primes]
+
+
+def test_rank_and_primes_from_one_smith_form():
+    def fac(n):
+        out, p = set(), 2
+        while p * p <= n:
+            while n % p == 0:
+                out.add(p)
+                n //= p
+            p += 1
+        return out | ({n} if n > 1 else set())
+
+    assert lf._rank_and_primes([[2, 0], [0, 6]]) == (2, {2, 3})
+    assert lf._rank_and_primes([[1, 0], [0, 1]]) == (2, set())
+    assert lf._rank_and_primes([[2, 4], [3, 6]]) == (1, set())
+    # random matrices: Bareiss rank, and the primes of the invariant factors by trial division
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        mat = rng.integers(-30, 31, size=rng.integers(1, 5, 2)).tolist()
+        d, _, _ = linalg.smith_normal_form(mat)
+        want = set().union(*(fac(abs(x)) for x in d if abs(x) > 1))
+        assert lf._rank_and_primes(mat) == (linalg.rank(mat), want), mat
+
+
+def _local_data_oracle(sys):
+    """SystemLocalData's profiles, exceptional primes and generic coefficients
+    as its loop computed them before one Smith form per matrix gave both: the
+    Bareiss rank of each subset and of its augmented matrix, then the primes
+    of the invariant factors > 1 of both."""
+    rows, consts, t = sys.coefficient_matrix(), sys.constants(), sys.t
+    profiles, bad, coeff = {}, set(), {0: 1}
+    for mask in range(1, 1 << t):
+        idx = [i for i in range(t) if mask >> i & 1]
+        sub = [rows[i] for i in idx]
+        aug = [rows[i] + [-consts[i]] for i in idx]
+        r = linalg.rank(sub)
+        profiles[mask] = lf.SubsetProfile(rank=r, consistent=linalg.rank(aug) == r)
+        for mat in (sub, aug):
+            bad |= {p for x in linalg.smith_normal_form(mat)[0] if x > 1 for p in factorize(x)}
+        if profiles[mask].consistent:
+            coeff[r] = coeff.get(r, 0) + (-1 if len(idx) % 2 else 1)
+    return profiles, sorted(bad), sorted(coeff.items())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_exceptional_systems())
+def test_system_local_data_matches_rank_loop(case):
+    sys, _ = case
+    data = lf.SystemLocalData(sys)
+    assert (data.profiles, data.exceptional, data.generic_coeff) == _local_data_oracle(sys)
+
