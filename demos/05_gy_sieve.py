@@ -9,8 +9,6 @@ pseudorandomness diagnostics of the enveloping sieve nu.
 
 from affprimes import arith, forms, geometry, gysieve
 
-tables = arith.build_tables(4 * 10**6)
-
 print("=== cutoff families and sieve factors ===")
 bump = gysieve.normalized_bump()
 tent = gysieve.tent_taper(0.1)
@@ -42,7 +40,7 @@ sv = gysieve.build_enveloping_sieve(10**5, 1 / 20, 5.0, [1, 7, 11])
 print(f"  N' = {sv.n_prime} (least prime >= 20 N), R = {sv.big_r:.3f}")
 print(f"  min nu = {sv.nu.min():.4f}  (>= 1/2 by construction)")
 print(f"  E nu   = {sv.mean():.4f}  (measure condition)")
-print(f"  domination constant on [N^0.6, N]: {gysieve.domination_constant(sv, tables):.2f}")
+print(f"  domination constant on [N^0.6, N]: {gysieve.domination_constant(sv):.2f}")
 dep = forms.system([[1, 0], [1, 1]])
 lf_res = gysieve.linear_forms_check(sv, dep)
 print(f"  linear-forms deviation for (n1, n1+n2): {lf_res.deviation:.5f} [{lf_res.method}]")
@@ -55,10 +53,11 @@ print()
 print("=== the sharp/flat split of Lambda ===")
 big_r = 40.0
 sharp_arr = gysieve.lambda_sharp_array(50, big_r)
+lam = arith.build_tables(50).von_mangoldt
 for n in (2, 12, 30, 37):
     flat = gysieve.lambda_flat_value(n, big_r)
     print(f"  n={n:>3}: sharp = {sharp_arr[n]:+.4f}  flat = {flat:+.4f}  "
-          f"sum = {sharp_arr[n] + flat:.4f}  Lambda = {tables.von_mangoldt[n]:.4f}")
+          f"sum = {sharp_arr[n] + flat:.4f}  Lambda = {lam[n]:.4f}")
 w30 = arith.w_trick(w=5)
 for n in (10**4, 10**5):
     v = gysieve.sharp_gowers_check(n, 1, w30, 1, 0.4)

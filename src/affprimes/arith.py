@@ -4,7 +4,9 @@ All tables are numpy arrays indexed by n (index 0 unused).  build_tables
 sieves the primes; every other field (FIELDS) is built on its first read and
 cached, so a run pays only for the fields it uses.  Construction is
 vectorised: mobius/liouville strip prime factors p <= sqrt(n_max) and flip
-signs for the single large leftover prime.  Single integers are factored by
+signs for the single large leftover prime.  prime_sieve and von_mangoldt_on
+cover any progression W n + b, the dense table being W = 1, b = 0, so the
+W-trick sieves only its progression.  Single integers are factored by
 factorize, the one factorization helper, which needs no table.
 """
 
@@ -36,35 +38,21 @@ class ArithTables:
     def prime_mask(self):
         return self.is_prime.view(np.uint8)
 
-    def _small_primes(self):
-        """The primes p <= sqrt(n_max) as Python ints."""
-        return self.primes[: np.searchsorted(self.primes, math.isqrt(self.n_max), "right")].tolist()
-
     @cached_property
     def von_mangoldt_prime(self):
         """Lambda'(n): log p at primes, 0 elsewhere (float64)."""
-        vmp = np.zeros(self.n_max + 1)
-        vmp[self.primes] = np.log(self.primes.astype(np.float64))
-        return vmp
+        return von_mangoldt_on(self.is_prime, primed=True)
 
     @cached_property
     def von_mangoldt(self):
         """Lambda(n): log p at prime powers p^k, 0 elsewhere (float64)."""
-        vm = np.zeros(self.n_max + 1)
-        vm[self.primes] = np.log(self.primes.astype(np.float64))
-        for p in self._small_primes():
-            lp = math.log(p)
-            pk = p * p
-            while pk <= self.n_max:
-                vm[pk] = lp
-                pk *= p
-        return vm
+        return von_mangoldt_on(self.is_prime)
 
     @cached_property
     def mobius(self):
         """mu(n), int8."""
         mob = np.ones(self.n_max + 1, dtype=np.int8)
-        small = self._small_primes()
+        small = _sieving_primes(self.n_max)
         for p in small:
             mob[p::p] *= -1
             mob[p * p:: p * p] = 0
@@ -76,7 +64,7 @@ class ArithTables:
     def liouville(self):
         """lambda(n) = (-1)^Omega(n), int8."""
         lio = np.ones(self.n_max + 1, dtype=np.int8)
-        small = self._small_primes()
+        small = _sieving_primes(self.n_max)
         for p in small:
             pk = p
             while pk <= self.n_max:
@@ -109,15 +97,45 @@ def check_table_size(n_max):
         raise ResourceGuard(f"table of size {n_max} exceeds the {TABLE_GUARD} guard")
 
 
-def prime_sieve(n_max):
-    """is_prime for 0..n_max as a bool array; n_max <= TABLE_GUARD, checked before allocating."""
-    check_table_size(n_max)
-    is_p = np.ones(n_max + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(n_max) + 1):
-        if is_p[p]:
-            is_p[p * p:: p] = False
+def prime_sieve(n_hi, W=1, b=0, n_lo=0):
+    """is_prime(W n + b) for n_lo <= n <= n_hi (by default the dense 0..n_hi), b coprime to W.
+
+    The primes p <= sqrt(W n_hi + b) come from a dense run of this function; each p not
+    dividing W strikes its class n = -b W^{-1} (mod p) from p^2 on.  The length passes
+    the table guard before anything is allocated.
+    """
+    if math.gcd(b, W) != 1:
+        raise ValueError(f"b = {b} is not coprime to W = {W}")
+    check_table_size(n_hi - n_lo)
+    is_p = np.ones(n_hi - n_lo + 1, dtype=bool)
+    is_p[: max(0, -(-(2 - b) // W) - n_lo)] = False        # W n + b < 2
+    for p in _sieving_primes(W * n_hi + b):
+        if W % p:
+            first = max(n_lo, -((b - p * p) // W))              # the least n with W n + b >= p^2
+            is_p[first - n_lo + (-b * pow(W, -1, p) - first) % p:: p] = False
     return is_p
+
+
+def _sieving_primes(m_hi):
+    """The primes p <= sqrt(m_hi) as Python ints."""
+    root = math.isqrt(max(m_hi, 0))
+    return np.flatnonzero(prime_sieve(root)).tolist() if root > 1 else []
+
+
+def von_mangoldt_on(is_p, W=1, b=0, n_lo=0, primed=False):
+    """Lambda(W n + b) for n = n_lo, n_lo + 1, .. given is_p = prime_sieve(n_hi, W, b, n_lo):
+    log m at the primes m and, unless primed (Lambda'), log p at the powers p^k, k >= 2 (float64)."""
+    vm = np.zeros(len(is_p))
+    at = np.flatnonzero(is_p)
+    vm[at] = np.log((W * (at + n_lo) + b).astype(np.float64))
+    m_lo, m_hi = W * n_lo + b, W * (n_lo + len(is_p) - 1) + b
+    for p in [] if primed else _sieving_primes(m_hi):
+        pk = p * p
+        while pk <= m_hi:
+            if pk >= m_lo and (pk - b) % W == 0:
+                vm[(pk - m_lo) // W] = math.log(p)
+            pk *= p
+    return vm
 
 
 def build_tables(n_max):
@@ -293,24 +311,12 @@ def _prev_prime(p):
     raise ValueError("no prime below 2")
 
 
-def lambda_bw(n, b, params, tables, primed=False):
+def lambda_bw(n, b, params, primed=False):
     """(phi(W)/W) * Lambda(W n + b), or the Lambda' variant when primed."""
-    if math.gcd(b, params.W) != 1:
-        raise ValueError("b must be coprime to W")
-    m = params.W * int(n) + b
-    if m > tables.n_max:
-        raise ValueError("W n + b exceeds the table range")
-    if m < 1:
-        return 0.0
-    table = tables.von_mangoldt_prime if primed else tables.von_mangoldt
-    return params.normalizer * float(table[m])
+    return float(lambda_bw_array(n, b, params, primed, n_lo=n)[0])
 
 
-def lambda_bw_array(n_hi, b, params, tables, primed=False, n_lo=1):
-    """Vector of Lambda_{b,W}(n) for n = n_lo .. n_hi."""
-    if math.gcd(b, params.W) != 1:
-        raise ValueError("b must be coprime to W")
-    if params.W * n_hi + b > tables.n_max:
-        raise ValueError("W n + b exceeds the table range")
-    table = tables.von_mangoldt_prime if primed else tables.von_mangoldt
-    return params.normalizer * table[params.W * n_lo + b: params.W * n_hi + b + 1: params.W]
+def lambda_bw_array(n_hi, b, params, primed=False, n_lo=1):
+    """Vector of Lambda_{b,W}(n) for n = n_lo .. n_hi, sieved on the progression W n + b only."""
+    is_p = prime_sieve(n_hi, params.W, b, n_lo)
+    return params.normalizer * von_mangoldt_on(is_p, params.W, b, n_lo, primed)

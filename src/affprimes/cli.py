@@ -259,8 +259,7 @@ def cmd_gowers(cfg):
     if kind == "wtrick":
         wp = arith.w_trick(w=_get(cfg, "w", float, 5.0))
         b = _get(cfg, "b", int, 1)
-        tables = arith.build_tables(wp.W * n + b + 2)
-        f = arith.lambda_bw_array(n, b, wp, tables, primed=True) - 1.0
+        f = arith.lambda_bw_array(n, b, wp, primed=True) - 1.0
         norm = gowers.gowers_norm_local(f, s).norm
         meta = {"b": b, "W": wp.W}
     elif kind == "delta":
@@ -296,8 +295,6 @@ def cmd_sieve_check(cfg):
     if not b_list:
         raise ValidationError("config key 'b_list' must not be empty")
     c_factor = _get(cfg, "C", int, 20)
-    wp = arith.w_trick(w=w)
-    tables = arith.build_tables(wp.W * n + max(b_list) + 2)     # for domination_constant's Lambda'
     sieve = gysieve.build_enveloping_sieve(n, gamma, w, b_list, c_factor)
     dep = forms.system([[1, 0], [1, 1]])
     lf = gysieve.linear_forms_check(sieve, dep, seed=_get(cfg, "seed", int, 0))
@@ -305,14 +302,14 @@ def cmd_sieve_check(cfg):
     return {
         "N": n,
         "gamma": gamma,
-        "W": wp.W,
+        "W": sieve.wparams.W,
         "b_list": list(b_list),
         "C": c_factor,
         "N_prime": sieve.n_prime,
         "R": sieve.big_r,
         "measure": sieve.mean(),
         "nu_min": float(sieve.nu.min()),
-        "domination_constant": gysieve.domination_constant(sieve, tables),
+        "domination_constant": gysieve.domination_constant(sieve),
         "linear_forms_deviation": lf.deviation,
         "linear_forms_method": lf.method,
         "correlation": {"lhs": lhs, "rhs": rhs, "holds": holds},

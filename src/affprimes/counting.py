@@ -108,8 +108,9 @@ def make_weight(name, tables, wparams=None, b=None):
 
     Selectors: lambda, lambda_prime, mobius, liouville, one,
     prime_indicator, lambda_bw, lambda_prime_bw (the last two need the
-    W-trick params and a residue b; they are tabulated over the form value n
-    with w(n) = (phi(W)/W) Lambda(W n + b)).
+    W-trick params and a residue b; they are tabulated over the form values
+    n <= tables.n_max, like every selector, with w(n) = (phi(W)/W) Lambda(W n + b)
+    sieved on the progression).
     """
     if name == "one":
         return Weight(name="one", kind="one")
@@ -118,10 +119,7 @@ def make_weight(name, tables, wparams=None, b=None):
     if name == "liouville":
         return Weight(name=name, kind="pm1", values=tables.liouville)
     if name == "lambda":
-        mask = (tables.von_mangoldt > 0).view(np.uint8)
-        sup = np.nonzero(mask)[0].astype(np.int64)
-        return Weight(name=name, kind="sparse", values=tables.von_mangoldt,
-                      support_mask=mask, support_list=sup)
+        return weight_from_table(name, tables.von_mangoldt, sparse=True)
     if name == "lambda_prime":
         return Weight(name=name, kind="sparse", values=tables.von_mangoldt_prime,
                       support_mask=tables.prime_mask, support_list=tables.primes)
@@ -132,18 +130,14 @@ def make_weight(name, tables, wparams=None, b=None):
     if name in ("lambda_bw", "lambda_prime_bw"):
         if wparams is None or b is None:
             raise ValueError(f"{name} needs W-trick params and a residue b")
-        vals = arith.lambda_bw_array((tables.n_max - b) // wparams.W, b, wparams, tables,
-                                     primed=name == "lambda_prime_bw", n_lo=0)
+        vals = arith.lambda_bw_array(tables.n_max, b, wparams, name == "lambda_prime_bw", n_lo=0)
         vals[0] = 0.0       # n = 0 corresponds to the small argument b; keep Lambda support in n >= 1
-        mask = (vals > 0).view(np.uint8)
-        sup = np.nonzero(mask)[0].astype(np.int64)
-        return Weight(name=f"{name}[b={b},W={wparams.W}]", kind="sparse",
-                      values=vals, support_mask=mask, support_list=sup)
+        return weight_from_table(f"{name}[b={b},W={wparams.W}]", vals, sparse=True)
     raise ValueError(f"unknown weight {name!r}")
 
 
 def weight_from_table(name, values, sparse=False, reflect_negative=False):
-    """Weight from a raw value table (used for truncated divisor sums)."""
+    """Weight from a raw value table (truncated divisor sums, Lambda and Lambda_{b,W})."""
     values = np.asarray(values, dtype=np.float64)
     if sparse:
         mask = (values != 0).view(np.uint8)
@@ -834,6 +828,8 @@ def predict(sys, body, ss, mode="integral"):
         return 0.0, ss
     n = body.box_bound
     if mode == "log_power":
+        if n < 2:
+            raise ValueError(f"the log_power prediction divides by log N: N must be at least 2, not {n}")
         beta_inf, _ = geometry.archimedean_factor(body, sys)
         return ss.truncated_product * beta_inf / math.log(n) ** sys.t, ss
     if mode != "integral":
@@ -856,8 +852,8 @@ class CorrelationReport:
     empirical: float
     predicted_log_power: float
     predicted_integral: float
-    ratio_log_power: float
-    ratio_integral: float
+    ratio_log_power: float | None         # None where the prediction is 0
+    ratio_integral: float | None
     N: int
     meta: dict = field(default_factory=dict)
 
@@ -865,11 +861,9 @@ class CorrelationReport:
         return asdict(self)
 
     def csv_row(self):
-        return (
-            f"{self.N},{self.empirical},{self.predicted_log_power},"
-            f"{self.predicted_integral},{self.ratio_log_power},"
-            f"{self.ratio_integral},{self.meta.get('seconds', '')}"
-        )
+        vals = (self.N, self.empirical, self.predicted_log_power, self.predicted_integral,
+                self.ratio_log_power, self.ratio_integral, self.meta.get("seconds"))
+        return ",".join("" if v is None else str(v) for v in vals)
 
     csv_header = "N,empirical,pred_log,pred_int,ratio_log,ratio_int,seconds"
 
@@ -901,8 +895,8 @@ def compare(sys, body, p_max, tables, with_lambda_sum=False):
         empirical=float(empirical),
         predicted_log_power=pred_log,
         predicted_integral=pred_int,
-        ratio_log_power=empirical / pred_log if pred_log else float("nan"),
-        ratio_integral=empirical / pred_int if pred_int else float("nan"),
+        ratio_log_power=empirical / pred_log if pred_log else None,
+        ratio_integral=empirical / pred_int if pred_int else None,
         N=body.box_bound,
         meta=meta,
     )

@@ -15,7 +15,9 @@ Cutoff functions are piecewise polynomial with closed-form derivatives:
   on [1/2, 1] through a fixed quintic smoothstep.
 
 The divisor sums need mu(d) for d <= R only (arith.factorize for one n, an
-R-sized mu table for arrays); only domination_constant reads an ArithTables.
+R-sized mu table for arrays).  The W-trick reads only its progression: the
+array kernels take (W, b) and return values at W n + b for n <= N, so no
+table of size W N is built.
 """
 
 import math
@@ -196,31 +198,37 @@ def truncated_divisor_sum(n, chi, big_r, a):
     return log_r * acc**a
 
 
-def divisor_sum_core_array(chi, big_r, n_max):
-    """Array of D(n) = sum_{d|n, d squarefree} mu(d) chi(log d/log R), n <= n_max.
+def divisor_sum_core_array(chi, big_r, n_max, W=1, b=0):
+    """D(W n + b) for n = 0 .. n_max (by default the dense D(n), D(0) = 0), b coprime to W;
+    D(m) = sum_{d|m, d squarefree} mu(d) chi(log d/log R).
 
-    mu(d) is read for d <= R only, from its own table of that size.  R must
-    exceed 1, and n_max passes the table guard, before anything is allocated.
+    A d sharing a prime with W never divides W n + b; each other d adds to its
+    class n = -b W^{-1} (mod d), in ascending d.  mu(d) is read for d <= R only,
+    from its own table of that size.  R must exceed 1, and n_max passes the
+    table guard, before anything is allocated.
     """
     if big_r <= 1:
         raise ValueError("R = N^gamma must exceed 1")
+    if math.gcd(b, W) != 1:
+        raise ValueError(f"b = {b} is not coprime to W = {W}")
     arith.check_table_size(n_max)
     log_r = math.log(big_r)
-    d_hi = int(min(n_max, math.floor(chi.support_radius * big_r)))
-    core = np.zeros(n_max + 1)
-    core[1:] = float(chi(0.0))
+    d_hi = int(min(W * n_max + b, math.floor(chi.support_radius * big_r)))
+    core = np.full(n_max + 1, float(chi(0.0)))
     mobius = arith.build_tables(max(d_hi, 2)).mobius
     for d in range(2, d_hi + 1):
         mu = int(mobius[d])
-        if mu == 0:
+        if mu == 0 or math.gcd(d, W) > 1:
             continue
-        core[d::d] += mu * float(chi(math.log(d) / log_r))
+        core[-b * pow(W, -1, d) % d:: d] += mu * float(chi(math.log(d) / log_r))
+    if b == 0:
+        core[0] = 0.0
     return core
 
 
-def gy_weight_array(chi, big_r, a, n_max):
-    """Lambda_{chi,R,a} as a dense table over [0, n_max]."""
-    core = divisor_sum_core_array(chi, big_r, n_max)
+def gy_weight_array(chi, big_r, a, n_max, W=1, b=0):
+    """Lambda_{chi,R,a}(W n + b) for n = 0 .. n_max (by default the dense table)."""
+    core = divisor_sum_core_array(chi, big_r, n_max, W, b)
     return math.log(big_r) * core**a
 
 
@@ -247,10 +255,10 @@ def sieve_factor(chi, a):
 # the sharp split of Lambda
 
 
-def lambda_sharp_array(n_max, big_r):
-    """Lambda^sharp(n) = -log R sum_{d|n} mu(d) chi_sharp(log d / log R)."""
+def lambda_sharp_array(n_max, big_r, W=1, b=0):
+    """Lambda^sharp(m) = -log R sum_{d|m} mu(d) chi_sharp(log d / log R) at m = W n + b, n <= n_max."""
     chi_s, _ = split_sharp_flat()
-    core = divisor_sum_core_array(chi_s, big_r, n_max)
+    core = divisor_sum_core_array(chi_s, big_r, n_max, W, b)
     return -math.log(big_r) * core
 
 
@@ -266,10 +274,8 @@ def lambda_flat_value(n, big_r):
 
 def sharp_gowers_check(n_scale, b, wparams, s, gamma):
     """|| (phi(W)/W) Lambda^sharp(W n + b) - 1 ||_{U^{s+1}[N]}."""
-    big_r = float(n_scale) ** gamma
-    m_max = wparams.W * n_scale + b
-    sharp = lambda_sharp_array(m_max, big_r)
-    f = wparams.normalizer * sharp[wparams.W + b: m_max + 1: wparams.W] - 1.0
+    sharp = lambda_sharp_array(n_scale, float(n_scale) ** gamma, wparams.W, b)
+    f = wparams.normalizer * sharp[1:] - 1.0
     return gowers.gowers_norm_local(f, s).norm
 
 
@@ -293,10 +299,6 @@ class EnvelopingSieve:
         return float(self.nu.mean())
 
 
-def _least_prime_at_least(n):
-    return n if arith.is_prime(n) else arith._next_prime(n)
-
-
 def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, chi=None):
     """nu = 1/2 + (1/2) E_i (phi(W)/W) Lambda_{chi,R,2}(W n + b_i) on [N], 1 elsewhere.
 
@@ -306,20 +308,18 @@ def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, 
         raise ValueError("C must be >= 20")
     if not 0 < gamma < 0.6:
         raise ValueError("gamma must lie in (0, 3/5)")
+    if not b_list:
+        raise ValueError("b_list must not be empty")
     wparams = arith.w_trick(w=w)
-    for b in b_list:
-        if math.gcd(b, wparams.W) != 1:
-            raise ValueError(f"residue {b} not coprime to W={wparams.W}")
-    n_prime = _least_prime_at_least(c_factor * n_scale)
+    n_prime = arith._next_prime(c_factor * n_scale - 1)        # the least prime >= C N
     if n_prime > 2 * c_factor * n_scale:
         raise AssertionError("Bertrand violated?!")
     big_r = float(n_scale) ** gamma
     if chi is None:
         chi = normalized_bump()
-    gy = gy_weight_array(chi, big_r, 2, wparams.W * n_scale + max(b_list))
     nu_tilde = np.zeros(n_scale + 1)
     for b in b_list:
-        nu_tilde[1:] += gy[wparams.W + b: wparams.W * n_scale + b + 1: wparams.W]
+        nu_tilde += gy_weight_array(chi, big_r, 2, n_scale, wparams.W, b)
     nu_tilde *= wparams.normalizer / len(b_list)
     nu = np.ones(n_prime)
     nu[1: n_scale + 1] = 0.5 + 0.5 * nu_tilde[1:]
@@ -336,14 +336,12 @@ def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, 
     )
 
 
-def domination_constant(sieve, tables):
+def domination_constant(sieve):
     """max over n in [N^{3/5}, N] of (1 + sum_i Lambda'_{b_i,W}(n)) / nu(n)."""
-    w = sieve.wparams
     n0 = max(1, math.ceil(sieve.n_scale ** 0.6))
-    n = np.arange(n0, sieve.n_scale + 1, dtype=np.int64)
-    lhs = np.ones(len(n))
+    lhs = np.ones(sieve.n_scale - n0 + 1)
     for b in sieve.b_list:
-        lhs += w.normalizer * tables.von_mangoldt_prime[w.W * n0 + b: w.W * sieve.n_scale + b + 1: w.W]
+        lhs += arith.lambda_bw_array(sieve.n_scale, b, sieve.wparams, primed=True, n_lo=n0)
     ratio = lhs / sieve.nu[n0: sieve.n_scale + 1]
     return float(ratio.max())
 
@@ -447,9 +445,12 @@ def correlation_check(sieve, m, h_list, kappa=1.0, cap=None):
         raise ValueError("need 1 < m <= 16")
     if len(h_list) != m:
         raise ValueError("h_list must have m entries")
-    prod = np.ones(sieve.n_prime)
+    p, nu = sieve.n_prime, sieve.nu
+    prod = np.ones(p)
     for h in h_list:
-        prod *= np.roll(sieve.nu, -int(h))
+        h = int(h) % p          # prod[i] *= nu[(i + h) mod p], as two slices: no rolled copy
+        prod[:p - h] *= nu[h:]
+        prod[p - h:] *= nu[:h]
     lhs = float(prod.mean())
     diffs = [h_list[i] - h_list[j] for i in range(m) for j in range(i + 1, m)]
     rhs = float(sum(tau_weight(sieve, diffs, kappa=kappa, cap=cap)))
@@ -527,7 +528,7 @@ def gy_estimate_check(sys, body, chi_list, a_list, gamma, p_max=10**5):
     return {
         "empirical": empirical,
         "predicted": predicted,
-        "ratio": empirical / predicted if predicted else float("nan"),
+        "ratio": empirical / predicted if predicted else None,      # JSON null, not NaN
         "R": big_r,
         "sieve_factors": c_prod,
         "singular_series": ss.truncated_product,

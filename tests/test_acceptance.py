@@ -203,14 +203,14 @@ def test_criterion_06_inequality_battery(rng):
 # -- criterion 7 -------------------------------------------------------------
 
 
-def test_criterion_07_wtricked_uniformity_decay(tables_4e6):
+def test_criterion_07_wtricked_uniformity_decay():
     w30 = arith.w_trick(w=5)
     ok = True
     worst = ""
     for b in w30.residues:
         vals = []
         for n in (10**4, 10**5):
-            f = arith.lambda_bw_array(n, b, w30, tables_4e6, primed=True) - 1.0
+            f = arith.lambda_bw_array(n, b, w30, primed=True) - 1.0
             vals.append(gowers.gowers_norm_local(f, 1).norm)
         if not vals[1] < vals[0]:
             ok = False
@@ -270,7 +270,7 @@ def test_criterion_08c_normalized_sieve_factor():
 # -- criterion 9 -------------------------------------------------------------
 
 
-def test_criterion_09_enveloping_sieve(tables_4e6):
+def test_criterion_09_enveloping_sieve():
     sieves = {
         n: gysieve.build_enveloping_sieve(n, 1 / 20, 5.0, [1, 7, 11])
         for n in (10**4, 10**5)
@@ -278,7 +278,7 @@ def test_criterion_09_enveloping_sieve(tables_4e6):
     sv = sieves[10**5]
     nu_min = float(sv.nu.min())
     mean = sv.mean()
-    c_dom = gysieve.domination_constant(sv, tables_4e6)
+    c_dom = gysieve.domination_constant(sv)
     dep = forms.system([[1, 0], [1, 1]])
     devs = {n: gysieve.linear_forms_check(s, dep).deviation for n, s in sieves.items()}
     ok = (

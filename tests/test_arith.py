@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affprimes import arith
 
@@ -105,23 +107,21 @@ def test_w_trick():
         arith.w_trick(W=20)        # not a primorial
 
 
-def test_lambda_bw_values(tables_1e6):
+def test_lambda_bw_values():
     w = arith.w_trick(w=5)
-    assert arith.lambda_bw(1, 7, w, tables_1e6) == pytest.approx((8 / 30) * math.log(37))
+    assert arith.lambda_bw(1, 7, w) == pytest.approx((8 / 30) * math.log(37))
     # 121 = 11^2: the primed variant vanishes
-    assert arith.lambda_bw(4, 1, w, tables_1e6, primed=True) == 0.0
-    assert arith.lambda_bw(4, 1, w, tables_1e6) == pytest.approx((8 / 30) * math.log(11))
+    assert arith.lambda_bw(4, 1, w, primed=True) == 0.0
+    assert arith.lambda_bw(4, 1, w) == pytest.approx((8 / 30) * math.log(11))
     with pytest.raises(ValueError):
-        arith.lambda_bw(1, 6, w, tables_1e6)
+        arith.lambda_bw(1, 6, w)
 
 
-@pytest.mark.slow
 def test_lambda_bw_mean_value():
     # E_{n <= 1e6} Lambda_{b,W}(n) = 1 +- 0.05 for W = 30, every coprime b
     w = arith.w_trick(w=5)
-    tables = arith.build_tables(30 * 10**6 + 30)
     for b in w.residues:
-        mean = float(arith.lambda_bw_array(10**6, b, w, tables).mean())
+        mean = float(arith.lambda_bw_array(10**6, b, w).mean())
         assert abs(mean - 1.0) <= 0.05, (b, mean)
 
 
@@ -184,3 +184,61 @@ def test_guards():
         arith.build_tables(2**31 + 1)
     with pytest.raises(arith.ResourceGuard):
         arith.build_tables(arith.TABLE_GUARD + 1)     # raised before the sieve allocates
+
+
+def _dense_sieve(m_max):
+    """is_prime for 0..m_max by the plain dense sieve; the oracle of arith.prime_sieve."""
+    is_p = np.ones(m_max + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(m_max) + 1):
+        if is_p[p]:
+            is_p[p * p:: p] = False
+    return is_p
+
+
+def _dense_von_mangoldt(m_max, primed):
+    """Lambda (Lambda' when primed) for 0..m_max over the whole dense table; the
+    oracle of arith.von_mangoldt_on."""
+    primes = np.flatnonzero(_dense_sieve(m_max))
+    vm = np.zeros(m_max + 1)
+    vm[primes] = np.log(primes.astype(np.float64))
+    for p in [] if primed else primes[primes <= math.isqrt(m_max)].tolist():
+        pk = p * p
+        while pk <= m_max:
+            vm[pk] = math.log(p)
+            pk *= p
+    return vm
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 2, 3, 4, 5, 48, 49, 50, 10**6 + 3])
+def test_dense_tables_match_the_plain_sieve(m_max):
+    assert arith.prime_sieve(m_max).tobytes() == _dense_sieve(m_max).tobytes()
+    if m_max >= 2:
+        t = arith.build_tables(m_max)
+        assert t.von_mangoldt.tobytes() == _dense_von_mangoldt(m_max, False).tobytes()
+        assert t.von_mangoldt_prime.tobytes() == _dense_von_mangoldt(m_max, True).tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_progression_kernels_match_the_dense_tables(data):
+    # is_prime, Lambda and Lambda' at W n + b, n_lo <= n <= n_hi, read off the dense tables
+    wp = arith.w_trick(W=data.draw(st.sampled_from([2, 6, 30, 210])))
+    b = data.draw(st.sampled_from([r + k * wp.W for r in wp.residues for k in (0, 1, 3)]))
+    n_lo = data.draw(st.integers(0, 500))
+    n_hi = data.draw(st.integers(n_lo, n_lo + 700))
+    primed = data.draw(st.booleans())
+    m = wp.W * np.arange(n_lo, n_hi + 1) + b
+    is_p = arith.prime_sieve(n_hi, wp.W, b, n_lo)
+    assert is_p.tobytes() == _dense_sieve(m[-1])[m].tobytes()
+    lam = _dense_von_mangoldt(m[-1], primed)[m]
+    assert arith.von_mangoldt_on(is_p, wp.W, b, n_lo, primed).tobytes() == lam.tobytes()
+    got = arith.lambda_bw_array(n_hi, b, wp, primed, n_lo)
+    assert got.tobytes() == (wp.normalizer * lam).tobytes()
+
+
+def test_progression_kernels_refuse_a_residue_sharing_a_prime_with_w():
+    with pytest.raises(ValueError, match="b = 9 is not coprime to W = 6"):
+        arith.prime_sieve(100, 6, 9)
+    with pytest.raises(ValueError, match="not coprime"):
+        arith.lambda_bw_array(100, 10, arith.w_trick(w=5))

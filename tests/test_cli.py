@@ -205,6 +205,30 @@ def _spy_allocations(monkeypatch, module=arith, alloc="ones"):
     return sizes
 
 
+def _spy_array_sizes(monkeypatch, *modules):
+    """The sizes of the arrays that the numpy functions called from `modules`
+    return from now on."""
+    sizes = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr) or isinstance(attr, type):
+                return attr
+
+            def spy(*args, **kwargs):
+                out = attr(*args, **kwargs)
+                if isinstance(out, np.ndarray):
+                    sizes.append(out.size)
+                return out
+
+            return spy
+
+    for module in modules:
+        monkeypatch.setattr(module, "np", Numpy())
+    return sizes
+
+
 TWIN_1000 = {
     "system": {"d": 1, "t": 2, "forms": [{"coeffs": [1], "const": 0}, {"coeffs": [1], "const": 2}]},
     "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": -1}, {"a": [1], "c": 998}]},
@@ -236,7 +260,9 @@ TWIN_50 = {**TWIN_1000, "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": -1}, 
 @pytest.mark.parametrize("command, cfg, sieved", [
     ("singular-series", {"system": AP4_SYSTEM, "pmax": 1000}, []),
     ("predict", {**TWIN_50, "pmax": 1000}, []),
-    ("compare", {**TWIN_50, "pmax": 1000}, [53]),     # the count's table, up to 50 + 2, comes first
+    # the count's table, up to 50 + 2, comes first, then the recursive sieves of its sieving primes
+    # (up to 7 and 2); nothing near the guard
+    ("compare", {**TWIN_50, "pmax": 1000}, [53, 8, 3]),
 ])
 def test_pmax_past_the_table_guard_exits_2(tmp_path, monkeypatch, capsys, command, cfg, sieved):
     # the singular series sieves up to pmax through the same guarded prime_sieve
@@ -250,13 +276,13 @@ def test_pmax_past_the_table_guard_exits_2(tmp_path, monkeypatch, capsys, comman
 
 def test_gy_tables_past_the_table_guard_exit_2(tmp_path, monkeypatch, capsys):
     # pmax is under the guard but the forms reach 1000: gysieve's form-sized
-    # weight table is refused before its np.zeros, as prime_sieve refuses
-    zeros = _spy_allocations(monkeypatch, gysieve, "zeros")
+    # weight table is refused before its np.full, as prime_sieve refuses
+    filled = _spy_allocations(monkeypatch, gysieve, "full")
     sieved = _spy_allocations(monkeypatch)
     monkeypatch.setattr(arith, "TABLE_GUARD", 100)
     code, report, _ = run(tmp_path, "gy-verify", {**TWIN_1000, "gamma": 0.3, "pmax": 50})
     assert code == 2 and report is None
-    assert zeros == [] and sieved == []
+    assert filled == [] and sieved == []
     assert "table of size 1002 exceeds the 100 guard" in capsys.readouterr().err
 
 
@@ -276,6 +302,18 @@ def test_usage_error_exits_1(capsys, argv):
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: affprimes")
+
+
+def test_w_trick_allocates_nothing_of_size_w_n(tmp_path, monkeypatch):
+    # the W-trick reads only its progression W n + b, n <= N: no array of W N entries
+    n, wp = 2000, arith.w_trick(w=5.0)
+    sizes = _spy_array_sizes(monkeypatch, arith, gysieve, cli)
+    assert run(tmp_path, "sieve-check", {"N": n, "gamma": 0.3, "w": 5.0, "b_list": [1, 29]})[0] == 0
+    assert run(tmp_path, "gowers", {"N": n, "s": 1, "input": "wtrick", "b": 29})[0] == 0
+    gysieve.sharp_gowers_check(n, 29, wp, 1, 0.4)
+    assert sizes and max(sizes) < wp.W * n
+    gysieve.domination_constant(gysieve.build_enveloping_sieve(n, 0.3, 5.0, [7, 11]))
+    assert max(sizes) < wp.W * n
 
 
 def test_gy_verify_builds_only_r_sized_tables(tmp_path, monkeypatch):
@@ -344,6 +382,50 @@ def test_sieve_check_at_r_one_exits_1(tmp_path, capsys):
     code, report, _ = run(tmp_path, "sieve-check", {"N": 1, "gamma": 0.3})
     assert code == 1 and report is None
     assert capsys.readouterr().err == "error: R = N^gamma must exceed 1\n"
+
+
+def test_count_with_w_tricked_weights(tmp_path):
+    # the W-tricked weights span the forms' range, as every selector does
+    cfg = {**TWIN_1000, "weights": ["lambda_bw", "lambda_prime_bw"], "b_list": [1, 7]}
+    code, report, _ = run(tmp_path, "count", cfg)
+    assert code == 0
+    wp = arith.w_trick(w=5.0)
+    want = sum(arith.lambda_bw(n, 1, wp) * arith.lambda_bw(n + 2, 7, wp, primed=True) for n in range(1, 999))
+    assert report["result"]["count"] == pytest.approx(want, rel=1e-12) and want > 0
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and +-Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+TWIN_AT = {   # the twin body 1 <= n <= N - 2 at N = 1 and N = 2
+    n: {**TWIN_1000, "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": -1}, {"a": [1], "c": n - 2}]}, "N": n,
+        "pmax": 100}
+    for n in (1, 2)
+}
+
+
+@pytest.mark.parametrize("command, cfg", [("compare", TWIN_AT[1]), ("predict", {**TWIN_AT[1], "mode": "log_power"})])
+def test_log_power_at_n_one_exits_1_naming_n(tmp_path, capsys, command, cfg):
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == "error: the log_power prediction divides by log N: N must be at least 2, not 1\n"
+
+
+@pytest.mark.parametrize("command, cfg, keys", [
+    ("compare", TWIN_AT[2], ("ratio_integral", "ratio_log_power")),
+    ("gy-verify", {**TWIN_AT[2], "gamma": 0.3}, ("ratio",)),
+])
+def test_zero_prediction_writes_null_ratios(tmp_path, command, cfg, keys):
+    code, _, out = run(tmp_path, command, cfg)
+    assert code == 0
+    result = _strict_json((out / "report.json").read_text())["result"]
+    assert all(result[k] is None for k in keys)
+    assert result.get("predicted", result.get("predicted_integral")) == 0.0
 
 
 @pytest.mark.parametrize("cfg", [[AP4_SYSTEM], "N system"])

@@ -100,7 +100,7 @@ def test_lambda_bw_weight(tables_4e6):
         sys, body, ["lambda_prime_bw"], tables_4e6, wparams=wp, b_list=[7]
     )
     direct = sum(
-        arith.lambda_bw(n, 7, wp, tables_4e6, primed=True) for n in range(1, 5001)
+        arith.lambda_bw(n, 7, wp, primed=True) for n in range(1, 5001)
     )
     assert val == pytest.approx(direct, rel=1e-12)
 
@@ -741,13 +741,19 @@ def test_weights_resolved_once(tables_1e6):
 
 
 def test_lambda_bw_weight_values():
-    # the W-tricked weight is arith.lambda_bw at every n >= 1 and 0 at n = 0
+    # the W-tricked weight spans the form values n <= tables.n_max, like every
+    # selector; it is (phi(W)/W) Lambda(W n + b) read off the dense table of
+    # W n_max + W at every n >= 1 (and arith.lambda_bw at a few), 0 at n = 0
     tables = arith.build_tables(3000)
     wp = arith.w_trick(w=5)
+    dense = arith.build_tables(wp.W * tables.n_max + wp.W)
     for name, primed in (("lambda_bw", False), ("lambda_prime_bw", True)):
+        table = dense.von_mangoldt_prime if primed else dense.von_mangoldt
         for b in wp.residues:
             vals = counting.make_weight(name, tables, wparams=wp, b=b).values
-            assert len(vals) == (tables.n_max - b) // wp.W + 1
+            assert len(vals) == tables.n_max + 1
             assert vals[0] == 0.0
-            for n in range(1, len(vals)):
-                assert vals[n] == arith.lambda_bw(n, b, wp, tables, primed=primed)
+            want = wp.normalizer * table[wp.W + b:: wp.W][: tables.n_max]
+            assert vals[1:].tobytes() == want.tobytes()
+            for n in (1, 2, 4, 77, tables.n_max):
+                assert vals[n] == arith.lambda_bw(n, b, wp, primed=primed)
