@@ -180,7 +180,7 @@ def w_trick(w=None, W=None):
             raise ValueError("w must be >= 2")
         prod = 1
         p = 2
-        while p <= w:
+        while p <= w and prod <= TABLE_GUARD:
             prod *= p
             p = _next_prime(p)
         W = prod
@@ -195,6 +195,7 @@ def w_trick(w=None, W=None):
         if prod != W:
             raise ValueError(f"{W} is not a primorial")
         w = float(_prev_prime(p))
+    check_table_size(W)         # the residue list below is a loop over 1..W
     residues = tuple(b for b in range(1, W + 1) if math.gcd(b, W) == 1)
     return WTrickParams(w=float(w), W=W, residues=residues)
 

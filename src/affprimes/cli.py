@@ -46,9 +46,10 @@ def _load_config(args):
 def _get(cfg, key, kind, default=..., of=None, exact=False):
     """cfg[key] as kind, or default when the key is absent (no default: required).
 
-    int and float values are converted (int(v), float(v)) unless exact; a
-    value of any other kind (list, dict, str) must have that type, and a
-    list's items the type of.  A violation is a ValidationError naming the key.
+    int and float values are converted (int(v), float(v)) unless exact, and a
+    float must be finite; a value of any other kind (list, dict, str) must have
+    that type, and a list's items the type of.  A violation is a
+    ValidationError naming the key.
     """
     if key not in cfg:
         if default is ...:
@@ -57,9 +58,12 @@ def _get(cfg, key, kind, default=..., of=None, exact=False):
     v = cfg[key]
     if kind in (int, float) and not exact:
         try:
-            return kind(v)
-        except (TypeError, ValueError):
+            v = kind(v)
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"config key {key!r} must be a number, not {v!r}") from None
+        if kind is float and not math.isfinite(v):
+            raise ValidationError(f"config key {key!r} must be finite, not {v!r}")
+        return v
     if not isinstance(v, kind) or (of is not None and not all(isinstance(x, of) for x in v)):
         items = f" of {of.__name__}" if of else ""
         raise ValidationError(f"config key {key!r} must be a {kind.__name__}{items}")
@@ -337,12 +341,10 @@ def cmd_nil_check(cfg):
         g = nilseq.HeisenbergElement(rand_frac(), rand_frac(), rand_frac())
         x0 = nilseq.HeisenbergElement(rand_frac(), rand_frac(), rand_frac())
         h = tuple(int(rng.integers(-5, 6)) for _ in range(3))
-        cube = nilseq.orbit_parallelepiped(g, x0, int(rng.integers(-5, 6)), h)
+        cube = nilseq.orbit_cube(g, x0, int(rng.integers(-5, 6)), h)
         if nilseq.hk_factorize_heisenberg(cube).success:
             hk_ok += 1
-        v = cube[(0, 0, 0)]
-        cube[(0, 0, 0)] = nilseq.HeisenbergElement(v.x, v.y, v.z + Fraction(1, 10))
-        if not nilseq.hk_factorize_heisenberg(cube).success:
+        if not nilseq.hk_factorize_heisenberg(cube.shift_z((0, 0, 0), 1, 10)).success:
             hk_perturbed_fail += 1
     return {
         "seed": seed,

@@ -4,10 +4,11 @@ Elements are the upper unitriangular matrices [[1, x, z], [0, 1, y], [0, 0, 1]],
 stored as coordinate triples.  Exact-rational mode (int or Fraction
 coordinates) is the default for constraint checks: the group law,
 fundamental-domain reduction and Host-Kra factorization are then identities
-with no tolerance.  The exact kernels (orbit cubes, fundamental-domain
-reduction, the quadratic-phase orbit and the Host-Kra peel) work on integer
-numerators over common denominators and build Fractions only for the values
-they return; they reject float coordinates.  Float mode is used only for
+with no tolerance.  The exact kernels work on integer numerators over
+common, possibly unreduced, denominators and build Fractions only for the
+values they return: an orbit cube stays an IntCube from orbit_cube to the
+Host-Kra verdict, and orbit_parallelepiped and HKFactorization.taus are its
+Fraction views.  They reject float coordinates; float mode is used only for
 bulk correlation sums.
 """
 
@@ -18,6 +19,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,7 +78,8 @@ class NilPoint:
 
     def __post_init__(self):
         for c in (self.x, self.y, self.z):
-            if not (-Fraction(1, 2) < Fraction(c) <= Fraction(1, 2)):
+            p, q = Fraction(c).as_integer_ratio()       # q > 0: c in (-1/2, 1/2] iff -q < 2 p <= q
+            if not -q < 2 * p <= q:
                 raise ValueError("NilPoint coordinates must lie in (-1/2, 1/2]")
 
 
@@ -226,8 +229,6 @@ class SkewShiftState:
 
     @staticmethod
     def _reduce(t):
-        if isinstance(t, Fraction):
-            return t - (t.__floor__() if hasattr(t, "__floor__") else math.floor(t))
         return t - math.floor(t)
 
     def step(self):
@@ -271,6 +272,21 @@ _FACES = tuple(
 )
 
 
+class IntCube(NamedTuple):
+    """A {0,1}^3 cube on integers: vertex _OMEGAS[i] is (X/dx, Y/dy, Z/dz) with
+    (X, Y, Z) = nums[i] and (dx, dy, dz) = dens, common and not necessarily reduced."""
+
+    dens: tuple
+    nums: tuple
+
+    def shift_z(self, w, num, den):
+        """The cube with num/den (den > 0) added to the z of vertex w, over dz * den."""
+        (dx, dy, dz), nums = self
+        return IntCube((dx, dy, dz * den), tuple(
+            (x, y, z * den + (v == w) * num * dz) for v, (x, y, z) in zip(_OMEGAS, nums)
+        ))
+
+
 @dataclass
 class HKFactorization:
     """Verdict of the Host-Kra peel.
@@ -294,7 +310,7 @@ class HKFactorization:
 
 
 def hk_factorize_heisenberg(cube):
-    """Peel a {0,1}^3-indexed tuple of group elements into face-group factors.
+    """Peel a {0,1}^3-indexed cube of group elements into face-group factors.
 
     Faces are processed in the fixed decreasing order; the factor for face F
     is read off the residual's max(F) coordinate.  Success requires each
@@ -303,30 +319,27 @@ def hk_factorize_heisenberg(cube):
     codimension 3.  The reconstruction prod tau_i = cube holds by
     construction whenever success is True (and is re-checked).
 
-    The peel runs on integers: with a, b the lcm of the x and y denominators
-    and k the least integer making k a b z integral for every z, the
-    map (x, y, z) -> (a x, b y, k a b z) is an isomorphism onto the group
-    with law (X, Y, Z)(X', Y', Z') = (X + X', Y + Y', Z + Z' + k X Y') and
-    takes the cube to integer triples.  It maps the centre and the identity
-    onto theirs, so every test reads the same on the images; the taus are
-    mapped back to Fraction coordinates when HKFactorization.taus is read.
-    Coordinates must be int or Fraction (any numbers.Rational); a float
-    raises ValueError.
+    The peel runs on an IntCube (a mapping {w: HeisenbergElement} is first
+    brought over the lcm of each coordinate's denominators).  With (a, b, dz)
+    its denominators and k the least integer with dz | k a b, the map
+    (x, y, z) -> (a x, b y, k a b z) is an isomorphism onto the group with
+    law (X, Y, Z)(X', Y', Z') = (X + X', Y + Y', Z + Z' + k X Y') and takes
+    the cube to integer triples.  It maps the centre and the identity onto
+    theirs, so every test reads the same on the images; the taus are mapped
+    back to Fraction coordinates when HKFactorization.taus is read.  A
+    coordinate must be numbers.Rational; a float raises ValueError.
     """
-    cube = dict(cube)
-    if set(cube) != set(_OMEGAS):
-        raise ValueError("need all eight vertices")
-    coords = [tuple(_ratio(c) for c in (cube[w].x, cube[w].y, cube[w].z)) for w in _OMEGAS]
-    a = math.lcm(*(dx for (_, dx), _, _ in coords))
-    b = math.lcm(*(dy for _, (_, dy), _ in coords))
-    ab = a * b
-    den_z = math.lcm(*(dz for _, _, (_, dz) in coords))
-    k = den_z // math.gcd(den_z, ab)
-    s = k * ab
-    target = [
-        (x * (a // dx), y * (b // dy), z * (s // dz))
-        for (x, dx), (y, dy), (z, dz) in coords
-    ]
+    if not isinstance(cube, IntCube):
+        cube = dict(cube)
+        if set(cube) != set(_OMEGAS):
+            raise ValueError("need all eight vertices")
+        coords = [tuple(_ratio(c) for c in (cube[w].x, cube[w].y, cube[w].z)) for w in _OMEGAS]
+        dens = tuple(math.lcm(*(v[i][1] for v in coords)) for i in range(3))
+        cube = IntCube(dens, tuple(tuple(p * (d // q) for (p, q), d in zip(v, dens)) for v in coords))
+    (a, b, dz), nums = cube
+    k = dz // math.gcd(dz, a * b)
+    s = k * a * b
+    target = [(x, y, z * (s // dz)) for x, y, z in nums]
     residual = list(target)
     taus = []
     failures = []
@@ -354,8 +367,8 @@ def hk_factorize_heisenberg(cube):
     return HKFactorization(success, failures, taus, (a, b, s))
 
 
-def orbit_parallelepiped(g, x0, n, h):
-    """(g^{n + w.h} x0)_{w in {0,1}^3} as group elements with Fraction coordinates.
+def orbit_cube(g, x0, n, h):
+    """(g^{n + w.h} x0)_{w in {0,1}^3} as an IntCube.
 
     Each vertex is the closed form g^m x0 = (m gx + ux, m gy + uy,
     m (gz + gx uy) + C(m, 2) gx gy + uz), evaluated on integer numerators
@@ -375,15 +388,19 @@ def orbit_parallelepiped(g, x0, n, h):
     az = gz * (dz // dgz) + gx * uy * (dz // (dgx * duy))
     qz = gx * gy * (dz // (dgx * dgy))
     bz = uz * (dz // duz)
-    cube = {}
-    for w in _OMEGAS:
-        m = n + w[0] * h[0] + w[1] * h[1] + w[2] * h[2]
-        cube[w] = HeisenbergElement(
-            Fraction(m * ax + bx, dx),
-            Fraction(m * ay + by, dy),
-            Fraction(m * az + m * (m - 1) // 2 * qz + bz, dz),
-        )
-    return cube
+    ms = (n + w[0] * h[0] + w[1] * h[1] + w[2] * h[2] for w in _OMEGAS)
+    return IntCube((dx, dy, dz), tuple(
+        (m * ax + bx, m * ay + by, m * az + m * (m - 1) // 2 * qz + bz) for m in ms
+    ))
+
+
+def orbit_parallelepiped(g, x0, n, h):
+    """orbit_cube as {w: HeisenbergElement} with Fraction coordinates."""
+    (dx, dy, dz), nums = orbit_cube(g, x0, n, h)
+    return {
+        w: HeisenbergElement(Fraction(x, dx), Fraction(y, dy), Fraction(z, dz))
+        for w, (x, y, z) in zip(_OMEGAS, nums)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +449,11 @@ def smooth_cell_function(center_x, center_y, width=0.25):
         return u * u
 
     def f(x, y, z):
-        return (
-            bump(np.asarray(x) - center_x)
-            * bump(np.asarray(y) - center_y)
-            * np.exp(2j * np.pi * np.asarray(z))
-        )
+        w = bump(np.asarray(x) - center_x) * bump(np.asarray(y) - center_y)
+        out = np.zeros(w.shape, dtype=complex)
+        nz = w != 0
+        out[nz] = w[nz] * np.exp(2j * np.pi * np.asarray(z)[nz])
+        return out
 
     return f
 

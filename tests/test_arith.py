@@ -107,6 +107,27 @@ def test_w_trick():
         arith.w_trick(W=20)        # not a primorial
 
 
+def test_w_trick_residue_list_is_guarded(monkeypatch):
+    # the coprime residues are a Python loop over 1..W: W passes the table guard first,
+    # and the primorial loop stops once W is past it (a huge w fails here, not after 1e9 steps)
+    monkeypatch.setattr(arith, "TABLE_GUARD", 100)
+    assert arith.w_trick(w=5).residues == (1, 7, 11, 13, 17, 19, 23, 29)
+    steps = []
+    next_prime = arith._next_prime
+
+    def counted(p):
+        steps.append(p)
+        assert len(steps) < 10, "the primorial loop ran past the guard"
+        return next_prime(p)
+
+    monkeypatch.setattr(arith, "_next_prime", counted)
+    for kwargs in ({"w": 7}, {"W": 210}, {"w": 10**9}):
+        steps.clear()
+        with pytest.raises(arith.ResourceGuard, match="table of size 210 exceeds the 100 guard"):
+            arith.w_trick(**kwargs)
+        assert steps == [2, 3, 5, 7]
+
+
 def test_lambda_bw_values():
     w = arith.w_trick(w=5)
     assert arith.lambda_bw(1, 7, w) == pytest.approx((8 / 30) * math.log(37))

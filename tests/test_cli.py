@@ -357,6 +357,53 @@ def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key):
         assert "tent_taper" in err and "normalized_bump" in err
 
 
+@pytest.mark.parametrize("command, cfg, key, extra", [
+    ("mn-corr", {"N": 100, "kind": "phase", "alpha": float("nan")}, "alpha", ()),
+    ("mn-corr", {"N": 100, "kind": "phase", "alpha": "nan"}, "alpha", ()),
+    ("mn-corr", {"N": 100, "kind": "heisenberg", "theta": "-inf"}, "theta", ()),
+    ("gy-verify", {**TWIN_1000, "gamma": float("inf")}, "gamma", ()),
+    ("sieve-check", {"N": 1000}, "gamma", ("--gamma", "nan")),
+    ("local-factors", {"system": AP4_SYSTEM, "pmax": float("inf")}, "pmax", ()),
+])
+def test_non_finite_number_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key, extra):
+    # json.loads reads NaN and Infinity, float() reads "nan" and "inf"; neither is a value
+    code, report, _ = run(tmp_path, command, cfg, extra)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ") and repr(key) in err
+
+
+def test_sieve_check_at_infinite_w_exits_1(tmp_path):
+    # w = inf never leaves arith.w_trick's prime loop (while p <= w) unless the config is
+    # refused first; in a subprocess with a timeout, a regression fails instead of hanging
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"N": 1000, "gamma": 0.3, "w": "inf"}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "affprimes.cli", "sieve-check", "--config", str(cfg_path), "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1
+    assert out.stderr == "error: config key 'w' must be finite, not inf\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("gowers", {"N": 50, "s": 1, "input": "wtrick", "w": 7}),
+    ("sieve-check", {"N": 50, "gamma": 0.3, "w": 7.0}),
+    ("count", {**TWIN_50, "weights": ["lambda_bw", "lambda_bw"], "w": 7}),
+])
+def test_w_trick_past_the_table_guard_exits_2(tmp_path, monkeypatch, capsys, command, cfg):
+    # W = 210 residues against a guard patched down to 100: refused before the residue loop
+    sieved = _spy_allocations(monkeypatch)
+    monkeypatch.setattr(arith, "TABLE_GUARD", 100)
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 2 and report is None
+    assert sieved == []
+    assert "table of size 210 exceeds the 100 guard" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("count", TWIN_1000),
     ("predict", TWIN_1000),

@@ -158,6 +158,59 @@ class TestReduction:
             assert pt2 == pt and gamma2.is_identity()
 
 
+def _old_nilpoint_verdict(c):
+    """The range check NilPoint made before: two Fraction comparisons (its oracle)."""
+    try:
+        return -Fraction(1, 2) < Fraction(c) <= Fraction(1, 2)
+    except Exception as e:
+        return type(e)
+
+
+def _nilpoint_verdict(c):
+    """(accepted in x, in y, in z) or the exception type raised."""
+    out = []
+    for args in ((c, 0, 0), (0, c, 0), (0, 0, c)):
+        try:
+            nilseq.NilPoint(*args)
+            out.append(True)
+        except ValueError as e:
+            if "(-1/2, 1/2]" not in str(e):
+                return ValueError
+            out.append(False)
+        except Exception as e:
+            return type(e)
+    assert len(set(out)) == 1
+    return out[0]
+
+
+_HALF = Fraction(1, 2)
+_EPS = Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize("c", [
+    0, 1, -1, 2, True, False,
+    _HALF, -_HALF, _HALF - _EPS, -_HALF + _EPS, _HALF + _EPS, -_HALF - _EPS, Fraction(3, 7), Fraction(-4, 7),
+    0.5, -0.5, 0.25, -0.0, 0.0, float(np.nextafter(0.5, 0)), float(np.nextafter(-0.5, 0)),
+    float(np.nextafter(0.5, 1)), float(np.nextafter(-0.5, -1)), 1e300, 5e-324,
+    np.float64(0.5), np.float64(-0.5), np.float64(np.nextafter(-0.5, 0)),
+    np.int64(0), np.int64(1), np.int32(-1), np.uint8(0), np.int8(-1),
+    float("nan"), float("inf"), float("-inf"), np.float32(0.25), None, 0.5j, "1/3", "1/2", "-1/2",
+])
+def test_nilpoint_range_matches_fraction_comparison(c):
+    assert _nilpoint_verdict(c) == _old_nilpoint_verdict(c)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.floats(-1, 1), st.fractions(-1, 1, max_denominator=10**6), st.integers(-3, 3),
+    st.integers(-3, 3).map(np.int64),
+    st.builds(lambda half, d, q: half + Fraction(d, q),
+              st.sampled_from([-_HALF, _HALF]), st.integers(-1, 1), st.integers(1, 10**9)),
+))
+def test_nilpoint_range_matches_fraction_comparison_random(c):
+    assert _nilpoint_verdict(c) == _old_nilpoint_verdict(c)
+
+
 class TestQuadraticPhase:
     def test_example_third(self):
         pt = nilseq.quadratic_phase_orbit(Fraction(1, 3), 2)
@@ -255,9 +308,17 @@ class TestParallelepipeds:
         n = data.draw(_exponents)
         h = tuple(data.draw(st.lists(_exponents, min_size=3, max_size=3)))
         cube = nilseq.orbit_parallelepiped(g, x0, n, h)
-        assert cube == _power_cube(g, x0, n, h)
+        want = _power_cube(g, x0, n, h)
+        assert cube == want
         assert list(cube) == list(itertools.product((0, 1), repeat=3))
         assert all(type(c) is Fraction for v in cube.values() for c in (v.x, v.y, v.z))
+        # the integer cube the dict is built from: Python ints, one positive denominator per coordinate
+        dens, nums = nilseq.orbit_cube(g, x0, n, h)
+        assert all(type(d) is int and d > 0 for d in dens)
+        assert all(type(c) is int for v in nums for c in v)
+        assert [tuple(Fraction(c, d) for c, d in zip(v, dens)) for v in nums] == [
+            (v.x, v.y, v.z) for v in want.values()
+        ]
 
     def test_orbit_cube_rejects_floats(self):
         g, x0 = H.exact(1, 2, 3), H.identity()
@@ -341,6 +402,43 @@ class TestHostKra:
         got = nilseq.hk_factorize_heisenberg(cube)
         assert _verdict(got) == _fraction_peel(cube)
         assert all(type(c) is Fraction for _, tau in got.taus for c in (tau.x, tau.y, tau.z))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_integer_cube_peel_matches_fraction_peel(self, data):
+        # the peel of nil-check: the IntCube of orbit_cube and its shift_z copy, with
+        # unreduced denominators, against the Fraction peel of the dict and its perturbed copy
+        max_den = data.draw(_DENS)
+        g, x0 = data.draw(_elements(max_den)), data.draw(_elements(max_den))
+        small = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(np.int64))
+        n = data.draw(small)
+        h = tuple(data.draw(st.lists(small, min_size=3, max_size=3)))
+        int_cube = nilseq.orbit_cube(g, x0, n, h)
+        cube = nilseq.orbit_parallelepiped(g, x0, n, h)
+        got = nilseq.hk_factorize_heisenberg(int_cube)
+        assert _verdict(got) == _fraction_peel(cube) and got.success
+        w = data.draw(st.sampled_from(sorted(cube)))
+        num, den = data.draw(st.integers(-10**6, 10**6)), data.draw(st.sampled_from([1, 10, 12, 10**12]))
+        shifted = int_cube.shift_z(w, num, den)
+        assert shifted.dens == (int_cube.dens[0], int_cube.dens[1], int_cube.dens[2] * den)
+        v = cube[w]
+        cube[w] = H(v.x, v.y, v.z + Fraction(num, den))
+        got = nilseq.hk_factorize_heisenberg(shifted)
+        assert _verdict(got) == _fraction_peel(cube)
+        assert got.success == (num == 0)
+
+    def test_mapping_and_integer_cube_give_one_verdict(self):
+        # a mapping is converted into an IntCube over reduced lcms; the same cube over
+        # larger, unreduced denominators gives the same taus, failures and success
+        g, x0 = H.exact(Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)), H.exact(Fraction(1, 2), 0, 0)
+        int_cube = nilseq.orbit_cube(g, x0, 2, (1, 3, 4))
+        (dx, dy, dz), nums = int_cube
+        wide = nilseq.IntCube((6 * dx, 10 * dy, 14 * dz), tuple((6 * x, 10 * y, 14 * z) for x, y, z in nums))
+        cube = nilseq.orbit_parallelepiped(g, x0, 2, (1, 3, 4))
+        want = _verdict(nilseq.hk_factorize_heisenberg(cube))
+        assert _verdict(nilseq.hk_factorize_heisenberg(int_cube)) == want
+        assert _verdict(nilseq.hk_factorize_heisenberg(wide)) == want
+        assert want == _fraction_peel(cube)
 
     def test_taus_built_on_first_read(self):
         g, x0 = H.exact(Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)), H.identity()
@@ -452,6 +550,62 @@ class TestCorrelations:
             assert abs(float(pt.x) - xx[n - 1]) < 1e-9
             assert abs(float(pt.y) - yy[n - 1]) < 1e-9
             assert abs(float(pt.z) - zz[n - 1]) < 1e-9
+
+
+def _unmasked_cell_function(center_x, center_y, width=0.25):
+    """smooth_cell_function as it was: e(z) evaluated everywhere (the oracle of the masked f)."""
+
+    def bump(t):
+        t = np.abs(t - np.round(t))
+        u = np.clip(1.0 - (t / (width / 2.0)) ** 2, 0.0, None)
+        return u * u
+
+    def f(x, y, z):
+        return bump(np.asarray(x) - center_x) * bump(np.asarray(y) - center_y) * np.exp(2j * np.pi * np.asarray(z))
+
+    return f
+
+
+def _hex(v):
+    return [(c.real.hex(), c.imag.hex()) for c in np.asarray(v, dtype=complex).ravel()]
+
+
+class TestMaskedCellFunction:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+           st.sampled_from([(0.0, 0.0, 0.25), (0.3, -0.2, 0.25), (0.5, 0.5, 0.1)]))
+    def test_masked_product_matches_unmasked(self, seed, n, params):
+        # points on the support edge |t| = width/2 (bump exactly 0), just inside it and at random
+        rng = np.random.default_rng(seed)
+        cx, cy, width = params
+        edge = np.array([width / 2, -width / 2, np.nextafter(width / 2, 0), np.nextafter(-width / 2, 0)])
+        x = np.where(rng.random(n) < 0.5, cx + rng.choice(edge, n), rng.uniform(-0.5, 0.5, n))
+        y = np.where(rng.random(n) < 0.5, cy + rng.choice(edge, n), rng.uniform(-0.5, 0.5, n))
+        z = rng.uniform(-0.5, 0.5, n)
+        got = nilseq.smooth_cell_function(cx, cy, width)(x, y, z)
+        want = _unmasked_cell_function(cx, cy, width)(x, y, z)
+        assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+        on = want != 0
+        assert _hex(got[on]) == _hex(want[on])
+        # off the support the masked f writes +0; the product may carry -0 there
+        assert np.all(got[~on] == 0) and _hex(got[~on]) == [("0x0.0p+0", "0x0.0p+0")] * int((~on).sum())
+        # so every sum of mu-weighted values is bit-equal, signed zeros included
+        mu = rng.integers(-1, 2, n).astype(np.float64)
+        assert _hex(np.mean(mu * got)) == _hex(np.mean(mu * want))
+        assert _hex(np.sum(mu[~on] * got[~on])) == _hex(np.sum(mu[~on] * want[~on]))
+
+    @pytest.mark.parametrize("theta", [0.5 * (np.sqrt(5) - 1), 0.3, np.sqrt(2) - 1, 1 / 7])
+    def test_correlation_matches_unmasked(self, tables_1e6, theta):
+        # small N includes N where every bump is 0, where the sums are of signed zeros
+        g = H(-theta, 2.0, -theta)
+        masked, unmasked = nilseq.smooth_cell_function(0.0, 0.0), _unmasked_cell_function(0.0, 0.0)
+        for n in [*range(1, 60), 997, 10**4]:
+            got = nilseq.mobius_nil_correlation(n, g, H.identity(), masked, tables_1e6)
+            want = nilseq.mobius_nil_correlation(n, g, H.identity(), unmasked, tables_1e6)
+            assert _hex(got) == _hex(want), n
+        # the N where every bump is 0 are among those compared
+        first = np.flatnonzero(masked(*nilseq.heisenberg_orbit_coords(g, H.identity(), 59)))[0] + 1
+        assert first > 1
 
 
 def test_skew_state_iteration_matches_closed_form(rng):
