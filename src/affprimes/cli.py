@@ -46,22 +46,28 @@ def _load_config(args):
 def _get(cfg, key, kind, default=..., of=None, exact=False):
     """cfg[key] as kind, or default when the key is absent (no default: required).
 
-    int and float values are converted (int(v), float(v)) unless exact, and a
-    float must be finite; a value of any other kind (list, dict, str) must have
-    that type, and a list's items the type of.  A violation is a
-    ValidationError naming the key.
+    An int key takes an int (not a bool) or, unless exact, an integral float;
+    a float key takes any value float() converts to a finite float; a key of
+    any other kind (list, dict, str) must have that type, and a list's items
+    the type of.  A violation is a ValidationError naming the key.
     """
     if key not in cfg:
         if default is ...:
             raise ValidationError(f"config key {key!r} required")
         return default
     v = cfg[key]
-    if kind in (int, float) and not exact:
+    if kind is int:
+        if isinstance(v, float) and v.is_integer() and not exact:
+            return int(v)
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValidationError(f"config key {key!r} must be an integer, not {v!r}")
+        return v
+    if kind is float:
         try:
-            v = kind(v)
+            v = float(v)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"config key {key!r} must be a number, not {v!r}") from None
-        if kind is float and not math.isfinite(v):
+        if not math.isfinite(v):
             raise ValidationError(f"config key {key!r} must be finite, not {v!r}")
         return v
     if not isinstance(v, kind) or (of is not None and not all(isinstance(x, of) for x in v)):

@@ -19,7 +19,12 @@ constant factor.  Each block goes to the first driver that applies:
   others lie in the classes mod 6 of the inner coordinate where every form
   is a unit and are read as ANDs of bit-packed prime masks;
 * +-1 (mobius, liouville): 2-D strided int8 views of row segments,
-  multiplied in place and summed exactly in chunks (_pm1_partials);
+  multiplied in place and summed exactly in chunks (_pm1_partials); a
+  segment of at least PM1_CHUNK points is counted on bit planes instead
+  when every varying form has inner coefficient +1 and reads its table at
+  arguments >= 0 without reflection: the nonzero bits of the forms' tables
+  are ANDed, their sign bits XORed, and the partial is
+  popcount(nonzero) - 2 popcount(nonzero & sign) (_pm1_bit_partials);
 * sparse (weights supported on primes or prime powers): the sorted support
   of a form with inner coefficient +-1 drives the iteration, each further
   form filtered by its support mask (_sparse_partials);
@@ -52,9 +57,11 @@ from .localfactors import singular_series
 EXACT_INTEGRAL_POINT_GUARD = 2 * 10**7
 CAND_BLOCK = 2**16              # sparse-driver candidates per chunk; bounds working memory
 FFT_GUARD = 2**22               # longest convolution of the Fourier route; bounds working memory
-PM1_CHUNK = 2**20               # elements per int8 chunk of the +-1 route; its int32 sum cannot overflow
+PM1_CHUNK = 2**20               # elements per int8 chunk of the +-1 route (its int32 sum cannot overflow),
+                                # and the fewest points of a segment counted on bit planes
 BITSET_W = 6                    # the bitset route's W: the product of the primes up to w = 3
-BITSET_CHUNK = 2**20            # bytes per AND buffer of the bitset route; bounds working memory
+BITSET_CHUNK = 2**20            # bytes per AND buffer of the bitset route, and of the +-1 bit
+                                # planes' two accumulators together; bounds working memory
 _W_PRIMES = tuple(arith.factorize(BITSET_W))
 _TAILS = np.packbits(np.arange(8) <= np.arange(8)[:, None], axis=1)[:, 0]     # _TAILS[m]: the first m + 1 bits
 
@@ -227,9 +234,11 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
 
     The Fourier route is tried first, then the engine's drivers: bitset
     (live weights all from the 'prime_indicator' selector; a user-built
-    Weight never takes it), exact int8 2-D +-1 blocks, sparse (all varying
-    forms sparse, one with inner coefficient +-1) or float per-run views, in
-    that order (see the module docstring).  Integer counts may first permute
+    Weight never takes it), +-1 (segments of at least PM1_CHUNK points with
+    inner coefficients +1 and arguments >= 0 on bit planes, the others in
+    exact int8 2-D blocks), sparse (all varying forms sparse, one with inner
+    coefficient +-1) or float per-run views, in that order (see the module
+    docstring).  Integer counts may first permute
     the coordinates (_unit_stride); the lattice points of K map one to one,
     so the integer does not change.  Partials are combined with math.fsum,
     so the result does not depend on the block sizes.
@@ -267,7 +276,9 @@ def _weighted_count(sys, body, weights):
     fixed = [i for i in live if inner[i] == 0]
     varying = [i for i in live if inner[i] != 0]
 
-    bits = driver = None
+    bits = driver = pm1_bits = None
+    if pm1 and all(inner[i] == 1 and not weights[i].reflect_negative for i in varying):
+        pm1_bits = {}           # bit planes per weight and the two accumulators, built on first use
     if primes and varying and all(abs(inner[i]) == 1 for i in varying):
         mask = max((weights[i].values for i in live), key=len)      # all prime masks: the longest serves
         bits = _bit_planes(mask)
@@ -291,7 +302,7 @@ def _weighted_count(sys, body, weights):
         elif bits is not None:
             partials.append(_bitset_partial(mask, bits, signs, off[:, varying], lo, hi))
         elif pm1:
-            partials.extend(_pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const))
+            partials.extend(_pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, pm1_bits))
         elif driver is not None:
             partials.extend(_sparse_partials(weights, varying, inner, driver, off, lo, hi, const))
         else:
@@ -328,16 +339,20 @@ def _unit_stride(coeffs, body, live):
     return coeffs[:, perm], body.permuted(perm)
 
 
-def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
+def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bits):
     """Yield the exact integer partials of one block of a +-1 count, a 2-D chunk at a time.
 
     A segment is a maximal stretch of rows with equal (lo, hi) whose prefixes
     step by +1 in the last outer coordinate, so on it form i reads its table
     at off + step_i r + inner_i x: one (rows, columns) view (_block_view).
-    Segments are cut into chunks of at most PM1_CHUNK elements, long rows
-    along x; the first view is copied into a C-ordered int8 accumulator, the
-    others and the rows' constant factors (0 on some rows) multiply it in
-    place, and its exact sum is the chunk's partial.
+    A segment of at least PM1_CHUNK points whose arguments are all >= 0 is
+    counted on bit planes (_pm1_bit_partials) when bits is a dict, which
+    _weighted_count passes when every varying form has inner coefficient +1
+    and no varying weight reflects negatives.  Other segments are cut into
+    chunks of at most PM1_CHUNK elements, long rows along x; the first view
+    is copied into a C-ordered int8 accumulator, the others and the rows'
+    constant factors (0 on some rows) multiply it in place, and its exact sum
+    is the chunk's partial.
     """
     dp = np.diff(prefix, axis=0)
     joins = (dp[:, :-1] == 0).all(axis=1) & (dp[:, -1:] == 1).all(axis=1)
@@ -345,6 +360,10 @@ def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
     lo, hi = lo.tolist(), hi.tolist()
     for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lo)]):
         a, b = lo[s], hi[s]
+        if (bits is not None and (e - s) * (b - a + 1) >= PM1_CHUNK
+                and min(_lowest_argument(int(off[s, i]), step[i], 1, e - s, a, b) for i in varying) >= 0):
+            yield from _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, bits)
+            continue
         width = min(b - a + 1, PM1_CHUNK)
         height = PM1_CHUNK // width
         for r in range(s, e, height):
@@ -363,6 +382,67 @@ def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
                 if c.min() < 1:
                     acc *= c[:, None]
                 yield _int8_sum(acc)
+
+
+def _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, bits):
+    """Yield the exact partials of the segment of rows s..e-1 and columns a..b, read as bits.
+
+    Every varying form has inner coefficient +1 and reads arguments >= 0.  A
+    +-1 value v is the pair (v != 0, v < 0), and a product of such values is
+    the AND of the first bits and the XOR of the second, so the sum over a
+    chunk is popcount(nz) - 2 popcount(nz & sign).  On the rows r = s + c,
+    s + c + 8, ... of one class c mod 8, form i starts at the argument
+    m = off_i(r) + x, which moves by 8 step_i from row to row: the rows are
+    one 2-D view (row stride step_i bytes) of the plane m mod 8 of
+    _shifted_planes.  The chunks fill two accumulators of BITSET_CHUNK / 2
+    bytes each, whole uint64 words; the bits past a row's end (_TAILS), the
+    padding and the rows whose constant factor is 0 are cleared, and the
+    sign bits of rows whose constant is -1 are flipped.
+    """
+    if not bits:
+        size = BITSET_CHUNK // 2
+        padded = -(-size // 8) * 8
+        bits["acc"] = size, np.empty(padded, np.uint8), np.empty(padded, np.uint8), np.empty(padded // 8, np.uint8)
+    size, nz_acc, sg_acc, ones = bits["acc"]
+    planes = []
+    for i in varying:
+        w = weights[i]
+        if id(w) not in bits:
+            nbytes = len(w.values) // 8 + 2
+            bits[id(w)] = (_shifted_planes(w.values != 0, nbytes), _shifted_planes(w.values < 0, nbytes))
+        planes.append(bits[id(w)])
+    width = min(b - a + 1, 8 * size)
+    height = size // ((width + 7) // 8)
+    for c0 in range(s, min(s + 8, e)):
+        for r in range(c0, e, 8 * height):
+            c = const[r: min(r + 8 * height, e): 8]
+            if not c.any():
+                continue
+            for x in range(a, b + 1, width):
+                y = min(x + width - 1, b)
+                nb = (y - x) // 8 + 1
+                n = len(c) * nb
+                nz, sg = nz_acc[:n].reshape(len(c), nb), sg_acc[:n].reshape(len(c), nb)
+                for k, (i, (pnz, psg)) in enumerate(zip(varying, planes)):
+                    m = int(off[r, i]) + x
+                    vnz, vsg = (np.ndarray((len(c), nb), np.uint8, p, m % 8 * p.shape[1] + m // 8, (step[i], 1))
+                                for p in (pnz, psg))
+                    if k == 0:
+                        nz[...], sg[...] = vnz, vsg
+                    else:
+                        np.bitwise_and(nz, vnz, out=nz)
+                        np.bitwise_xor(sg, vsg, out=sg)
+                nz[:, -1] &= _TAILS[(y - x) % 8]
+                if c.min() < 1:
+                    nz[c == 0] = 0
+                    np.invert(sg, out=sg, where=(c < 0)[:, None])
+                words = -(-n // 8)
+                nz_acc[n:8 * words] = 0
+                nz64, sg64 = nz_acc[:8 * words].view(np.uint64), sg_acc[:8 * words].view(np.uint64)
+                np.bitwise_and(sg64, nz64, out=sg64)
+                # popcounts into one reused buffer; their uint32 sum is at most 4 BITSET_CHUNK < 2**32
+                total = int(np.bitwise_count(nz64, out=ones[:words]).sum(dtype=np.uint32))
+                yield total - 2 * int(np.bitwise_count(sg64, out=ones[:words]).sum(dtype=np.uint32))
 
 
 def _int8_sum(a):
@@ -386,13 +466,18 @@ def _block_view(w, o, rs, cs, rows, a, b):
     read one by one (_run_view).
     """
     v = w.values
-    first, last = o + cs * a, o + cs * b
-    if (w.reflect_negative or not v.flags.c_contiguous
-            or min(first, last, first + rs * (rows - 1), last + rs * (rows - 1)) < 0):
+    if w.reflect_negative or not v.flags.c_contiguous or _lowest_argument(o, rs, cs, rows, a, b) < 0:
         return np.stack([_run_view(w, o + rs * r, cs, a, b) for r in range(rows)])
+    first = o + cs * a
     view = np.ndarray((rows, b - a + 1), v.dtype, v, first * v.itemsize, (rs * v.itemsize, cs * v.itemsize))
     view.flags.writeable = False
     return view
+
+
+def _lowest_argument(o, rs, cs, rows, a, b):
+    """min of o + rs r + cs x over 0 <= r < rows and a <= x <= b (the corners)."""
+    first, last = o + cs * a, o + cs * b
+    return min(first, last, first + rs * (rows - 1), last + rs * (rows - 1))
 
 
 def _sparse_partials(weights, varying, inner, i0, off, lo, hi, const):
@@ -648,13 +733,24 @@ def _bit_planes(mask):
     k = -(-len(mask) // W)
     planes = np.zeros((len(units), 2, 8, k // 8 + 2), np.uint8)
     for u, r in enumerate(units):
-        col = np.zeros(k + 8, np.uint8)
+        col = np.zeros(k, np.uint8)
         col[:len(mask[r::W])] = mask[r::W]
-        for o, bits in enumerate((col, np.concatenate([col[k - 1::-1], col[k:]]))):
-            packed = np.packbits(np.lib.stride_tricks.sliding_window_view(bits, k)[:8], axis=1)
-            planes[u, o, :, :packed.shape[1]] = packed
+        planes[u, 0], planes[u, 1] = _shifted_planes(col, k // 8 + 2), _shifted_planes(col[::-1], k // 8 + 2)
     plane_of = np.array([16 * units.index(r) if r in units else -1 for r in range(W)])
     return planes.reshape(len(units) * 16, -1), plane_of, k - 1
+
+
+def _shifted_planes(bits, nbytes):
+    """(8, nbytes) uint8 whose row s packs the bits s, s + 1, ... of the 0/1 array bits, zero-padded.
+
+    Bit m of bits sits in row m mod 8 at byte m // 8, its most significant
+    bit first (np.packbits), so any run of bits starts on a byte of one row.
+    """
+    planes = np.zeros((8, nbytes), np.uint8)
+    for s in range(8):
+        packed = np.packbits(bits[s:s + 8 * nbytes])
+        planes[s, :len(packed)] = packed
+    return planes
 
 
 def _and_count(flat, first, nbits):

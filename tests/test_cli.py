@@ -373,6 +373,29 @@ def test_non_finite_number_exits_1_naming_the_key(tmp_path, capsys, command, cfg
     assert err.startswith("error: config key ") and repr(key) in err
 
 
+@pytest.mark.parametrize("command, cfg, key", [
+    ("nil-check", {"trials": 2.9}, "trials"),
+    ("nil-check", {"trials": "3"}, "trials"),
+    ("local-factors", {"system": AP4_SYSTEM, "pmax": True}, "pmax"),
+    ("singular-series", {"system": AP4_SYSTEM, "min_prime": False}, "min_prime"),
+    ("gowers", {"N": 16, "s": True, "input": "delta"}, "s"),
+    ("count", {**TWIN_1000, "N": True}, "N"),
+])
+def test_int_key_takes_no_fraction_bool_or_string(tmp_path, capsys, command, cfg, key):
+    # int(v) used to truncate 2.9 to 2 trials and read true as pmax 1
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key ") and repr(key) in err
+
+
+def test_int_key_takes_an_integral_float(tmp_path):
+    code, report, _ = run(tmp_path, "nil-check", {"trials": 3.0, "seed": 5.0})
+    assert code == 0
+    assert type(report["result"]["trials"]) is int and report["result"]["trials"] == 3
+    assert report["result"]["seed"] == 5
+
+
 def test_sieve_check_at_infinite_w_exits_1(tmp_path):
     # w = inf never leaves arith.w_trick's prime loop (while p <= w) unless the config is
     # refused first; in a subprocess with a timeout, a regression fails instead of hanging

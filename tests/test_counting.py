@@ -463,6 +463,111 @@ def test_pm1_route_matches_brute_force():
             assert counting.chowla_check(factors, n, tables) == brute / n**2
 
 
+# ---------------------------------------------------------------------------
+# +-1 segments on bit planes
+
+PM1_RANDOM = np.random.default_rng(20261019).integers(-1, 2, size=2001).astype(np.int8)
+
+
+@st.composite
+def _pm1_segments(draw):
+    """One segment of a +-1 count as _pm1_partials reads it, every argument >= 0.
+
+    Returns (weights, steps, off, a, b, const): form i reads its weight at
+    off[r, i] + x for row r and a <= x <= b, with off[r, i] = off[0, i] +
+    steps[i] r.  Widths cross byte and 64-bit boundaries, heights fall below
+    and above the 8 row classes, steps run over -3..3 and each form's lowest
+    argument is 0, a few, or anywhere up to 1000; const holds the rows'
+    fixed-form factors in {-1, 0, 1}.
+    """
+    rows = draw(st.integers(1, 8) | st.integers(9, 24))
+    width = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 520]) | st.integers(1, 200))
+    a = draw(st.integers(-50, 50))
+    t = draw(st.integers(1, 4))
+    tables = {"mobius": FOURIER_TABLES.mobius, "liouville": FOURIER_TABLES.liouville, "random": PM1_RANDOM}
+    weights, steps, first = [], [], []
+    for _ in range(t):
+        name = draw(st.sampled_from(sorted(tables)))
+        weights.append(counting.Weight(name=name, kind="pm1", values=tables[name]))
+        steps.append(draw(st.integers(-3, 3) | st.integers(0, 3)))
+        lowest = draw(st.sampled_from([0, 0, 1, 2]) | st.integers(0, 1000))
+        first.append(lowest - a - min(0, steps[-1] * (rows - 1)))
+    off = np.array(first, np.int64) + np.arange(rows)[:, None] * np.array(steps, np.int64)
+    low = draw(st.sampled_from([1, 0, -1]))           # all 1, or in {0, 1}, or in {-1, 0, 1}
+    const = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(low, 2, size=rows).astype(np.int8)
+    return weights, steps, off, a, a + width - 1, const
+
+
+def _segment_partials(weights, steps, off, a, b, const, bits):
+    """The partials of _pm1_partials on the segment, and whether it took the bit path."""
+    rows, t = off.shape
+    prefix = np.arange(rows, dtype=np.int64)[:, None] + 7       # prefixes step by +1: one segment
+    lo, hi = np.full(rows, a, np.int64), np.full(rows, b, np.int64)
+    with mock.patch.object(counting, "_pm1_bit_partials", wraps=counting._pm1_bit_partials) as bit_path:
+        partials = list(counting._pm1_partials(weights, list(range(t)), [1] * t, steps,
+                                               prefix, off, lo, hi, const, bits))
+    assert all(type(p) is int for p in partials)
+    return partials, bit_path.called
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_pm1_segments(), st.sampled_from([2, 18, 50, 2**20]))
+def test_pm1_bit_partials_match_brute_force_and_int8(case, chunk):
+    # PM1_CHUNK = 1 sends every segment to the bit path; accumulators of 1, 9
+    # or 25 bytes split rows and columns.  Its partials sum to value_at over
+    # the segment and to the int8 chunks' partials (bits=None).
+    weights, steps, off, a, b, const = case
+    args = off[:, :, None] + np.arange(a, b + 1)          # args[r, i, x - a]
+    values = [np.array([w.value_at(m) for m in range(args.max() + 1)]) for w in weights]
+    terms = const[:, None] * np.prod([v[args[:, i]] for i, v in enumerate(values)], axis=0)
+    brute = int(terms.sum())
+    with mock.patch.object(counting, "PM1_CHUNK", 1), mock.patch.object(counting, "BITSET_CHUNK", chunk):
+        bit, took = _segment_partials(weights, steps, off, a, b, const, {})
+    int8, int8_took = _segment_partials(weights, steps, off, a, b, const, None)
+    assert took and not int8_took
+    assert sum(bit) == sum(int8) == brute
+
+
+def _bit_route(sys_, body, weights, tables=None):
+    """(weighted_count, whether a segment took the bit path)."""
+    with mock.patch.object(counting, "_pm1_bit_partials", wraps=counting._pm1_bit_partials) as bit_path:
+        count = counting.weighted_count(sys_, body, weights, tables)
+    return count, bit_path.called
+
+
+def test_pm1_bit_route_spy():
+    # at the default sizes, AP4 on a square box (one 1100 x 1100 segment) and
+    # the Chowla box take bits, each equal to the int8 count (PM1_CHUNK past
+    # every segment); the cube, the triangle, a stride-2 inner form and inner
+    # coefficients -1 stay on int8
+    n = 1100
+    tables = arith.build_tables(4 * n + 2)
+    ap4 = forms.ap_system(4)
+    square = geometry.ConvexBody.box(2, 1, n)
+    factors = [forms.AffineForm((1, 0)), forms.AffineForm((0, 1)), forms.AffineForm((1, 1)), forms.AffineForm((1, 2))]
+    chowla_tables = arith.build_tables(4 * 3000 + 2)
+    for f in ("mobius", "liouville"):
+        count, took = _bit_route(ap4, square, [f] * 4, tables)
+        with mock.patch.object(counting, "PM1_CHUNK", 2**40):
+            assert _bit_route(ap4, square, [f] * 4, tables) == (count, False)
+        assert took
+        # x1 -> n + 1 - x1 maps the box onto itself: inner coefficient -1, the same count
+        reversed_ap4 = forms.system([[-1, k] for k in range(4)], [n + 1] * 4)
+        assert _bit_route(reversed_ap4, square, [f] * 4, tables) == (count, False)
+    with mock.patch.object(counting, "_pm1_bit_partials", wraps=counting._pm1_bit_partials) as bit_path:
+        chowla = counting.chowla_check(factors, 3000, chowla_tables)
+    assert bit_path.called
+    with mock.patch.object(counting, "PM1_CHUNK", 2**40):
+        assert counting.chowla_check(factors, 3000, chowla_tables) == chowla
+    cube = forms.system([[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]])
+    assert not _bit_route(cube, geometry.ConvexBody.box(3, 1, 300), ["mobius"] * 4, chowla_tables)[1]
+    assert not _bit_route(ap4, ap_body(4, 3000, strict=False), ["mobius"] * 4, chowla_tables)[1]
+    stride2 = [forms.AffineForm((2, 1)), forms.AffineForm((1, 2)), forms.AffineForm((1, 0))]
+    with mock.patch.object(counting, "_pm1_bit_partials", wraps=counting._pm1_bit_partials) as bit_path:
+        counting.chowla_check(stride2, 2000, chowla_tables)
+    assert not bit_path.called
+
+
 def test_negative_arguments_of_sparse_and_pm1_weights(tables_1e6):
     # a reflected sparse weight used to lose every negative argument, and a
     # +-1 weight read a wrong table slice at one
@@ -613,6 +718,33 @@ def test_bitset_route_cases():
     ]
     for sys_, body, weights in misses:
         assert _engine_count(sys_, body, weights) == (sum(_brute_terms(sys_, body, weights)), False)
+
+
+def _sliding_bit_planes(mask):
+    """_bit_planes as first written, one sliding window per plane: the oracle of _shifted_planes."""
+    W = counting.BITSET_W
+    units = [r for r in range(W) if math.gcd(r, W) == 1]
+    k = -(-len(mask) // W)
+    planes = np.zeros((len(units), 2, 8, k // 8 + 2), np.uint8)
+    for u, r in enumerate(units):
+        col = np.zeros(k + 8, np.uint8)
+        col[:len(mask[r::W])] = mask[r::W]
+        for o, bits in enumerate((col, np.concatenate([col[k - 1::-1], col[k:]]))):
+            packed = np.packbits(np.lib.stride_tricks.sliding_window_view(bits, k)[:8], axis=1)
+            planes[u, o, :, :packed.shape[1]] = packed
+    plane_of = np.array([16 * units.index(r) if r in units else -1 for r in range(W)])
+    return planes.reshape(len(units) * 16, -1), plane_of, k - 1
+
+
+def test_bit_planes_bytes_equal_sliding_windows():
+    # the prime planes built through _shifted_planes, on prefixes of the mask
+    # that give every k mod 8 and short columns
+    mask = BITSET_TABLES.prime_mask
+    for n in [*range(1, 120), 3995, 3996, 4000, len(mask)]:
+        got, want = counting._bit_planes(mask[:n]), _sliding_bit_planes(mask[:n])
+        assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
 # ---------------------------------------------------------------------------
