@@ -8,11 +8,13 @@ included), 2 resource guard, 3 internal error.
 
 import argparse
 import csv
+import inspect
 import json
 import locale  # noqa: F401 -- argparse's gettext loads it at the first parse; loaded here, it is start-up time
 import math
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -43,21 +45,30 @@ def _load_config(args):
     return cfg
 
 
-def _get(cfg, key, kind, default=..., of=None, exact=False):
-    """cfg[key] as kind, or default when the key is absent (no default: required).
+Exact = typing.NewType("Exact", int)     # the kind of an int key that takes no integral float
 
-    An int key takes an int (not a bool) or, unless exact, an integral float;
-    a float key takes any value float() converts to a finite float; a key of
-    any other kind (list, dict, str) must have that type, and a list's items
-    the type of.  A violation is a ValidationError naming the key.
+
+class NonEmpty(list):
+    """The kind NonEmpty[T]: a list of T with at least one item."""
+
+
+def _value(cfg, key, kind, default):
+    """cfg[key] checked against kind, or default when the key is absent (no default: an error).
+
+    int takes an int (not a bool) or an integral float, Exact only an int;
+    float takes any value float() converts to a finite float; Literal[...]
+    one of its names; list[T] a list of T, NonEmpty[T] a non-empty one; any
+    other kind (dict, str) that type.  A violation is a ValidationError
+    naming the key.
     """
     if key not in cfg:
-        if default is ...:
+        if default is inspect.Parameter.empty:
             raise ValidationError(f"config key {key!r} required")
         return default
     v = cfg[key]
-    if kind is int:
-        if isinstance(v, float) and v.is_integer() and not exact:
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if kind in (int, Exact):
+        if isinstance(v, float) and v.is_integer() and kind is int:
             return int(v)
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValidationError(f"config key {key!r} must be an integer, not {v!r}")
@@ -70,37 +81,59 @@ def _get(cfg, key, kind, default=..., of=None, exact=False):
         if not math.isfinite(v):
             raise ValidationError(f"config key {key!r} must be finite, not {v!r}")
         return v
-    if not isinstance(v, kind) or (of is not None and not all(isinstance(x, of) for x in v)):
-        items = f" of {of.__name__}" if of else ""
-        raise ValidationError(f"config key {key!r} must be a {kind.__name__}{items}")
+    if origin is typing.Literal:
+        if v not in args:
+            raise ValidationError(f"config key {key!r} must be one of {', '.join(args)}; got {v!r}")
+        return v
+    if origin in (list, NonEmpty):
+        if not isinstance(v, list) or not all(isinstance(x, args[0]) for x in v):
+            raise ValidationError(f"config key {key!r} must be a list of {args[0].__name__}")
+        if origin is NonEmpty and not v:
+            raise ValidationError(f"config key {key!r} must not be empty")
+        return v
+    if not isinstance(v, kind):
+        raise ValidationError(f"config key {key!r} must be a {kind.__name__}")
     return v
 
 
-def _scale(cfg, default=...):
-    """The scale cfg["N"], an int of at least 1 (default when absent, if given)."""
-    n = _get(cfg, "N", int, default, exact=True)
-    if n is not None and n < 1:
-        raise ValidationError(f"config key 'N' must be at least 1, not {n}")
-    return n
+def _arguments(cmd, cfg):
+    """cmd's keyword arguments read from cfg, all checked before cmd runs.
+
+    Each parameter is a config key: its annotation gives the key's kind and
+    its default the key's default (none: the key is required).  N comes
+    first, whenever cmd takes N, a system or a body: it is the scale at which
+    system (a FormSystem) and body (a ConvexBody) are parsed, and a body
+    needs it.
+    """
+    params = inspect.signature(cmd).parameters
+    parsers = {forms.FormSystem: forms.form_system_from_json, geometry.ConvexBody: geometry.convex_body_from_json}
+    n = None
+    if params.keys() & {"N", "system", "body"}:
+        default = params["N"].default if "N" in params else None
+        n = _value(cfg, "N", Exact, inspect.Parameter.empty if "body" in params else default)
+        if n is not None and n < 1:
+            raise ValidationError(f"config key 'N' must be at least 1, not {n}")
+    args = {}
+    for key, p in params.items():
+        if key == "N":
+            args[key] = n
+        elif p.annotation in parsers:
+            obj = _value(cfg, key, dict, p.default)
+            try:
+                args[key] = parsers[p.annotation](obj, n_scale=n)
+            except (TypeError, AttributeError, KeyError, ValueError, ZeroDivisionError) as e:
+                raise ValidationError(f"config key {key!r} is malformed: {e}") from None
+        else:
+            args[key] = _value(cfg, key, p.annotation, p.default)
+    return args
 
 
-def _parsed(cfg, key, from_json):
-    """The JSON object cfg[key] read by from_json at the scale N (if given)."""
-    obj, n = _get(cfg, key, dict), _scale(cfg, None)
-    try:
-        return from_json(obj, n_scale=n)
-    except (TypeError, AttributeError, KeyError) as e:
-        raise ValidationError(f"config key {key!r} is malformed: {e}") from None
-
-
-def _system(cfg):
-    return _parsed(cfg, "system", forms.form_system_from_json)
-
-
-def _problem(cfg):
-    """(N, system, body) of a command that counts over a body K."""
-    n = _scale(cfg)
-    return n, _system(cfg), _parsed(cfg, "body", geometry.convex_body_from_json)
+def _per_form(key, values, system, default):
+    """values (one default per form when None), which must list one entry per form."""
+    values = [default] * system.t if values is None else values
+    if len(values) != system.t:
+        raise ValidationError(f"config key {key!r} must list one entry per form ({system.t}), not {len(values)}")
+    return values
 
 
 def _tables_for(sys_, body):
@@ -126,44 +159,39 @@ def _write_report(out_dir, payload, csv_rows=None, csv_header=None, fmt="json"):
 # commands
 
 
-def cmd_complexity(cfg):
-    sys_ = _system(cfg)
-    res = forms.complexity(sys_)
+def cmd_complexity(system: forms.FormSystem):
+    res = forms.complexity(system)
     return {
-        "system": forms.form_system_to_json(sys_),
+        "system": forms.form_system_to_json(system),
         "per_index": [None if x == math.inf else x for x in res.per_index],
         "overall": None if res.overall == math.inf else res.overall,
         "witnesses": {str(i): w for i, w in res.witnesses.items()},
     }, None, None
 
 
-def cmd_normalize(cfg):
-    sys_ = _system(cfg)
-    s = _get(cfg, "s", int, exact=True)
-    ext, fvecs = forms.normal_form_extension(sys_, s)
+def cmd_normalize(system: forms.FormSystem, s: Exact):
+    ext, fvecs = forms.normal_form_extension(system, s)
     ok, witnesses = forms.is_normal_form(ext, s, with_witness=True)
     return {
-        "system": forms.form_system_to_json(sys_),
+        "system": forms.form_system_to_json(system),
         "s": s,
         "extension": forms.form_system_to_json(ext),
         "witness_vectors": fvecs,
         "is_normal_form": ok,
         "normal_form_witnesses": witnesses,
-        "lattice_equal": forms.is_extension(sys_, ext),
+        "lattice_equal": forms.is_extension(system, ext),
     }, None, None
 
 
-def cmd_local_factors(cfg):
-    sys_ = _system(cfg)
-    p_max = _get(cfg, "pmax", int, 100)
-    if p_max > 10**5:
+def cmd_local_factors(system: forms.FormSystem, pmax: int = 100):
+    if pmax > 10**5:
         raise arith.ResourceGuard("exact per-prime profile limited to pmax <= 1e5")
-    prof = localfactors.local_profile(sys_, p_max)
+    prof = localfactors.local_profile(system, pmax)
     rows = [(p, num, den, val) for p, num, den, val in prof.rows()]
     return (
         {
-            "system": forms.form_system_to_json(sys_),
-            "pmax": p_max,
+            "system": forms.form_system_to_json(system),
+            "pmax": pmax,
             "factors": [
                 {"p": p, "num": num, "den": den, "value": val} for p, num, den, val in rows
             ],
@@ -173,14 +201,11 @@ def cmd_local_factors(cfg):
     )
 
 
-def cmd_singular_series(cfg):
-    sys_ = _system(cfg)
-    p_max = _get(cfg, "pmax", int, 10**6)
-    min_prime = _get(cfg, "min_prime", int, 2)
-    ss = localfactors.singular_series(sys_, p_max, min_prime=min_prime)
+def cmd_singular_series(system: forms.FormSystem, pmax: int = 10**6, min_prime: int = 2):
+    ss = localfactors.singular_series(system, pmax, min_prime=min_prime)
     return {
-        "system": forms.form_system_to_json(sys_),
-        "pmax": p_max,
+        "system": forms.form_system_to_json(system),
+        "pmax": pmax,
         "min_prime": min_prime,
         "truncated_product": ss.truncated_product,
         "tail_log_bound": ss.tail_log_bound,
@@ -190,16 +215,14 @@ def cmd_singular_series(cfg):
     }, None, None
 
 
-def cmd_predict(cfg):
-    n, sys_, body = _problem(cfg)
-    p_max = _get(cfg, "pmax", int, 10**5)
-    mode = _get(cfg, "mode", str, "integral")
-    val, ss = counting.predict(sys_, body, localfactors.singular_series(sys_, p_max), mode)
+def cmd_predict(system: forms.FormSystem, body: geometry.ConvexBody, N: Exact, pmax: int = 10**5,
+                mode: str = "integral"):
+    val, ss = counting.predict(system, body, localfactors.singular_series(system, pmax), mode)
     return {
-        "system": forms.form_system_to_json(sys_),
+        "system": forms.form_system_to_json(system),
         "body": geometry.convex_body_to_json(body),
-        "N": n,
-        "pmax": p_max,
+        "N": N,
+        "pmax": pmax,
         "mode": mode,
         "prediction": val,
         "singular_series": ss.truncated_product,
@@ -207,114 +230,86 @@ def cmd_predict(cfg):
     }, None, None
 
 
-def cmd_count(cfg):
-    n, sys_, body = _problem(cfg)
-    weights = _get(cfg, "weights", list, ["prime_indicator"] * sys_.t, of=str)
-    if len(weights) != sys_.t:
-        raise ValidationError("weights must list one selector per form")
-    wp = None
-    if any(w in ("lambda_bw", "lambda_prime_bw") for w in weights):
-        wp = arith.w_trick(w=_get(cfg, "w", float, 5.0))
-    tables = _tables_for(sys_, body)
+def cmd_count(system: forms.FormSystem, body: geometry.ConvexBody, N: Exact, weights: list[str] = None,
+              w: float = 5.0, b_list: list[int] = None):
+    weights = _per_form("weights", weights, system, "prime_indicator")
+    wp = arith.w_trick(w=w) if any(x in ("lambda_bw", "lambda_prime_bw") for x in weights) else None
+    tables = _tables_for(system, body)
     val = counting.weighted_count(
-        sys_, body, weights, tables, wparams=wp, b_list=_get(cfg, "b_list", list, None, of=int)
+        system, body, weights, tables, wparams=wp, b_list=_per_form("b_list", b_list, system, None)
     )
     return {
-        "system": forms.form_system_to_json(sys_),
+        "system": forms.form_system_to_json(system),
         "body": geometry.convex_body_to_json(body),
-        "N": n,
+        "N": N,
         "weights": weights,
         "count": val,
     }, None, None
 
 
-def cmd_compare(cfg):
-    n, sys_, body = _problem(cfg)
-    p_max = _get(cfg, "pmax", int, 10**5)
-    tables = _tables_for(sys_, body)
-    rep = counting.compare(sys_, body, p_max, tables)
+def cmd_compare(system: forms.FormSystem, body: geometry.ConvexBody, pmax: int = 10**5):
+    tables = _tables_for(system, body)
+    rep = counting.compare(system, body, pmax, tables)
     payload = rep.to_json()
-    payload["system"] = forms.form_system_to_json(sys_)
+    payload["system"] = forms.form_system_to_json(system)
     payload["body"] = geometry.convex_body_to_json(body)
     return payload, [rep.csv_row().split(",")], counting.CorrelationReport.csv_header.split(",")
 
 
-def cmd_mobius_corr(cfg):
-    n, sys_, body = _problem(cfg)
-    func = _get(cfg, "f", str, "mobius")
-    tables = _tables_for(sys_, body)
-    val = counting.mobius_correlation(sys_, body, tables, func=func)
+def cmd_mobius_corr(system: forms.FormSystem, body: geometry.ConvexBody, N: Exact, f: str = "mobius"):
+    tables = _tables_for(system, body)
+    val = counting.mobius_correlation(system, body, tables, func=f)
     return {
-        "system": forms.form_system_to_json(sys_),
-        "N": n,
-        "f": func,
+        "system": forms.form_system_to_json(system),
+        "N": N,
+        "f": f,
         "normalized_correlation": val,
     }, None, None
 
 
-def cmd_chowla(cfg):
-    n = _scale(cfg)
-    factors = [forms.AffineForm(tuple(row)) for row in _get(cfg, "factors", list, of=list)]
-    if not factors:
-        raise ValidationError("config key 'factors' must not be empty")
-    tables = arith.build_tables(max(sum(map(abs, f.linear_coeffs)) * n for f in factors) + 2)
-    val = counting.chowla_check(factors, n, tables)
-    return {"N": n, "factors": [list(f.linear_coeffs) for f in factors], "value": val}, None, None
+def cmd_chowla(N: Exact, factors: NonEmpty[list]):
+    factors = [forms.AffineForm(tuple(row)) for row in factors]
+    tables = arith.build_tables(max(sum(map(abs, f.linear_coeffs)) * N for f in factors) + 2)
+    val = counting.chowla_check(factors, N, tables)
+    return {"N": N, "factors": [list(f.linear_coeffs) for f in factors], "value": val}, None, None
 
 
-def cmd_gowers(cfg):
-    n = _scale(cfg)
-    s = _get(cfg, "s", int, 1)
-    kind = _get(cfg, "input", str, "wtrick")
-    if kind == "wtrick":
-        wp = arith.w_trick(w=_get(cfg, "w", float, 5.0))
-        b = _get(cfg, "b", int, 1)
-        f = arith.lambda_bw_array(n, b, wp, primed=True) - 1.0
+def cmd_gowers(N: Exact, s: int = 1, input: typing.Literal["wtrick", "delta"] = "wtrick", w: float = 5.0,
+               b: int = 1):
+    if input == "wtrick":
+        wp = arith.w_trick(w=w)
+        f = arith.lambda_bw_array(N, b, wp, primed=True) - 1.0
         norm = gowers.gowers_norm_local(f, s).norm
         meta = {"b": b, "W": wp.W}
-    elif kind == "delta":
-        f = np.zeros(n)
+    else:
+        f = np.zeros(N)
         f[0] = 1.0
         norm = gowers.gowers_norm_cyclic(f, s).norm
-        meta = {"closed_form": n ** (-(s + 2) / 2 ** (s + 1))}
-    else:
-        raise ValidationError(f"unknown gowers input {kind!r}")
-    return {"N": n, "s": s, "input": kind, "norm": norm, **meta}, None, None
+        meta = {"closed_form": N ** (-(s + 2) / 2 ** (s + 1))}
+    return {"N": N, "s": s, "input": input, "norm": norm, **meta}, None, None
 
 
-def cmd_gy_verify(cfg):
-    n, sys_, body = _problem(cfg)
-    gamma = _get(cfg, "gamma", float, 1 / 20)
-    a_list = _get(cfg, "a_list", list, [1] * sys_.t, of=int)
-    chi_name = _get(cfg, "chi", str, "tent_taper")
-    cutoffs = {"tent_taper": gysieve.tent_taper, "normalized_bump": gysieve.normalized_bump}
-    if chi_name not in cutoffs:
-        raise ValidationError(f"config key 'chi' must be one of {', '.join(cutoffs)}; got {chi_name!r}")
-    out = gysieve.gy_estimate_check(
-        sys_, body, [cutoffs[chi_name]()] * sys_.t, a_list, gamma, p_max=_get(cfg, "pmax", int, 10**5)
-    )
-    out.update({"N": n, "gamma": gamma, "chi": chi_name, "a_list": a_list})
+def cmd_gy_verify(system: forms.FormSystem, body: geometry.ConvexBody, N: Exact, gamma: float = 1 / 20,
+                  a_list: list[int] = None, chi: typing.Literal["tent_taper", "normalized_bump"] = "tent_taper",
+                  pmax: int = 10**5):
+    a_list = _per_form("a_list", a_list, system, 1)
+    out = gysieve.gy_estimate_check(system, body, [getattr(gysieve, chi)()] * system.t, a_list, gamma, p_max=pmax)
+    out.update({"N": N, "gamma": gamma, "chi": chi, "a_list": a_list})
     return out, None, None
 
 
-def cmd_sieve_check(cfg):
-    n = _scale(cfg)
-    gamma = _get(cfg, "gamma", float, 1 / 20)
-    w = _get(cfg, "w", float, 5.0)
-    b_list = _get(cfg, "b_list", list, [1], of=int)
-    if not b_list:
-        raise ValidationError("config key 'b_list' must not be empty")
-    c_factor = _get(cfg, "C", int, 20)
-    sieve = gysieve.build_enveloping_sieve(n, gamma, w, b_list, c_factor)
+def cmd_sieve_check(N: Exact, gamma: float = 1 / 20, w: float = 5.0, b_list: NonEmpty[int] = (1,), C: int = 20,
+                    seed: int = 0):
+    sieve = gysieve.build_enveloping_sieve(N, gamma, w, b_list, C)
     dep = forms.system([[1, 0], [1, 1]])
-    lf = gysieve.linear_forms_check(sieve, dep, seed=_get(cfg, "seed", int, 0))
+    lf = gysieve.linear_forms_check(sieve, dep, seed=seed)
     lhs, rhs, holds = gysieve.correlation_check(sieve, 2, [3, 9])
     return {
-        "N": n,
+        "N": N,
         "gamma": gamma,
         "W": sieve.wparams.W,
         "b_list": list(b_list),
-        "C": c_factor,
+        "C": C,
         "N_prime": sieve.n_prime,
         "R": sieve.big_r,
         "measure": sieve.mean(),
@@ -326,9 +321,7 @@ def cmd_sieve_check(cfg):
     }, None, None
 
 
-def cmd_nil_check(cfg):
-    seed = _get(cfg, "seed", int, 0)
-    trials = _get(cfg, "trials", int, 100)
+def cmd_nil_check(seed: int = 0, trials: int = 100):
     rng = np.random.default_rng(seed)
     from fractions import Fraction
 
@@ -361,26 +354,21 @@ def cmd_nil_check(cfg):
     }, None, None
 
 
-def cmd_mn_corr(cfg):
-    n = _scale(cfg)
-    kind = _get(cfg, "kind", str, "phase")
-    tables = arith.build_tables(n + 2)
+def cmd_mn_corr(N: Exact, kind: typing.Literal["phase", "heisenberg", "constant"] = "phase",
+                alpha: float = 0.5 * (math.sqrt(5) - 1), theta: float = 0.5 * (math.sqrt(5) - 1)):
+    tables = arith.build_tables(N + 2)
     if kind == "phase":
-        alpha = _get(cfg, "alpha", float, 0.5 * (math.sqrt(5) - 1))
-        val = nilseq.mobius_phase_correlation(n, alpha, tables)
+        val = nilseq.mobius_phase_correlation(N, alpha, tables)
         meta = {"alpha": alpha}
     elif kind == "heisenberg":
-        theta = _get(cfg, "theta", float, 0.5 * (math.sqrt(5) - 1))
         g = nilseq.HeisenbergElement(-theta, 2.0, -theta)
         func = nilseq.smooth_cell_function(0.0, 0.0)
-        val = nilseq.mobius_nil_correlation(n, g, nilseq.HeisenbergElement.identity(), func, tables)
+        val = nilseq.mobius_nil_correlation(N, g, nilseq.HeisenbergElement.identity(), func, tables)
         meta = {"theta": theta}
-    elif kind == "constant":
-        val = complex(tables.mobius[1: n + 1].astype(float).mean())
-        meta = {}
     else:
-        raise ValidationError(f"unknown mn-corr kind {kind!r}")
-    return {"N": n, "kind": kind, "abs": abs(val), "real": val.real, "imag": val.imag, **meta}, None, None
+        val = complex(tables.mobius[1: N + 1].astype(float).mean())
+        meta = {}
+    return {"N": N, "kind": kind, "abs": abs(val), "real": val.real, "imag": val.imag, **meta}, None, None
 
 
 COMMANDS = {
@@ -423,11 +411,12 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         cfg = _load_config(args)
-        payload, rows, header = COMMANDS[args.command](cfg)
+        cmd = COMMANDS[args.command]
+        payload, rows, header = cmd(**_arguments(cmd, cfg))
     except arith.ResourceGuard as e:        # a ValueError: caught first, so it exits 2
         print(f"resource guard: {e}", file=sys.stderr)
         return 2
-    except (ValidationError, ValueError, KeyError) as e:
+    except (ValidationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:

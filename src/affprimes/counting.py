@@ -964,12 +964,11 @@ class CorrelationReport:
     csv_header = "N,empirical,pred_log,pred_int,ratio_log,ratio_int,seconds"
 
 
-def compare(sys, body, p_max, tables, with_lambda_sum=False):
+def compare(sys, body, p_max, tables):
     """Empirical prime point count against both prediction modes.
 
-    The report's `empirical` field is the prime point count (the quantity
-    both prediction modes target); the Lambda'-weighted sum is carried in
-    meta when requested.
+    The report's `empirical` field is the prime point count, the quantity
+    both prediction modes target.
     """
     t0 = time.perf_counter()
     empirical = prime_point_count(sys, body, tables)
@@ -982,10 +981,6 @@ def compare(sys, body, p_max, tables, with_lambda_sum=False):
         "singular_series": ss.truncated_product,
         "vanishing": ss.vanishing,
     }
-    if with_lambda_sum:
-        meta["lambda_prime_sum"] = weighted_count(
-            sys, body, ["lambda_prime"] * sys.t, tables
-        )
     meta["seconds"] = round(time.perf_counter() - t0, 3)
     return CorrelationReport(
         empirical=float(empirical),

@@ -16,14 +16,21 @@ from . import linalg
 MAX_FORMS_FOR_COMPLEXITY = 20
 
 
+def _integer(x):
+    """x as an int; a ValueError unless x is integral (2 and 2.0 are; 2.5, inf and "2" are not)."""
+    if isinstance(x, float) and not x.is_integer() or int(x) != x:
+        raise ValueError(f"form coefficients and constants must be integers, not {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class AffineForm:
     linear_coeffs: tuple
     constant: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "linear_coeffs", tuple(int(c) for c in self.linear_coeffs))
-        object.__setattr__(self, "constant", int(self.constant))
+        object.__setattr__(self, "linear_coeffs", tuple(map(_integer, self.linear_coeffs)))
+        object.__setattr__(self, "constant", _integer(self.constant))
         if not any(self.linear_coeffs):
             raise ValueError("affine form must be non-constant")
 
@@ -453,7 +460,7 @@ def _parse_const(c, n_scale):
         if r.denominator != 1:
             raise ValueError(f"times_N constant {c!r} is not integral at N={n_scale}")
         return int(r)
-    return int(c)
+    return _integer(c)
 
 
 def form_system_from_json(obj, n_scale=None):

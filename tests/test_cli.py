@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +146,14 @@ def test_malformed_json_exit_code(tmp_path):
 def test_missing_key_exit_code(tmp_path):
     code, _, _ = run(tmp_path, "predict", {"system": AP4_SYSTEM})
     assert code == 1
+
+
+def test_body_needs_n_where_the_command_does_not_read_it(tmp_path, capsys):
+    # compare takes no N, but its body is read at the scale N, even a body that carries its own
+    cfg = {"system": {"forms": [{"coeffs": [1]}]}, "body": {"dim": 1, "halfspaces": [], "N": 100}}
+    code, report, _ = run(tmp_path, "compare", cfg)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == "error: config key 'N' required\n"
 
 
 def test_resource_guard_exit_code(tmp_path, monkeypatch):
@@ -347,6 +357,20 @@ def test_gy_verify_builds_only_r_sized_tables(tmp_path, monkeypatch):
     ("chowla", {"N": 500, "factors": []}, "factors"),
     ("local-factors", {"system": {"coeffs": [1]}}, "system"),
     ("count", {**TWIN_1000, "body": {"halfspaces": [{"a": [-1], "c": -1}]}}, "body"),
+    # int() read 0.5 as 0 and 2.7 as 2; a constant form named no key
+    ("count", {**TWIN_1000, "system": {"forms": [{"coeffs": [1]}, {"coeffs": [0.5]}]}}, "system"),
+    ("count", {**TWIN_1000, "system": {"forms": [{"coeffs": [1]}, {"coeffs": [1], "const": 2.7}]}}, "system"),
+    ("count", {**TWIN_1000, "system": {"forms": [{"coeffs": [1]}, {"coeffs": [0]}]}}, "system"),
+    # a short b_list raised IndexError (exit 3); a long one, or a long a_list, was cut without a word
+    ("count", {**TWIN_1000, "weights": ["lambda_bw"] * 2, "b_list": [1]}, "b_list"),
+    ("count", {**TWIN_1000, "weights": ["lambda_bw"] * 2, "b_list": [1, 7, 11]}, "b_list"),
+    ("gy-verify", {**TWIN_1000, "gamma": 0.3, "a_list": [1]}, "a_list"),
+    ("gy-verify", {**TWIN_1000, "gamma": 0.3, "a_list": [1, 1, 2]}, "a_list"),
+    # a declared key is checked where the run does not read it
+    ("mn-corr", {"N": 100, "kind": "constant", "alpha": "x"}, "alpha"),
+    ("count", {**TWIN_1000, "w": "abc"}, "w"),
+    # Fraction("1/0") raised ZeroDivisionError, an internal error (exit 3)
+    ("count", {**TWIN_1000, "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": "1/0"}]}}, "body"),
 ])
 def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key):
     code, report, _ = run(tmp_path, command, cfg)
@@ -380,6 +404,8 @@ def test_non_finite_number_exits_1_naming_the_key(tmp_path, capsys, command, cfg
     ("singular-series", {"system": AP4_SYSTEM, "min_prime": False}, "min_prime"),
     ("gowers", {"N": 16, "s": True, "input": "delta"}, "s"),
     ("count", {**TWIN_1000, "N": True}, "N"),
+    ("count", {**TWIN_1000, "N": 1000.0}, "N"),
+    ("normalize", {"system": AP4_SYSTEM, "s": 2.0}, "s"),
 ])
 def test_int_key_takes_no_fraction_bool_or_string(tmp_path, capsys, command, cfg, key):
     # int(v) used to truncate 2.9 to 2 trials and read true as pmax 1
@@ -439,6 +465,7 @@ def test_w_trick_past_the_table_guard_exits_2(tmp_path, monkeypatch, capsys, com
     ("sieve-check", {"gamma": 0.3, "w": 3.0, "b_list": [1]}),
     ("mn-corr", {"kind": "phase"}),
     ("mn-corr", {"kind": "constant"}),
+    ("complexity", {"system": AP4_SYSTEM}),     # N scales a system's times_N constants
 ])
 @pytest.mark.parametrize("n", [0, -1])
 def test_scale_below_one_exits_1_naming_n(tmp_path, capsys, command, cfg, n):
@@ -505,7 +532,7 @@ def test_config_must_be_an_object(tmp_path, capsys, cfg):
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("exc", [TypeError("a\nb"), AssertionError("broken invariant"), ZeroDivisionError()])
+@pytest.mark.parametrize("exc", [TypeError("a\nb"), AssertionError("broken invariant"), ZeroDivisionError(), KeyError()])
 def test_internal_fault_exits_3(tmp_path, monkeypatch, capsys, exc):
     def fault(*args, **kwargs):
         raise exc
@@ -515,3 +542,30 @@ def test_internal_fault_exits_3(tmp_path, monkeypatch, capsys, exc):
     assert code == 3 and report is None
     err = capsys.readouterr().err
     assert err.startswith("internal error: " + type(exc).__name__) and err.count("\n") == 1
+
+
+def test_chowla_refuses_a_non_integral_factor(tmp_path, capsys):
+    # [1.5, 1] was read as [1, 1] and cancelled against the real [1, 1]
+    code, report, _ = run(tmp_path, "chowla", {"N": 500, "factors": [[1, 0], [1, 1], [1.5, 1]]})
+    assert code == 1 and report is None
+    assert "1.5" in capsys.readouterr().err
+
+
+def test_integral_floats_and_times_n_read_as_integers(tmp_path):
+    twins = {**TWIN_1000, "system": {"forms": [{"coeffs": [1.0]}, {"coeffs": [1], "const": 2.0}]}}
+    code, report, _ = run(tmp_path, "count", twins)
+    assert code == 0 and report["result"]["count"] == 35
+    assert report["result"]["system"]["forms"][1] == {"coeffs": [1], "const": 2}
+    # n -> N - n maps the twins n, n + 2 with 1 <= n <= 998 to those with 2 <= n <= 999: the same 35
+    reflected = {"forms": [{"coeffs": [-1], "const": {"times_N": 1}}, {"coeffs": [-1.0], "const": 1002.0}]}
+    code, report, _ = run(tmp_path, "count", {**twins, "system": reflected})
+    assert code == 0 and report["result"]["count"] == 35
+
+
+def test_readme_lists_every_key_of_every_command():
+    # one README line per subcommand: "* `name`: `key` kind = default; `key` kind; ..."
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text()
+    for name, cmd in cli.COMMANDS.items():
+        (line,) = re.findall(rf"^\* `{name}`: (.*)$", readme, re.MULTILINE)
+        keys = [re.match(r"`(\w+)`", item).group(1) for item in line.split("; ")]
+        assert keys == list(inspect.signature(cmd).parameters), name

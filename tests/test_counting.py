@@ -256,12 +256,11 @@ def test_quadrature_bit_identical_to_g_and_dg_nodes():
 def test_compare_report_fields(tables_1e6):
     ap3 = forms.ap_system(3)
     body = ap_body(3, 5000)
-    rep = counting.compare(ap3, body, 10**4, tables_1e6, with_lambda_sum=True)
+    rep = counting.compare(ap3, body, 10**4, tables_1e6)
     assert rep.N == 5000
     assert rep.ratio_integral == pytest.approx(rep.empirical / rep.predicted_integral)
     assert rep.ratio_log_power == pytest.approx(rep.empirical / rep.predicted_log_power)
     assert 0.5 < rep.ratio_integral < 1.5
-    assert "lambda_prime_sum" in rep.meta
     js = rep.to_json()
     assert set(js) >= {"empirical", "predicted_integral", "ratio_integral", "N"}
     row = rep.csv_row()

@@ -257,6 +257,24 @@ def test_invariants_rejected():
         )
 
 
+@pytest.mark.parametrize("coeffs, const", [
+    ((1, 0.5), 0), ((1, 0), 2.7), ((1, Fraction(1, 2)), 0), ((1, 0), inf), ((1, math.nan), 0), ((1, "2"), 0),
+])
+def test_non_integral_coefficient_or_constant_rejected(coeffs, const):
+    # int() used to truncate 0.5 to 0 and 2.7 to 2
+    with pytest.raises(ValueError):
+        forms.AffineForm(coeffs, const)
+
+
+def test_integral_values_read_as_ints():
+    f = forms.AffineForm((1.0, np.int64(-2), Fraction(3)), 4.0)
+    assert f == forms.AffineForm((1, -2, 3), 4)
+    assert all(type(c) is int for c in (*f.linear_coeffs, f.constant))
+    assert forms._parse_const(2.0, None) == 2 and forms._parse_const({"times_N": 0.5}, 10) == 5
+    with pytest.raises(ValueError):
+        forms._parse_const(2.7, None)
+
+
 def _minors_vanish(a, b):
     """Every 2x2 minor of the rows a, b is 0: the loop parallel_to and the
     pairwise check ran before they called linalg.rank, kept as their oracle."""

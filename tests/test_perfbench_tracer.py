@@ -42,6 +42,6 @@ def test_nil_check_reaches_the_traced_nilseq_names(monkeypatch):
     for name in names:
         fn = getattr(nilseq, name)
         monkeypatch.setattr(nilseq, name, lambda *a, fn=fn, name=name, **k: calls.update([name]) or fn(*a, **k))
-    payload, _, _ = cli.cmd_nil_check({"trials": 10, "seed": 0})
+    payload, _, _ = cli.cmd_nil_check(trials=10, seed=0)
     assert calls == {"hk_factorize_heisenberg": 20, "quadratic_phase_orbit": 10}
     assert payload["hk_success"] == payload["hk_perturbed_failures"] == payload["quadratic_phase_exact"] == 10
