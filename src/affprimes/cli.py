@@ -8,6 +8,7 @@ included), 2 resource guard, 3 internal error.
 
 import argparse
 import csv
+import functools
 import inspect
 import json
 import locale  # noqa: F401 -- argparse's gettext loads it at the first parse; loaded here, it is start-up time
@@ -106,21 +107,24 @@ def _arguments(cmd, cfg):
     needs it.
     """
     params = inspect.signature(cmd).parameters
-    parsers = {forms.FormSystem: forms.form_system_from_json, geometry.ConvexBody: geometry.convex_body_from_json}
     n = None
     if params.keys() & {"N", "system", "body"}:
         default = params["N"].default if "N" in params else None
         n = _value(cfg, "N", Exact, inspect.Parameter.empty if "body" in params else default)
         if n is not None and n < 1:
             raise ValidationError(f"config key 'N' must be at least 1, not {n}")
+    parsers = {forms.FormSystem: (dict, functools.partial(forms.form_system_from_json, n_scale=n)),
+               geometry.ConvexBody: (dict, functools.partial(geometry.convex_body_from_json, n_scale=n)),
+               NonEmpty[forms.AffineForm]: (NonEmpty[list], lambda rows: list(map(forms.AffineForm, rows)))}
     args = {}
     for key, p in params.items():
         if key == "N":
             args[key] = n
         elif p.annotation in parsers:
-            obj = _value(cfg, key, dict, p.default)
+            kind, parse = parsers[p.annotation]
+            obj = _value(cfg, key, kind, p.default)
             try:
-                args[key] = parsers[p.annotation](obj, n_scale=n)
+                args[key] = parse(obj)
             except (TypeError, AttributeError, KeyError, ValueError, ZeroDivisionError) as e:
                 raise ValidationError(f"config key {key!r} is malformed: {e}") from None
         else:
@@ -267,8 +271,7 @@ def cmd_mobius_corr(system: forms.FormSystem, body: geometry.ConvexBody, N: Exac
     }, None, None
 
 
-def cmd_chowla(N: Exact, factors: NonEmpty[list]):
-    factors = [forms.AffineForm(tuple(row)) for row in factors]
+def cmd_chowla(N: Exact, factors: NonEmpty[forms.AffineForm]):
     tables = arith.build_tables(max(sum(map(abs, f.linear_coeffs)) * N for f in factors) + 2)
     val = counting.chowla_check(factors, N, tables)
     return {"N": N, "factors": [list(f.linear_coeffs) for f in factors], "value": val}, None, None

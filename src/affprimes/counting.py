@@ -28,7 +28,8 @@ constant factor.  Each block goes to the first driver that applies:
 * sparse (weights supported on primes or prime powers): the sorted support
   of a form with inner coefficient +-1 drives the iteration, each further
   form filtered by its support mask (_sparse_partials);
-* float: tables read run by run.
+* float: per run, the forms' table views (_run_view) are multiplied into
+  one reused float64 buffer and its pairwise sum is the partial.
 
 Accumulation is single-threaded: each run, chunk or block contributes one
 partial sum, and math.fsum combines them, so results are bit-reproducible
@@ -267,6 +268,7 @@ def _weighted_count(sys, body, weights):
     pm1 = all(weights[i].kind == "pm1" for i in live)
     primes = all(weights[i].prime_indicator for i in live)
     coeffs = np.array([f.linear_coeffs for f in sys.forms], np.int64).reshape(sys.t, sys.d)
+    unstrided = body            # in the coordinates of sys.forms, for _form_bound
     if pm1 or primes:
         coeffs, body = _unit_stride(coeffs, body, live)
     outer = coeffs[:, :-1]
@@ -278,7 +280,8 @@ def _weighted_count(sys, body, weights):
 
     bits = driver = pm1_bits = None
     if pm1 and all(inner[i] == 1 and not weights[i].reflect_negative for i in varying):
-        pm1_bits = {}           # bit planes per weight and the two accumulators, built on first use
+        # bit planes per weight and the accumulators, built on first use; the planes stop at the largest argument over K
+        pm1_bits = {"m_hi": max((_form_bound(unstrided, sys.forms[i]) or 0 for i in varying), default=0)}
     if primes and varying and all(abs(inner[i]) == 1 for i in varying):
         mask = max((weights[i].values for i in live), key=len)      # all prime masks: the longest serves
         bits = _bit_planes(mask)
@@ -306,17 +309,15 @@ def _weighted_count(sys, body, weights):
         elif driver is not None:
             partials.extend(_sparse_partials(weights, varying, inner, driver, off, lo, hi, const))
         else:
-            ws = [weights[i] for i in varying]
-            cfs = [inner[i] for i in varying]
+            ws, cfs = [weights[i] for i in varying], [inner[i] for i in varying]
+            acc = np.empty(int((hi - lo).max(initial=0)) + 1)      # reused by every run of the block
             for c, o, a, b in zip(const.tolist(), off[:, varying].tolist(), lo.tolist(), hi.tolist()):
-                acc = None
-                for w, cf, oi in zip(ws, cfs, o):
-                    view = _run_view(w, oi, cf, a, b)
-                    if acc is None:
-                        acc = view.astype(np.float64)
-                    else:
-                        acc *= view
-                partials.append(c * float(acc.sum()))
+                views = [_run_view(w, x, cf, a, b) for w, cf, x in zip(ws, cfs, o)]
+                row = np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=acc[:b - a + 1],
+                                  dtype=np.float64)
+                for v in views[2:]:
+                    np.multiply(row, v, out=row)
+                partials.append(c * float(np.add.reduce(row)))
 
     return math.fsum(partials)
 
@@ -348,7 +349,8 @@ def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bit
     A segment of at least PM1_CHUNK points whose arguments are all >= 0 is
     counted on bit planes (_pm1_bit_partials) when bits is a dict, which
     _weighted_count passes when every varying form has inner coefficient +1
-    and no varying weight reflects negatives.  Other segments are cut into
+    and no varying weight reflects negatives; bits["m_hi"] bounds every
+    argument, and the planes stop there.  Other segments are cut into
     chunks of at most PM1_CHUNK elements, long rows along x; the first view
     is copied into a C-ordered int8 accumulator, the others and the rows'
     constant factors (0 on some rows) multiply it in place, and its exact sum
@@ -399,7 +401,7 @@ def _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, bits):
     padding and the rows whose constant factor is 0 are cleared, and the
     sign bits of rows whose constant is -1 are flipped.
     """
-    if not bits:
+    if "acc" not in bits:
         size = BITSET_CHUNK // 2
         padded = -(-size // 8) * 8
         bits["acc"] = size, np.empty(padded, np.uint8), np.empty(padded, np.uint8), np.empty(padded // 8, np.uint8)
@@ -408,8 +410,9 @@ def _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, bits):
     for i in varying:
         w = weights[i]
         if id(w) not in bits:
-            nbytes = len(w.values) // 8 + 2
-            bits[id(w)] = (_shifted_planes(w.values != 0, nbytes), _shifted_planes(w.values < 0, nbytes))
+            v = w.values[:bits["m_hi"] + 1]         # the arguments K reaches
+            nbytes = len(v) // 8 + 2
+            bits[id(w)] = (_shifted_planes(v != 0, nbytes), _shifted_planes(v < 0, nbytes))
         planes.append(bits[id(w)])
     width = min(b - a + 1, 8 * size)
     height = size // ((width + 7) // 8)
@@ -838,19 +841,18 @@ def _integral_sum_pointwise(sys, body):
     return math.fsum(parts)
 
 
-def _integral_sum_quadrature(sys, body, nodes=12, panels=8):
+def _integral_sum_quadrature(sys, runs, nodes=12, panels=8):
     """Euler-Maclaurin / Gauss-Legendre approximation of the same lattice sum.
 
-    Valid for dim 2; rows are the outer-coordinate runs.  The inner sum over
+    Valid for dim 2; rows are the outer-coordinate runs, given as the
+    (prefix, lo, hi) arrays of body.outer_values_and_bounds().  The inner sum over
     integers in [lo, hi] is the integral over [lo - 1/2, hi + 1/2] plus the
     midpoint-dual Euler-Maclaurin correction (g'(lo-1/2) - g'(hi+1/2))/24,
     with g' in closed form.  Panels are split geometrically since the
     integrand varies on a log scale.  The interval is clipped to
     {psi_i >= 3} first.
     """
-    if body.dim != 2:
-        raise ValueError("quadrature path requires dim == 2")
-    prefix, lo, hi = body.outer_values_and_bounds()
+    prefix, lo, hi = runs
     if len(lo) == 0:
         return 0.0
     x1 = prefix[:, 0].astype(np.float64)
@@ -880,24 +882,35 @@ def _integral_sum_quadrature(sys, body, nodes=12, panels=8):
 
 
 def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels):
-    """Per row x1: Gauss-Legendre sum of g over [lo, hi] plus (g'(lo) - g'(hi))/24."""
-    coeffs = [(*f.linear_coeffs, f.constant) for f in forms]
-    # a form with a1 = 0 has the same 1/log psi at every node and no g'/g term: computed once
-    fixed = [1.0 / np.log(np.maximum(a0 * x1 + c, 3.0)) if a1 == 0 else None for a0, a1, c in coeffs]
+    """Per row x1: Gauss-Legendre sum of g over [lo, hi] plus (g'(lo) - g'(hi))/24.
 
-    def g_at(x2, derivative=False):
-        """g(x2), or g'(x2) when derivative is set."""
-        g = np.ones(len(x1))
-        dg_over_g = np.zeros(len(x1)) if derivative else None
-        for (a0, a1, c), inv in zip(coeffs, fixed):
-            if inv is None:
-                vals = np.maximum(a0 * x1 + a1 * x2 + c, 3.0)
-                lg = np.log(vals)
-                inv = 1.0 / lg
-                if derivative:
-                    dg_over_g -= a1 / (vals * lg)
-            g *= inv
-        return g * dg_over_g if derivative else g
+    Each node rounds psi = ((a0 x1 + a1 x2) + c), clamps it to >= 3 and multiplies 1/log psi
+    into g in form order, in reused buffers; a0 x1 is formed once, and skipping a1 = 1 and
+    c = 0 is exact (the clamp replaces a zero of either sign).
+    """
+    # a form with a1 = 0 has the same 1/log psi at every node and no g'/g term: computed once
+    terms = [1.0 / np.log(np.maximum(a0 * x1 + c, 3.0)) if a1 == 0 else (a0 * x1, a1, c)
+             for a0, a1, c in ((*f.linear_coeffs, f.constant) for f in forms)]
+    g, psi, node = np.empty(len(x1)), np.empty(len(x1)), np.empty(len(x1))
+
+    def g_at(x2, dg_over_g=None):
+        """g(x2), in the buffer g; given dg_over_g, also subtracts each a1 / (psi log psi) from it."""
+        for k, inv in enumerate(terms):
+            if isinstance(inv, tuple):
+                ax, a1, c = inv
+                np.add(ax, x2 if a1 == 1 else np.multiply(a1, x2, out=psi), out=psi)
+                if c:
+                    np.add(psi, c, out=psi)
+                np.maximum(psi, 3.0, out=psi)
+                lg = np.log(psi, out=psi if dg_over_g is None else None)
+                if dg_over_g is not None:
+                    dg_over_g -= a1 / (psi * lg)
+                inv = np.divide(1.0, lg, out=g if k == 0 else lg)
+            if k:
+                np.multiply(g, inv, out=g)
+            elif inv is not g:
+                g[:] = inv
+        return g
 
     span = hi - lo + 1.0
     edges = [lo + (span ** (k / panels) - 1.0) for k in range(panels + 1)]
@@ -907,8 +920,10 @@ def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels):
         half = (bnd - a) / 2.0
         mid = (bnd + a) / 2.0
         for xi, wi in zip(gl_x, gl_w):
-            total += wi * half * g_at(mid + half * xi)
-    total += (g_at(lo, derivative=True) - g_at(hi, derivative=True)) / 24.0
+            g_at(np.add(mid, np.multiply(half, xi, out=node), out=node))
+            total += np.multiply(wi * half, g, out=g)
+    dg = [g_at(x2, dg_over_g) * dg_over_g for x2, dg_over_g in ((lo, np.zeros(len(x1))), (hi, np.zeros(len(x1))))]
+    total += (dg[0] - dg[1]) / 24.0
     return total
 
 
@@ -930,12 +945,13 @@ def predict(sys, body, ss, mode="integral"):
         return ss.truncated_product * beta_inf / math.log(n) ** sys.t, ss
     if mode != "integral":
         raise ValueError(f"unknown mode {mode!r}")
-    # point count picks the evaluation route
-    npoints = body.lattice_point_count()
-    if npoints <= EXACT_INTEGRAL_POINT_GUARD or body.dim != 2:
+    # the point count picks the route; in dim 2 it is read off the runs the quadrature takes
+    runs = body.outer_values_and_bounds() if body.dim == 2 else None
+    npoints = body.lattice_point_count(runs)
+    if npoints <= EXACT_INTEGRAL_POINT_GUARD or runs is None:
         val = _integral_sum_exact(sys, body, npoints)
     else:
-        val = _integral_sum_quadrature(sys, body)
+        val = _integral_sum_quadrature(sys, runs)
     return ss.truncated_product * val, ss
 
 

@@ -213,9 +213,15 @@ class ConvexBody:
             for x in range(lo, hi + 1):
                 yield prefix + (x,)
 
-    def lattice_point_count(self):
-        # Python ints: an int64 sum over a block of long runs could wrap
-        return sum(sum((hi - lo + 1).tolist()) for _, lo, hi in self.run_blocks())
+    def lattice_point_count(self, runs=None):
+        """The number of lattice points of K, read off runs (outer_values_and_bounds()) when given."""
+        total = 0
+        for _, lo, hi in self.run_blocks() if runs is None else [runs]:
+            # exact: a run is shorter than 2**63 (|x| < 2**62), and the 32-bit halves
+            # of fewer than 2**31 runs sum in int64 without wrapping
+            n = hi - lo + 1
+            total += (int((n >> 32).sum()) << 32) + int((n & 0xFFFFFFFF).sum())
+        return total
 
     def outer_values_and_bounds(self):
         """All runs at once: (prefix matrix, lo array, hi array)."""

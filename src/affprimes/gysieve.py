@@ -472,7 +472,10 @@ def tau_moments(sieve, tables=None, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=N
     bl = sieve.b_list
     pairs = [(bi, bj) for k, bi in enumerate(bl) for bj in bl[k:]]
     hi = w.W * n_limit + max(b for b, _ in pairs) + 1
-    primes = np.nonzero(arith.prime_sieve(min(hi, w.W * n_limit + w.W)))[0]
+    # p > w divides W n + d (d = bi - bj, 1 <= n <= n_limit) only if p | n <= n_limit (d = 0) or p <= W n_limit + |d|
+    # (W n + d != 0; where W n + d = 0, |d| >= W and the other two limits bind)
+    reach = max(n_limit if bi == bj else w.W * n_limit + abs(bi - bj) for bi, bj in pairs)
+    primes = np.nonzero(arith.prime_sieve(min(hi, w.W * n_limit + w.W, reach)))[0]
     primes = primes[primes > w.w]
     # W^{-1} mod p = (k p + 1) / W with k p + 1 = 0 mod W, k in [0, W) read off p mod W
     k_of = np.zeros(w.W, dtype=np.int64)

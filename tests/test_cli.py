@@ -371,6 +371,9 @@ def test_gy_verify_builds_only_r_sized_tables(tmp_path, monkeypatch):
     ("count", {**TWIN_1000, "w": "abc"}, "w"),
     # Fraction("1/0") raised ZeroDivisionError, an internal error (exit 3)
     ("count", {**TWIN_1000, "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": "1/0"}]}}, "body"),
+    # a bad factor was refused inside the command, by a message that named no key
+    ("chowla", {"N": 500, "factors": [[1, 0], [1.5, 1]]}, "factors"),
+    ("chowla", {"N": 500, "factors": [[0, 0]]}, "factors"),
 ])
 def test_wrong_type_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key):
     code, report, _ = run(tmp_path, command, cfg)

@@ -131,7 +131,7 @@ def test_quadrature_matches_exact_sum(tables_1e6):
     for n in (3 * 10**3, 10**4):
         body = ap_body(4, n)
         exact = counting._integral_sum_exact(ap4, body, body.lattice_point_count())
-        approx = counting._integral_sum_quadrature(ap4, body)
+        approx = counting._integral_sum_quadrature(ap4, body.outer_values_and_bounds())
         assert approx == pytest.approx(exact, rel=1e-5)
 
 
@@ -233,7 +233,7 @@ def test_quadrature_close_to_exact_sum_on_random_bodies(case):
     sys_, body, kind = case
     npoints = body.lattice_point_count()
     exact = counting._integral_sum_exact(sys_, body, npoints)
-    approx = counting._integral_sum_quadrature(sys_, body)
+    approx = counting._integral_sum_quadrature(sys_, body.outer_values_and_bounds())
     rows = len(body.outer_values_and_bounds()[1])
     g_max = math.log(3) ** -sys_.t
     assert abs(approx - exact) <= rows * g_max * {"smooth": 2e-3, "unit": 0.25, "any": 2.0}[kind]
@@ -248,9 +248,85 @@ def test_quadrature_bit_identical_to_g_and_dg_nodes():
         body = geometry.ConvexBody(2, [((-1, 0), -1), ((0, -(k - 1)), -(k - 1)), ((1, k - 1), n)], n)
         assert body.lattice_point_count() > counting.EXACT_INTEGRAL_POINT_GUARD
         want = _quadrature_with_dg_at_nodes(sys, body).hex()
-        assert counting._integral_sum_quadrature(sys, body).hex() == want
+        assert counting._integral_sum_quadrature(sys, body.outer_values_and_bounds()).hex() == want
         with mock.patch.object(geometry, "RUN_BLOCK", 1000):
-            assert counting._integral_sum_quadrature(sys, body).hex() == want
+            assert counting._integral_sum_quadrature(sys, body.outer_values_and_bounds()).hex() == want
+
+
+def _row_quadrature_as_was(forms_, x1, lo, hi, gl_x, gl_w, panels):
+    """_row_quadrature before its buffers: fresh arrays at every node, ones * 1/log psi
+    for the first factor and wi * half * g added to the total; kept as its oracle."""
+    coeffs = [(*f.linear_coeffs, f.constant) for f in forms_]
+    fixed = [1.0 / np.log(np.maximum(a0 * x1 + c, 3.0)) if a1 == 0 else None for a0, a1, c in coeffs]
+
+    def g_at(x2, derivative=False):
+        g = np.ones(len(x1))
+        dg_over_g = np.zeros(len(x1)) if derivative else None
+        for (a0, a1, c), inv in zip(coeffs, fixed):
+            if inv is None:
+                vals = np.maximum(a0 * x1 + a1 * x2 + c, 3.0)
+                lg = np.log(vals)
+                inv = 1.0 / lg
+                if derivative:
+                    dg_over_g -= a1 / (vals * lg)
+            g *= inv
+        return g * dg_over_g if derivative else g
+
+    span = hi - lo + 1.0
+    edges = [lo + (span ** (k / panels) - 1.0) for k in range(panels + 1)]
+    total = np.zeros(len(x1))
+    for k in range(panels):
+        a, bnd = edges[k], edges[k + 1]
+        half = (bnd - a) / 2.0
+        mid = (bnd + a) / 2.0
+        for xi, wi in zip(gl_x, gl_w):
+            total += wi * half * g_at(mid + half * xi)
+    total += (g_at(lo, derivative=True) - g_at(hi, derivative=True)) / 24.0
+    return total
+
+
+@st.composite
+def _quadrature_systems(draw):
+    """A dim-2 body (a box cut by up to two half-planes) and 1-3 forms a0 x1 + a1 x2 + c, c != 0.
+
+    Negative constants clip the low rows, some of them to nothing.
+    """
+    n = draw(st.integers(2, 100))
+    hs = [((1, 0), n), ((-1, 0), n), ((0, 1), n), ((0, -1), n)]
+    coef = st.integers(-3, 3)
+    for a in draw(st.lists(st.tuples(coef, coef).filter(any), max_size=2)):
+        hs.append((a, draw(st.integers(0, 2 * n))))
+    pair = st.tuples(st.sampled_from([0, 1, 2]), st.sampled_from([-2, -1, 0, 1, 2, 3])).filter(any)
+    rows = draw(st.lists(pair, min_size=1, max_size=3))
+    consts = draw(st.lists(st.integers(-3 * n, 3 * n).filter(bool), min_size=len(rows), max_size=len(rows)))
+    return forms.system([list(r) for r in rows], consts), geometry.ConvexBody(2, hs, n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_quadrature_systems(), st.sampled_from([40, geometry.RUN_BLOCK]))
+def test_row_quadrature_bit_identical_to_fresh_arrays(case, block):
+    sys_, body = case
+    with mock.patch.object(geometry, "RUN_BLOCK", block):
+        runs = body.outer_values_and_bounds()
+        got = counting._integral_sum_quadrature(sys_, runs)
+        with mock.patch.object(counting, "_row_quadrature", _row_quadrature_as_was):
+            want = counting._integral_sum_quadrature(sys_, runs)
+    assert got.hex() == want.hex()
+
+
+def test_predict_enumerates_a_dim2_body_once():
+    # the point count that picks the route is summed over the runs the
+    # quadrature takes; it is exact on the exact route
+    ap3 = forms.ap_system(3)
+    ss = localfactors.singular_series(ap3, 100)
+    spy = mock.patch.object(geometry.ConvexBody, "run_blocks", autospec=True, side_effect=geometry.ConvexBody.run_blocks)
+    with spy as blocks:
+        counting.predict(ap3, ap_body(3, 5 * 10**4), ss)            # the quadrature route
+    assert blocks.call_count == 1
+    body = ap_body(3, 3000)
+    with spy as blocks, mock.patch.object(counting, "_integral_sum_exact", return_value=1.0) as exact:
+        counting.predict(ap3, body, ss)
+    assert blocks.call_count == 1 and exact.call_args.args[2] == body.lattice_point_count()
 
 
 def test_compare_report_fields(tables_1e6):
@@ -397,6 +473,79 @@ def test_weighted_count_matches_brute_force(case):
         assert counting.weighted_count(sys_, body, weights).hex() == fast.hex()
 
 
+def _float_driver_as_was(sys_, body, weights):
+    """_weighted_count on float weights before the reused buffer: every run read through
+    _run_view, astype(float64), *= and .sum(); kept as the oracle of the float driver."""
+    live = [i for i, w in enumerate(weights) if w.kind != "one"]
+    coeffs = np.array([f.linear_coeffs for f in sys_.forms], np.int64).reshape(sys_.t, sys_.d)
+    outer = coeffs[:, :-1]
+    consts = np.array([f.constant for f in sys_.forms], np.int64)
+    inner = coeffs[:, -1].tolist()
+    fixed = [i for i in live if inner[i] == 0]
+    varying = [i for i in live if inner[i] != 0]
+    partials = []
+    for prefix, lo, hi in body.run_blocks():
+        off = prefix @ outer.T + consts
+        const = np.ones(len(lo))
+        nonzero = np.ones(len(lo), bool)
+        for i in fixed:
+            v = counting._table_values(weights[i], off[:, i])
+            nonzero &= v != 0
+            const = const * v
+        if fixed:
+            off, lo, hi, const = off[nonzero], lo[nonzero], hi[nonzero], const[nonzero]
+        if not varying:
+            partials.extend((const * (hi - lo + 1)).tolist())
+            continue
+        for c, o, a, b in zip(const.tolist(), off[:, varying].tolist(), lo.tolist(), hi.tolist()):
+            acc = None
+            for i, oi in zip(varying, o):
+                view = counting._run_view(weights[i], oi, inner[i], a, b)
+                if acc is None:
+                    acc = view.astype(np.float64)
+                else:
+                    acc *= view
+            partials.append(c * float(acc.sum()))
+    return math.fsum(partials)
+
+
+@st.composite
+def _float_driver_cases(draw):
+    """(system, body, weights) on the float driver: float tables (float64, float32
+    or int8 values, a third of them 0, some reflecting negatives) and 'one'."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, {1: 400, 2: 40, 3: 8}[d]))
+    t = draw(st.integers(1, 3))
+    coef = st.integers(-3, 3)
+    inner = st.sampled_from([0, 1, -1, 2, -2, 3, -3])
+    rows = [draw(st.tuples(*[coef] * (d - 1), inner).filter(any)) for _ in range(t)]
+    consts = draw(st.lists(st.integers(-3 * n, 3 * n), min_size=t, max_size=t))
+    hs = draw(st.lists(st.tuples(st.lists(coef, min_size=d, max_size=d), st.integers(-2 * n, 2 * n)), max_size=2))
+    kinds = draw(st.lists(st.sampled_from(["float", "float", "one"]), min_size=t, max_size=t).filter(
+        lambda k: "float" in k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = max(sum(map(abs, r)) * n + abs(c) for r, c in zip(rows, consts))
+    weights = []
+    for k in kinds:
+        if k == "one":
+            weights.append(counting.Weight(name="one", kind="one"))
+            continue
+        dtype = draw(st.sampled_from([np.float64, np.float64, np.float32, np.int8]))
+        vals = (rng.uniform(-2, 2, top + 1) * (rng.random(top + 1) > 1 / 3)).astype(dtype)
+        weights.append(counting.Weight(name="float", kind="float", values=vals, reflect_negative=draw(st.booleans())))
+    return forms.system([list(r) for r in rows], consts), geometry.ConvexBody(d, hs, n), weights
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_float_driver_cases(), st.sampled_from([3, geometry.RUN_BLOCK]))
+def test_float_driver_bit_identical_to_run_view_loop(case, block):
+    # negative arguments, reflected weights, zero rows of fixed forms, strides
+    # up to 3 and empty bodies, in blocks of 3 runs and of RUN_BLOCK
+    sys_, body, weights = case
+    with mock.patch.object(geometry, "RUN_BLOCK", block):
+        assert counting._weighted_count(sys_, body, weights).hex() == _float_driver_as_was(sys_, body, weights).hex()
+
+
 def _signed_permutation(sys_, body, perm, signs):
     """The system and body in the coordinates y_j = signs[j] x_perm[j]; [-N, N]^d is invariant."""
     def turn(a):
@@ -521,7 +670,7 @@ def test_pm1_bit_partials_match_brute_force_and_int8(case, chunk):
     terms = const[:, None] * np.prod([v[args[:, i]] for i, v in enumerate(values)], axis=0)
     brute = int(terms.sum())
     with mock.patch.object(counting, "PM1_CHUNK", 1), mock.patch.object(counting, "BITSET_CHUNK", chunk):
-        bit, took = _segment_partials(weights, steps, off, a, b, const, {})
+        bit, took = _segment_partials(weights, steps, off, a, b, const, {"m_hi": int(args.max())})
     int8, int8_took = _segment_partials(weights, steps, off, a, b, const, None)
     assert took and not int8_took
     assert sum(bit) == sum(int8) == brute
@@ -565,6 +714,21 @@ def test_pm1_bit_route_spy():
     with mock.patch.object(counting, "_pm1_bit_partials", wraps=counting._pm1_bit_partials) as bit_path:
         counting.chowla_check(stride2, 2000, chowla_tables)
     assert not bit_path.called
+
+
+def test_pm1_bit_planes_stop_at_the_form_bound(tables_1e6):
+    # criterion 11's 10^6-entry table and AP4 on [1, 10^4]^2: the forms reach
+    # 4 10^4, and the planes are built that far, not over the whole table
+    n = 10**4
+    ap4 = forms.ap_system(4)
+    square = geometry.ConvexBody.box(2, 1, n)
+    with mock.patch.object(counting, "_shifted_planes", wraps=counting._shifted_planes) as planes:
+        count, took = _bit_route(ap4, square, ["mobius"] * 4, tables_1e6)
+    assert took and planes.called
+    assert all(len(bits) <= 4 * n + 1 and nbytes <= (4 * n + 1) // 8 + 2 for (bits, nbytes), _ in planes.call_args_list)
+    assert _bit_route(ap4, square, ["mobius"] * 4, arith.build_tables(4 * n)) == (count, True)
+    with mock.patch.object(counting, "PM1_CHUNK", 2**40):
+        assert _bit_route(ap4, square, ["mobius"] * 4, tables_1e6) == (count, False)
 
 
 def test_negative_arguments_of_sparse_and_pm1_weights(tables_1e6):

@@ -48,6 +48,12 @@ def test_box_count_exact():
             assert box.lattice_point_count() == (n + 1) ** d
 
 
+def test_count_of_long_runs_does_not_wrap():
+    # five runs of 2**61 + 1 points each: an int64 sum of their lengths wraps
+    body = geometry.ConvexBody(2, [((1, 0), 2), ((-1, 0), 2)], 2**60)
+    assert body.lattice_point_count() == body.lattice_point_count(body.outer_values_and_bounds()) == 5 * (2**61 + 1)
+
+
 def _random_body(rng, d):
     n = int(rng.integers(1, {1: 30, 2: 12, 3: 5, 4: 3}[d] + 1))
     hs = [
@@ -76,7 +82,7 @@ def test_enumeration_consistent_with_contains(monkeypatch):
             p for p in itertools.product(range(-n, n + 1), repeat=d) if body.contains(p)
         ]
         assert list(body.lattice_points()) == brute       # same points, lexicographic
-        assert body.lattice_point_count() == len(brute)
+        assert body.lattice_point_count() == body.lattice_point_count(body.outer_values_and_bounds()) == len(brute)
         assert not (body.is_empty() and brute)    # real emptiness: no lattice points
         for prefix, lo, hi in body.run_blocks():
             assert prefix.shape == (len(lo), d - 1) and 0 < len(lo) <= run_block

@@ -411,12 +411,17 @@ def test_tau_moments_matches_prime_loop(data):
     assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)]
 
 
-def test_tau_moments_bit_identical_at_benchmark_size():
-    # the sieve-gowers tau-moments op (N = 1e5, W = 30, one residue)
+def test_tau_moments_bit_identical_at_benchmark_size(monkeypatch):
+    # the sieve-gowers tau-moments op (N = 1e5, W = 30, one residue).  With one
+    # residue every pair has bi = bj, and p > w divides W n only if p | n, so
+    # the sieve stops at N, not at W N = 3e6.
     sv = gysieve.build_enveloping_sieve(10**5, 0.3, 5.0, [11])
-    got = gysieve.tau_moments(sv)
     want = _tau_moments_loop(sv)
+    sizes, prime_sieve = [], arith.prime_sieve
+    monkeypatch.setattr(arith, "prime_sieve", lambda n_hi, *args: sizes.append(n_hi) or prime_sieve(n_hi, *args))
+    got = gysieve.tau_moments(sv)
     assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)]
+    assert max(sizes) == 10**5
 
 
 def test_nu_matches_full_size_mobius_field(monkeypatch, tables_4e6):
