@@ -3,7 +3,9 @@ Cauchy-Schwarz inequality battery.
 
 Three evaluation routes are kept side by side: the naive defining average
 (the oracle), one einsum cube-average kernel, and an FFT route for U^2 (with
-a recursion over differences for higher cyclic norms).  Every box, weighted
+a recursion over differences for higher cyclic norms, whose U^3 level
+transforms its difference rows in blocks of ROWS).  The local norm computes
+its normaliser on a second thread beside its numerator.  Every box, weighted
 box and von Neumann average, E_{x0,x1} prod_omega C^{|omega|} f_omega(x^{(omega)})
 times the nu_C weights, is a single np.einsum call in _box_average.  The fast
 paths must agree with the naive one at small sizes; tests enforce this.
@@ -12,6 +14,7 @@ Complex inputs are supported with the conjugation pattern C^{|omega|}.
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,10 @@ NAIVE_WORK_GUARD = 10**9
 # Largest einsum intermediate in elements (16 MB complex); optimize=True caps it
 # at the largest operand, which turns a (31, 31, 31) box norm into one 31^6 loop.
 _EINSUM_MAX_INTERMEDIATE = 2**20
+# Difference rows per FFT block of the U^3 level.  At length 2001 blocks of
+# 4 to 64 rows take the same time within 3 %; a block's buffers hold 40 bytes
+# per entry (1.3 MB at 16 rows).
+ROWS = 16
 
 
 @dataclass
@@ -165,20 +172,59 @@ def _cyclic_cube_average(fs):
     return total / n ** (k + 1)
 
 
-def _cyclic_raw_fourier_u2(f):
-    """U^2(Z_N)^4 = sum_xi |f_hat(xi)|^4 with f_hat = E-normalised FFT."""
-    fh = np.fft.fft(f) / len(f)
-    return float(np.sum(np.abs(fh) ** 4))
+class _Buffers:
+    """The arrays _cyclic_raw_recursive writes for a length-n input at level s.
+
+    The caller allocates them, so that a kernel on another thread allocates
+    nothing large.  The U^3 level reads its difference rows off the length-n
+    windows of `doubled` (f twice over; window h is roll(f, -h)); each level
+    above it writes its difference function into a row of `outer`.
+    """
+
+    def __init__(self, n, s):
+        k, m = (min(ROWS, n), n) if s > 1 else (1, 0)    # U^2 transforms f itself
+        self.fh = np.empty((k, n), dtype=complex)
+        self.mag = np.empty((k, n))
+        self.sums = np.empty(k)
+        self.rows = np.empty((k, m), dtype=complex)
+        self.doubled = np.empty(2 * m, dtype=complex)
+        self.outer = np.empty((max(s - 2, 0), n), dtype=complex)
 
 
-def _cyclic_raw_recursive(f, s):
+def _fourier_u2_rows(rows, buf):
+    """sum_xi |f_hat(xi)|^4 = U^2(Z_n)^4 of each row (f_hat the E-normalised FFT),
+    rounded as np.sum(np.abs(np.fft.fft(row) / n) ** 4); a view of buf.sums."""
+    k, n = rows.shape
+    fh, mag = buf.fh[:k], buf.mag[:k]
+    np.divide(np.fft.fft(rows, out=fh), n, out=fh)
+    np.power(np.abs(fh, out=mag), 4, out=mag)
+    return np.add.reduce(mag, axis=-1, out=buf.sums[:k])
+
+
+def _cyclic_raw_recursive(f, s, buf):
+    """U^{s+1}(Z_n)^{2^{s+1}} = E_h ||f conj(f(. + h))||_{U^s}^{2^s}, summed in ascending h.
+
+    Each product goes to a buffer apart from its operands: numpy's in-place
+    complex multiply of length 1 rounds otherwise than f * conj(g).
+    """
     n = len(f)
     if s == 1:
-        return _cyclic_raw_fourier_u2(f)
+        return float(_fourier_u2_rows(f[None], buf)[0])
     total = 0.0
+    if s == 2:
+        np.concatenate([f, f], out=buf.doubled)
+        shifted = np.lib.stride_tricks.sliding_window_view(buf.doubled, n)
+        for h in range(0, n, len(buf.rows)):
+            g = buf.rows[:n - h]
+            np.multiply(f, np.conjugate(shifted[h:h + len(g)], out=buf.fh[:len(g)]), out=g)
+            for v in _fourier_u2_rows(g, buf).tolist():
+                total += v
+        return total / n
+    g, conj = buf.outer[s - 3], buf.doubled[:n]
     for h in range(n):
-        g = f * np.conj(np.roll(f, -h))
-        total += np.real(_cyclic_raw_recursive(g, s - 1))
+        np.conjugate(f[h:], out=conj[:n - h])
+        np.conjugate(f[:h], out=conj[n - h:])
+        total += _cyclic_raw_recursive(np.multiply(f, conj, out=g), s - 1, buf)
     return total / n
 
 
@@ -192,9 +238,9 @@ def gowers_norm_cyclic(f, s, method="recursive"):
     elif method == "fourier":
         if s != 1:
             raise ValueError("fourier route only computes U^2")
-        raw = _cyclic_raw_fourier_u2(f)
+        raw = _cyclic_raw_recursive(f, 1, _Buffers(len(f), 1))
     elif method == "recursive":
-        raw = _cyclic_raw_recursive(f, s)
+        raw = _cyclic_raw_recursive(f, s, _Buffers(len(f), s))
     else:
         raise ValueError(f"unknown method {method!r}")
     return _finalize(raw, method, 2 ** (s + 1))
@@ -233,12 +279,42 @@ def _local_raw_naive(f, s):
     return total / count
 
 
+def _beside(main, side):
+    """(main(), side()), with side() run on a second thread meanwhile.
+
+    side() may call only private kernels (perfbench's tracer wraps the public
+    ones and keeps one span stack for all threads) and write only into arrays
+    allocated before the call.  An exception of either is raised here once
+    both have ended.
+    """
+    out = []
+
+    def run():
+        try:
+            out.append(side())
+        except BaseException as e:      # re-raised on the calling thread
+            out.append(e)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        first = main()
+    finally:
+        thread.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return first, out[0]
+
+
 def gowers_norm_local(f, s, method="embed"):
     """U^{s+1} norm on an interval, intrinsic normalisation.
 
     The fast route embeds the interval in Z_M with M > 2|I| (a Freiman
     isomorphism for parallelepipeds) and uses
     ||f||_{U(I)} = ||f 1_I||_{U(Z_M)} / ||1_I||_{U(Z_M)}.
+    For s >= 2 the normaliser ||1_I|| runs on a second thread while this one
+    computes the numerator; both use the row-block kernel, each with its own
+    buffers, and the quotient is that of two sequential passes.
     """
     f = np.asarray(f, dtype=complex)
     n = len(f)
@@ -249,14 +325,22 @@ def gowers_norm_local(f, s, method="embed"):
         return _finalize(raw, method, 2 ** (s + 1))
     if method != "embed":
         raise ValueError(f"unknown method {method!r}")
+    if s < 1:
+        raise ValueError("s must be >= 1")
     m = 2 * n + 1
     fe = np.zeros(m, dtype=complex)
     fe[:n] = f
     ie = np.zeros(m, dtype=complex)
     ie[:n] = 1.0
-    num = gowers_norm_cyclic(fe, s).raw_power_average
-    den = gowers_norm_cyclic(ie, s).raw_power_average
-    raw = num / den
+    fb, ib = _Buffers(m, s), _Buffers(m, s)
+    if s == 1:
+        # a second thread gains nothing at the U^2 length (notes/decisions.md)
+        raw = _cyclic_raw_recursive(fe, s, fb) / _cyclic_raw_recursive(ie, s, ib)
+    else:
+        # pocketfft's plan cache takes no lock: build the length-m plan first
+        np.fft.fft(fe, out=fb.fh[0])
+        num, den = _beside(lambda: _cyclic_raw_recursive(fe, s, fb), lambda: _cyclic_raw_recursive(ie, s, ib))
+        raw = num / den
     return _finalize(raw, method, 2 ** (s + 1))
 
 
@@ -270,12 +354,11 @@ def gcs_check(family, s=None, tol=1e-9):
     `family` maps each omega in {0,1}^{s+1} (tuple) to an array over Z_N, or
     is a flat list in lexicographic omega order.  Returns (lhs, rhs, holds).
     """
+    k = max(len(family).bit_length() - 1, 2) if s is None else s + 1
+    if len(family) != 2**k:
+        raise ValueError(f"a U^{k} family has {2**k} functions, got {len(family)}")
     if isinstance(family, dict):
-        k = len(next(iter(family)))
         family = [family[omega] for omega in itertools.product((0, 1), repeat=k)]
-    k = int(math.log2(len(family)))
-    if s is not None and s + 1 != k:
-        raise ValueError("family size does not match s")
     fs = [np.asarray(v, dtype=complex) for v in family]
     lhs = abs(_cyclic_cube_average(fs))
     rhs = math.prod(gowers_norm_cyclic(fv, k - 1).norm for fv in fs)
@@ -285,6 +368,9 @@ def gcs_check(family, s=None, tol=1e-9):
 def gcs_box_check(family, tol=1e-9):
     """Box-norm Gowers-Cauchy-Schwarz: 2^{|A|} functions on a common product set."""
     fs = [np.asarray(v, dtype=complex) for v in family]
+    k = np.ndim(fs[0]) if fs else 0
+    if len(fs) != 2**k or k == 0:
+        raise ValueError(f"a box family on {k} axes has {2**k} functions, got {len(fs)}")
     lhs = abs(_box_average(fs, {}))
     rhs = math.prod(box_norm(fi).norm for fi in fs)
     return lhs, rhs, lhs <= rhs + tol

@@ -200,6 +200,21 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "True"
 
 
+def test_gowers_u3_loads_no_module_past_the_cli():
+    # the local norm's normaliser thread uses threading, which the CLI import
+    # already loads; the row-block kernel uses only numpy modules loaded there
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, affprimes.cli\n"
+            "from affprimes import arith, gowers\n"
+            "before = set(sys.modules)\n"
+            "f = arith.lambda_bw_array(200, 1, arith.w_trick(w=5.0), primed=True) - 1.0\n"
+            "gowers.gowers_norm_local(f, 2)\n"
+            "print(sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _spy_allocations(monkeypatch, module=arith, alloc="ones"):
     """The lengths of the np.<alloc> arrays `module` allocates from now on
     (by default arith's np.ones, prime_sieve's among them)."""

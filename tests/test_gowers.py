@@ -1,9 +1,13 @@
 import itertools
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affprimes import gowers
+from affprimes import arith, gowers
 
 
 def rand_pm1(rng, shape):
@@ -172,6 +176,22 @@ def test_gcs_battery(rng):
     z = [np.zeros(8)] + [rand_pm1(rng, 8) for _ in range(3)]
     lhs, rhs, ok = gowers.gcs_check(z)
     assert lhs == 0 and ok
+
+
+def test_gcs_checks_refuse_a_family_of_the_wrong_size(rng):
+    # zip used to drop the extra functions: 5 functions reported "holds" with
+    # 4 on the left and 5 norms on the right; 3 failed as "s must be >= 1"
+    for size, want in [(3, 4), (5, 4), (6, 4), (9, 8), (0, 4)]:
+        with pytest.raises(ValueError, match=f"has {want} functions, got {size}"):
+            gowers.gcs_check([rand_pm1(rng, 8) for _ in range(size)])
+    with pytest.raises(ValueError, match="has 8 functions, got 4"):
+        gowers.gcs_check([rand_pm1(rng, 8) for _ in range(4)], s=2)
+    with pytest.raises(ValueError, match="has 4 functions, got 3"):
+        gowers.gcs_check({(0, 0): np.ones(4), (0, 1): np.ones(4), (1, 0): np.ones(4)})
+    # 3 one-axis arrays used to report a false violation (lhs 0.273 > rhs 0.158)
+    for shape, size, want in [((6,), 3, 2), ((4, 4), 5, 4), ((3, 3, 3), 4, 8), ((), 1, 1)]:
+        with pytest.raises(ValueError, match=f"has {want} functions, got {size}"):
+            gowers.gcs_box_check([rand_complex(rng, shape) for _ in range(size)])
 
 
 def test_gcs_box(rng):
@@ -343,3 +363,117 @@ def test_work_guards():
         gowers.gowers_norm_cyclic(np.ones(10**4), 2, "naive")
     with pytest.raises(ValueError):
         gowers.gowers_norm_cyclic(np.ones(8), 2, "fourier")
+
+
+# ---------------------------------------------------------------------------
+# the row-block kernel against the per-h loop it replaced
+
+
+def _per_h_cyclic_raw(f, s):
+    """The per-h loop the row-block kernel replaced: the bit-exact oracle."""
+    n = len(f)
+    if s == 1:
+        fh = np.fft.fft(f) / n
+        return float(np.sum(np.abs(fh) ** 4))
+    total = 0.0
+    for h in range(n):
+        g = f * np.conj(np.roll(f, -h))
+        total += np.real(_per_h_cyclic_raw(g, s - 1))
+    return total / n
+
+
+def _per_h_local_raw(f, s):
+    n = len(f)
+    fe = np.zeros(2 * n + 1, dtype=complex)
+    fe[:n] = f
+    ie = np.zeros(2 * n + 1, dtype=complex)
+    ie[:n] = 1.0
+    return _per_h_cyclic_raw(fe, s) / _per_h_cyclic_raw(ie, s)
+
+
+def _assert_hex_equal(got, raw, order):
+    assert got.raw_power_average.hex() == raw.hex()
+    assert got.norm.hex() == (raw ** (1.0 / order)).hex()
+
+
+# U^4 local norms cost about (2n)^3 FFT points: keep them to n <= 10
+_S_AND_N = st.sampled_from([1, 2, 3]).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, 80 if s < 3 else 10)))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(s_n=_S_AND_N, rows=st.sampled_from([1, 3, 10**4]), complex_f=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_row_blocks_bit_identical_to_per_h_loop(s_n, rows, complex_f, seed):
+    s, n = s_n
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_f else 0)
+    with mock.patch.object(gowers, "ROWS", rows):
+        cyc = gowers.gowers_norm_cyclic(f, s)
+        loc = gowers.gowers_norm_local(f, s)
+    _assert_hex_equal(cyc, _per_h_cyclic_raw(f.astype(complex), s), 2 ** (s + 1))
+    _assert_hex_equal(loc, _per_h_local_raw(f, s), 2 ** (s + 1))
+
+
+def test_local_norms_bit_identical_at_benchmark_size():
+    # the sieve-gowers ops: U^2 at N = 1e5 and U^3 at N = 1000 for every
+    # W-trick residue b mod W = 30
+    wp = arith.w_trick(w=5.0)
+    for b in (1, 7, 11, 13, 17, 19, 23, 29):
+        for n, s in [(10**5, 1), (1000, 2)]:
+            f = arith.lambda_bw_array(n, b, wp, primed=True) - 1.0
+            _assert_hex_equal(gowers.gowers_norm_local(f, s), _per_h_local_raw(f, s), 2 ** (s + 1))
+
+
+# ---------------------------------------------------------------------------
+# the normaliser's thread
+
+
+def test_normaliser_failure_reraises_in_the_caller(monkeypatch):
+    class KernelFailed(Exception):
+        pass
+
+    kernel = gowers._cyclic_raw_recursive
+
+    def failing_on_indicator(f, s, buf):
+        if np.isin(f, (0.0, 1.0)).all():
+            raise KernelFailed(s)
+        return kernel(f, s, buf)
+
+    def failing_on_calling_thread(f, s, buf):
+        if threading.current_thread() is threading.main_thread():
+            raise KernelFailed(s)
+        return kernel(f, s, buf)
+
+    f = np.random.default_rng(3).normal(size=400)
+    threads = threading.active_count()
+    want = gowers.gowers_norm_local(f, 2)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(gowers, "_cyclic_raw_recursive", failing_on_indicator)
+    with pytest.raises(KernelFailed):
+        gowers.gowers_norm_local(f, 2)
+    assert threading.active_count() == threads
+    # a failing numerator still waits for the normaliser, which runs on
+    monkeypatch.setattr(gowers, "_cyclic_raw_recursive", failing_on_calling_thread)
+    with pytest.raises(KernelFailed):
+        gowers.gowers_norm_local(f, 2)
+    assert threading.active_count() == threads
+    monkeypatch.undo()
+    assert gowers.gowers_norm_local(f, 2).norm.hex() == want.norm.hex()
+
+
+def test_traced_gowers_functions_run_on_the_calling_thread(monkeypatch):
+    # the benchmark tracer keeps one span stack for all threads, so only
+    # private kernels may run on the normaliser's thread
+    seen = []
+    for name in ("gowers_norm_cyclic", "gowers_norm_local"):
+        fn = getattr(gowers, name)
+
+        def spy(*args, fn=fn, **kwargs):
+            seen.append(threading.current_thread() is threading.main_thread())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(gowers, name, spy)
+    f = np.random.default_rng(4).normal(size=25)
+    for s in (1, 2, 3):
+        gowers.gowers_norm_local(f[:8] if s == 3 else f, s)
+        gowers.dual_norm_lower_bound(f, [f], s)
+    assert len(seen) == 6 and all(seen)
