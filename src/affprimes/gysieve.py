@@ -29,7 +29,7 @@ import numpy.random
 
 from . import arith, counting, gowers, linalg
 
-MC_CHUNK = 2**16            # Monte-Carlo sample rows drawn at a time; bounds working memory
+MC_CHUNK = 2**14            # Monte-Carlo rows per chunk; sized so nu's head and the chunk buffers stay in L2
 
 
 def _smoothstep(u):
@@ -359,9 +359,12 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
 
     Exact routes: full rank mod N' factors into (E nu)^t; corank 1 reduces to
     a single character sum via the FFT of nu.  Otherwise Monte Carlo with a
-    recorded seed and standard error; the samples are drawn MC_CHUNK rows at
-    a time.
+    recorded seed and standard error, bit-identical to drawing every sample
+    at once (_montecarlo_products).  A sample_budget below 2 has no standard
+    error and is refused before any route is chosen.
     """
+    if sample_budget < 2:
+        raise ValueError(f"sample_budget must be at least 2, not {sample_budget}")
     p = sieve.n_prime
     nu = sieve.nu
     rows = [[c % p for c in f.linear_coeffs] for f in sys.forms]
@@ -388,22 +391,66 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
         phases = np.exp(2j * np.pi * ((rr * shift) % p) / p)
         e = float(np.real(np.sum(prod * phases)))
         return LinearFormsResult(abs(e - 1.0), e, "exact:character-sum")
-    rng = np.random.default_rng(seed)
-    prod = np.ones(sample_budget)
-    # Rows of MC_CHUNK samples at a time: the generator's stream does not
-    # depend on how the draws are split, so the samples are the one-shot ones.
-    for lo in range(0, sample_budget, MC_CHUNK):
-        rows = prod[lo:lo + MC_CHUNK]
-        samples = rng.integers(0, p, size=(len(rows), sys.d))
-        for f in sys.forms:
-            vals = np.zeros(len(rows), dtype=np.int64)
-            for j, c in enumerate(f.linear_coeffs):
-                vals += c * samples[:, j]
-            vals = (vals + f.constant) % p
-            rows *= nu[vals]
+    prod = _montecarlo_products(nu, sys, p, sample_budget, seed)
     e = float(prod.mean())
     se = float(prod.std(ddof=1) / math.sqrt(sample_budget))
     return LinearFormsResult(abs(e - 1.0), e, "montecarlo", stderr=se)
+
+
+def _nu_gather_source(nu, p):
+    """(array, mode) for np.take to read nu[v], 0 <= v < p, from.
+
+    That is nu's head up to one entry past its last entry != 1.0, clipped:
+    every later index then reads a 1.0, as it does in nu (the whole of nu[:p]
+    if its last entry differs).  The last entry != 1.0 is found by blocks of
+    MC_CHUNK from the end, with no temporary of p entries.  A nu shorter than
+    p keeps numpy's index check.
+    """
+    if len(nu) < p:
+        return nu, "raise"
+    for end in range(p, 0, -MC_CHUNK):
+        lo = max(end - MC_CHUNK, 0)
+        off = np.flatnonzero(nu[lo:end] != 1.0)
+        if len(off):
+            return nu[:min(lo + int(off[-1]) + 2, p)], "clip"
+    return nu[:1], "clip"
+
+
+def _montecarlo_products(nu, sys, p, sample_budget, seed):
+    """prod_i nu(psi_i(n)) at sample_budget draws n from Z_p^d.
+
+    The draws come MC_CHUNK rows at a time: the generator's stream does not
+    depend on how they are split, so the samples are the one-shot ones.  Each
+    form's value is its constant plus c x_j over the nonzero coefficients, in
+    int64 (exact, or wrapping mod 2^64, in any order), then reduced mod p once;
+    nu is gathered from its head (_nu_gather_source) and multiplied in form by
+    form, as a one-shot draw does.  The chunk buffers are freed on return,
+    before the caller's statistics allocate their own.
+    """
+    src, mode = _nu_gather_source(nu, p)
+    prod = np.ones(sample_budget)
+    vals = np.empty(MC_CHUNK, dtype=np.int64)
+    term = np.empty(MC_CHUNK, dtype=np.int64)
+    cols = np.empty((sys.d, MC_CHUNK), dtype=np.int64)
+    gathered = np.empty(MC_CHUNK)
+    rng = np.random.default_rng(seed)
+    for lo in range(0, sample_budget, MC_CHUNK):
+        rows = prod[lo:lo + MC_CHUNK]
+        m = len(rows)
+        x, v, t, g = cols[:, :m], vals[:m], term[:m], gathered[:m]
+        np.copyto(x, rng.integers(0, p, size=(m, sys.d)).T)
+        for f in sys.forms:
+            v.fill(f.constant)
+            for j, c in enumerate(f.linear_coeffs):
+                if c == 1:
+                    np.add(v, x[j], out=v)
+                elif c:
+                    np.multiply(x[j], c, out=t)
+                    np.add(v, t, out=v)
+            np.remainder(v, p, out=v)
+            np.take(src, v, out=g, mode=mode)
+            np.multiply(rows, g, out=rows)
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +507,13 @@ def correlation_check(sieve, m, h_list, kappa=1.0, cap=None):
 def tau_moments(sieve, tables=None, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
     """E tau^q over n in [1, n_limit].
 
-    For each residue pair, s(n) = sum of p^{-1/2} over primes w < p with
-    p | W n + bi - bj, summed by one bincount over the hits n0 + j p in
-    prime-major order, so every s(n) adds its terms in ascending p.  tables is
-    not read; it stays only because perfbench/workloads.py passes it.
+    For each residue pair, s(n) = sum of p^{-1/2} over primes w < p <= L with
+    p | W n + bi - bj, L = min(W n_limit + max b + 1, W n_limit + W), added in
+    ascending p.  A pair with bi = bj reads the primes up to n_limit
+    (_rsqrt_sums_of_multiples); any other pair the primes up to
+    sqrt(W n_limit + |bi - bj|) (_rsqrt_sums_on_progression), so no table of
+    W n_limit entries is built.  tables is not read; it stays only because
+    perfbench/workloads.py passes it.
     """
     if cap is None:
         cap = math.log(sieve.n_scale) ** 2
@@ -471,33 +521,76 @@ def tau_moments(sieve, tables=None, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=N
     w = sieve.wparams
     bl = sieve.b_list
     pairs = [(bi, bj) for k, bi in enumerate(bl) for bj in bl[k:]]
-    hi = w.W * n_limit + max(b for b, _ in pairs) + 1
-    # p > w divides W n + d (d = bi - bj, 1 <= n <= n_limit) only if p | n <= n_limit (d = 0) or p <= W n_limit + |d|
-    # (W n + d != 0; where W n + d = 0, |d| >= W and the other two limits bind)
-    reach = max(n_limit if bi == bj else w.W * n_limit + abs(bi - bj) for bi, bj in pairs)
-    primes = np.nonzero(arith.prime_sieve(min(hi, w.W * n_limit + w.W, reach)))[0]
-    primes = primes[primes > w.w]
-    # W^{-1} mod p = (k p + 1) / W with k p + 1 = 0 mod W, k in [0, W) read off p mod W
-    k_of = np.zeros(w.W, dtype=np.int64)
-    for r in w.residues:
-        k_of[r] = -pow(r, -1, w.W) % w.W
-    inv = (k_of[primes % w.W] * primes + 1) // w.W
+    limit = min(w.W * n_limit + max(bl) + 1, w.W * n_limit + w.W)
+    same = _rsqrt_sums_of_multiples(n_limit, w.w)
     tau = np.zeros(n_limit + 1)
     for bi, bj in pairs:
-        # the least n >= 1 with p | W n + bi - bj, and its hits n0 + j p <= n_limit
-        n0 = (-(bi - bj) * inv) % primes
-        n0[n0 == 0] = primes[n0 == 0]
-        hit = n0 <= n_limit
-        p, n0 = primes[hit], n0[hit]
-        reps = (n_limit - n0) // p + 1
-        j = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-        s = np.bincount(np.repeat(n0, reps) + np.repeat(p, reps) * j,
-                        weights=np.repeat([q ** -0.5 for q in p.tolist()], reps), minlength=n_limit + 1)
+        s = same if bi == bj else _rsqrt_sums_on_progression(n_limit, w, bi - bj, limit)
         term = np.minimum(np.exp(kappa * s), cap)
         tau += term
     tau /= len(pairs)
     tau = tau[1:]
     return {q: float((tau**q).mean()) for q in qs}
+
+
+def _rsqrt_sums_of_multiples(n_limit, w):
+    """s(n) = sum of p^{-1/2} over primes w < p dividing n, for n = 0 .. n_limit
+    (s(0) = 0): one bincount over the hits j p in prime-major order, so every
+    s(n) adds its terms in ascending p.  For p > w, p | W n exactly when p | n.
+    """
+    primes = np.nonzero(arith.prime_sieve(n_limit))[0]
+    primes = primes[primes > w]
+    reps = n_limit // primes
+    j = np.arange(1, int(reps.sum()) + 1) - np.repeat(np.cumsum(reps) - reps, reps)
+    return np.bincount(np.repeat(primes, reps) * j,
+                       weights=np.repeat([q ** -0.5 for q in primes.tolist()], reps), minlength=n_limit + 1)
+
+
+def _rsqrt_sums_on_progression(n_limit, wparams, d, limit):
+    """s(n) = sum of p^{-1/2} over primes w < p <= limit dividing m = W n + d,
+    for n = 0 .. n_limit (s(0) = 0), d != 0, in ascending p.
+
+    Each prime p <= sqrt(max |m|), and each p <= w, is divided out of |m| power
+    by power: p^k | m on one class of n mod p^k / gcd(W, p^k), or on none.
+    What is left above 1 is the one prime factor of m past that root; it is
+    added last.  Where m = 0, every prime divides m, so s is the sum over all
+    primes in (w, limit] (_rsqrt_prime_sum).
+    """
+    W = wparams.W
+    r = np.abs(W * np.arange(n_limit + 1, dtype=np.int64) + d)
+    r[0] = 1
+    m_hi = int(r.max())
+    s = np.zeros(n_limit + 1)
+    for p in np.flatnonzero(arith.prime_sieve(max(math.isqrt(m_hi), int(wparams.w)))).tolist():
+        pk = p
+        while pk <= m_hi:
+            g = math.gcd(W, pk)
+            if d % g:
+                break
+            step = pk // g
+            first = (-d // g) * pow(W // g, -1, step) % step or step
+            r[first::step] //= p
+            if pk == p and wparams.w < p <= limit:
+                s[first::step] += p ** -0.5
+            pk *= p
+    at = np.flatnonzero(r > 1)
+    at = at[r[at] <= limit]
+    s[at] += [q ** -0.5 for q in r[at].tolist()]
+    zero = -d // W
+    if d % W == 0 and 1 <= zero <= n_limit:
+        s[zero] = _rsqrt_prime_sum(wparams.w, limit)
+    return s
+
+
+def _rsqrt_prime_sum(lo, hi):
+    """The sum of p^{-1/2} over the primes lo < p <= hi, added one at a time in
+    ascending p, from sieve segments of 2^16 entries."""
+    seg = 2**16
+    acc = 0.0
+    for a in range(int(lo) + 1, hi + 1, seg):
+        for q in (a + np.flatnonzero(arith.prime_sieve(min(a + seg - 1, hi), n_lo=a))).tolist():
+            acc += q ** -0.5
+    return acc
 
 
 # ---------------------------------------------------------------------------

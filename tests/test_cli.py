@@ -337,7 +337,10 @@ def test_w_trick_allocates_nothing_of_size_w_n(tmp_path, monkeypatch):
     assert run(tmp_path, "gowers", {"N": n, "s": 1, "input": "wtrick", "b": 29})[0] == 0
     gysieve.sharp_gowers_check(n, 29, wp, 1, 0.4)
     assert sizes and max(sizes) < wp.W * n
-    gysieve.domination_constant(gysieve.build_enveloping_sieve(n, 0.3, 5.0, [7, 11]))
+    sieve = gysieve.build_enveloping_sieve(n, 0.3, 5.0, [7, 11])
+    gysieve.domination_constant(sieve)
+    assert max(sizes) < wp.W * n
+    gysieve.tau_moments(sieve)                  # pairs 7 - 11 and 11 - 7 sieve to sqrt(W N + 4)
     assert max(sizes) < wp.W * n
 
 

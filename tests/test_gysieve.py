@@ -1,5 +1,7 @@
+import functools
 import math
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,6 +413,17 @@ def test_tau_moments_matches_prime_loop(data):
     assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)]
 
 
+def test_tau_moments_edge_pairs_match_prime_loop():
+    # residues 100 W apart (a prime cofactor of W n + bi - bj past the loop's
+    # last prime W n_limit + W, and a zero at n = 100), and W n + bi - bj = 2
+    # at n_limit = 1 (every prime <= w divided out although sqrt(2) < w)
+    for w, b_list, n_limit in ((3.0, (1, 601), 10), (3.0, (1, 601), 150), (5.0, (1, 29), 1), (5.0, (29, 1, 7), 2)):
+        sieve = types.SimpleNamespace(n_scale=10**4, wparams=arith.w_trick(w=w), b_list=b_list)
+        for cap in (None, 1e300):
+            got = gysieve.tau_moments(sieve, None, (1, 2, 3), n_limit, 0.5, cap)
+            want = _tau_moments_loop(sieve, (1, 2, 3), n_limit, 0.5, cap)
+            assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)], (b_list, n_limit, cap)
+
 def test_tau_moments_bit_identical_at_benchmark_size(monkeypatch):
     # the sieve-gowers tau-moments op (N = 1e5, W = 30, one residue).  With one
     # residue every pair has bi = bj, and p > w divides W n only if p | n, so
@@ -516,6 +529,80 @@ def test_montecarlo_chunks_match_one_shot_draw(monkeypatch):
         e, se = _montecarlo_one_shot(sv, quad, budget, seed)
         assert (got.expectation.hex(), got.stderr.hex()) == (e.hex(), se.hex()), (chunk, seed, budget)
 
+
+
+def test_linear_forms_check_refuses_a_budget_below_two():
+    # a budget of 0 gave a NaN expectation and 1 a NaN stderr; the refusal
+    # comes before any route is chosen, so exact-route systems refuse it too
+    sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5])
+    quad = forms.system([[1, 0], [0, 1], [1, 1], [1, 2]], [0, 3, 0, 1])
+    pair = forms.system([[1, 0], [0, 1]])
+    for system in (quad, pair):
+        for budget in (1, 0, -3):
+            with pytest.raises(ValueError, match="sample_budget must be at least 2"):
+                gysieve.linear_forms_check(sv, system, sample_budget=budget)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_sieve(n):
+    return gysieve.build_enveloping_sieve(n, 0.3, 3.0, [1, 5])
+
+
+def _nu_variant(nu, kind):
+    """The built nu, all ones, a last entry != 1.0, or a last entry != 1.0 at
+    len(nu) - 2 (the head is then all of nu)."""
+    nu = nu.copy()
+    if kind == "ones":
+        nu[:] = 1.0
+    elif kind == "last":
+        nu[-1] = 0.75
+    elif kind == "second-to-last":
+        nu[-2] = 1.5
+    return nu
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_montecarlo_kernel_matches_one_shot_draw(data):
+    # the chunk buffers and the gather from nu's head give the one-shot draw's bits
+    sv = _small_sieve(data.draw(st.sampled_from([50, 300])))
+    p = sv.n_prime
+    nu = _nu_variant(sv.nu, data.draw(st.sampled_from(["built", "ones", "last", "second-to-last"])))
+    d = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(d + 2, d + 3))            # rank <= d <= t - 2: Monte Carlo
+    coeff = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50))
+    rows = data.draw(st.lists(st.lists(coeff, min_size=d, max_size=d).filter(any), min_size=t, max_size=t))
+    consts = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=t, max_size=t))
+    chunk = data.draw(st.sampled_from([1, 7, gysieve.MC_CHUNK]))
+    budget = data.draw(st.integers(2, 3 * chunk + 5))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    sieve = types.SimpleNamespace(n_prime=p, nu=nu)
+    system = forms.system(rows, consts)
+    with mock.patch.object(gysieve, "MC_CHUNK", chunk):
+        got = gysieve.linear_forms_check(sieve, system, sample_budget=budget, seed=seed)
+    assert got.method == "montecarlo"
+    e, se = _montecarlo_one_shot(sieve, system, budget, seed)
+    assert (got.expectation.hex(), got.stderr.hex()) == (e.hex(), se.hex())
+
+
+def test_montecarlo_on_a_short_nu_raises_index_error():
+    # a nu shorter than N' is read with numpy's index check, as nu[vals] was
+    sv = _small_sieve(50)
+    short = types.SimpleNamespace(n_prime=sv.n_prime, nu=sv.nu[: sv.n_prime // 2])
+    with pytest.raises(IndexError):
+        gysieve.linear_forms_check(short, forms.ap_system(4), sample_budget=1000)
+
+def test_montecarlo_bit_identical_at_benchmark_size():
+    # the sieve-gowers linear-forms-montecarlo op (AP4, N = 1e5, W = 30, C = 20):
+    # nu is 1.0 past N + 1, so the kernel gathers from its first N + 2 entries
+    ap4 = forms.ap_system(4)
+    for seed, b in ((0, 1), (1, 7), (2, 29)):
+        sv = gysieve.build_enveloping_sieve(10**5, 0.3, 5.0, [b], c_factor=20)
+        assert len(gysieve._nu_gather_source(sv.nu, sv.n_prime)[0]) == 10**5 + 2
+        got = gysieve.linear_forms_check(sv, ap4, seed=seed)
+        assert got.method == "montecarlo"
+        e, se = _montecarlo_one_shot(sv, ap4, 2 * 10**6, seed)
+        assert (got.expectation.hex(), got.stderr.hex()) == (e.hex(), se.hex()), (seed, b)
 
 def _dense_divisor_sum(chi, big_r, m_max):
     """D(m) for 0 <= m <= m_max, adding mu(d) chi(log d / log R) to every
