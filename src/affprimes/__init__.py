@@ -48,7 +48,6 @@ from .counting import (
     weighted_count,
 )
 from .gowers import (
-    BoxInput,
     GowersResult,
     box_norm,
     dual_norm_lower_bound,

@@ -47,17 +47,6 @@ def _finalize(raw, method, order):
     return GowersResult(raw_power_average=raw_real, norm=norm, method=method, order=order)
 
 
-@dataclass
-class BoxInput:
-    axes: tuple
-    values: np.ndarray
-
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=complex)
-        self.values = arr
-        self.axes = arr.shape
-
-
 # ---------------------------------------------------------------------------
 # box norms over products of finite sets
 
@@ -128,8 +117,6 @@ def _box_average(fs, nus):
 
 def box_norm(f, method="direct"):
     """Gowers box norm of a multi-axis array; method in {naive, direct}."""
-    if isinstance(f, BoxInput):
-        f = f.values
     f = np.asarray(f, dtype=complex)
     if f.ndim == 0:
         raise ValueError("box norm needs at least one axis")
@@ -421,8 +408,6 @@ def weighted_box_norm(g, nu_family):
     subset of the axes raises ValueError.  The defining average runs over
     pairs (x0, x1) with the product of nu_C over all omega_C patterns.
     """
-    if isinstance(g, BoxInput):
-        g = g.values
     g = np.asarray(g, dtype=complex)
     k = g.ndim
     bad = [sorted(c) for c in nu_family if not c < frozenset(range(k))]

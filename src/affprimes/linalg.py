@@ -5,10 +5,13 @@ floats (a float is read as the exact binary rational it stores).  The
 matrices that arise (coefficient matrices of affine-linear form systems)
 have at most a few dozen rows and columns.  There are two elimination
 kernels.  `_gauss_jordan` reduces rows over a field, Q (Fraction entries) or
-F_p (ints mod p); `row_echelon`, `solve`, the nullspaces and the mod-p rank
-and consistency read their answers off its reduced rows.  `_bareiss` runs
-fraction-free on Python ints and gives `rank` and `det`; `rank` is called
-thousands of times per complexity computation.
+F_p (ints mod p); `solve`, the nullspaces and the mod-p rank (and, through
+`_pivots_mod_p`, the rank and consistency tests of `local_factor`) read their
+answers off its reduced rows.  `_bareiss` runs fraction-free on Python ints
+and gives `rank` and `det`; `rank` is called thousands of times per
+complexity computation.  There is one integer normal form,
+`smith_normal_form`; `same_column_lattice` decides lattice equality from its
+invariant factors.
 """
 
 from fractions import Fraction
@@ -50,14 +53,6 @@ def _gauss_jordan(m, p=None):
         if r + 1 == n_rows:
             break
     return pivots
-
-
-def row_echelon(rows):
-    """Reduce a Fraction matrix in place; return the list of pivot columns.
-
-    The rank is len(pivots).
-    """
-    return _gauss_jordan(rows)
 
 
 def _kernel(m, p=None):
@@ -196,69 +191,8 @@ def nullspace_mod_p(rows, p):
     return _kernel([[x % p for x in row] for row in rows], p)
 
 
-def consistent_mod_p(rows, rhs, p):
-    """True iff rows·x = rhs has a solution over F_p: no pivot in the rhs column."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    return not rows or len(rows[0]) not in _pivots_mod_p(aug, p)
-
-
 # ---------------------------------------------------------------------------
 # integer lattice forms
-
-
-def hermite_column_basis(mat):
-    """Column-style Hermite normal form of an integer matrix.
-
-    Returns a canonical basis (list of column tuples) of the lattice spanned
-    by the columns; two matrices span the same column lattice iff the results
-    are equal.
-    """
-    n_rows = len(mat)
-    cols = [list(col) for col in zip(*mat)] if n_rows else []
-    cols = [c for c in cols if any(c)]
-    basis = []
-    row = 0
-    while cols and row < n_rows:
-        live = [c for c in cols if c[row] != 0]
-        if not live:
-            row += 1
-            continue
-        while True:
-            live.sort(key=lambda c: abs(c[row]))
-            piv = live[0]
-            done = True
-            for c in live[1:]:
-                q = c[row] // piv[row]
-                for i in range(n_rows):
-                    c[i] -= q * piv[i]
-                if c[row] != 0:
-                    done = False
-            live = [piv] + [c for c in live[1:] if c[row] != 0]
-            if done or len(live) == 1:
-                break
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        rest = [c for c in cols if c is not piv and any(c)]
-        for c in rest:
-            if c[row] != 0:
-                q = c[row] // piv[row]
-                for i in range(n_rows):
-                    c[i] -= q * piv[i]
-        cols = [c for c in rest if any(c)]
-        row += 1
-    # reduce above-pivot entries for canonicity
-    for j in range(len(basis) - 1, -1, -1):
-        pr = next(i for i in range(n_rows) if basis[j][i] != 0)
-        for k in range(j):
-            q = basis[k][pr] // basis[j][pr]
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
-    return [tuple(c) for c in basis]
-
-
-def same_column_lattice(a, b):
-    return hermite_column_basis(a) == hermite_column_basis(b)
 
 
 def smith_normal_form(mat):
@@ -340,3 +274,21 @@ def smith_normal_form(mat):
             t += 1
     d = [a[i][i] if i < m else 0 for i in range(min(n, m))]
     return d, u, v
+
+
+def same_column_lattice(a, b):
+    """True iff the columns of the integer matrices a and b span the same lattice.
+
+    L(a) and L(b) lie in L(c) for c = [a | b].  The rank is the number of
+    nonzero Smith invariant factors and their product is the index of the
+    lattice in its saturation, which depends only on the rational span; so a
+    sublattice of equal rank and equal product is the whole lattice.
+    """
+    if len(a) != len(b):
+        return False
+
+    def invariants(mat):
+        d = [x for x in smith_normal_form(mat)[0] if x]
+        return len(d), prod(d)
+
+    return invariants(a) == invariants(b) == invariants([[*ra, *rb] for ra, rb in zip(a, b)])

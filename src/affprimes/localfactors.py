@@ -141,7 +141,6 @@ def ap_k_local_factor(k, p):
 class LocalProfile:
     primes: list
     beta: list                  # exact Fractions, aligned with primes
-    system_ref: object
 
     def rows(self):
         for p, b in zip(self.primes, self.beta):
@@ -155,12 +154,14 @@ def local_profile(sys, p_max):
     the rational ones, so beta_p is the generic formula; only the exceptional
     primes go through `local_factor`, as in `singular_series`.
     """
+    if p_max < 1:
+        raise ValueError(f"pmax must be at least 1, not {p_max}")
     data = SystemLocalData(sys)
     exceptional = set(data.exceptional)
     mask = prime_sieve(p_max)
     primes = [int(p) for p in np.nonzero(mask)[0]]
     beta = [local_factor(sys, p) if p in exceptional else data.generic_beta(p) for p in primes]
-    return LocalProfile(primes=primes, beta=beta, system_ref=sys)
+    return LocalProfile(primes=primes, beta=beta)
 
 
 @dataclass
@@ -186,6 +187,8 @@ def singular_series(sys, p_max, min_prime=2):
     vectorised.  The tail bound fits an empirical envelope c = max p^2|beta_p - 1|
     over the last decade of primes and bounds |log(full/truncated)| by c/p_max.
     """
+    if p_max < 1:
+        raise ValueError(f"pmax must be at least 1, not {p_max}")
     data = SystemLocalData(sys)
     mask = prime_sieve(p_max)
     primes = np.nonzero(mask)[0].astype(np.int64)

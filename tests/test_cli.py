@@ -56,6 +56,15 @@ def test_normalize_command(tmp_path):
     assert report["result"]["lattice_equal"] is True
 
 
+def test_normalize_extension_spans_the_same_lattice(tmp_path):
+    # the extension only appends columns A·f, so its lattice is the system's
+    system = {"forms": [{"coeffs": [2, 3, 0]}, {"coeffs": [3, 1, 2]}, {"coeffs": [-1, 1, -2]}]}
+    code, report, _ = run(tmp_path, "normalize", {"system": system, "s": 0})
+    assert code == 0
+    assert report["result"]["is_normal_form"] is True
+    assert report["result"]["lattice_equal"] is True
+
+
 def test_compare_command_csv(tmp_path):
     cfg = {
         "system": {
@@ -280,6 +289,21 @@ def test_table_guard_exits_2_before_sieving(tmp_path, monkeypatch, capsys, comma
 
 
 TWIN_50 = {**TWIN_1000, "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": -1}, {"a": [1], "c": 48}]}, "N": 50}
+
+
+@pytest.mark.parametrize("pmax", [0, -3])
+@pytest.mark.parametrize("command, cfg", [
+    ("singular-series", {"system": AP4_SYSTEM}),
+    ("local-factors", {"system": AP4_SYSTEM}),
+    ("predict", TWIN_50),
+    ("compare", TWIN_50),
+    ("gy-verify", {**TWIN_50, "gamma": 0.3}),
+])
+def test_pmax_below_1_exits_1(tmp_path, capsys, command, cfg, pmax):
+    # refused before the sieve up to pmax, by a message naming the key
+    code, report, _ = run(tmp_path, command, {**cfg, "pmax": pmax})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"error: pmax must be at least 1, not {pmax}\n"
 
 
 @pytest.mark.parametrize("command, cfg, sieved", [

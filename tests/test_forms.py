@@ -5,7 +5,7 @@ from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affprimes import forms, linalg
@@ -314,6 +314,29 @@ def test_rank_checks_match_minor_loops(fs):
     else:
         with pytest.raises(ValueError, match=f"forms {bad[0]} and {bad[1]} are rational multiples"):
             forms.FormSystem(tuple(fs), check_pairwise_independent=True)
+
+
+@st.composite
+def _finite_complexity_systems(draw):
+    """3-5 forms on Z^2 or Z^3 with coefficients and constants in -3..3, no two
+    homogeneous parts parallel, so the complexity is finite."""
+    d = draw(st.integers(2, 3))
+    rows = []
+    for _ in range(draw(st.integers(3, 5))):
+        row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+        rows.append(draw(row.filter(lambda r: all(linalg.rank([r, q]) == 2 for q in rows) and any(r))))
+    return forms.system(rows, draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows))))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_finite_complexity_systems())
+@example(forms.system([[2, 3, 0], [3, 1, 2], [-1, 1, -2]]))
+def test_normal_form_extension_is_an_extension(sys):
+    # Psi' restricts to Psi and Psi'(Z^d') == Psi(Z^d), at s the system's
+    # complexity; the explicit system has complexity 0 and an extension of d' = 6
+    s = forms.complexity(sys).overall
+    ext, _ = forms.normal_form_extension(sys, s)
+    assert forms.is_extension(sys, ext)
 
 
 def test_parameterize_empty_matrix_identity():

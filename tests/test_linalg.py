@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affprimes import linalg
@@ -57,9 +57,14 @@ def _rank_cases(draw, kinds=tuple(sorted(_ENTRIES)), square=False):
 @given(_rank_cases())
 def test_rank_matches_row_echelon(rows):
     # the integer (Bareiss) rank against Fraction Gauss-Jordan elimination
-    want = len(linalg.row_echelon(linalg.frac_rows(rows)))
+    want = len(linalg._gauss_jordan(linalg.frac_rows(rows)))
     assert linalg.rank(rows) == want
     assert linalg.rank([list(col) for col in zip(*rows)]) == want
+
+
+def _consistent_mod_p(rows, rhs, p):
+    """rows·x = rhs is solvable over F_p iff the rhs column holds no pivot, as `local_factor` reads it."""
+    return len(rows[0]) not in linalg._pivots_mod_p([row + [b] for row, b in zip(rows, rhs)], p)
 
 
 def _fraction(q):
@@ -91,13 +96,13 @@ def test_mod_p_kernels_match_sympy(rows, p, data):
     else:
         rhs = data.draw(st.lists(st.integers(-9, 9), min_size=len(rows), max_size=len(rows)))
     aug = [row + [b] for row, b in zip(rows, rhs)]
-    assert linalg.consistent_mod_p(rows, rhs, p) == (gf(aug).rank() == want.rank())
+    assert _consistent_mod_p(rows, rhs, p) == (gf(aug).rank() == want.rank())
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_rank_cases())
 def test_rational_kernels_match_sympy(rows):
-    # row_echelon's reduced rows and pivots, and the nullspace basis, against
+    # _gauss_jordan's reduced rows and pivots, and the nullspace basis, against
     # sympy's rref and nullspace over QQ
     pytest.importorskip("sympy")
     from sympy import QQ
@@ -106,7 +111,7 @@ def test_rational_kernels_match_sympy(rows):
     m = linalg.frac_rows(rows)
     want = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m], (len(m), len(m[0])), QQ)
     reduced, pivots = want.rref()
-    assert linalg.row_echelon(m) == list(pivots)
+    assert linalg._gauss_jordan(m) == list(pivots)
     assert m == [[_fraction(x) for x in row] for row in reduced.to_list()]
     basis = want.nullspace(divide_last=True).to_list()
     assert linalg.nullspace(rows) == [[_fraction(x) for x in v] for v in basis]
@@ -181,8 +186,8 @@ def test_mod_p():
     assert linalg.rank_mod_p([[2, 4], [1, 2]], 3) == 1
     assert linalg.rank_mod_p([[2, 4], [1, 2]], 2) == 1
     assert linalg.rank_mod_p([[1, 1], [1, 2]], 5) == 2
-    assert linalg.consistent_mod_p([[1, 1]], [3], 5)
-    assert not linalg.consistent_mod_p([[2, 2], [1, 1]], [1, 1], 2)
+    assert _consistent_mod_p([[1, 1]], [3], 5)
+    assert not _consistent_mod_p([[2, 2], [1, 1]], [1, 1], 2)
 
 
 def test_nullspace_mod_p():
@@ -249,3 +254,41 @@ def test_hermite_column_lattice():
     # permuted and recombined generators
     c = [[4, 2, 0], [2, 0, 2]]
     assert linalg.same_column_lattice([[2, 0], [0, 2]], c)
+    assert not linalg.same_column_lattice([[1, 0], [0, 1]], [[1, 0]])     # different row counts
+
+
+@st.composite
+def _lattice_pairs(draw):
+    """(a, b, spans_a): nonzero matrices a, b with 1-4 rows, 1-4 columns and
+    entries -4..4.  In half the draws b is [a·U | a] with its columns shuffled,
+    which spans a's lattice (spans_a True); otherwise b is drawn alone."""
+    n_rows = draw(st.integers(1, 4))
+
+    def matrix(n_cols):
+        row = st.lists(st.integers(-4, 4), min_size=n_cols, max_size=n_cols)
+        return draw(st.lists(row, min_size=n_rows, max_size=n_rows).filter(lambda m: any(map(any, m))))
+
+    a = matrix(draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        return a, matrix(draw(st.integers(1, 4))), False
+    u_cols = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(a[0]), max_size=len(a[0])),
+                           min_size=1, max_size=3))
+    cols = [[sum(x * y for x, y in zip(row, u)) for row in a] for u in u_cols] + [list(c) for c in zip(*a)]
+    return a, [list(r) for r in zip(*draw(st.permutations(cols)))], True
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_lattice_pairs())
+@example(([[1, 0, 0], [0, -1, -1], [3, 3, -1]], [[-1, 1, 0, 0], [-4, 0, -1, -1], [1, 3, 3, -1]], True))
+def test_same_column_lattice_matches_sympy_hermite(case):
+    # equal column lattices iff equal column-style Hermite normal forms; the
+    # explicit case is b = [a·(-1, 2, 2) | a], on which a Hermite basis that
+    # reduces from the last pivot up is not canonical
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    a, b, spans_a = case
+    want = hermite_normal_form(sympy.Matrix(a)) == hermite_normal_form(sympy.Matrix(b))
+    assert want or not spans_a
+    assert linalg.same_column_lattice(a, b) == want
+    assert linalg.same_column_lattice(b, a) == want

@@ -163,6 +163,17 @@ def test_singular_series_vanishing():
     assert lf.local_factor(consec, 2) == 0
 
 
+def test_p_max_below_1_refused():
+    # refused before sieving, naming the CLI key; p_max = 1 is the empty product
+    for p_max in (0, -3):
+        for run in (lf.singular_series, lf.local_profile):
+            with pytest.raises(ValueError, match=f"pmax must be at least 1, not {p_max}"):
+                run(AP4, p_max)
+    ss = lf.singular_series(AP4, 1)
+    assert ss.truncated_product == 1.0 and ss.tail_log_bound == 0.0
+    assert lf.local_profile(AP4, 1).primes == []
+
+
 def test_alpha_p_vinogradov():
     n = 10**6 + 1       # odd, not divisible by 3
     a = [[1, 1, 1]]
