@@ -3,11 +3,12 @@
 All tables are numpy arrays indexed by n (index 0 unused).  build_tables
 sieves the primes; every other field (FIELDS) is built on its first read and
 cached, so a run pays only for the fields it uses.  Construction is
-vectorised: mobius/liouville strip prime factors p <= sqrt(n_max) and flip
-signs for the single large leftover prime.  prime_sieve and von_mangoldt_on
-cover any progression W n + b, the dense table being W = 1, b = 0, so the
-W-trick sieves only its progression.  Single integers are factored by
-factorize, the one factorization helper, which needs no table.
+vectorised: mobius/liouville sieve by the primes p <= sqrt(n_max) and flip
+the sign of each multiple of a larger prime, which divides it at most once.
+prime_sieve and von_mangoldt_on cover any progression W n + b, the dense
+table being W = 1, b = 0, so the W-trick sieves only its progression.
+Single integers are factored by factorize, the one factorization helper,
+which needs no table.
 """
 
 import math
@@ -56,7 +57,7 @@ class ArithTables:
         for p in small:
             mob[p::p] *= -1
             mob[p * p:: p * p] = 0
-        mob[_has_large_prime(self.n_max, small)] *= -1
+        mob[_has_large_prime(self.n_max, self.primes)] *= -1
         mob[0] = 0
         return mob
 
@@ -70,25 +71,25 @@ class ArithTables:
             while pk <= self.n_max:
                 lio[pk::pk] *= -1
                 pk *= p
-        lio[_has_large_prime(self.n_max, small)] *= -1
+        lio[_has_large_prime(self.n_max, self.primes)] *= -1
         lio[0] = 0
         return lio
 
 
-def _has_large_prime(n_max, small):
-    """Mask of n <= n_max with a prime factor > sqrt(n_max).
+def _has_large_prime(n_max, primes):
+    """Mask of n <= n_max with a prime factor > sqrt(n_max), given the primes up to n_max.
 
-    rem holds what is left of n after dividing out all p <= sqrt(n_max); a
-    leftover > 1 is a single large prime.
+    Such a factor q has q^2 > n_max, so n has at most one; the mask marks the
+    multiples k q of every large prime q, for k = 1, 2, .. while k q <= n_max
+    (there is one for n_max >= 2: a prime lies in (n_max/2, n_max]).
     """
-    rem = np.arange(n_max + 1, dtype=np.int64)
-    for p in small:
-        rem[p::p] //= p
-        pk = p * p
-        while pk <= n_max:
-            rem[pk::pk] //= p
-            pk *= p
-    return rem > 1
+    mask = np.zeros(n_max + 1, dtype=bool)
+    large = primes[np.searchsorted(primes, math.isqrt(n_max), side="right"):]
+    ks = np.arange(1, n_max // int(large[0]) + 1)
+    # the large q with k q <= n_max are a prefix of the sorted primes
+    for k, c in zip(ks.tolist(), np.searchsorted(large, n_max // ks, side="right").tolist()):
+        mask[k * large[:c]] = True
+    return mask
 
 
 def check_table_size(n_max):

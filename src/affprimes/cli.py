@@ -47,6 +47,8 @@ def _load_config(args):
 
 
 Exact = typing.NewType("Exact", int)     # the kind of an int key that takes no integral float
+Positive = typing.Annotated[int, 1]      # Annotated[kind, m]: a value of that kind, at least m
+NonNegative = typing.Annotated[int, 0]
 
 
 class NonEmpty(list):
@@ -57,7 +59,8 @@ def _value(cfg, key, kind, default):
     """cfg[key] checked against kind, or default when the key is absent (no default: an error).
 
     int takes an int (not a bool) or an integral float, Exact only an int;
-    float takes any value float() converts to a finite float; Literal[...]
+    Annotated[kind, m] a value of kind that is at least m; float takes any
+    value float() converts to a finite float; Literal[...]
     one of its names; list[T] a list of T, NonEmpty[T] a non-empty one; any
     other kind (dict, str) that type.  A violation is a ValidationError
     naming the key.
@@ -68,6 +71,11 @@ def _value(cfg, key, kind, default):
         return default
     v = cfg[key]
     origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Annotated:
+        v = _value(cfg, key, args[0], default)
+        if v < args[1]:
+            raise ValidationError(f"config key {key!r} must be at least {args[1]}, not {v}")
+        return v
     if kind in (int, Exact):
         if isinstance(v, float) and v.is_integer() and kind is int:
             return int(v)
@@ -110,9 +118,7 @@ def _arguments(cmd, cfg):
     n = None
     if params.keys() & {"N", "system", "body"}:
         default = params["N"].default if "N" in params else None
-        n = _value(cfg, "N", Exact, inspect.Parameter.empty if "body" in params else default)
-        if n is not None and n < 1:
-            raise ValidationError(f"config key 'N' must be at least 1, not {n}")
+        n = _value(cfg, "N", typing.Annotated[Exact, 1], inspect.Parameter.empty if "body" in params else default)
     parsers = {forms.FormSystem: (dict, functools.partial(forms.form_system_from_json, n_scale=n)),
                geometry.ConvexBody: (dict, functools.partial(geometry.convex_body_from_json, n_scale=n)),
                NonEmpty[forms.AffineForm]: (NonEmpty[list], lambda rows: list(map(forms.AffineForm, rows)))}
@@ -302,7 +308,7 @@ def cmd_gy_verify(system: forms.FormSystem, body: geometry.ConvexBody, N: Exact,
 
 
 def cmd_sieve_check(N: Exact, gamma: float = 1 / 20, w: float = 5.0, b_list: NonEmpty[int] = (1,), C: int = 20,
-                    seed: int = 0):
+                    seed: NonNegative = 0):
     sieve = gysieve.build_enveloping_sieve(N, gamma, w, b_list, C)
     dep = forms.system([[1, 0], [1, 1]])
     lf = gysieve.linear_forms_check(sieve, dep, seed=seed)
@@ -324,26 +330,27 @@ def cmd_sieve_check(N: Exact, gamma: float = 1 / 20, w: float = 5.0, b_list: Non
     }, None, None
 
 
-def cmd_nil_check(seed: int = 0, trials: int = 100):
+def cmd_nil_check(seed: NonNegative = 0, trials: Positive = 100):
     rng = np.random.default_rng(seed)
     from fractions import Fraction
 
-    def rand_frac(lo=-30, hi=30, den=12):
-        return Fraction(int(rng.integers(lo, hi)), int(rng.integers(1, den)))
+    def draws(*bounds):
+        """trials rows of one integer in [low, high) per (low, high), in one call: per-entry
+        bounds draw the values, and leave the state, of one scalar call per entry in this order."""
+        low, high = np.tile(np.array(bounds).T, trials)
+        return rng.integers(low, high).reshape(trials, len(bounds)).tolist()
 
+    frac = ((-30, 30), (1, 12))         # a numerator, then a denominator
     quad_ok = 0
-    for _ in range(trials):
-        theta = rand_frac()
-        nn = int(rng.integers(-300, 300))
-        nilseq.quadratic_phase_orbit(theta, nn)
+    for t, d, nn in draws(*frac, (-300, 300)):
+        nilseq.quadratic_phase_orbit(Fraction(t, d), nn)
         quad_ok += 1
     hk_ok = 0
     hk_perturbed_fail = 0
-    for _ in range(trials):
-        g = nilseq.HeisenbergElement(rand_frac(), rand_frac(), rand_frac())
-        x0 = nilseq.HeisenbergElement(rand_frac(), rand_frac(), rand_frac())
-        h = tuple(int(rng.integers(-5, 6)) for _ in range(3))
-        cube = nilseq.orbit_cube(g, x0, int(rng.integers(-5, 6)), h)
+    for row in draws(*frac * 6, *[(-5, 6)] * 4):
+        c = [Fraction(p, q) for p, q in zip(row[:12:2], row[1:12:2])]
+        g, x0 = nilseq.HeisenbergElement(*c[:3]), nilseq.HeisenbergElement(*c[3:])
+        cube = nilseq.orbit_cube(g, x0, row[15], tuple(row[12:15]))
         if nilseq.hk_factorize_heisenberg(cube).success:
             hk_ok += 1
         if not nilseq.hk_factorize_heisenberg(cube.shift_z((0, 0, 0), 1, 10)).success:

@@ -407,13 +407,14 @@ def orbit_parallelepiped(g, x0, n, h):
 # Mobius-nilsequence correlation
 
 
-def heisenberg_orbit_coords(g, x0, n_max):
-    """Fundamental-domain coordinates of g^n x0 for n = 1..n_max, vectorised.
+def heisenberg_orbit_coords(g, x0, n_max, n_lo=1):
+    """Fundamental-domain coordinates of g^n x0 for n = n_lo..n_max, vectorised.
 
     Uses the closed-form power law and the same y-then-x-then-z reduction as
-    the exact path, in float arithmetic.
+    the exact path, in float arithmetic.  Each entry depends on its n alone,
+    so a slice n_lo..n_max is bit-equal to those entries of the whole range.
     """
-    n = np.arange(1, n_max + 1, dtype=np.float64)
+    n = np.arange(n_lo, n_max + 1, dtype=np.float64)
     gx, gy, gz = float(g.x), float(g.y), float(g.z)
     xx = n * gx
     yy = n * gy
@@ -458,19 +459,37 @@ def smooth_cell_function(center_x, center_y, width=0.25):
     return f
 
 
-def mobius_nil_correlation(n_max, g, x0, func, tables):
-    """E_{n <= N} mu(n) F(g^n x0) along the Heisenberg orbit."""
+CHUNK = 2**15       # entries of n whose orbit and values are computed at a time
+
+
+def _mobius_mean(n_max, tables, values):
+    """E_{n <= N} mu(n) v(n), where values(lo, hi) is the array of v(n) for lo <= n <= hi.
+
+    The products mu(n) v(n) fill one N-long array CHUNK entries at a time and
+    one np.mean runs over it, so the result is that of one product over all
+    n: the pairwise sum sees the same array.  mu stays int8 and is cast in
+    the multiply, into the dtype that a float64 mu times v would have.
+    """
     if tables.n_max < n_max:
         raise ValueError("need a mobius table up to N")
-    # read mu before the orbit arrays exist: its first read builds the table
+    # read mu before the value arrays exist: its first read builds the table
     mu = tables.mobius[1: n_max + 1]
-    xx, yy, zz = heisenberg_orbit_coords(g, x0, n_max)
-    vals = func(xx, yy, zz)
-    return complex(np.mean(mu.astype(np.float64) * vals))
+    out = np.empty(0)
+    for lo in range(0, n_max, CHUNK):
+        vals = values(lo + 1, min(lo + CHUNK, n_max))
+        if not lo:
+            out = np.empty(n_max, dtype=np.result_type(np.float64, vals))
+        np.multiply(mu[lo: lo + CHUNK], vals, out=out[lo: lo + CHUNK], dtype=out.dtype)
+    return complex(np.mean(out))
+
+
+def mobius_nil_correlation(n_max, g, x0, func, tables):
+    """E_{n <= N} mu(n) F(g^n x0) along the Heisenberg orbit."""
+    return _mobius_mean(n_max, tables, lambda lo, hi: func(*heisenberg_orbit_coords(g, x0, hi, lo)))
 
 
 def mobius_phase_correlation(n_max, alpha, tables):
     """E_{n <= N} mu(n) e(alpha n): the s = 1 specialisation."""
-    mu = tables.mobius[1: n_max + 1].astype(np.float64)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    return complex(np.mean(mu * np.exp(2j * np.pi * alpha * n)))
+    return _mobius_mean(
+        n_max, tables, lambda lo, hi: np.exp(2j * np.pi * alpha * np.arange(lo, hi + 1, dtype=np.float64))
+    )

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -171,6 +172,50 @@ def test_field_bytes_independent_of_read_order(spf_sieve):
         t = arith.build_tables(2000)
         got = {f: (getattr(t, f).dtype.str, getattr(t, f).tobytes()) for f in order}
         assert got == want, order
+
+
+_ORACLE_MAX = 20000
+
+
+@functools.cache
+def _trial_division_mu_lambda():
+    """mu(n) and lambda(n) for n <= _ORACLE_MAX (0 at n = 0), each n factored by trial division."""
+    mu, lio = [0], [0]
+    for n in range(1, _ORACLE_MAX + 1):
+        exps, p = [], 2
+        while p * p <= n:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            exps += [e] if e else []
+            p += 1
+        exps += [1] if n > 1 else []
+        mu.append(0 if any(e > 1 for e in exps) else (-1) ** len(exps))
+        lio.append((-1) ** sum(exps))
+    return np.array(mu, dtype=np.int8), np.array(lio, dtype=np.int8)
+
+
+def _check_mu_lambda(n_max):
+    t = arith.build_tables(n_max)
+    mu, lio = _trial_division_mu_lambda()
+    assert t.mobius.dtype == t.liouville.dtype == np.int8
+    assert t.mobius.tobytes() == mu[: n_max + 1].tobytes(), n_max
+    assert t.liouville.tobytes() == lio[: n_max + 1].tobytes(), n_max
+
+
+def test_mobius_liouville_match_trial_division_up_to_200():
+    for n_max in range(2, 201):
+        _check_mu_lambda(n_max)
+
+
+_SQUARES = [p * p + d for p in range(2, 142) if arith.is_prime(p) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(st.integers(2, _ORACLE_MAX), st.sampled_from(_SQUARES)))
+def test_mobius_liouville_match_trial_division(n_max):
+    # at p^2 the prime p changes sides: below, it divides n at most once; from p^2 on, it is sieved
+    _check_mu_lambda(n_max)
 
 
 def _brute_squarefree_divisors(n, mobius):

@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from affprimes import arith, cli, forms, gysieve
+from affprimes import arith, cli, forms, gysieve, nilseq
 
 AP4_SYSTEM = {
     "d": 2,
@@ -103,6 +104,76 @@ def test_nil_check_determinism(tmp_path):
     assert rep1["result"] == rep2["result"]
     assert rep1["result"]["hk_success"] == 25
     assert rep1["result"]["hk_perturbed_failures"] == 25
+
+
+def _scalar_nil_check_inputs(seed, trials):
+    """nil-check's inputs drawn by one scalar rng.integers call each, in the order of the
+    former loops (the oracle of the per-entry-bounds draw): the (theta, n) of every
+    quadratic_phase_orbit, the (g, x0, n, h) of every orbit_cube and the generator's state after."""
+    rng = np.random.default_rng(seed)
+
+    def rand_frac():
+        return Fraction(int(rng.integers(-30, 30)), int(rng.integers(1, 12)))
+
+    quad = []
+    for _ in range(trials):
+        theta = rand_frac()
+        quad.append((theta, int(rng.integers(-300, 300))))
+    cubes = []
+    for _ in range(trials):
+        g = nilseq.HeisenbergElement(rand_frac(), rand_frac(), rand_frac())
+        x0 = nilseq.HeisenbergElement(rand_frac(), rand_frac(), rand_frac())
+        h = tuple(int(rng.integers(-5, 6)) for _ in range(3))
+        cubes.append((g, x0, int(rng.integers(-5, 6)), h))
+    return quad, cubes, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**63 + 5])
+@pytest.mark.parametrize("trials", [1, 2, 7, 150])
+def test_nil_check_draws_what_scalar_draws_would(monkeypatch, seed, trials):
+    quad, cubes, gens = [], [], []
+    default_rng, orbit, orbit_cube = np.random.default_rng, nilseq.quadratic_phase_orbit, nilseq.orbit_cube
+
+    def record_rng(s):
+        gens.append(default_rng(s))
+        return gens[-1]
+
+    def record_orbit(theta, n):
+        quad.append((theta, n))
+        return orbit(theta, n)
+
+    def record_cube(g, x0, n, h):
+        cubes.append((g, x0, n, h))
+        return orbit_cube(g, x0, n, h)
+
+    monkeypatch.setattr(np.random, "default_rng", record_rng)
+    monkeypatch.setattr(nilseq, "quadratic_phase_orbit", record_orbit)
+    monkeypatch.setattr(nilseq, "orbit_cube", record_cube)
+    payload, _, _ = cli.cmd_nil_check(seed=seed, trials=trials)
+    want_quad, want_cubes, want_state = _scalar_nil_check_inputs(seed, trials)
+    assert quad == want_quad and cubes == want_cubes
+    assert [type(v) for c in cubes for v in (c[2], *c[3])] == [int] * 4 * trials
+    assert gens[0].bit_generator.state == want_state
+    assert payload["hk_success"] == payload["hk_perturbed_failures"] == trials
+
+
+@pytest.mark.parametrize("command, cfg, key, bound", [
+    ("nil-check", {"trials": -1}, "trials", 1),
+    ("nil-check", {"trials": 0}, "trials", 1),
+    ("nil-check", {"seed": -1}, "seed", 0),
+    ("sieve-check", {"N": 1000, "gamma": 0.3, "seed": -1}, "seed", 0),
+])
+def test_negative_seed_or_no_trials_exits_1_naming_the_key(tmp_path, capsys, command, cfg, key, bound):
+    # trials -1 ran no trial and exited 0; a negative seed failed in numpy (nil-check) or passed unread
+    code, report, _ = run(tmp_path, command, cfg)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"error: config key {key!r} must be at least {bound}, not {cfg[key]}\n"
+
+
+def test_negative_seed_flag_exits_1(tmp_path, capsys):
+    code, report, _ = run(tmp_path, "nil-check", {"trials": 2}, ("--seed", "-3"))
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == "error: config key 'seed' must be at least 0, not -3\n"
 
 
 def test_gowers_command(tmp_path):

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affprimes import nilseq
+from affprimes import arith, nilseq
 
 H = nilseq.HeisenbergElement
 
@@ -606,6 +606,57 @@ class TestMaskedCellFunction:
         # the N where every bump is 0 are among those compared
         first = np.flatnonzero(masked(*nilseq.heisenberg_orbit_coords(g, H.identity(), 59)))[0] + 1
         assert first > 1
+
+
+def _one_shot_nil_correlation(n_max, g, x0, func, tables):
+    """mobius_nil_correlation as one product over 1..N (the oracle of the chunked sum)."""
+    mu = tables.mobius[1: n_max + 1]
+    xx, yy, zz = nilseq.heisenberg_orbit_coords(g, x0, n_max)
+    return complex(np.mean(mu.astype(np.float64) * func(xx, yy, zz)))
+
+
+def _one_shot_phase_correlation(n_max, alpha, tables):
+    """mobius_phase_correlation as one product over 1..N (the oracle of the chunked sum)."""
+    mu = tables.mobius[1: n_max + 1].astype(np.float64)
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    return complex(np.mean(mu * np.exp(2j * np.pi * alpha * n)))
+
+
+_CHUNK_EDGES = [1, nilseq.CHUNK - 1, nilseq.CHUNK, nilseq.CHUNK + 1, 2 * nilseq.CHUNK + 7, 10**5]
+
+
+class TestChunkedCorrelations:
+    @pytest.mark.parametrize("n", _CHUNK_EDGES)
+    @pytest.mark.parametrize("theta", [0.5 * (np.sqrt(5) - 1), np.sqrt(2) - 1, -0.3])
+    def test_nil_correlation_matches_one_shot(self, tables_1e6, n, theta):
+        g, x0 = H(-theta, 2.0, -theta), H(0.1, -0.2, 0.3)
+        funcs = [nilseq.smooth_cell_function(0.0, 0.0), nilseq.smooth_cell_function(0.3, -0.2, 0.1),
+                 lambda x, y, z: np.ones_like(x)]
+        for func in funcs:
+            got = nilseq.mobius_nil_correlation(n, g, x0, func, tables_1e6)
+            assert _hex(got) == _hex(_one_shot_nil_correlation(n, g, x0, func, tables_1e6))
+
+    @pytest.mark.parametrize("n", _CHUNK_EDGES)
+    @pytest.mark.parametrize("alpha", [0.5 * (np.sqrt(5) - 1), -0.3, 1e-7, 12345.678])
+    def test_phase_correlation_matches_one_shot(self, tables_1e6, n, alpha):
+        got = nilseq.mobius_phase_correlation(n, alpha, tables_1e6)
+        assert _hex(got) == _hex(_one_shot_phase_correlation(n, alpha, tables_1e6))
+
+    def test_short_table_refused(self):
+        tables = arith.build_tables(100)
+        with pytest.raises(ValueError, match="need a mobius table up to N"):
+            nilseq.mobius_phase_correlation(101, 0.3, tables)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.floats(-3, 3, allow_nan=False)] * 6), st.integers(61, 10**6), st.integers(0, 5000))
+    @example((-0.5 * (np.sqrt(5) - 1), 2.0, -0.5 * (np.sqrt(5) - 1), 0.0, 0.0, 0.0), 10**6 - 99, 99)
+    @example((np.sqrt(2) - 1, 2.0, np.sqrt(3) - 1.5, 1 / 3, 0.5, 1 / 11), nilseq.CHUNK + 1, 2 * nilseq.CHUNK)
+    def test_orbit_slice_matches_one_shot(self, coords, lo, length):
+        g, x0 = H(*coords[:3]), H(*coords[3:])
+        hi = lo + length
+        whole = nilseq.heisenberg_orbit_coords(g, x0, hi)
+        for part, ref in zip(nilseq.heisenberg_orbit_coords(g, x0, hi, lo), whole):
+            assert part.tobytes() == ref[lo - 1:].tobytes()
 
 
 def test_skew_state_iteration_matches_closed_form(rng):
