@@ -570,7 +570,7 @@ def _fourier_count(sys, body, weights):
         return None
     A = [list(f.linear_coeffs) for f in sys.forms]
     b = [f.constant for f in sys.forms]
-    if linalg.smith_normal_form(A)[0] != [1, 1]:
+    if linalg.smith_normal_form(A, transforms=False) != [1, 1]:
         return None
     a = linalg.clear_denominators(linalg.nullspace([list(col) for col in zip(*A)])[0])
     if 0 in a:

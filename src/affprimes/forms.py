@@ -195,30 +195,28 @@ class ComplexityResult:
     witnesses: dict = field(default_factory=dict)   # i -> list of index-classes
 
 
-def _admissible_mask_table(rows, target, members):
-    """For each subset mask of `members`, is target outside the span of those rows?"""
-    n = len(members)
-    table = [False] * (1 << n)
-    for mask in range(1 << n):
-        sub = [rows[members[k]] for k in range(n) if mask >> k & 1]
-        table[mask] = not linalg.in_span(target, sub)
-    return table
+def _subset_ranks(rows):
+    """Q-rank of the rows picked by every subset mask (bit k picks rows[k])."""
+    ranks = [0] * (1 << len(rows))
+    for mask in range(1, 1 << len(rows)):
+        ranks[mask] = linalg.rank([row for k, row in enumerate(rows) if mask >> k & 1])
+    return ranks
 
 
-def i_complexity(sys, i, with_witness=False):
+def i_complexity(sys, i, with_witness=False, ranks=None):
     """Least s with [t]\\{i} coverable by s+1 classes avoiding psi_i's span.
 
     Covers and partitions give the same optimum (admissible subsets are
     downward closed), so this is a minimum set partition, solved by bitmask
-    DP over subsets of the other t-1 forms.
+    DP over subsets of the other t-1 forms.  A class S avoids psi_i's span
+    iff rank(S + {i}) != rank(S), both read from `ranks`, the `_subset_ranks`
+    table of the t forms (built here unless the caller passes it).
     """
     t = sys.t
     if not (0 <= i < t):
         raise IndexError("form index out of range")
     if t > MAX_FORMS_FOR_COMPLEXITY:
         raise ValueError(f"complexity search limited to t <= {MAX_FORMS_FOR_COMPLEXITY}")
-    target = list(sys.forms[i].linear_coeffs)
-    rows = sys.coefficient_matrix()
     others = [j for j in range(t) if j != i]
     # infinite complexity iff psi_i is parallel to some single other form
     for j in others:
@@ -227,7 +225,11 @@ def i_complexity(sys, i, with_witness=False):
     n = len(others)
     if n == 0:
         return (0, []) if with_witness else 0
-    admissible = _admissible_mask_table(rows, target, others)
+    if ranks is None:
+        ranks = _subset_ranks(sys.coefficient_matrix())
+    # bit k of a mask over `others` is bit k (k < i) or k + 1 (k >= i) over the t forms
+    spread = [(sub & (1 << i) - 1) | (sub >> i << (i + 1)) for sub in range(1 << n)]
+    admissible = [ranks[mask | 1 << i] != ranks[mask] for mask in spread]
     full = (1 << n) - 1
     dp = [n + 1] * (1 << n)
     choice = [0] * (1 << n)
@@ -253,9 +255,13 @@ def i_complexity(sys, i, with_witness=False):
 
 
 def complexity(sys):
+    """Every i-complexity and witness partition, from one `_subset_ranks` table."""
+    if sys.t > MAX_FORMS_FOR_COMPLEXITY:
+        raise ValueError(f"complexity search limited to t <= {MAX_FORMS_FOR_COMPLEXITY}")
+    ranks = _subset_ranks(sys.coefficient_matrix())
     per, witnesses = [], {}
     for i in range(sys.t):
-        s, cls = i_complexity(sys, i, with_witness=True)
+        s, cls = i_complexity(sys, i, with_witness=True, ranks=ranks)
         per.append(s)
         if cls is not None:
             witnesses[i] = cls

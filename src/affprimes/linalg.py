@@ -8,10 +8,11 @@ kernels.  `_gauss_jordan` reduces rows over a field, Q (Fraction entries) or
 F_p (ints mod p); `solve`, the nullspaces and the mod-p rank (and, through
 `_pivots_mod_p`, the rank and consistency tests of `local_factor`) read their
 answers off its reduced rows.  `_bareiss` runs fraction-free on Python ints
-and gives `rank` and `det`; `rank` is called thousands of times per
-complexity computation.  There is one integer normal form,
-`smith_normal_form`; `same_column_lattice` decides lattice equality from its
-invariant factors.
+and gives `rank` and `det`; `forms.complexity` calls `rank` once per subset
+of its t forms.  There is one integer normal form, `smith_normal_form`; only
+`forms.parameterize_matrix_system` reads its U and V, and the other callers
+(`same_column_lattice`, the local-factor profiles, `exceptional_primes`,
+counting's unimodularity check) pass transforms=False.
 """
 
 from fractions import Fraction
@@ -195,21 +196,24 @@ def nullspace_mod_p(rows, p):
 # integer lattice forms
 
 
-def smith_normal_form(mat):
+def smith_normal_form(mat, *, transforms=True):
     """Smith normal form over Z: returns (d, U, V) with U·mat·V = diag(d).
 
     U and V are unimodular; d is the list of invariant factors (nonnegative,
-    each dividing the next, zeros at the end if rank deficient).
+    each dividing the next, zeros at the end if rank deficient).  With
+    transforms=False the same elimination skips every update of U and V and
+    returns d alone.
     """
     a = [list(row) for row in mat]
     n = len(a)
     m = len(a[0]) if n else 0
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
+    u = [[int(i == j) for j in range(n)] for i in range(n)] if transforms else []
+    v = [[int(i == j) for j in range(m)] for i in range(m)] if transforms else []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if transforms:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -219,7 +223,8 @@ def smith_normal_form(mat):
 
     def add_row(src, dst, q):
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+        if transforms:
+            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, q):
         for row in a:
@@ -270,10 +275,11 @@ def smith_normal_form(mat):
         if fixed:
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
+                if transforms:
+                    u[t] = [-x for x in u[t]]
             t += 1
     d = [a[i][i] if i < m else 0 for i in range(min(n, m))]
-    return d, u, v
+    return (d, u, v) if transforms else d
 
 
 def same_column_lattice(a, b):
@@ -288,7 +294,7 @@ def same_column_lattice(a, b):
         return False
 
     def invariants(mat):
-        d = [x for x in smith_normal_form(mat)[0] if x]
+        d = [x for x in smith_normal_form(mat, transforms=False) if x]
         return len(d), prod(d)
 
     return invariants(a) == invariants(b) == invariants([[*ra, *rb] for ra, rb in zip(a, b)])

@@ -48,7 +48,7 @@ class SubsetProfile:
 def _rank_and_primes(mat):
     """Rank over Q of an integer matrix and the primes mod which it drops, from
     one Smith form: the nonzero invariant factors and the primes of those > 1."""
-    d = linalg.smith_normal_form(mat)[0]
+    d = linalg.smith_normal_form(mat, transforms=False)
     return sum(x != 0 for x in d), {p for x in d if x > 1 for p in factorize(x)}
 
 
@@ -82,11 +82,11 @@ class SystemLocalData:
         self.generic_coeff = sorted(coeff.items())
 
     def generic_beta(self, p):
-        """Exact generic-formula beta_p (valid off the exceptional set)."""
-        acc = Fraction(0)
-        for r, c in self.generic_coeff:
-            acc += Fraction(c, p**r)
-        return Fraction(p, p - 1) ** self.sys.t * acc
+        """Exact generic-formula beta_p (valid off the exceptional set), as one
+        Fraction: sum_r c p^(R-r) over p^R, R the largest rank, times (p/(p-1))^t."""
+        top = self.generic_coeff[-1][0]
+        num = sum(c * p ** (top - r) for r, c in self.generic_coeff)
+        return Fraction(p**self.sys.t * num, (p - 1) ** self.sys.t * p**top)
 
     def generic_beta_array(self, primes):
         """Float beta_p over a numpy prime array, generic formula."""
@@ -195,7 +195,7 @@ def singular_series(sys, p_max, min_prime=2):
     primes = primes[primes >= min_prime]
     exc = [p for p in data.exceptional if min_prime <= p <= p_max]
     generic = primes[~np.isin(primes, exc)]
-    beta = data.generic_beta_array(generic)
+    beta = beta_all = data.generic_beta_array(generic)
     vanishing = False
     log_sum = 0.0
     bad = beta <= 0
@@ -214,13 +214,10 @@ def singular_series(sys, p_max, min_prime=2):
             vanishing = True
         else:
             log_sum += math.log(float(b))
-    # envelope over the last decade of generic primes
-    decade = generic[generic >= max(p_max // 10, 2)]
-    if len(decade):
-        db = data.generic_beta_array(decade)
-        envelope = float(np.max(decade.astype(np.float64) ** 2 * np.abs(db - 1.0)))
-    else:
-        envelope = 0.0
+    # envelope over the last decade of generic primes, sliced from beta before its filter
+    decade = np.searchsorted(generic, max(p_max // 10, 2))
+    envelope = (float(np.max(generic[decade:].astype(np.float64) ** 2 * np.abs(beta_all[decade:] - 1.0)))
+                if decade < len(generic) else 0.0)
     tail = envelope / p_max
     product = 0.0 if vanishing else math.exp(log_sum)
     return SingularSeries(
@@ -267,7 +264,7 @@ def exceptional_primes(sys, p_limit=None):
     rows = [list(f.linear_coeffs) + [f.constant] for f in sys.forms]
     out = set()
     for i, j in itertools.combinations(range(sys.t), 2):
-        d2 = linalg.smith_normal_form([rows[i], rows[j]])[0][1]
+        d2 = linalg.smith_normal_form([rows[i], rows[j]], transforms=False)[1]
         if d2 == 0:
             raise ValueError(f"forms {i}, {j} are parallel over Q: infinite exceptional set")
         if d2 > 1:

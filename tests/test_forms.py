@@ -351,3 +351,72 @@ def test_ip_cube_complexity():
     # pinned-cube systems have complexity exactly d - 1
     for d in (2, 3):
         assert forms.complexity(forms.ip_cube_system(d)).overall == d - 1
+
+
+def _admissible_mask_table(rows, target, members):
+    """For each subset mask of `members`, is target outside the span of those rows?
+    Two `in_span` calls per subset, as i_complexity did before one subset-rank
+    table served every index; kept as the oracle of that table."""
+    n = len(members)
+    table = [False] * (1 << n)
+    for mask in range(1 << n):
+        sub = [rows[members[k]] for k in range(n) if mask >> k & 1]
+        table[mask] = not linalg.in_span(target, sub)
+    return table
+
+
+def _i_complexity_oracle(sys, i):
+    """(s, classes) of i_complexity as it was computed from the per-index table."""
+    rows, t = sys.coefficient_matrix(), sys.t
+    others = [j for j in range(t) if j != i]
+    if any(sys.forms[i].parallel_to(sys.forms[j]) for j in others):
+        return inf, None
+    n = len(others)
+    if n == 0:
+        return 0, []
+    admissible = _admissible_mask_table(rows, rows[i], others)
+    full = (1 << n) - 1
+    dp, choice = [n + 1] * (1 << n), [0] * (1 << n)
+    dp[0] = 0
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        sub = mask
+        while sub:
+            if sub & low and admissible[sub] and dp[mask ^ sub] + 1 < dp[mask]:
+                dp[mask], choice[mask] = dp[mask ^ sub] + 1, sub
+            sub = (sub - 1) & mask
+    classes, mask = [], full
+    while mask:
+        classes.append([others[k] for k in range(n) if choice[mask] >> k & 1])
+        mask ^= choice[mask]
+    return dp[full] - 1, classes
+
+
+@st.composite
+def _complexity_systems(draw):
+    """1-7 forms on Z^1..Z^4 with coefficients in -3..3; a drawn form may repeat
+    an earlier homogeneous part or be a multiple of it (parallel forms)."""
+    d = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append([draw(st.sampled_from([-2, 1, 3])) * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)))
+    return forms.system(rows, draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows))))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_complexity_systems())
+@example(forms.cube_system(4))
+@example(forms.system([[1, 0]]))
+@example(forms.system([[1], [1]], [0, 2]))
+def test_complexity_matches_per_index_tables(sys):
+    want = [_i_complexity_oracle(sys, i) for i in range(sys.t)]
+    res = forms.complexity(sys)
+    assert res.per_index == [s for s, _ in want]
+    assert res.overall == max(s for s, _ in want)
+    assert res.witnesses == {i: cls for i, (_, cls) in enumerate(want) if cls is not None}
+    for i, (s, cls) in enumerate(want):
+        assert forms.i_complexity(sys, i, with_witness=True) == (s, cls)
+        assert forms.i_complexity(sys, i) == s

@@ -246,6 +246,28 @@ def test_smith_normal_form_matches_sympy():
         assert d == want + [0] * (len(d) - len(want))
 
 
+@st.composite
+def _smith_matrices(draw):
+    """1-5 x 1-6 integer matrices with entries in -6..6, some rows and columns zeroed."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=n, max_size=n))
+    zero_rows = draw(st.sets(st.integers(0, n - 1)))
+    zero_cols = draw(st.sets(st.integers(0, m - 1)))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_smith_matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[4, 0], [0, 6], [0, 0]])
+def test_smith_normal_form_without_transforms_matches(a):
+    # the d-only route runs the same elimination as the route that keeps U
+    # and V, whose invariant factors test_smith_normal_form_matches_sympy checks
+    snapshot = [list(row) for row in a]
+    assert linalg.smith_normal_form(a, transforms=False) == linalg.smith_normal_form(a)[0]
+    assert a == snapshot
+
+
 def test_hermite_column_lattice():
     a = [[2, 0], [0, 2]]
     b = [[2, 2], [0, 2]]

@@ -362,3 +362,49 @@ def test_system_local_data_matches_rank_loop(case):
     data = lf.SystemLocalData(sys)
     assert (data.profiles, data.exceptional, data.generic_coeff) == _local_data_oracle(sys)
 
+
+
+def _generic_beta_by_terms(data, p):
+    """generic_beta as it was summed before one Fraction per prime: a Fraction
+    c/p^r per rank r, then times (p/(p-1))^t; kept as its oracle."""
+    acc = Fraction(0)
+    for r, c in data.generic_coeff:
+        acc += Fraction(c, p**r)
+    return Fraction(p, p - 1) ** data.sys.t * acc
+
+
+@st.composite
+def _full_rank_systems(draw):
+    """2-5 forms on Z^1..Z^3 with coefficients in -4..4 and constants in -6..6
+    whose coefficient matrix has rank d."""
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(max(d, 2), 5))
+    row = st.lists(st.integers(-4, 4), min_size=d, max_size=d).filter(any)
+    rows = draw(st.lists(row, min_size=t, max_size=t).filter(lambda rs: linalg.rank(rs) == d))
+    return forms.system(rows, draw(st.lists(st.integers(-6, 6), min_size=t, max_size=t)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_full_rank_systems())
+def test_generic_beta_matches_term_sum(sys):
+    data = lf.SystemLocalData(sys)
+    for p in small_primes(2000):
+        got, want = data.generic_beta(p), _generic_beta_by_terms(data, p)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator), p
+        if p not in data.exceptional:
+            assert got == lf.local_factor(sys, p), p
+
+
+def test_envelope_reads_the_product_array():
+    # singular_series takes the envelope from the beta array of the product,
+    # sliced at the last decade; recomputing that decade gives the same bits
+    cases = [(forms.cube_system(4), 10**6), (forms.ap_system(3), 10**5), (AP4, 10**5),
+             (forms.system([[1], [1]], [0, 2]), 10**5), (AP4, 10), (AP4, 3)]
+    for sys, p_max in cases:
+        data = lf.SystemLocalData(sys)
+        primes = np.array(small_primes(p_max), dtype=np.int64)
+        generic = primes[~np.isin(primes, data.exceptional)]
+        decade = generic[generic >= max(p_max // 10, 2)]
+        want = (float(np.max(decade.astype(np.float64) ** 2 * np.abs(data.generic_beta_array(decade) - 1.0)))
+                if len(decade) else 0.0)
+        assert lf.singular_series(sys, p_max).envelope_constant.hex() == want.hex(), (str(sys), p_max)
