@@ -9,10 +9,9 @@ from affprimes import arith, gowers
 
 rng = np.random.default_rng(1)
 
-print("=== three evaluation routes agree ===")
+print("=== naive and recursive routes agree ===")
 f = rng.normal(size=32) + 1j * rng.normal(size=32)
 print("  U^2 naive    :", gowers.gowers_norm_cyclic(f, 1, "naive").norm)
-print("  U^2 fourier  :", gowers.gowers_norm_cyclic(f, 1, "fourier").norm)
 print("  U^2 recursive:", gowers.gowers_norm_cyclic(f, 1, "recursive").norm)
 print("  U^3 naive    :", gowers.gowers_norm_cyclic(f, 2, "naive").norm)
 print("  U^3 recursive:", gowers.gowers_norm_cyclic(f, 2, "recursive").norm)

@@ -11,7 +11,6 @@ from .forms import (
     AffineForm,
     ComplexityResult,
     FormSystem,
-    affine_span_member,
     ap_system,
     balog_system,
     complexity,
@@ -21,11 +20,10 @@ from .forms import (
     is_normal_form,
     normal_form_extension,
     parameterize_matrix_system,
-    size_at_scale,
     system,
     vinogradov_system,
 )
-from .geometry import ConvexBody, archimedean_factor, boundary_shell_count
+from .geometry import ConvexBody, archimedean_factor
 from .localfactors import (
     ExceptionalPrimeSet,
     LocalProfile,
@@ -34,8 +32,6 @@ from .localfactors import (
     alpha_p,
     exceptional_primes,
     local_factor,
-    local_factor_q,
-    local_von_mangoldt,
     singular_series,
 )
 from .counting import (
@@ -50,7 +46,6 @@ from .counting import (
 from .gowers import (
     GowersResult,
     box_norm,
-    dual_norm_lower_bound,
     gcs_check,
     gowers_norm_cyclic,
     gowers_norm_local,
@@ -68,12 +63,10 @@ from .gysieve import (
     sieve_factor,
     split_sharp_flat,
     tent_taper,
-    truncated_divisor_sum,
 )
 from .nilseq import (
     HeisenbergElement,
     NilPoint,
-    SkewShiftState,
     abelian_constraint,
     hk_factorize_heisenberg,
     mobius_nil_correlation,

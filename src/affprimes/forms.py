@@ -145,43 +145,9 @@ def cube_system(d):
     return system(rows)
 
 
-def ip_cube_system(d):
-    """(1 + sum_{j in A} n_j)_{A nonempty}: pinned cubes, values prime-minus-one."""
-    rows = []
-    for mask in range(1, 2**d):
-        row = [1 if mask >> j & 1 else 0 for j in range(d)]
-        rows.append(row)
-    return system(rows, [1] * len(rows))
-
-
 def vinogradov_system(n_value):
     """(n1, n2, N - n1 - n2): three primes summing to N."""
     return system([[1, 0], [0, 1], [-1, -1]], [0, 0, n_value])
-
-
-# ---------------------------------------------------------------------------
-# size and spans
-
-
-def size_at_scale(sys, n_scale):
-    """sum_ij |psi_i.(e_j)| + sum_i |psi_i(0)/N| as an exact Fraction."""
-    if n_scale < 1:
-        raise ValueError("N must be >= 1")
-    total = Fraction(0)
-    for f in sys.forms:
-        total += sum(abs(c) for c in f.linear_coeffs)
-        total += Fraction(abs(f.constant), n_scale)
-    return total
-
-
-def affine_span_member(candidate, cls):
-    """True iff candidate lies in the affine-linear span of the class.
-
-    The span is {c0 + sum c_k psi_k}; since c0 is free, membership is a
-    condition on homogeneous parts only.
-    """
-    rows = [list(f.linear_coeffs) for f in cls]
-    return linalg.in_span(list(candidate.linear_coeffs), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +295,11 @@ def _witness_vector(class_rows, target):
 def normal_form_extension(sys, s):
     """Extension Psi' of Psi in s-normal form, built per the constructive proof.
 
-    For each index i not yet witnessed, pick covering classes from the
-    i-complexity search, find integer vectors f_k that vanish on each class
-    but not on psi_i, and append parameters m_k acting through n + m_k f_k.
+    For each index i not yet witnessed, take the covering classes of psi_i
+    from the opening complexity search, find integer vectors f_k that vanish
+    on each class but not on psi_i, and append parameters m_k acting through
+    n + m_k f_k.  The appended columns are A f_k, so every subset keeps its
+    rank and the classes stay those of the extended system.
     Returns (extended_system, f_vectors) where f_vectors lists the appended
     direction for every new parameter column.
     """
@@ -345,13 +313,8 @@ def normal_form_extension(sys, s):
     for i in range(sys.t):
         if normal_form_witness(current, i, s) is not None:
             continue
-        _, classes = i_complexity(current, i, with_witness=True)
         rows = current.coefficient_matrix()
-        target = rows[i]
-        new_fs = []
-        for cls in classes:
-            f = _witness_vector([rows[j] for j in cls], target)
-            new_fs.append(f)
+        new_fs = [_witness_vector([rows[j] for j in cls], rows[i]) for cls in comp.witnesses[i]]
         # append one parameter column per class: column value is psi_j.(f)
         new_forms = []
         for j, form in enumerate(current.forms):

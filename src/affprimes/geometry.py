@@ -311,110 +311,6 @@ def simplex_body(vertices, box_bound):
     return ConvexBody(d, hs, box_bound)
 
 
-def _dist2_point_to_faces(point, body, faces):
-    """Exact squared distance from a point to the boundary of the body.
-
-    Minimizes over the faces (_face_list(body)): project onto each face's
-    affine span and keep projections that satisfy the remaining constraints.
-    Exact rationals.
-    """
-    d = body.dim
-    hs = body.halfspaces
-    p = [Fraction(x) for x in point]
-    best = None
-    for subset in faces:
-        r = len(subset)
-        rows = [list(hs[i][0]) for i in subset]
-        rhs = [hs[i][1] for i in subset]
-        # project p onto {x: rows x = rhs}: x = p + rows^T mu with rows x = rhs
-        gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(r)] for i in range(r)]
-        target = [rhs[i] - sum(a * b for a, b in zip(rows[i], p)) for i in range(r)]
-        mu = linalg.solve([list(map(Fraction, g)) for g in gram], target)
-        if mu is None:
-            continue
-        proj = [
-            p[j] + sum(mu[i] * rows[i][j] for i in range(r)) for j in range(d)
-        ]
-        ok = all(
-            sum(a * x for a, x in zip(hs[i][0], proj)) <= hs[i][1]
-            for i in range(len(hs))
-            if i not in subset
-        )
-        if not ok:
-            continue
-        d2 = sum((a - b) ** 2 for a, b in zip(p, proj))
-        if best is None or d2 < best:
-            best = d2
-    return best
-
-
-def _face_list(body):
-    """Rank-r constraint subsets with their in-face check indices."""
-    hs = body.halfspaces
-    faces = []
-    for r in range(1, body.dim + 1):
-        for subset in itertools.combinations(range(len(hs)), r):
-            rows = [list(hs[i][0]) for i in subset]
-            if linalg.rank(rows) != r:
-                continue
-            faces.append(subset)
-    return faces
-
-
-def boundary_shell_count(body, eps):
-    """Lattice points at distance strictly less than eps*N from the boundary.
-
-    Candidates in the inflated bounding box are projected onto every face in
-    float arithmetic (vectorised); points within 1e-9 of the threshold are
-    confirmed with exact rationals.
-    """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    if body.dim > 3:
-        raise ValueError("boundary shell counting limited to dimension <= 3")
-    if body.is_empty():
-        return 0
-    n = body.box_bound
-    eps = Fraction(eps).limit_denominator(10**6)
-    radius = eps * n
-    r2 = float(radius) ** 2
-    pad = int(radius) + 1
-    grids = np.meshgrid(
-        *[np.arange(-n - pad, n + pad + 1) for _ in range(body.dim)], indexing="ij"
-    )
-    pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.float64)
-    hs = body.halfspaces
-    a_mat = np.array([list(a) for a, _ in hs], dtype=np.float64)
-    c_vec = np.array([c for _, c in hs], dtype=np.float64)
-    slack = c_vec[None, :] - pts @ a_mat.T          # >= 0 inside each halfspace
-    best = np.full(len(pts), np.inf)
-    faces = _face_list(body)
-    for subset in faces:
-        rows = a_mat[list(subset)]
-        rhs = c_vec[list(subset)]
-        gram = rows @ rows.T
-        try:
-            gram_inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            continue
-        mu = (rhs[None, :] - pts @ rows.T) @ gram_inv.T
-        proj = pts + mu @ rows
-        others = [i for i in range(len(hs)) if i not in subset]
-        ok = np.ones(len(pts), dtype=bool)
-        if others:
-            ok = np.all(proj @ a_mat[others].T <= c_vec[others][None, :] + 1e-9, axis=1)
-        d2 = np.sum((proj - pts) ** 2, axis=1)
-        best = np.where(ok, np.minimum(best, d2), best)
-    inside = np.abs(best - r2) <= 1e-9 * max(r2, 1.0)
-    count = int(np.count_nonzero((best < r2) & ~inside))
-    # exact confirmation on the borderline points
-    for idx in np.nonzero(inside)[0]:
-        d2 = _dist2_point_to_faces(tuple(int(x) for x in pts[idx]), body, faces)
-        if d2 is not None and d2 < radius * radius:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # JSON schema
 

@@ -1,15 +1,15 @@
 """Gowers box norms, cyclic and local uniformity norms, and the
 Cauchy-Schwarz inequality battery.
 
-Three evaluation routes are kept side by side: the naive defining average
-(the oracle), one einsum cube-average kernel, and an FFT route for U^2 (with
-a recursion over differences for higher cyclic norms, whose U^3 level
-transforms its difference rows in blocks of ROWS).  The local norm computes
-its normaliser on a second thread beside its numerator.  Every box, weighted
-box and von Neumann average, E_{x0,x1} prod_omega C^{|omega|} f_omega(x^{(omega)})
-times the nu_C weights, is a single np.einsum call in _box_average.  The fast
-paths must agree with the naive one at small sizes; tests enforce this.
-Complex inputs are supported with the conjugation pattern C^{|omega|}.
+Each norm has two routes side by side: the naive defining average (the
+oracle) and a fast one.  Every box and weighted box average,
+E_{x0,x1} prod_omega C^{|omega|} f_omega(x^{(omega)}) times the nu_C weights,
+is a single np.einsum call in _box_average.  The cyclic and local norms recurse
+over differences down to an FFT at U^2; the U^3 level transforms its
+difference rows in blocks of ROWS.  The local norm computes its normaliser on
+a second thread beside its numerator.  The fast paths must agree with the
+naive one at small sizes; tests enforce this.  Complex inputs are supported
+with the conjugation pattern C^{|omega|}.
 """
 
 import itertools
@@ -96,11 +96,10 @@ def _box_average(fs, nus):
     """E_{x0, x1} prod_omega C^{|omega|} f_omega(x^{(omega)}) prod_C prod_{omega_C} nu_C(x_C^{(omega_C)}).
 
     fs lists 2^k arrays over X_1 x ... x X_k, one per omega in lexicographic
-    order (or is empty when a full-set weight carries the axes); nus maps
-    frozenset C of axis indices to a real array over X_C (axes in sorted
-    order).  x0 axis i is einsum index i and x1 axis i is index k + i.
+    order; nus maps frozenset C of axis indices to a real array over X_C (axes
+    in sorted order).  x0 axis i is einsum index i and x1 axis i is index k + i.
     """
-    k = max([np.ndim(f) for f in fs] + [len(c) for c in nus])
+    k = np.ndim(fs[0])
     operands = [
         (np.conj(f) if sum(omega) % 2 else f, [i + k * o for i, o in enumerate(omega)])
         for f, omega in zip(fs, itertools.product((0, 1), repeat=k))
@@ -216,16 +215,12 @@ def _cyclic_raw_recursive(f, s, buf):
 
 
 def gowers_norm_cyclic(f, s, method="recursive"):
-    """U^{s+1}(Z_N) norm; methods: naive, recursive, fourier (s=1 only)."""
+    """U^{s+1}(Z_N) norm; methods: naive, recursive."""
     if s < 1:
         raise ValueError("s must be >= 1")
     f = np.asarray(f, dtype=complex)
     if method == "naive":
         raw = _cyclic_cube_average([f] * 2 ** (s + 1))
-    elif method == "fourier":
-        if s != 1:
-            raise ValueError("fourier route only computes U^2")
-        raw = _cyclic_raw_recursive(f, 1, _Buffers(len(f), 1))
     elif method == "recursive":
         raw = _cyclic_raw_recursive(f, s, _Buffers(len(f), s))
     else:
@@ -352,17 +347,6 @@ def gcs_check(family, s=None, tol=1e-9):
     return lhs, rhs, lhs <= rhs + tol
 
 
-def gcs_box_check(family, tol=1e-9):
-    """Box-norm Gowers-Cauchy-Schwarz: 2^{|A|} functions on a common product set."""
-    fs = [np.asarray(v, dtype=complex) for v in family]
-    k = np.ndim(fs[0]) if fs else 0
-    if len(fs) != 2**k or k == 0:
-        raise ValueError(f"a box family on {k} axes has {2**k} functions, got {len(fs)}")
-    lhs = abs(_box_average(fs, {}))
-    rhs = math.prod(box_norm(fi).norm for fi in fs)
-    return lhs, rhs, lhs <= rhs + tol
-
-
 def _subset_product_average(fb, full):
     """E_x prod_B f_B(x_B) over X_A, A = full; f_B has its axes in sorted order."""
     pos = {a: i for i, a in enumerate(sorted(full))}
@@ -438,43 +422,3 @@ def weighted_gvn_check(f_family, nu_family, tol=1e-9):
         val = weighted_box_norm(nu_family[b], _relabel(nu_family, b)).norm
         rhs *= val ** (1.0 / 2 ** (k - len(b)))
     return lhs, rhs, lhs <= rhs + tol
-
-
-def nu_self_consistency(nu_family, full, tol=1e-12):
-    """||nu_B||_{box(nu)} two ways: general definition vs the direct product display.
-
-    The direct display is E_{x0,x1} prod_{C subseteq B} prod_{omega_C} nu_C(x_C^{(omega_C)}),
-    with nu_B itself among the weights and no box function.
-    """
-    b = frozenset(full)
-    nub = nu_family[b]
-    weights = _relabel(nu_family, b)
-    via_general = weighted_box_norm(nub, weights)
-    raw = _box_average([], {**weights, frozenset(range(len(b))): nub})
-    direct = float(np.real(raw)) ** (1.0 / 2 ** len(b))
-    return via_general.norm, direct, abs(via_general.norm - direct) <= tol * max(1.0, direct)
-
-
-# ---------------------------------------------------------------------------
-# dual norm witnesses
-
-
-def dual_norm_lower_bound(big_f, witnesses, s):
-    """max_w |E conj(f_w) F| over witnesses scaled to ||f_w||_{U^{s+1}[N]} = 1.
-
-    A certified lower bound for the dual norm ||F||_{U^{s+1}[N]*}: the norm
-    is conjugation-invariant, so pairing against conj(f) ranges over the same
-    unit ball.
-    """
-    big_f = np.asarray(big_f, dtype=complex)
-    if not witnesses:
-        raise ValueError("empty witness list")
-    best = 0.0
-    for w in witnesses:
-        w = np.asarray(w, dtype=complex)
-        nn = gowers_norm_local(w, s).norm
-        if nn <= 0:
-            continue
-        val = abs(np.mean(np.conj(w) / nn * big_f))
-        best = max(best, val)
-    return best

@@ -182,22 +182,6 @@ def split_sharp_flat():
 # truncated divisor sums
 
 
-def truncated_divisor_sum(n, chi, big_r, a):
-    """Lambda_{chi,R,a}(n) = log R (sum_{d|n} mu(d) chi(log d / log R))^a.
-
-    Extended to negative n through |n| (the sum only sees divisors); n = 0 raises.
-    """
-    if big_r <= 1:
-        raise ValueError("R must exceed 1")
-    log_r = math.log(big_r)
-    acc = 0.0
-    for d, sign in arith.squarefree_divisors(abs(int(n))):
-        if d > chi.support_radius * big_r + 1:
-            break
-        acc += sign * float(chi(math.log(d) / log_r))
-    return log_r * acc**a
-
-
 def divisor_sum_core_array(chi, big_r, n_max, W=1, b=0):
     """D(W n + b) for n = 0 .. n_max (by default the dense D(n), D(0) = 0), b coprime to W;
     D(m) = sum_{d|m, d squarefree} mu(d) chi(log d/log R).

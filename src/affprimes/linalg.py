@@ -126,13 +126,6 @@ def det(rows):
     return Fraction(_bareiss([ints for ints, _ in scaled])[1], prod(den for _, den in scaled))
 
 
-def in_span(vec, rows):
-    """True iff vec lies in the Q-span of the given row vectors."""
-    if not rows:
-        return all(x == 0 for x in vec)
-    return rank(rows) == rank(list(rows) + [list(vec)])
-
-
 def solve(rows, rhs):
     """One rational solution of rows·x = rhs, or None if inconsistent.
 

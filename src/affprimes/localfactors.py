@@ -21,24 +21,6 @@ from .arith import factorize, prime_sieve
 from .forms import parameterize_matrix_system
 
 
-def euler_phi(q):
-    out = q
-    for p in factorize(q):
-        out -= out // p
-    return out
-
-
-def local_von_mangoldt(q, b):
-    """Lambda_{Z_q}(b) = q/phi(q) on units, 0 otherwise; q-periodic in b."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if q == 1:
-        return Fraction(1)
-    if math.gcd(b % q, q) != 1:
-        return Fraction(0)
-    return Fraction(q, euler_phi(q))
-
-
 @dataclass
 class SubsetProfile:
     rank: int
@@ -113,16 +95,6 @@ def local_factor(sys, p):
         if sys.d not in pivots:
             total += Fraction(-1 if len(idx) % 2 else 1, p ** len(pivots))
     return Fraction(p, p - 1) ** t * total
-
-
-def local_factor_q(sys, q):
-    """beta_q for squarefree q via multiplicativity (beta_q = prod beta_p)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    primes = factorize(q)
-    if any(e > 1 for e in primes.values()):
-        raise ValueError("q must be squarefree")
-    return math.prod((local_factor(sys, p) for p in primes), start=Fraction(1))
 
 
 def ap_k_local_factor(k, p):

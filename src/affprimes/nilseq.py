@@ -215,29 +215,6 @@ def skew_constraint(points, true_vertex=None):
     return SkewCheck(x_residuals=x_res, prediction=(px, py), residual=residual)
 
 
-@dataclass
-class SkewShiftState:
-    """State of the skew shift (x, y) -> (x + alpha, y + x) on (R/Z)^2."""
-
-    alpha: object
-    x: object
-    y: object
-
-    def __post_init__(self):
-        self.x = self._reduce(self.x)
-        self.y = self._reduce(self.y)
-
-    @staticmethod
-    def _reduce(t):
-        return t - math.floor(t)
-
-    def step(self):
-        return SkewShiftState(self.alpha, self.x + self.alpha, self.y + self.x)
-
-    def point(self):
-        return (self.x, self.y)
-
-
 def skew_orbit_point(alpha, x, y, m):
     """m-th point of the skew-shift orbit: (x + m a, y + m(m+1)/2 a + m x)."""
     if isinstance(alpha, Fraction) or isinstance(x, Fraction):

@@ -15,29 +15,19 @@ def twin():
     return forms.system([[1], [1]], [0, 2])
 
 
+def size_at_scale(sys, n_scale):
+    """sum_ij |psi_i.(e_j)| + sum_i |psi_i(0)/N|: the size of a system at scale N."""
+    return sum(sum(map(abs, f.linear_coeffs)) + Fraction(abs(f.constant), n_scale) for f in sys.forms)
+
+
 def test_size_at_scale():
     # direct evaluation of the defining sum; the four AP4 rows contribute
     # 1 + 2 + 3 + 4 = 10 with zero constants
-    assert forms.size_at_scale(forms.ap_system(4), 7) == 10
+    assert size_at_scale(forms.ap_system(4), 7) == 10
     pair = forms.system([[1], [-1]], [0, 100])
-    assert forms.size_at_scale(pair, 100) == 3
+    assert size_at_scale(pair, 100) == 3
     vin = forms.vinogradov_system(100)
-    assert forms.size_at_scale(vin, 100) == 5
-    with pytest.raises(ValueError):
-        forms.size_at_scale(pair, 0)
-
-
-def test_affine_span_member():
-    n1 = forms.AffineForm((1, 0))
-    n2 = forms.AffineForm((0, 1))
-    n12 = forms.AffineForm((1, 1))
-    cand = forms.AffineForm((1, 2))
-    assert forms.affine_span_member(cand, [n1, n12])
-    assert not forms.affine_span_member(n1, [n2])
-    # affine span includes constant shifts
-    shifted = forms.AffineForm((1, 1), 1)
-    assert forms.affine_span_member(shifted, [n12])
-    assert not forms.affine_span_member(cand, [])
+    assert size_at_scale(vin, 100) == 5
 
 
 def test_i_complexity_examples():
@@ -69,13 +59,13 @@ def test_complexity_fixtures():
 def test_complexity_witnesses_are_valid_covers():
     sys = forms.balog_system(3)
     res = forms.complexity(sys)
+    rows = sys.coefficient_matrix()
     for i, classes in res.witnesses.items():
         covered = sorted(j for cls in classes for j in cls)
         assert covered == [j for j in range(sys.t) if j != i]
         for cls in classes:
-            assert not forms.affine_span_member(
-                sys.forms[i], [sys.forms[j] for j in cls]
-            )
+            sub = [rows[j] for j in cls]
+            assert linalg.rank(sub + [rows[i]]) == linalg.rank(sub) + 1
         assert len(classes) == res.per_index[i] + 1
 
 
@@ -177,7 +167,7 @@ def test_normal_form_extension(sys, s):
     assert forms.is_extension(sys, ext)
     assert ext.d <= sys.d + sys.t * (s + 1)
     # size stays bounded: integer coefficients, comparable scale
-    assert forms.size_at_scale(ext, 1000) <= 50 * forms.size_at_scale(sys, 1000)
+    assert size_at_scale(ext, 1000) <= 50 * size_at_scale(sys, 1000)
 
 
 def test_normal_form_extension_identity_when_already_normal():
@@ -347,21 +337,35 @@ def test_parameterize_empty_matrix_identity():
         forms.parameterize_matrix_system([], [])
 
 
+def ip_cube_system(d):
+    """(1 + sum_{j in A} n_j)_{A nonempty}: pinned cubes, values prime-minus-one."""
+    rows = [[mask >> j & 1 for j in range(d)] for mask in range(1, 2**d)]
+    return forms.system(rows, [1] * len(rows))
+
+
 def test_ip_cube_complexity():
     # pinned-cube systems have complexity exactly d - 1
     for d in (2, 3):
-        assert forms.complexity(forms.ip_cube_system(d)).overall == d - 1
+        assert forms.complexity(ip_cube_system(d)).overall == d - 1
+
+
+def _in_span(vec, rows):
+    """vec in the Q-span of rows, by solving rows^T c = vec with Gauss-Jordan
+    (independent of the Bareiss elimination behind linalg.rank)."""
+    if not rows:
+        return not any(vec)
+    return linalg.solve([list(col) for col in zip(*rows)], list(vec)) is not None
 
 
 def _admissible_mask_table(rows, target, members):
     """For each subset mask of `members`, is target outside the span of those rows?
-    Two `in_span` calls per subset, as i_complexity did before one subset-rank
-    table served every index; kept as the oracle of that table."""
+    One span test per subset, as i_complexity did before one subset-rank table
+    served every index; kept as the oracle of that table."""
     n = len(members)
     table = [False] * (1 << n)
     for mask in range(1 << n):
         sub = [rows[members[k]] for k in range(n) if mask >> k & 1]
-        table[mask] = not linalg.in_span(target, sub)
+        table[mask] = not _in_span(target, sub)
     return table
 
 
@@ -420,3 +424,48 @@ def test_complexity_matches_per_index_tables(sys):
     for i, (s, cls) in enumerate(want):
         assert forms.i_complexity(sys, i, with_witness=True) == (s, cls)
         assert forms.i_complexity(sys, i) == s
+
+
+def _normal_form_extension_per_index(sys, s):
+    """normal_form_extension with the classes of each extended index taken from
+    its own i_complexity search on the system extended so far."""
+    current, f_vectors = sys, []
+    for i in range(sys.t):
+        if forms.normal_form_witness(current, i, s) is not None:
+            continue
+        _, classes = forms.i_complexity(current, i, with_witness=True)
+        rows = current.coefficient_matrix()
+        new_fs = [forms._witness_vector([rows[j] for j in cls], rows[i]) for cls in classes]
+        current = forms.FormSystem(tuple(
+            forms.AffineForm(f.linear_coeffs + tuple(sum(c * x for c, x in zip(f.linear_coeffs, v)) for v in new_fs),
+                             f.constant)
+            for f in current.forms
+        ))
+        f_vectors.extend(new_fs)
+    return current, f_vectors
+
+
+@st.composite
+def _extension_cases(draw):
+    """2-6 forms on Z^1..Z^4 with coefficients and constants in -3..3."""
+    d, t = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any), min_size=t, max_size=t))
+    return forms.system(rows, draw(st.lists(st.integers(-3, 3), min_size=t, max_size=t)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_extension_cases())
+@example(forms.ap_system(4))
+@example(forms.ap_system(6))
+@example(forms.cube_system(3))
+@example(forms.cube_system(4))
+def test_normal_form_extension_matches_per_index_route(sys):
+    # at every s from the complexity to t - 1, the classes read from the
+    # opening complexity search give the per-index route's extension
+    overall = forms.complexity(sys).overall
+    if overall == inf:
+        with pytest.raises(ValueError, match="no normal form"):
+            forms.normal_form_extension(sys, sys.t)
+        return
+    for s in range(overall, sys.t):
+        assert forms.normal_form_extension(sys, s) == _normal_form_extension_per_index(sys, s)

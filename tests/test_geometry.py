@@ -191,42 +191,6 @@ def test_volume_packing_random_simplices(rng):
             assert abs(count - float(vol)) <= c_d[d] * n ** (d - 1)
 
 
-def test_boundary_shell_counts():
-    # strict Euclidean shell of the square [0, 100]^2 at eps = 0.1, counted by
-    # direct decomposition: inside band 101^2 - 81^2 = 3640, four outside edge
-    # bands 4 * 9 * 101 = 3636, four rounded outer corners
-    # 4 * #{1<=a,b<=9 : a^2 + b^2 < 100} = 4 * 67 = 268.
-    inside = 101**2 - 81**2
-    edges = 4 * 9 * 101
-    corners = 4 * sum(
-        1 for a in range(1, 10) for b in range(1, 10) if a * a + b * b < 100
-    )
-    square = geometry.ConvexBody.box(2, 0, 100)
-    count = geometry.boundary_shell_count(square, Fraction(1, 10))
-    assert count == inside + edges + corners == 7544
-    assert count <= 8 * 0.1 * 100**2
-    empty = geometry.ConvexBody(2, [((1, 0), 0), ((-1, 0), -1)], 10)
-    assert geometry.boundary_shell_count(empty, 0.5) == 0
-    # a sliver with no lattice point: (0, y) and (1, y), |y| <= 10, lie 1/5
-    # from its boundary, inside the shell of radius 1
-    sliver = geometry.ConvexBody(2, [((5, 0), 4), ((-5, 0), -1)], 10)
-    assert geometry.boundary_shell_count(sliver, Fraction(1, 10)) == 42
-
-
-def test_boundary_shell_scaling():
-    n = 60
-    square = geometry.ConvexBody.box(2, 0, n)
-    tri = geometry.ConvexBody(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), n)], n)
-    for body in (square, tri):
-        prev = None
-        for eps in (Fraction(1, 100), Fraction(5, 100), Fraction(1, 10)):
-            c = geometry.boundary_shell_count(body, eps)
-            assert c <= 10 * float(eps) * n**2, (eps, c)
-            if prev is not None:
-                assert c >= prev       # monotone in eps
-            prev = c
-
-
 def test_body_json_roundtrip():
     obj = {
         "dim": 2,

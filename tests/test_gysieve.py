@@ -99,39 +99,31 @@ class TestDivisorSums:
     def test_examples(self):
         chi = gysieve.normalized_bump()
         big_r = 4.0
-        assert gysieve.truncated_divisor_sum(1, chi, big_r, 1) == (
-            pytest.approx(math.log(big_r))
-        )
+        arr = gysieve.gy_weight_array(chi, big_r, 1, 101)
+        assert arr[1] == pytest.approx(math.log(big_r))
         # prime above R: only d = 1 contributes
-        assert gysieve.truncated_divisor_sum(101, chi, big_r, 1) == (
-            pytest.approx(math.log(big_r))
-        )
+        assert arr[101] == pytest.approx(math.log(big_r))
         expect = math.log(big_r) * (
             1.0
             - float(chi(math.log(2) / math.log(4)))
             - float(chi(math.log(3) / math.log(4)))
         )
-        assert gysieve.truncated_divisor_sum(6, chi, big_r, 1) == (
-            pytest.approx(expect)
-        )
-        with pytest.raises(ValueError):
-            gysieve.truncated_divisor_sum(0, chi, big_r, 1)
+        assert arr[6] == pytest.approx(expect)
 
     def test_matches_divisor_loop_oracle(self, tables_1e6):
         chi = gysieve.normalized_bump()
+        ns = list(range(1, 200)) + [1024, 5040, 9240, 9973]
         for big_r, a in [(30.0, 1), (30.0, 2), (200.0, 2)]:
-            for n in list(range(1, 200)) + [1024, 5040, 9240, 9973]:
-                fast = gysieve.truncated_divisor_sum(n, chi, big_r, a)
+            arr = gysieve.gy_weight_array(chi, big_r, a, ns[-1])
+            for n in ns:
                 slow = divisor_loop_oracle(n, chi, big_r, a, tables_1e6)
-                assert fast == pytest.approx(slow, abs=1e-12), (n, big_r, a)
+                assert arr[n] == pytest.approx(slow, abs=1e-12), (n, big_r, a)
 
-    def test_array_matches_pointwise(self):
+    def test_array_matches_pointwise(self, tables_1e6):
         chi = gysieve.tent_taper(0.1)
         arr = gysieve.gy_weight_array(chi, 50.0, 2, 4000)
         for n in (1, 2, 16, 30, 210, 2310, 3989):
-            assert arr[n] == pytest.approx(
-                gysieve.truncated_divisor_sum(n, chi, 50.0, 2), abs=1e-10
-            )
+            assert arr[n] == pytest.approx(divisor_loop_oracle(n, chi, 50.0, 2, tables_1e6), abs=1e-10)
 
     def test_nonnegativity_and_prime_value(self, tables_1e6):
         chi = gysieve.normalized_bump()
@@ -155,13 +147,7 @@ class TestDivisorSums:
 
 def test_divisor_sums_keep_their_bits():
     # .hex() values recorded when the divisors came from a smallest-prime-factor table
-    bump, tent = gysieve.normalized_bump(), gysieve.tent_taper(0.1)
-    ns = (1, 6, 210, -9240, 720720, 30030 * 7919)
-    assert [gysieve.truncated_divisor_sum(n, bump, 200.0, 2).hex() for n in ns] == [
-        "0x1.5317a1b949c53p+2", "0x1.74d630fd3c4eap-40", "0x1.d71d8fe903b63p-12",
-        "0x1.2a79475502b0ap-2", "0x1.a165f6d02d6c3p+0", "0x1.a165f6d02d6c3p+0"]
-    assert [gysieve.truncated_divisor_sum(n, tent, 30.0, 1).hex() for n in (2, 30, 9973, -5040)] == [
-        "0x1.62e42fefa39edp-1", "0x1.b35a6f90bd69bp-52", "0x1.b35a6f90bd69bp+1", "-0x1.588c2d9133483p-2"]
+    tent = gysieve.tent_taper(0.1)
     assert [gysieve.lambda_flat_value(n, 40.0).hex() for n in (1, 12, 30, 9240, 720720, 30030 * 7919)] == [
         "-0x0.0p+0", "-0x0.0p+0", "0x1.df749608cd0adp+0",
         "0x1.e4b67bc8eda31p-1", "-0x1.1fa8ed6da5750p-1", "-0x1.1fa8ed6da56aep-1"]

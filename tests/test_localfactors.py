@@ -21,6 +21,22 @@ def _form_values(sys, point):
     return [sum(r * x for r, x in zip(row, point)) + c for row, c in zip(sys.coefficient_matrix(), sys.constants())]
 
 
+def euler_phi(q):
+    out = q
+    for p in factorize(q):
+        out -= out // p
+    return out
+
+
+def local_von_mangoldt(q, b):
+    """Lambda_{Z_q}(b) = q/phi(q) on units, 0 otherwise; q-periodic in b."""
+    if q == 1:
+        return Fraction(1)
+    if math.gcd(b % q, q) != 1:
+        return Fraction(0)
+    return Fraction(q, euler_phi(q))
+
+
 def local_factor_enumerate(sys, p):
     """beta_p by enumerating Z_p^d: the oracle of local_factor (p^d small)."""
     count = sum(all(v % p for v in _form_values(sys, x)) for x in itertools.product(range(p), repeat=sys.d))
@@ -28,9 +44,9 @@ def local_factor_enumerate(sys, p):
 
 
 def local_factor_q_enumerate(sys, q):
-    """beta_q by enumerating Z_q^d for any q: the oracle of local_factor_q (q^d small)."""
+    """beta_q by enumerating Z_q^d for any q (q^d small): the oracle of beta_q = prod_{p | q} beta_p."""
     total = sum(
-        math.prod((lf.local_von_mangoldt(q, v) for v in _form_values(sys, x)), start=Fraction(1))
+        math.prod((local_von_mangoldt(q, v) for v in _form_values(sys, x)), start=Fraction(1))
         for x in itertools.product(range(q), repeat=sys.d)
     )
     return total / q**sys.d
@@ -44,16 +60,16 @@ def alpha_p_direct(a_rows, b, p, box):
     ]
     if not points:
         raise ValueError("no lattice points in the box")
-    total = sum(math.prod((lf.local_von_mangoldt(p, xi) for xi in x), start=Fraction(1)) for x in points)
+    total = sum(math.prod((local_von_mangoldt(p, xi) for xi in x), start=Fraction(1)) for x in points)
     return total / len(points)
 
 
 def test_local_von_mangoldt():
-    assert lf.local_von_mangoldt(6, 5) == 3
-    assert lf.local_von_mangoldt(6, 4) == 0
-    assert lf.local_von_mangoldt(1, 12345) == 1
-    assert lf.local_von_mangoldt(6, 11) == 3        # periodicity
-    assert lf.local_von_mangoldt(6, -1) == 3
+    assert local_von_mangoldt(6, 5) == 3
+    assert local_von_mangoldt(6, 4) == 0
+    assert local_von_mangoldt(1, 12345) == 1
+    assert local_von_mangoldt(6, 11) == 3        # periodicity
+    assert local_von_mangoldt(6, -1) == 3
 
 
 def test_ap4_golden_factors():
@@ -96,15 +112,16 @@ def test_generic_profile_agrees_with_exact():
 
 
 def test_multiplicativity():
-    assert lf.local_factor_q(AP4, 6) == Fraction(9, 2)
-    assert lf.local_factor_q(AP4, 1) == 1
-    assert lf.local_factor_q(forms.identity_system(2), 30) == 1
+    def beta_q(sys, q):
+        return math.prod((lf.local_factor(sys, p) for p in factorize(q)), start=Fraction(1))
+
+    assert beta_q(AP4, 6) == Fraction(9, 2)
+    assert beta_q(AP4, 1) == 1
+    assert beta_q(forms.identity_system(2), 30) == 1
     # direct enumeration over Z_q for pq <= 1000, d <= 2
     for sys in (forms.ap_system(3), forms.balog_system(2)):
         for q in (6, 10, 15, 21, 35):
-            assert lf.local_factor_q(sys, q) == local_factor_q_enumerate(sys, q)
-    with pytest.raises(ValueError):
-        lf.local_factor_q(AP4, 12)
+            assert beta_q(sys, q) == local_factor_q_enumerate(sys, q)
 
 
 def test_ap_k_closed_form_agrees():
