@@ -354,6 +354,18 @@ def test_work_guards():
         gowers.gowers_norm_cyclic(np.ones(10**4), 2, "naive")
 
 
+def test_cyclic_route_and_order_refusals():
+    # "fourier" was a second name for the recursive kernel at s = 1; a caller
+    # that still passes it is refused by name at every s, not sent elsewhere
+    f = np.exp(2j * np.pi * 0.37 * np.arange(16))
+    for s in (1, 2):
+        with pytest.raises(ValueError, match="unknown method 'fourier'"):
+            gowers.gowers_norm_cyclic(f, s, "fourier")
+    for method in ("naive", "recursive"):
+        with pytest.raises(ValueError, match="s must be >= 1"):
+            gowers.gowers_norm_cyclic(f, 0, method)
+
+
 # ---------------------------------------------------------------------------
 # the row-block kernel against the per-h loop it replaced
 
