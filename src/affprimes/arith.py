@@ -3,8 +3,8 @@
 All tables are numpy arrays indexed by n (index 0 unused).  build_tables
 sieves the primes; every other field (FIELDS) is built on its first read and
 cached, so a run pays only for the fields it uses.  Construction is
-vectorised: mobius/liouville sieve by the primes p <= sqrt(n_max) and flip
-the sign of each multiple of a larger prime, which divides it at most once.
+vectorised: mobius/liouville sieve by the primes p <= sqrt(n_max), then
+multiply once by an int8 sign array, -1 at each multiple of a larger prime.
 prime_sieve and von_mangoldt_on cover any progression W n + b, the dense
 table being W = 1, b = 0, so the W-trick sieves only its progression.
 Single integers are factored by factorize, the one factorization helper,
@@ -57,7 +57,7 @@ class ArithTables:
         for p in small:
             mob[p::p] *= -1
             mob[p * p:: p * p] = 0
-        mob[_has_large_prime(self.n_max, self.primes)] *= -1
+        mob *= _large_prime_sign(self.n_max, self.primes)
         mob[0] = 0
         return mob
 
@@ -71,25 +71,26 @@ class ArithTables:
             while pk <= self.n_max:
                 lio[pk::pk] *= -1
                 pk *= p
-        lio[_has_large_prime(self.n_max, self.primes)] *= -1
+        lio *= _large_prime_sign(self.n_max, self.primes)
         lio[0] = 0
         return lio
 
 
-def _has_large_prime(n_max, primes):
-    """Mask of n <= n_max with a prime factor > sqrt(n_max), given the primes up to n_max.
+def _large_prime_sign(n_max, primes):
+    """int8 over 0..n_max: -1 at each n with a prime factor > sqrt(n_max), else +1.
 
-    Such a factor q has q^2 > n_max, so n has at most one; the mask marks the
-    multiples k q of every large prime q, for k = 1, 2, .. while k q <= n_max
-    (there is one for n_max >= 2: a prime lies in (n_max/2, n_max]).
+    Such a factor q has q^2 > n_max, so n has at most one; the array is -1 at
+    the multiples k q of every large prime q, for k = 1, 2, .. while k q <= n_max
+    (there is one for n_max >= 2: a prime lies in (n_max/2, n_max]).  One
+    multiply by it costs less than a masked flip's gather and scatter.
     """
-    mask = np.zeros(n_max + 1, dtype=bool)
+    sign = np.ones(n_max + 1, dtype=np.int8)
     large = primes[np.searchsorted(primes, math.isqrt(n_max), side="right"):]
     ks = np.arange(1, n_max // int(large[0]) + 1)
     # the large q with k q <= n_max are a prefix of the sorted primes
     for k, c in zip(ks.tolist(), np.searchsorted(large, n_max // ks, side="right").tolist()):
-        mask[k * large[:c]] = True
-    return mask
+        sign[k * large[:c]] = -1
+    return sign
 
 
 def check_table_size(n_max):

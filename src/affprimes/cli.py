@@ -376,7 +376,7 @@ def cmd_mn_corr(N: Exact, kind: typing.Literal["phase", "heisenberg", "constant"
         val = nilseq.mobius_nil_correlation(N, g, nilseq.HeisenbergElement.identity(), func, tables)
         meta = {"theta": theta}
     else:
-        val = complex(tables.mobius[1: N + 1].astype(float).mean())
+        val = complex(int(tables.mobius[1: N + 1].sum(dtype=np.int64)) / N)     # exact sum, no float copy of mu
         meta = {}
     return {"N": N, "kind": kind, "abs": abs(val), "real": val.real, "imag": val.imag, **meta}, None, None
 

@@ -35,7 +35,11 @@ def _rank_and_primes(mat):
 
 
 class SystemLocalData:
-    """Per-subset ranks/consistency over Q plus the primes where they change."""
+    """Per-subset ranks/consistency over Q plus the primes where they change.
+
+    A subset S whose constants are all 0 takes one Smith form, not two:
+    [M_S | 0] has M_S's nonzero invariant factors, so its rank and primes.
+    """
 
     def __init__(self, sys):
         self.sys = sys
@@ -49,7 +53,8 @@ class SystemLocalData:
         for mask in range(1, 1 << t):
             idx = [i for i in range(t) if mask >> i & 1]
             r, ps = _rank_and_primes([rows[i] for i in idx])
-            r_aug, ps_aug = _rank_and_primes([rows[i] + [-consts[i]] for i in idx])
+            r_aug, ps_aug = (_rank_and_primes([rows[i] + [-consts[i]] for i in idx])
+                             if any(consts[i] for i in idx) else (r, ps))
             self.profiles[mask] = SubsetProfile(rank=r, consistent=(r_aug == r))
             bad |= ps | ps_aug
         self.exceptional = sorted(bad)

@@ -8,8 +8,10 @@ with no tolerance.  The exact kernels work on integer numerators over
 common, possibly unreduced, denominators and build Fractions only for the
 values they return: an orbit cube stays an IntCube from orbit_cube to the
 Host-Kra verdict, and orbit_parallelepiped and HKFactorization.taus are its
-Fraction views.  They reject float coordinates; float mode is used only for
-bulk correlation sums.
+Fraction views.  quadratic_phase_orbit computes g^n and its reduction on
+numerators, through the integer kernel of reduce_to_fundamental_domain.
+They reject float coordinates; float mode is used only for bulk
+correlation sums.
 """
 
 import functools
@@ -95,6 +97,18 @@ def _shift(num, den):
     return -((den - 2 * num) // (2 * den))
 
 
+def _reduce_numerators(x, a, y, b, z, c):
+    """reduce_to_fundamental_domain of (x/a, y/b, z/c), a, b, c > 0, on integers:
+    the reduced point's numerators over (a, b, s), s = lcm(c, a), then s and gamma."""
+    # z over a multiple of a, so that the x * by term of the y step stays integral
+    s = math.lcm(c, a)
+    z *= s // c
+    by = -_shift(y, b)
+    z += x * by * (s // a)
+    bx, bz = -_shift(x, a), -_shift(z, s)
+    return (x + bx * a, y + by * b, z + bz * s), s, (bx, by, bz)
+
+
 def reduce_to_fundamental_domain(g):
     """Right-multiply by gamma in Gamma to land in (-1/2, 1/2]^3.
 
@@ -103,18 +117,9 @@ def reduce_to_fundamental_domain(g):
     point has Fraction and gamma int coordinates.  Coordinates must be
     numbers.Rational; a float raises ValueError.
     """
-    x, a = _ratio(g.x)
-    y, b = _ratio(g.y)
-    z, c = _ratio(g.z)
-    # z over a multiple of a, so that the x * by term of the y step stays integral
-    s = math.lcm(c, a)
-    z *= s // c
-    by = -_shift(y, b)
-    z += x * by * (s // a)
-    bx = -_shift(x, a)
-    bz = -_shift(z, s)
-    point = NilPoint(Fraction(x + bx * a, a), Fraction(y + by * b, b), Fraction(z + bz * s, s))
-    return point, HeisenbergElement(bx, by, bz)
+    (x, a), (y, b), (z, c) = _ratio(g.x), _ratio(g.y), _ratio(g.z)
+    (px, py, pz), s, gamma = _reduce_numerators(x, a, y, b, z, c)
+    return NilPoint(Fraction(px, a), Fraction(py, b), Fraction(pz, s)), HeisenbergElement(*gamma)
 
 
 def quadratic_phase_orbit(theta, n):
@@ -122,21 +127,19 @@ def quadratic_phase_orbit(theta, n):
 
     In exact mode the result equals ({-n theta}, 0, {n^2 theta}) with
     fractional parts in (-1/2, 1/2]; the equality is asserted.  The orbit
-    point is g.power(n) reduced to the fundamental domain; the closed form
-    centres the integer numerators of -n theta and n^2 theta.
+    point is g^n = (n gx, n gy, n gz + C(n, 2) gx gy), reduced, both on
+    numerators over (d, 1, d) for theta = t/d, with Fractions built once at
+    the end; the closed form centres the numerators of -n theta and n^2 theta.
     """
     t, d = _ratio(theta)
-    theta = Fraction(t, d)
     n = operator.index(n)
-    pt, _ = reduce_to_fundamental_domain(HeisenbergElement(-theta, 2, -theta).power(n))
+    (x, y, z), _, _ = _reduce_numerators(-n * t, d, 2 * n, 1, -n * t - n * (n - 1) // 2 * 2 * t, d)
     ex, ez = -n * t, n * n * t
-    expect_x = Fraction(ex - _shift(ex, d) * d, d)
-    expect_z = Fraction(ez - _shift(ez, d) * d, d)
-    if not (pt.x == expect_x and pt.y == 0 and pt.z == expect_z):
-        raise AssertionError(
-            f"orbit point {pt} differs from closed form ({expect_x}, 0, {expect_z})"
-        )
-    return pt
+    expect_x, expect_z = ex - _shift(ex, d) * d, ez - _shift(ez, d) * d
+    if not (x == expect_x and y == 0 and z == expect_z):
+        raise AssertionError(f"orbit point ({x}/{d}, {y}, {z}/{d}) differs from closed form "
+                             f"({expect_x}/{d}, 0, {expect_z}/{d})")
+    return NilPoint(Fraction(x, d), Fraction(0), Fraction(z, d))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +430,14 @@ def smooth_cell_function(center_x, center_y, width=0.25):
         return u * u
 
     def f(x, y, z):
-        w = bump(np.asarray(x) - center_x) * bump(np.asarray(y) - center_y)
-        out = np.zeros(w.shape, dtype=complex)
-        nz = w != 0
-        out[nz] = w[nz] * np.exp(2j * np.pi * np.asarray(z)[nz])
+        # y's bump and e(z) only where x's bump is nonzero; w is +0 elsewhere
+        x, y, z = np.broadcast_arrays(x, y, z)
+        out = np.zeros(x.shape, dtype=complex)
+        bx = bump(x - center_x).ravel()
+        at = np.flatnonzero(bx)
+        w = bx[at] * bump(y.ravel()[at] - center_y)
+        at, w = at[w != 0], w[w != 0]
+        out.ravel()[at] = w * np.exp(2j * np.pi * z.ravel()[at])
         return out
 
     return f

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -52,6 +53,9 @@ def spf_factor():
     return factor
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20260810)
+@pytest.fixture
+def rng(request):
+    """A generator per test, seeded from its node id, so that a test's draws do
+    not depend on which tests ran before it in the session."""
+    digest = hashlib.sha256(request.node.nodeid.encode()).digest()
+    return np.random.default_rng([20260810, int.from_bytes(digest[:8], "little")])

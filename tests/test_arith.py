@@ -308,3 +308,49 @@ def test_progression_kernels_refuse_a_residue_sharing_a_prime_with_w():
         arith.prime_sieve(100, 6, 9)
     with pytest.raises(ValueError, match="not coprime"):
         arith.lambda_bw_array(100, 10, arith.w_trick(w=5))
+
+
+def _mask_route_mu_lambda(n_max):
+    """mobius and liouville as they were built before the sign array: the same
+    small-prime passes, then a boolean mask of the multiples of the large
+    primes and a masked flip (the oracle of the one multiply)."""
+    t = arith.build_tables(n_max)
+    mask = np.zeros(n_max + 1, dtype=bool)
+    large = t.primes[np.searchsorted(t.primes, math.isqrt(n_max), side="right"):]
+    ks = np.arange(1, n_max // int(large[0]) + 1)
+    for k, c in zip(ks.tolist(), np.searchsorted(large, n_max // ks, side="right").tolist()):
+        mask[k * large[:c]] = True
+    mob = np.ones(n_max + 1, dtype=np.int8)
+    lio = np.ones(n_max + 1, dtype=np.int8)
+    for p in arith._sieving_primes(n_max):
+        mob[p::p] *= -1
+        mob[p * p:: p * p] = 0
+        pk = p
+        while pk <= n_max:
+            lio[pk::pk] *= -1
+            pk *= p
+    mob[mask] *= -1
+    lio[mask] *= -1
+    mob[0] = lio[0] = 0
+    return mob, lio
+
+
+def _check_against_mask_route(n_max):
+    t = arith.build_tables(n_max)
+    mob, lio = _mask_route_mu_lambda(n_max)
+    assert t.mobius.dtype == t.liouville.dtype == np.int8
+    assert t.mobius.tobytes() == mob.tobytes(), n_max
+    assert t.liouville.tobytes() == lio.tobytes(), n_max
+
+
+def test_sign_array_matches_mask_route_up_to_300():
+    for n_max in range(2, 301):
+        _check_against_mask_route(n_max)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.one_of(st.sampled_from([p * p + d for p in range(2, 1000) if arith.is_prime(p) for d in (-1, 1)]),
+                 st.integers(301, 10**6)))
+def test_sign_array_matches_mask_route(n_max):
+    # at p^2 +- 1 the prime p is on either side of sqrt(n_max): flipped by the sign array, or sieved
+    _check_against_mask_route(n_max)

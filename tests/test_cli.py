@@ -216,6 +216,19 @@ def test_mn_corr_command(tmp_path):
     assert report["result"]["abs"] < 0.05
 
 
+def test_mn_corr_constant_matches_float_mean(tmp_path):
+    # the mean of mu from its exact int64 sum, against the mean of a float64 copy of mu
+    def float_mean(n):
+        return float(arith.build_tables(n + 2).mobius[1: n + 1].astype(float).mean())
+
+    for n in range(1, 301):
+        payload, _, _ = cli.cmd_mn_corr(n, "constant")
+        assert (payload["real"].hex(), payload["imag"]) == (float_mean(n).hex(), 0.0), n
+    for n in (65537, 10**6):
+        code, report, _ = run(tmp_path, "mn-corr", {"N": n, "kind": "constant"})
+        assert code == 0 and report["result"]["real"].hex() == float_mean(n).hex(), n
+
+
 def test_malformed_json_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

@@ -380,6 +380,58 @@ def test_system_local_data_matches_rank_loop(case):
     assert (data.profiles, data.exceptional, data.generic_coeff) == _local_data_oracle(sys)
 
 
+def _two_smith_oracle(sys):
+    """SystemLocalData as it was before homogeneous subsets took one Smith
+    form: _rank_and_primes of every subset's matrix and of its augmented matrix."""
+    rows, consts, t = sys.coefficient_matrix(), sys.constants(), sys.t
+    profiles, bad, coeff = {}, set(), {0: 1}
+    for mask in range(1, 1 << t):
+        idx = [i for i in range(t) if mask >> i & 1]
+        r, ps = lf._rank_and_primes([rows[i] for i in idx])
+        r_aug, ps_aug = lf._rank_and_primes([rows[i] + [-consts[i]] for i in idx])
+        profiles[mask] = lf.SubsetProfile(rank=r, consistent=r_aug == r)
+        bad |= ps | ps_aug
+        if r_aug == r:
+            coeff[r] = coeff.get(r, 0) + (-1 if len(idx) % 2 else 1)
+    return profiles, sorted(bad), sorted(coeff.items())
+
+
+@st.composite
+def _mostly_homogeneous_systems(draw):
+    """2-5 forms on Z^1..Z^3, entries in -6..6, constants mostly 0: all 0, or a
+    few nonzero, some of them on forms that share a multiple of their coefficients."""
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-6, 6), min_size=d, max_size=d).filter(any)
+    rows = draw(st.lists(row, min_size=t, max_size=t))
+    if draw(st.booleans()):
+        rows[-1] = [draw(st.sampled_from([-2, 1, 3])) * x for x in rows[0]]
+    consts = draw(st.lists(st.sampled_from([0, 0, 0, 1, -2, 6]), min_size=t, max_size=t))
+    return forms.system(rows, consts)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mostly_homogeneous_systems())
+def test_system_local_data_matches_two_smith_route(sys):
+    data = lf.SystemLocalData(sys)
+    assert (data.profiles, data.exceptional, data.generic_coeff) == _two_smith_oracle(sys)
+
+
+def test_homogeneous_subsets_take_one_smith_form(monkeypatch):
+    # cube(4) is homogeneous: one Smith form for each of its 255 subsets;
+    # one nonzero constant adds one for each subset that holds its form
+    calls = []
+    smith = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda *a, **k: calls.append(1) or smith(*a, **k))
+    cube = forms.cube_system(4)
+    lf.SystemLocalData(cube)
+    assert len(calls) == 255
+    calls.clear()
+    shifted = forms.system(cube.coefficient_matrix(), [0] * (cube.t - 1) + [5])
+    data = lf.SystemLocalData(shifted)
+    assert len(calls) == 255 + 128
+    assert (data.profiles, data.exceptional, data.generic_coeff) == _two_smith_oracle(shifted)
+
 
 def _generic_beta_by_terms(data, p):
     """generic_beta as it was summed before one Fraction per prime: a Fraction

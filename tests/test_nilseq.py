@@ -252,6 +252,46 @@ class TestQuadraticPhase:
             nilseq.quadratic_phase_orbit(theta, n)      # asserts internally
 
 
+def _power_route_orbit(theta, n):
+    """quadratic_phase_orbit as it was: g.power(n) in Fraction coordinates, then
+    reduce_to_fundamental_domain (the oracle of the orbit on numerators)."""
+    theta = Fraction(theta)
+    pt, _ = nilseq.reduce_to_fundamental_domain(H(-theta, 2, -theta).power(n))
+    return pt
+
+
+def _without_xby_term(x, a, y, b, z, c):
+    """nilseq._reduce_numerators with the x * by term of the y step dropped."""
+    s = math.lcm(c, a)
+    z *= s // c
+    by = -nilseq._shift(y, b)
+    bx, bz = -nilseq._shift(x, a), -nilseq._shift(z, s)
+    return (x + bx * a, y + by * b, z + bz * s), s, (bx, by, bz)
+
+
+class TestOrbitOnNumerators:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_DENS.flatmap(_rational), st.one_of(_exponents, st.integers(-3 * 10**9, 3 * 10**9)))
+    @example(Fraction(1, 7), 3_037_000_500)
+    @example(Fraction(-999_999, 10**12), -3 * 10**9)
+    def test_matches_power_route(self, theta, n):
+        got, want = nilseq.quadratic_phase_orbit(theta, n), _power_route_orbit(theta, int(n))
+        assert got == want
+        for g, w in zip((got.x, got.y, got.z), (want.x, want.y, want.z)):
+            assert type(g) is type(w) is Fraction and (g.numerator, g.denominator) == (w.numerator, w.denominator)
+
+    def test_kernel_without_xby_term_is_caught(self, monkeypatch):
+        # the dropped term moves z by 2 n^2 t / d; the closed-form check must see it
+        cases = [(Fraction(1, 3), 2), (Fraction(2, 7), 5), (Fraction(-5, 12), -4), (Fraction(7, 10**12 + 1), 3 * 10**9)]
+        for theta, n in cases:
+            assert (2 * n * n * theta).denominator != 1
+            assert nilseq.quadratic_phase_orbit(theta, n) == _power_route_orbit(theta, n)
+        monkeypatch.setattr(nilseq, "_reduce_numerators", _without_xby_term)
+        for theta, n in cases:
+            with pytest.raises(AssertionError, match="closed form"):
+                nilseq.quadratic_phase_orbit(theta, n)
+
+
 class TestParallelepipeds:
     def test_abelian_orbit(self, rng):
         for _ in range(1000):
@@ -566,6 +606,25 @@ def _unmasked_cell_function(center_x, center_y, width=0.25):
     return f
 
 
+def _full_bump_cell_function(center_x, center_y, width=0.25):
+    """smooth_cell_function before it read y's bump only where x's is nonzero:
+    both bumps everywhere, e(z) where their product is nonzero (its oracle)."""
+
+    def bump(t):
+        t = np.abs(t - np.round(t))
+        u = np.clip(1.0 - (t / (width / 2.0)) ** 2, 0.0, None)
+        return u * u
+
+    def f(x, y, z):
+        w = bump(np.asarray(x) - center_x) * bump(np.asarray(y) - center_y)
+        out = np.zeros(w.shape, dtype=complex)
+        nz = w != 0
+        out[nz] = w[nz] * np.exp(2j * np.pi * np.asarray(z)[nz])
+        return out
+
+    return f
+
+
 def _hex(v):
     return [(c.real.hex(), c.imag.hex()) for c in np.asarray(v, dtype=complex).ravel()]
 
@@ -593,6 +652,29 @@ class TestMaskedCellFunction:
         mu = rng.integers(-1, 2, n).astype(np.float64)
         assert _hex(np.mean(mu * got)) == _hex(np.mean(mu * want))
         assert _hex(np.sum(mu[~on] * got[~on])) == _hex(np.sum(mu[~on] * want[~on]))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 300),
+           st.sampled_from(["inside", "outside", "x inside", "mixed"]),
+           st.sampled_from([(0.0, 0.0, 0.25), (0.3, -0.2, 0.25), (0.5, 0.5, 0.1), (-0.45, 0.1, 0.6)]))
+    def test_matches_full_bump_formula(self, seed, n, where, params):
+        # every x-bump nonzero, every one zero, x inside with y anywhere, or a mix
+        rng = np.random.default_rng(seed)
+        cx, cy, width = params
+        inside = lambda c: c + rng.uniform(-0.49, 0.49, n) * width        # noqa: E731
+        outside = lambda c: c + 0.5 + rng.uniform(-0.49, 0.49, n) * (1 - width)  # noqa: E731
+        anywhere = lambda c: rng.uniform(-0.5, 0.5, n)                     # noqa: E731
+        fx, fy = {"inside": (inside, inside), "outside": (outside, anywhere),
+                  "x inside": (inside, anywhere), "mixed": (anywhere, anywhere)}[where]
+        x, y, z = fx(cx), fy(cy), rng.uniform(-0.5, 0.5, n)
+        got = nilseq.smooth_cell_function(cx, cy, width)(x, y, z)
+        want = _full_bump_cell_function(cx, cy, width)(x, y, z)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        # 0-d input, at the first point or at the centre
+        for args in ((x[0], y[0], z[0]) if n else (cx, cy, 0.1), (cx, cy, z[0] if n else 0.3)):
+            got = nilseq.smooth_cell_function(cx, cy, width)(*args)
+            want = _full_bump_cell_function(cx, cy, width)(*args)
+            assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("theta", [0.5 * (np.sqrt(5) - 1), 0.3, np.sqrt(2) - 1, 1 / 7])
     def test_correlation_matches_unmasked(self, tables_1e6, theta):
