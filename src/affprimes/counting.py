@@ -40,9 +40,14 @@ stride (_unit_stride; for AP4 that is x1).  Other counts keep the given
 coordinates, since float partials would change their fsum bits, and float
 weights never take the Fourier route.  The exact Hardy-Littlewood integral is the
 same weighted count over a 1/log table (evaluated point by point where that
-table would outgrow the point count).
+table would outgrow the point count).  Past EXACT_INTEGRAL_POINT_GUARD points
+a dim-2 integral is a quadrature instead (_integral_sum_quadrature): per row,
+Gauss-Legendre panels plus an Euler-Maclaurin end correction, RUN_BLOCK rows
+at a time, with each panel's nodes evaluated as one (nodes, rows) array
+(_row_quadrature); it is as bit-reproducible as the counts.
 """
 
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -873,8 +878,9 @@ def _integral_sum_quadrature(sys, runs, nodes=12, panels=8):
     x1, lo, hi = x1[keep], lo[keep], hi[keep]
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
     total = np.zeros(len(x1))
-    # Rows are independent, so they go in blocks of RUN_BLOCK: full-length
-    # temporaries at every node cost as many page faults as arithmetic.
+    # Rows are independent, so they go in blocks of RUN_BLOCK: that bounds the
+    # kernel's (nodes, rows) buffers, and full-length ones would cost as many
+    # page faults as arithmetic.
     for s in range(0, len(x1), geometry.RUN_BLOCK):
         rows = slice(s, s + geometry.RUN_BLOCK)
         total[rows] = _row_quadrature(sys.forms, x1[rows], lo[rows], hi[rows], gl_x, gl_w, panels)
@@ -884,24 +890,40 @@ def _integral_sum_quadrature(sys, runs, nodes=12, panels=8):
 def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels):
     """Per row x1: Gauss-Legendre sum of g over [lo, hi] plus (g'(lo) - g'(hi))/24.
 
-    Each node rounds psi = ((a0 x1 + a1 x2) + c), clamps it to >= 3 and multiplies 1/log psi
-    into g in form order, in reused buffers; a0 x1 is formed once, and skipping a1 = 1 and
-    c = 0 is exact (the clamp replaces a zero of either sign).
+    A panel's nodes are one (nodes, rows) array, and each step below is one ufunc call
+    over it, in three buffers reused across panels.  Each node rounds
+    psi = ((a0 x1 + a1 x2) + c), clamps it to >= 3 and multiplies 1/log psi into g in
+    form order; the panel's weighted rows are then added to the total in node order, so
+    every row sees the same operations in the same order as node by node.  a0 x1 is
+    formed once, and skipping a1 = 1 and c = 0 is exact (the clamp replaces a zero of
+    either sign).  The nodes skip the clamp for a form whose psi is >= 4 on every row at
+    the end where it is least (lo for a1 > 0, hi for a1 < 0): rounded psi is monotone
+    along a row and every node lies in [lo, hi] up to rounding, which the margin of 1
+    above the clamp covers, so there the clamp is the identity.  The two end
+    evaluations for g' keep it.
     """
     # a form with a1 = 0 has the same 1/log psi at every node and no g'/g term: computed once
-    terms = [1.0 / np.log(np.maximum(a0 * x1 + c, 3.0)) if a1 == 0 else (a0 * x1, a1, c)
-             for a0, a1, c in ((*f.linear_coeffs, f.constant) for f in forms)]
-    g, psi, node = np.empty(len(x1)), np.empty(len(x1)), np.empty(len(x1))
+    terms = []
+    for f in forms:
+        (a0, a1), c = f.linear_coeffs, f.constant
+        if a1 == 0:
+            terms.append(1.0 / np.log(np.maximum(a0 * x1 + c, 3.0)))
+        else:
+            ax = a0 * x1
+            clamp = not ((ax + a1 * (lo if a1 > 0 else hi) + c) >= 4.0).all()
+            terms.append((ax, a1, c, clamp))
 
-    def g_at(x2, dg_over_g=None):
-        """g(x2), in the buffer g; given dg_over_g, also subtracts each a1 / (psi log psi) from it."""
+    def g_at(x2, g, psi, dg_over_g=None):
+        """g(x2) into g; given dg_over_g (at the ends, which always clamp), also subtracts
+        each a1 / (psi log psi) from it."""
         for k, inv in enumerate(terms):
             if isinstance(inv, tuple):
-                ax, a1, c = inv
+                ax, a1, c, clamp = inv
                 np.add(ax, x2 if a1 == 1 else np.multiply(a1, x2, out=psi), out=psi)
                 if c:
                     np.add(psi, c, out=psi)
-                np.maximum(psi, 3.0, out=psi)
+                if clamp or dg_over_g is not None:
+                    np.maximum(psi, 3.0, out=psi)
                 lg = np.log(psi, out=psi if dg_over_g is None else None)
                 if dg_over_g is not None:
                     dg_over_g -= a1 / (psi * lg)
@@ -913,16 +935,20 @@ def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels):
         return g
 
     span = hi - lo + 1.0
-    edges = [lo + (span ** (k / panels) - 1.0) for k in range(panels + 1)]
     total = np.zeros(len(x1))
-    for k in range(panels):
-        a, bnd = edges[k], edges[k + 1]
+    xi, wi = gl_x[:, None], gl_w[:, None]
+    node, psi, g = (np.empty((len(gl_x), len(x1))) for _ in range(3))
+    # the panel edges lo + span^(k/panels) - 1, made one at a time
+    for a, bnd in itertools.pairwise(lo + (span ** (k / panels) - 1.0) for k in range(panels + 1)):
         half = (bnd - a) / 2.0
         mid = (bnd + a) / 2.0
-        for xi, wi in zip(gl_x, gl_w):
-            g_at(np.add(mid, np.multiply(half, xi, out=node), out=node))
-            total += np.multiply(wi * half, g, out=g)
-    dg = [g_at(x2, dg_over_g) * dg_over_g for x2, dg_over_g in ((lo, np.zeros(len(x1))), (hi, np.zeros(len(x1))))]
+        g_at(np.add(mid, np.multiply(half, xi, out=node), out=node), g, psi)
+        np.multiply(np.multiply(wi, half, out=node), g, out=g)
+        for row in g:
+            total += row
+    ends, dg_over_g = node[:2], np.zeros((2, len(x1)))
+    ends[0], ends[1] = lo, hi
+    dg = np.multiply(g_at(ends, g[:2], psi[:2], dg_over_g), dg_over_g, out=dg_over_g)
     total += (dg[0] - dg[1]) / 24.0
     return total
 

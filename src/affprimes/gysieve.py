@@ -406,9 +406,12 @@ def _montecarlo_products(nu, sys, p, sample_budget, seed):
     The draws come MC_CHUNK rows at a time: the generator's stream does not
     depend on how they are split, so the samples are the one-shot ones.  Each
     form's value is its constant plus c x_j over the nonzero coefficients, in
-    int64 (exact, or wrapping mod 2^64, in any order), then reduced mod p once;
-    nu is gathered from its head (_nu_gather_source) and multiplied in form by
-    form, as a one-shot draw does.  The chunk buffers are freed on return,
+    int64 (exact, or wrapping mod 2^64, in any order), then reduced mod p once
+    as v - p (v // p): numpy divides by a scalar without a hardware division
+    per entry, and for p > 0 this is np.remainder's value, also where p (v // p)
+    wraps, since the true remainder lies in [0, p); nu is gathered from its
+    head (_nu_gather_source) and multiplied in form by form, as a one-shot
+    draw does.  The chunk buffers are freed on return,
     before the caller's statistics allocate their own.
     """
     src, mode = _nu_gather_source(nu, p)
@@ -431,7 +434,7 @@ def _montecarlo_products(nu, sys, p, sample_budget, seed):
                 elif c:
                     np.multiply(x[j], c, out=t)
                     np.add(v, t, out=v)
-            np.remainder(v, p, out=v)
+            np.subtract(v, np.multiply(np.floor_divide(v, p, out=t), p, out=t), out=v)
             np.take(src, v, out=g, mode=mode)
             np.multiply(rows, g, out=rows)
     return prod

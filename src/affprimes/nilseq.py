@@ -66,7 +66,10 @@ class HeisenbergElement:
 
     @classmethod
     def exact(cls, x, y, z):
-        return cls(Fraction(x), Fraction(y), Fraction(z))
+        """Fraction coordinates.  A rational input (int, numpy integer or Fraction) is rebuilt
+        from its numerator and denominator as Python ints (_ratio), so that the group law never
+        wraps in a fixed-width integer."""
+        return cls(*(Fraction(*_ratio(c)) if isinstance(c, numbers.Rational) else Fraction(c) for c in (x, y, z)))
 
     def commutator(self, other):
         return self * other * self.inverse() * other.inverse()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -253,6 +254,23 @@ def test_quadrature_bit_identical_to_g_and_dg_nodes():
             assert counting._integral_sum_quadrature(sys, body.outer_values_and_bounds()).hex() == want
 
 
+def test_quadrature_working_memory_bounded():
+    # the compare-ap4-5e4 body of the hl-progressions benchmark: the clipped
+    # row arrays and one block's three (nodes, RUN_BLOCK) panel buffers peak
+    # at about 3.65 MiB; a fourth buffer or a wider block would pass 4 MiB
+    n, k = 5 * 10**4, 4
+    sys = forms.ap_system(k)
+    body = geometry.ConvexBody(2, [((-1, 0), -1), ((0, -(k - 1)), -(k - 1)), ((1, k - 1), n)], n)
+    runs = body.outer_values_and_bounds()
+    tracemalloc.start()
+    try:
+        counting._integral_sum_quadrature(sys, runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
 def _row_quadrature_as_was(forms_, x1, lo, hi, gl_x, gl_w, panels):
     """_row_quadrature before its buffers: fresh arrays at every node, ones * 1/log psi
     for the first factor and wi * half * g added to the total; kept as its oracle."""
@@ -302,16 +320,55 @@ def _quadrature_systems(draw):
     return forms.system([list(r) for r in rows], consts), geometry.ConvexBody(2, hs, n)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_quadrature_systems(), st.sampled_from([40, geometry.RUN_BLOCK]))
-def test_row_quadrature_bit_identical_to_fresh_arrays(case, block):
-    sys_, body = case
+def _assert_row_quadrature_matches_oracle(sys_, body, block):
     with mock.patch.object(geometry, "RUN_BLOCK", block):
         runs = body.outer_values_and_bounds()
         got = counting._integral_sum_quadrature(sys_, runs)
         with mock.patch.object(counting, "_row_quadrature", _row_quadrature_as_was):
             want = counting._integral_sum_quadrature(sys_, runs)
     assert got.hex() == want.hex()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_quadrature_systems(), st.sampled_from([40, geometry.RUN_BLOCK]))
+def test_row_quadrature_bit_identical_to_fresh_arrays(case, block):
+    _assert_row_quadrature_matches_oracle(*case, block)
+
+
+@st.composite
+def _clamp_skip_systems(draw):
+    """A dim-2 box off the origin, maybe cut by a half-plane, and 1-3 forms a0 x1 + a1 x2 + c
+    with a1 of either sign or 0, whose psi is >= 4 on most rows at the end of the row where it
+    is least, so that _row_quadrature skips the clamp on some blocks.
+
+    A constant is either 0 (the box's offset alone decides psi) or the least constant with
+    psi >= 4 at that end of every row, moved by -2..30: by -1 or -2 the low rows have psi in
+    [3, 4) or are clipped there, and only the blocks of the other rows skip the clamp.
+    """
+    x0, y0 = draw(st.integers(-40, 300)), draw(st.integers(-40, 300))
+    n, m = draw(st.integers(0, 150)), draw(st.integers(0, 150))
+    hs = [((1, 0), x0 + n), ((-1, 0), -x0), ((0, 1), y0 + m), ((0, -1), -y0)]
+    if draw(st.booleans()):
+        hs.append(((1, 1), x0 + y0 + draw(st.integers(0, n + m))))
+    body = geometry.ConvexBody(2, hs, max(abs(x0), abs(y0)) + n + m)
+    prefix, lo, hi = body.outer_values_and_bounds()
+    pair = st.tuples(st.integers(-2, 3), st.integers(-3, 3)).filter(any)
+    rows = draw(st.lists(pair, min_size=1, max_size=3))
+    consts = []
+    for a0, a1 in rows:
+        # psi - c at the kernel's row ends lo - 1/2 and hi + 1/2 (exact in float)
+        low = a0 * prefix[:, 0] + (a1 * (lo - 0.5) if a1 > 0 else a1 * (hi + 0.5))
+        fit = math.ceil(4 - low.min()) if len(low) else 0
+        consts.append(draw(st.one_of(st.just(0), st.integers(-2, 30).map(lambda s, fit=fit: fit + s))))
+    return forms.system([list(r) for r in rows], consts), body
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_clamp_skip_systems(), st.sampled_from([40, geometry.RUN_BLOCK]))
+def test_row_quadrature_clamp_skip_bit_identical(case, block):
+    # blocks whose rows all have psi >= 4 at the low end skip the clamp at the
+    # Gauss nodes; every other block, and every g' end, keeps it
+    _assert_row_quadrature_matches_oracle(*case, block)
 
 
 def test_predict_enumerates_a_dim2_body_once():

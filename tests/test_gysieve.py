@@ -550,15 +550,19 @@ def _nu_variant(nu, kind):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.data())
 def test_montecarlo_kernel_matches_one_shot_draw(data):
-    # the chunk buffers and the gather from nu's head give the one-shot draw's bits
+    # the chunk buffers, the reduction by floor division and the gather from
+    # nu's head give the one-shot draw's bits; coefficients and constants of
+    # either sign up to the int64 limits make the form values wrap mod 2^64
     sv = _small_sieve(data.draw(st.sampled_from([50, 300])))
     p = sv.n_prime
     nu = _nu_variant(sv.nu, data.draw(st.sampled_from(["built", "ones", "last", "second-to-last"])))
     d = data.draw(st.integers(1, 3))
     t = data.draw(st.integers(d + 2, d + 3))            # rank <= d <= t - 2: Monte Carlo
-    coeff = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50))
+    int64 = st.integers(-2**63, 2**63 - 1)
+    coeff = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50), st.integers(-2**62, -2**40), int64)
+    const = st.one_of(st.integers(-3 * p, 3 * p), st.sampled_from([-2**63, 2**63 - 1, -1]), int64)
     rows = data.draw(st.lists(st.lists(coeff, min_size=d, max_size=d).filter(any), min_size=t, max_size=t))
-    consts = data.draw(st.lists(st.integers(-3 * p, 3 * p), min_size=t, max_size=t))
+    consts = data.draw(st.lists(const, min_size=t, max_size=t))
     chunk = data.draw(st.sampled_from([1, 7, gysieve.MC_CHUNK]))
     budget = data.draw(st.integers(2, 3 * chunk + 5))
     seed = data.draw(st.integers(0, 2**32 - 1))

@@ -56,6 +56,16 @@ class TestGroup:
         assert cube == nilseq.orbit_parallelepiped(g, x0, 2, (1, 3, 4))
         assert all(type(v.z) is Fraction for v in cube.values())
 
+    def test_numpy_integer_coordinates_do_not_wrap(self):
+        # a numpy integer coordinate, bare or as a Fraction's numerator, becomes a
+        # Python int: z passes 2^63 exactly instead of wrapping in int64
+        for y in (np.int64(999999), Fraction(np.int64(999999))):
+            g = H.exact(999753, y, np.int32(0))
+            assert all(type(c.numerator) is int for c in (g.x, g.y, g.z))
+            got = g.power(-4295)
+            assert got == H(Fraction(-4293939135), Fraction(-4294995705), Fraction(9223372038598738020))
+            assert got.z.numerator == (-4295) * (-4296) // 2 * 999753 * 999999
+
     def test_commutators_central(self, rng):
         for _ in range(100):
             a, b = rand_el(rng), rand_el(rng)
