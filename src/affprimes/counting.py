@@ -28,8 +28,14 @@ constant factor.  Each block goes to the first driver that applies:
 * sparse (weights supported on primes or prime powers): the sorted support
   of a form with inner coefficient +-1 drives the iteration, each further
   form filtered by its support mask (_sparse_partials);
-* float: per run, the forms' table views (_run_view) are multiplied into
-  one reused float64 buffer and its pairwise sum is the partial.
+* float: rows are taken a tile at a time, a stretch of rows whose
+  prefixes step by +1 in the last outer coordinate (_joins) and whose
+  bounding rectangle holds at most FLOAT_TILE points; the forms' strided
+  2-D views of the rectangle are multiplied into one float64 buffer, and
+  each row's partial is the pairwise sum of its own part of it, as for a
+  row alone (_float_partials).  Tiles of one row, tiles that leave the
+  table and counts with a reflecting weight multiply each run's views
+  (_run_view) into a reused buffer instead.
 
 Accumulation is single-threaded: each run, chunk or block contributes one
 partial sum, and math.fsum combines them, so results are bit-reproducible
@@ -68,6 +74,7 @@ PM1_CHUNK = 2**20               # elements per int8 chunk of the +-1 route (its 
 BITSET_W = 6                    # the bitset route's W: the product of the primes up to w = 3
 BITSET_CHUNK = 2**20            # bytes per AND buffer of the bitset route, and of the +-1 bit
                                 # planes' two accumulators together; bounds working memory
+FLOAT_TILE = 2**16              # float64 entries of the float driver's tile buffer; bounds working memory
 _W_PRIMES = tuple(arith.factorize(BITSET_W))
 _TAILS = np.packbits(np.arange(8) <= np.arange(8)[:, None], axis=1)[:, 0]     # _TAILS[m]: the first m + 1 bits
 
@@ -304,7 +311,7 @@ def _weighted_count(sys, body, weights):
             nonzero &= v != 0
             const = const * v
         if fixed and not pm1:       # the +-1 route keeps such rows inside its 2-D chunks
-            off, lo, hi, const = off[nonzero], lo[nonzero], hi[nonzero], const[nonzero]
+            prefix, off, lo, hi, const = prefix[nonzero], off[nonzero], lo[nonzero], hi[nonzero], const[nonzero]
         if not varying:
             partials.extend((const * (hi - lo + 1)).tolist())
         elif bits is not None:
@@ -314,15 +321,7 @@ def _weighted_count(sys, body, weights):
         elif driver is not None:
             partials.extend(_sparse_partials(weights, varying, inner, driver, off, lo, hi, const))
         else:
-            ws, cfs = [weights[i] for i in varying], [inner[i] for i in varying]
-            acc = np.empty(int((hi - lo).max(initial=0)) + 1)      # reused by every run of the block
-            for c, o, a, b in zip(const.tolist(), off[:, varying].tolist(), lo.tolist(), hi.tolist()):
-                views = [_run_view(w, x, cf, a, b) for w, cf, x in zip(ws, cfs, o)]
-                row = np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=acc[:b - a + 1],
-                                  dtype=np.float64)
-                for v in views[2:]:
-                    np.multiply(row, v, out=row)
-                partials.append(c * float(np.add.reduce(row)))
+            partials.extend(_float_partials(weights, varying, inner, step, prefix, off, lo, hi, const))
 
     return math.fsum(partials)
 
@@ -345,12 +344,22 @@ def _unit_stride(coeffs, body, live):
     return coeffs[:, perm], body.permuted(perm)
 
 
+def _joins(prefix):
+    """joins[r]: the prefix of row r + 1 is that of row r plus 1 in the last outer coordinate.
+
+    On a stretch of rows so joined, form i's offset moves by step_i from row
+    to row.  A dim-1 block has one row and no joins.
+    """
+    dp = np.diff(prefix, axis=0)
+    return (dp[:, :-1] == 0).all(axis=1) & (dp[:, -1:] == 1).all(axis=1)
+
+
 def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bits):
     """Yield the exact integer partials of one block of a +-1 count, a 2-D chunk at a time.
 
-    A segment is a maximal stretch of rows with equal (lo, hi) whose prefixes
-    step by +1 in the last outer coordinate, so on it form i reads its table
-    at off + step_i r + inner_i x: one (rows, columns) view (_block_view).
+    A segment is a maximal stretch of rows with equal (lo, hi) that _joins
+    links, so on it form i reads its table at off + step_i r + inner_i x:
+    one (rows, columns) view (_block_view).
     A segment of at least PM1_CHUNK points whose arguments are all >= 0 is
     counted on bit planes (_pm1_bit_partials) when bits is a dict, which
     _weighted_count passes when every varying form has inner coefficient +1
@@ -361,14 +370,12 @@ def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bit
     constant factors (0 on some rows) multiply it in place, and its exact sum
     is the chunk's partial.
     """
-    dp = np.diff(prefix, axis=0)
-    joins = (dp[:, :-1] == 0).all(axis=1) & (dp[:, -1:] == 1).all(axis=1)
-    cuts = np.flatnonzero(~(joins & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))) + 1
+    cuts = np.flatnonzero(~(_joins(prefix) & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))) + 1
     lo, hi = lo.tolist(), hi.tolist()
     for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lo)]):
         a, b = lo[s], hi[s]
         if (bits is not None and (e - s) * (b - a + 1) >= PM1_CHUNK
-                and min(_lowest_argument(int(off[s, i]), step[i], 1, e - s, a, b) for i in varying) >= 0):
+                and min(_argument_range(int(off[s, i]), step[i], 1, e - s, a, b)[0] for i in varying) >= 0):
             yield from _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, bits)
             continue
         width = min(b - a + 1, PM1_CHUNK)
@@ -474,7 +481,7 @@ def _block_view(w, o, rs, cs, rows, a, b):
     read one by one (_run_view).
     """
     v = w.values
-    if w.reflect_negative or not v.flags.c_contiguous or _lowest_argument(o, rs, cs, rows, a, b) < 0:
+    if w.reflect_negative or not v.flags.c_contiguous or _argument_range(o, rs, cs, rows, a, b)[0] < 0:
         return np.stack([_run_view(w, o + rs * r, cs, a, b) for r in range(rows)])
     first = o + cs * a
     view = np.ndarray((rows, b - a + 1), v.dtype, v, first * v.itemsize, (rs * v.itemsize, cs * v.itemsize))
@@ -482,10 +489,11 @@ def _block_view(w, o, rs, cs, rows, a, b):
     return view
 
 
-def _lowest_argument(o, rs, cs, rows, a, b):
-    """min of o + rs r + cs x over 0 <= r < rows and a <= x <= b (the corners)."""
+def _argument_range(o, rs, cs, rows, a, b):
+    """(min, max) of o + rs r + cs x over 0 <= r < rows and a <= x <= b (the corners)."""
     first, last = o + cs * a, o + cs * b
-    return min(first, last, first + rs * (rows - 1), last + rs * (rows - 1))
+    corners = (first, last, first + rs * (rows - 1), last + rs * (rows - 1))
+    return min(corners), max(corners)
 
 
 def _sparse_partials(weights, varying, inner, i0, off, lo, hi, const):
@@ -541,6 +549,87 @@ def _sparse_partials(weights, varying, inner, i0, off, lo, hi, const):
         for c, a, b in zip(const[r][hit].tolist(), (stops - surv)[hit].tolist(), stops[hit].tolist()):
             yield c * float(prod[a:b].sum())
         s = e
+
+
+def _float_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
+    """Yield the per-run partials of one block of a float count, a tile of rows at a time.
+
+    A tile is a stretch of rows that _joins links, grown a group of rows
+    with equal (lo, hi) at a time while its bounding rectangle [min lo,
+    max hi] holds at most FLOAT_TILE points.  On it form i reads its table
+    at off + step_i r + inner_i x: one strided view per form (_tile_views),
+    multiplied into a C-ordered float64 buffer.  Each row's partial is
+    np.add.reduce over its own part of the buffer, one reduce(axis=-1) per
+    group, so it is the pairwise sum of the row alone.  A tile of one row, a
+    tile whose corner arguments leave [0, len(table)), and every row when a
+    varying weight reflects negatives or its table is not contiguous, take
+    the per-run loop: the forms' views of the run (_run_view) multiplied
+    into one buffer as long as the block's longest run.
+    """
+    ws = [weights[i] for i in varying]
+    cfs, steps = [inner[i] for i in varying], [step[i] for i in varying]
+    off = off[:, varying]
+    n = len(lo)
+    acc = np.empty(int((hi - lo).max(initial=0)) + 1)      # the per-run loop's buffer, reused by every run
+    buf = None
+    tiled = n > 1 and all(not w.reflect_negative and w.values.flags.c_contiguous for w in ws)
+    if tiled:
+        link = _joins(prefix)
+        ends = np.append(np.flatnonzero(~(link & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))) + 1, n)
+        group_end = np.repeat(ends, np.diff(ends, prepend=0)).tolist()      # the end of row r's group
+        link = link.tolist()
+    consts, lo, hi = const.tolist(), lo.tolist(), hi.tolist()
+
+    def runs(s, e):
+        """The partials of rows s..e-1, one run at a time."""
+        for c, o, a, b in zip(consts[s:e], off[s:e].tolist(), lo[s:e], hi[s:e]):
+            views = [_run_view(w, x, cf, a, b) for w, cf, x in zip(ws, cfs, o)]
+            row = np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=acc[:b - a + 1],
+                              dtype=np.float64)
+            for v in views[2:]:
+                np.multiply(row, v, out=row)
+            yield c * float(np.add.reduce(row))
+
+    done = s = 0                # the rows before done have their partials
+    while tiled and s < n:
+        a, b = lo[s], hi[s]
+        e = min(group_end[s], s + max(FLOAT_TILE // (b - a + 1), 1))
+        while e < n and link[e - 1]:
+            na, nb = min(a, lo[e]), max(b, hi[e])
+            fit = FLOAT_TILE // (nb - na + 1)
+            if fit <= e - s:
+                break
+            a, b, e = na, nb, min(group_end[e], s + fit)
+        views = _tile_views(ws, off[s].tolist(), steps, cfs, e - s, a, b) if e - s > 1 else None
+        if views is not None:
+            yield from runs(done, s)
+            if buf is None:
+                buf = np.empty(FLOAT_TILE)
+            tile = buf[:(e - s) * (b - a + 1)].reshape(e - s, b - a + 1)
+            np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=tile, dtype=np.float64)
+            for v in views[2:]:
+                np.multiply(tile, v, out=tile)
+            g = s
+            while g < e:
+                ge = min(group_end[g], e)
+                part = tile[g - s:ge - s, lo[g] - a:hi[g] - a + 1]
+                if ge - g == 1:
+                    yield consts[g] * float(np.add.reduce(part[0]))
+                else:
+                    yield from (const[g:ge] * np.add.reduce(part, axis=-1)).tolist()
+                g = ge
+            done = e
+        s = e
+    yield from runs(done, n)
+
+
+def _tile_views(ws, off, steps, cfs, rows, a, b):
+    """The strided views w(off + step r + cf x) of a tile (_block_view), or None if an argument leaves a table."""
+    for w, o, rs, cs in zip(ws, off, steps, cfs):
+        lowest, highest = _argument_range(o, rs, cs, rows, a, b)
+        if lowest < 0 or highest >= len(w.values):
+            return None
+    return [_block_view(w, o, rs, cs, rows, a, b) for w, o, rs, cs in zip(ws, off, steps, cfs)]
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +865,12 @@ def _and_count(flat, first, nbits):
         acc = np.empty(-(-(int(ends[e - 1]) - base) // 8) * 8, np.uint8)      # whole uint64 words
         acc[int(ends[e - 1]) - base:] = 0
         for at, n, o in zip(first[s:e].tolist(), nb[s:e].tolist(), (ends[s:e] - nb[s:e] - base).tolist()):
-            out = acc[o:o + n]
-            out[:] = flat[at[0]:at[0] + n]
+            out, src = acc[o:o + n], flat[at[0]:at[0] + n]
+            if len(at) == 1:
+                out[:] = src
             for a in at[1:]:
-                np.bitwise_and(out, flat[a:a + n], out=out)
+                np.bitwise_and(src, flat[a:a + n], out=out)
+                src = out
         acc[ends[s:e] - base - 1] &= tail[s:e]
         total += int(np.bitwise_count(acc.view(np.uint64)).sum())
         s = e
@@ -812,10 +903,15 @@ def prime_point_count(sys, body, tables):
 def _integral_sum_exact(sys, body, npoints):
     """Lattice sum of prod 1_{psi_i > 2} / log psi_i over K (npoints lattice points).
 
-    A weighted count with the float weight g(m) = 1/log m for m > 2 (else 0),
-    tabulated up to max |psi_i| over K.  Where that table would hold more
-    entries than the t * npoints logarithms of evaluating g point by point
-    (forms with large coefficients over few points), g is evaluated per point.
+    A weighted count with the float weight g(m) = 1/log m for m > 2 (else 0).
+    Where a table up to max |psi_i| over K would hold more entries than the
+    t * npoints logarithms of evaluating g point by point (forms with large
+    coefficients over few points), g is evaluated per point.  Otherwise the
+    table reaches max |psi_i| over K's lattice bounding box when that is at
+    most t * npoints entries too: the float driver's tiles are rectangles of
+    rows, which on a slanted facet of K read past the bound over K (AP4's
+    hypotenuse), and a tile that leaves the table falls back to the per-run
+    loop.  The route reads the bound over K alone.
     """
     bounds = [_form_bound(body, f) for f in sys.forms]
     if None in bounds:
@@ -823,6 +919,11 @@ def _integral_sum_exact(sys, body, npoints):
     m_max = max(bounds)
     if m_max > sys.t * npoints:
         return _integral_sum_pointwise(sys, body)
+    box = [(math.ceil(min(x)), math.floor(max(x))) for x in zip(*body.vertices())]
+    reach = max(abs(f.constant + sum(pick(a * lo, a * hi) for a, (lo, hi) in zip(f.linear_coeffs, box)))
+                for f in sys.forms for pick in (min, max))
+    if reach <= sys.t * npoints:
+        m_max = max(m_max, reach)
     g = np.zeros(m_max + 1)
     g[3:] = 1.0 / np.log(np.arange(3, m_max + 1))
     return _weighted_count(sys, body, [weight_from_table("1/log", g)] * sys.t)
@@ -858,42 +959,45 @@ def _integral_sum_quadrature(sys, runs, nodes=12, panels=8):
     {psi_i >= 3} first.
     """
     prefix, lo, hi = runs
-    if len(lo) == 0:
-        return 0.0
-    x1 = prefix[:, 0].astype(np.float64)
-    lo = lo.astype(np.float64) - 0.5
-    hi = hi.astype(np.float64) + 0.5
-    keep = np.ones(len(x1), dtype=bool)
-    for f in sys.forms:
-        a0, a1 = f.linear_coeffs
-        c = f.constant
-        base = a0 * x1 + c
-        if a1 == 0:
-            keep &= base > 2
-        elif a1 > 0:
-            np.maximum(lo, (2.5 - base) / a1, out=lo)
-        else:
-            np.minimum(hi, (2.5 - base) / a1, out=hi)
-    keep &= lo < hi
-    x1, lo, hi = x1[keep], lo[keep], hi[keep]
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-    total = np.zeros(len(x1))
-    # Rows are independent, so they go in blocks of RUN_BLOCK: that bounds the
-    # kernel's (nodes, rows) buffers, and full-length ones would cost as many
-    # page faults as arithmetic.
-    for s in range(0, len(x1), geometry.RUN_BLOCK):
+    total = np.empty(len(lo))
+    k = 0                       # the rows kept so far
+    # Rows are independent, so they are clipped and integrated in blocks of
+    # RUN_BLOCK: that bounds the temporaries and the kernel's (nodes, rows)
+    # buffers, and full-length ones would cost as many page faults as
+    # arithmetic.  The buffers are allocated once, since freeing them after
+    # each block lets malloc return their pages and fault them in again.
+    work = np.empty((3, nodes, min(len(lo), geometry.RUN_BLOCK)))
+    for s in range(0, len(lo), geometry.RUN_BLOCK):
         rows = slice(s, s + geometry.RUN_BLOCK)
-        total[rows] = _row_quadrature(sys.forms, x1[rows], lo[rows], hi[rows], gl_x, gl_w, panels)
-    return float(total.sum())
+        x1 = prefix[rows, 0].astype(np.float64)
+        a = lo[rows].astype(np.float64) - 0.5
+        b = hi[rows].astype(np.float64) + 0.5
+        keep = np.ones(len(x1), dtype=bool)
+        for f in sys.forms:
+            (a0, a1), c = f.linear_coeffs, f.constant
+            base = a0 * x1 + c
+            if a1 == 0:
+                keep &= base > 2
+            elif a1 > 0:
+                np.maximum(a, (2.5 - base) / a1, out=a)
+            else:
+                np.minimum(b, (2.5 - base) / a1, out=b)
+        keep &= a < b
+        n = int(np.count_nonzero(keep))
+        total[k:k + n] = _row_quadrature(sys.forms, x1[keep], a[keep], b[keep], gl_x, gl_w, panels, work)
+        k += n
+    return float(total[:k].sum())
 
 
-def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels):
+def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels, work):
     """Per row x1: Gauss-Legendre sum of g over [lo, hi] plus (g'(lo) - g'(hi))/24.
 
     A panel's nodes are one (nodes, rows) array, and each step below is one ufunc call
-    over it, in three buffers reused across panels.  Each node rounds
-    psi = ((a0 x1 + a1 x2) + c), clamps it to >= 3 and multiplies 1/log psi into g in
-    form order; the panel's weighted rows are then added to the total in node order, so
+    over it, in the three (nodes, rows) buffers of work (shape (3, nodes, >= rows)),
+    reused across panels and blocks.  Each node rounds psi = ((a0 x1 + a1 x2) + c),
+    clamps it to >= 3 and multiplies 1/log psi into g in form order; the panel's
+    weighted rows are then added to the total in node order, so
     every row sees the same operations in the same order as node by node.  a0 x1 is
     formed once, and skipping a1 = 1 and c = 0 is exact (the clamp replaces a zero of
     either sign).  The nodes skip the clamp for a form whose psi is >= 4 on every row at
@@ -937,7 +1041,7 @@ def _row_quadrature(forms, x1, lo, hi, gl_x, gl_w, panels):
     span = hi - lo + 1.0
     total = np.zeros(len(x1))
     xi, wi = gl_x[:, None], gl_w[:, None]
-    node, psi, g = (np.empty((len(gl_x), len(x1))) for _ in range(3))
+    node, psi, g = work[:, :, :len(x1)]
     # the panel edges lo + span^(k/panels) - 1, made one at a time
     for a, bnd in itertools.pairwise(lo + (span ** (k / panels) - 1.0) for k in range(panels + 1)):
         half = (bnd - a) / 2.0

@@ -271,9 +271,28 @@ def test_quadrature_working_memory_bounded():
     assert peak <= 4 * 2**20
 
 
-def _row_quadrature_as_was(forms_, x1, lo, hi, gl_x, gl_w, panels):
+def test_quadrature_clips_rows_a_block_at_a_time():
+    # the compare-ap4-5e4 body again: the rows are clipped per RUN_BLOCK block,
+    # so beside one block's temporaries and the kernel's buffers only the row
+    # totals are full length (about 2.3 MiB in all); clipping the whole arrays
+    # before the block loop peaked at 3.65 MiB
+    n, k = 5 * 10**4, 4
+    sys = forms.ap_system(k)
+    body = geometry.ConvexBody(2, [((-1, 0), -1), ((0, -(k - 1)), -(k - 1)), ((1, k - 1), n)], n)
+    runs = body.outer_values_and_bounds()
+    tracemalloc.start()
+    try:
+        counting._integral_sum_quadrature(sys, runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+
+
+def _row_quadrature_as_was(forms_, x1, lo, hi, gl_x, gl_w, panels, work):
     """_row_quadrature before its buffers: fresh arrays at every node, ones * 1/log psi
-    for the first factor and wi * half * g added to the total; kept as its oracle."""
+    for the first factor and wi * half * g added to the total; kept as its oracle.
+    It leaves the kernel's buffers, work, unused."""
     coeffs = [(*f.linear_coeffs, f.constant) for f in forms_]
     fixed = [1.0 / np.log(np.maximum(a0 * x1 + c, 3.0)) if a1 == 0 else None for a0, a1, c in coeffs]
 
@@ -569,38 +588,129 @@ def _float_driver_as_was(sys_, body, weights):
 @st.composite
 def _float_driver_cases(draw):
     """(system, body, weights) on the float driver: float tables (float64, float32
-    or int8 values, a third of them 0, some reflecting negatives) and 'one'."""
-    d = draw(st.integers(1, 3))
+    or int8 values, a third of them 0, some reflecting negatives) and 'one'.
+
+    Half the systems have constants that keep every argument >= 0, so that
+    tiles read inside the tables; half the dim-2 and dim-3 bodies are cut by a
+    slanted facet in the last two coordinates, so rows are ragged; half the
+    tables reach only the form's bound over K, so a tile's rectangle on such a
+    facet can leave them.
+    """
+    d = draw(st.sampled_from([1, 2, 2, 3, 3]))
     n = draw(st.integers(1, {1: 400, 2: 40, 3: 8}[d]))
     t = draw(st.integers(1, 3))
     coef = st.integers(-3, 3)
     inner = st.sampled_from([0, 1, -1, 2, -2, 3, -3])
     rows = [draw(st.tuples(*[coef] * (d - 1), inner).filter(any)) for _ in range(t)]
-    consts = draw(st.lists(st.integers(-3 * n, 3 * n), min_size=t, max_size=t))
+    if draw(st.booleans()):
+        consts = draw(st.lists(st.integers(-3 * n, 3 * n), min_size=t, max_size=t))
+    else:           # every argument >= 0 on the box [-n, n]^d
+        consts = [sum(map(abs, r)) * n + draw(st.integers(0, n)) for r in rows]
     hs = draw(st.lists(st.tuples(st.lists(coef, min_size=d, max_size=d), st.integers(-2 * n, 2 * n)), max_size=2))
+    if d > 1 and draw(st.booleans()):
+        slope = draw(st.tuples(st.integers(1, 3), st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        hs.append(([0] * (d - 2) + list(slope), draw(st.integers(0, 4 * n))))
+    sys_, body = forms.system([list(r) for r in rows], consts), geometry.ConvexBody(d, hs, n)
     kinds = draw(st.lists(st.sampled_from(["float", "float", "one"]), min_size=t, max_size=t).filter(
         lambda k: "float" in k))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = max(sum(map(abs, r)) * n + abs(c) for r, c in zip(rows, consts))
+    k_sized = draw(st.booleans())
     weights = []
-    for k in kinds:
+    for f, k in zip(sys_.forms, kinds):
         if k == "one":
             weights.append(counting.Weight(name="one", kind="one"))
             continue
+        size = (counting._form_bound(body, f) or 0) + 1 if k_sized else top + 1
         dtype = draw(st.sampled_from([np.float64, np.float64, np.float32, np.int8]))
-        vals = (rng.uniform(-2, 2, top + 1) * (rng.random(top + 1) > 1 / 3)).astype(dtype)
-        weights.append(counting.Weight(name="float", kind="float", values=vals, reflect_negative=draw(st.booleans())))
-    return forms.system([list(r) for r in rows], consts), geometry.ConvexBody(d, hs, n), weights
+        vals = (rng.uniform(-2, 2, size) * (rng.random(size) > 1 / 3)).astype(dtype)
+        reflect = draw(st.sampled_from([False, False, False, True]))
+        weights.append(counting.Weight(name="float", kind="float", values=vals, reflect_negative=reflect))
+    return sys_, body, weights
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_float_driver_cases(), st.sampled_from([3, geometry.RUN_BLOCK]))
-def test_float_driver_bit_identical_to_run_view_loop(case, block):
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_float_driver_cases(), st.sampled_from([3, geometry.RUN_BLOCK]), st.sampled_from([counting.FLOAT_TILE, 7, 1]))
+def test_float_driver_bit_identical_to_run_view_loop(case, block, tile):
     # negative arguments, reflected weights, zero rows of fixed forms, strides
-    # up to 3 and empty bodies, in blocks of 3 runs and of RUN_BLOCK
+    # up to 3, ragged rows and empty bodies, in blocks of 3 runs and of
+    # RUN_BLOCK; tiles of 1 entry (every row alone), of 7 (rows longer than
+    # the tile beside tiles of short rows) and of FLOAT_TILE
     sys_, body, weights = case
-    with mock.patch.object(geometry, "RUN_BLOCK", block):
+    with mock.patch.object(geometry, "RUN_BLOCK", block), mock.patch.object(counting, "FLOAT_TILE", tile):
         assert counting._weighted_count(sys_, body, weights).hex() == _float_driver_as_was(sys_, body, weights).hex()
+
+
+def test_float_driver_rows_longer_than_the_tile():
+    # a triangle whose first rows are longer than FLOAT_TILE: they take the
+    # per-run loop, the shorter rows below them go in tiles
+    n = 70000
+    sys_ = forms.system([[1, 1], [3, 2], [1, 0]], [2, 5, 1])
+    body = geometry.ConvexBody(2, [((-1, 0), 0), ((5000, 1), n), ((0, -1), 0)], n)
+    assert max(hi - lo + 1 for _, lo, hi in body.runs()) > counting.FLOAT_TILE
+    rng = np.random.default_rng(7)
+    weights = [counting.weight_from_table("float", rng.uniform(-1, 1, 3 * n + 1)) for _ in range(3)]
+    tiles = mock.patch.object(counting, "_tile_views", wraps=counting._tile_views)
+    with tiles as spy:
+        got = counting._weighted_count(sys_, body, weights)
+    assert spy.call_count > 0
+    assert got.hex() == _float_driver_as_was(sys_, body, weights).hex()
+
+
+def _integral_sum_exact_as_was(sys_, body, npoints):
+    """_integral_sum_exact with its 1/log table up to max |psi_i| over K and the
+    per-run float driver (_float_driver_as_was); kept as its oracle."""
+    bounds = [counting._form_bound(body, f) for f in sys_.forms]
+    if None in bounds:
+        return 0.0
+    m_max = max(bounds)
+    if m_max > sys_.t * npoints:
+        return counting._integral_sum_pointwise(sys_, body)
+    g = np.zeros(m_max + 1)
+    g[3:] = 1.0 / np.log(np.arange(3, m_max + 1))
+    return _float_driver_as_was(sys_, body, [counting.weight_from_table("1/log", g)] * sys_.t)
+
+
+def _exact_integral_cases():
+    twins = forms.system([[1], [1]], [0, 2])
+    cases = [(forms.ap_system(3), ap_body(3, n)) for n in (40, 2000, 6000)]
+    cases += [(forms.ap_system(4), ap_body(4, n)) for n in (333, 4000, 10**4)]
+    cases += [(twins, geometry.ConvexBody(1, [((-1,), -1), ((1,), n - 2)], n)) for n in (50, 2 * 10**5)]
+    # the strip x1 <= x2 <= x1 + 1: psi = a (x2 - x1) + 5 is at most a + 5 over K but reaches
+    # about a N over K's lattice box, within t * npoints = 2 N + 2 for a = 1 and past it for a = 3
+    strip = geometry.ConvexBody(2, [((1, -1), 0), ((-1, 1), 1), ((-1, 0), 0), ((1, 0), 500)], 501)
+    cases += [(forms.system([[-a, a]], [5]), strip) for a in (1, 3)]
+    # large coefficients over few points: 1/log point by point
+    cases.append((forms.system([[1000], [1]], [0, 5]), geometry.ConvexBody.box(1, 1, 300, box_bound=300)))
+    return cases
+
+
+@pytest.mark.parametrize("sys_, body", _exact_integral_cases())
+def test_integral_sum_exact_bit_identical_to_run_view_loop(sys_, body):
+    # the table reaches K's lattice bounding box where that stays within
+    # t * npoints, so the tiles on a slanted facet read inside it; the route
+    # still reads the bound over K
+    npoints = body.lattice_point_count()
+    pointwise = max(counting._form_bound(body, f) for f in sys_.forms) > sys_.t * npoints
+    with mock.patch.object(counting, "_integral_sum_pointwise", wraps=counting._integral_sum_pointwise) as spy:
+        got = counting._integral_sum_exact(sys_, body, npoints)
+    assert spy.called == pointwise
+    assert got.hex() == _integral_sum_exact_as_was(sys_, body, npoints).hex()
+
+
+def test_float_tile_buffer_bounded():
+    # 4096 rows of 1000 points: a buffer over a whole block's rectangle would
+    # take 31 MiB; the tiles share one buffer of FLOAT_TILE float64 entries
+    sys_ = forms.system([[1, 1], [2, 1], [1, 0]], [1, 0, 0])
+    body = geometry.ConvexBody.box(2, [0, 0], [4095, 999])
+    w = counting.weight_from_table("float", np.linspace(1, 2, 3 * 4096 + 1000))
+    tracemalloc.start()
+    try:
+        counting._weighted_count(sys_, body, [w] * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * counting.FLOAT_TILE + 3 * 2**19
 
 
 def _signed_permutation(sys_, body, perm, signs):
