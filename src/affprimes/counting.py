@@ -110,18 +110,6 @@ class Weight:
             return None
         return len(self.values) - 1
 
-    def value_at(self, m):
-        if self.kind == "one":
-            return 1.0
-        m = int(m)
-        if m < 0:
-            if not self.reflect_negative:
-                return 0.0
-            m = -m
-        if m > self.m_max:
-            raise ValueError(f"weight {self.name}: argument {m} beyond table")
-        return float(self.values[m])
-
 
 def make_weight(name, tables, wparams=None, b=None):
     """Resolve a weight selector name against arithmetic tables.
@@ -221,7 +209,8 @@ def _strided_view(table, off, coef, lo, hi):
 
 
 def _table_values(w, m):
-    """w(m) for an int64 array m of arguments within the table (Weight.value_at, vectorised)."""
+    """w(m) for an int64 array m of arguments within the table (the one-argument
+    oracle `_value_at` of tests/test_counting.py, vectorised)."""
     if w.reflect_negative:
         return w.values[np.abs(m)]
     return np.where(m >= 0, w.values[np.maximum(m, 0)], w.values.dtype.type(0))

@@ -94,12 +94,6 @@ class FormSystem:
     def constants(self):
         return [f.constant for f in self.forms]
 
-    def evaluate(self, point):
-        return tuple(f(point) for f in self.forms)
-
-    def subsystem(self, indices):
-        return FormSystem(tuple(self.forms[i] for i in indices))
-
     def __str__(self):
         return "(" + ", ".join(str(f) for f in self.forms) + ")"
 

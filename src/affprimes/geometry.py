@@ -105,15 +105,6 @@ class ConvexBody:
         ]
         return self.intersect(hs)
 
-    # -- membership ------------------------------------------------------------
-
-    def contains(self, point):
-        if len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
-        return all(
-            sum(ai * xi for ai, xi in zip(a, point)) <= c for a, c in self.halfspaces
-        )
-
     def vertices(self):
         """The distinct vertices of K as tuples of exact Fractions (cached); [] if K is empty.
 
@@ -176,17 +167,6 @@ class ConvexBody:
         ]
         return self._chain
 
-    def is_empty(self):
-        """No real point: FM elimination is exact, so compare the x1 bounds as rationals."""
-        chain = self._fm_chain()
-        if not chain:
-            return True
-        a, c = chain[0]
-        a, c = a[:, 0].tolist(), c.tolist()
-        lo = max(Fraction(ci, ai) for ai, ci in zip(a, c) if ai < 0)
-        hi = min(Fraction(ci, ai) for ai, ci in zip(a, c) if ai > 0)
-        return lo > hi
-
     # -- enumeration --------------------------------------------------------------
 
     def run_blocks(self):
@@ -207,11 +187,6 @@ class ConvexBody:
         """The runs of run_blocks() one at a time, as (prefix tuple, lo, hi) ints."""
         for prefix, lo, hi in self.run_blocks():
             yield from zip(map(tuple, prefix.tolist()), lo.tolist(), hi.tolist())
-
-    def lattice_points(self):
-        for prefix, lo, hi in self.runs():
-            for x in range(lo, hi + 1):
-                yield prefix + (x,)
 
     def lattice_point_count(self, runs=None):
         """The number of lattice points of K, read off runs (outer_values_and_bounds()) when given."""

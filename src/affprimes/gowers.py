@@ -35,7 +35,6 @@ class GowersResult:
     raw_power_average: float
     norm: float
     method: str
-    order: int          # 2^{|A|} or 2^{s+1}: the power of the defining average
 
 
 def _finalize(raw, method, order):
@@ -44,7 +43,7 @@ def _finalize(raw, method, order):
         norm = 0.0 if raw_real > -1e-9 else float("nan")
     else:
         norm = raw_real ** (1.0 / order)
-    return GowersResult(raw_power_average=raw_real, norm=norm, method=method, order=order)
+    return GowersResult(raw_power_average=raw_real, norm=norm, method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ class SmoothCutoff:
     derivative: object          # chi'(x) for x > 0 (right-derivative at 0)
     support_radius: float = 1.0
     breakpoints: tuple = ()
-    smooth_at_zero: bool = True
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -93,7 +92,6 @@ def normalized_bump(eps=1e-6):
         evaluator=chi,
         derivative=deriv,
         breakpoints=(eps, 1 - eps, 1.0),
-        smooth_at_zero=True,
     )
 
 
@@ -135,7 +133,6 @@ def tent_taper(delta=0.1):
         evaluator=chi,
         derivative=deriv,
         breakpoints=(1 - delta, 1.0),
-        smooth_at_zero=False,       # kink at 0: derivative means the x>0 branch
     )
 
 
@@ -173,7 +170,6 @@ def split_sharp_flat():
         evaluator=sharp,
         derivative=sharp_deriv,
         breakpoints=(0.5, 1.0),
-        smooth_at_zero=True,
     )
     return chi_s, flat
 
@@ -272,12 +268,9 @@ class EnvelopingSieve:
     nu: np.ndarray
     n_scale: int
     n_prime: int
-    c_factor: int
-    gamma: float
     big_r: float
     wparams: object
     b_list: tuple
-    chi: SmoothCutoff
 
     def mean(self):
         return float(self.nu.mean())
@@ -311,12 +304,9 @@ def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, 
         nu=nu,
         n_scale=n_scale,
         n_prime=n_prime,
-        c_factor=c_factor,
-        gamma=gamma,
         big_r=big_r,
         wparams=wparams,
         b_list=tuple(b_list),
-        chi=chi,
     )
 
 

@@ -144,16 +144,11 @@ def local_profile(sys, p_max):
 @dataclass
 class SingularSeries:
     truncated_product: float
-    p_max: int
     tail_log_bound: float
     vanishing: bool
     envelope_constant: float
     exceptional_primes: list
     log_product: float
-
-    @property
-    def value(self):
-        return 0.0 if self.vanishing else self.truncated_product
 
 
 def singular_series(sys, p_max, min_prime=2):
@@ -199,7 +194,6 @@ def singular_series(sys, p_max, min_prime=2):
     product = 0.0 if vanishing else math.exp(log_sum)
     return SingularSeries(
         truncated_product=product,
-        p_max=p_max,
         tail_log_bound=tail,
         vanishing=vanishing,
         envelope_constant=envelope,

@@ -38,9 +38,6 @@ class HeisenbergElement:
             self.x + other.x, self.y + other.y, self.z + other.z + self.x * other.y
         )
 
-    def inverse(self):
-        return HeisenbergElement(-self.x, -self.y, -self.z + self.x * self.y)
-
     def power(self, n):
         """g^n = (n x, n y, n z + C(n,2) x y); valid for negative n as well.
 
@@ -54,12 +51,6 @@ class HeisenbergElement:
             binom = n * (n - 1) // 2
         return HeisenbergElement(n * self.x, n * self.y, n * self.z + binom * self.x * self.y)
 
-    def is_identity(self):
-        return self.x == 0 and self.y == 0 and self.z == 0
-
-    def in_center(self):
-        return self.x == 0 and self.y == 0
-
     @classmethod
     def identity(cls):
         return cls(0, 0, 0)
@@ -70,9 +61,6 @@ class HeisenbergElement:
         from its numerator and denominator as Python ints (_ratio), so that the group law never
         wraps in a fixed-width integer."""
         return cls(*(Fraction(*_ratio(c)) if isinstance(c, numbers.Rational) else Fraction(c) for c in (x, y, z)))
-
-    def commutator(self, other):
-        return self * other * self.inverse() * other.inverse()
 
 
 @dataclass(frozen=True)
@@ -192,7 +180,6 @@ def abelian_orbit_parallelepiped(g, x, n, h1, h2):
 @dataclass
 class SkewCheck:
     x_residuals: tuple
-    prediction: tuple
     residual: object        # None when no true vertex was supplied
 
 
@@ -218,7 +205,7 @@ def skew_constraint(points, true_vertex=None):
         torus_distance(px + points[(1, 1, 0)][0], points[(1, 0, 0)][0] + points[(0, 1, 0)][0]),
     )
     residual = None if true_vertex is None else torus_distance((px, py), true_vertex)
-    return SkewCheck(x_residuals=x_res, prediction=(px, py), residual=residual)
+    return SkewCheck(x_residuals=x_res, residual=residual)
 
 
 def skew_orbit_point(alpha, x, y, m):

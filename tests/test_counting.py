@@ -255,9 +255,9 @@ def test_quadrature_bit_identical_to_g_and_dg_nodes():
 
 
 def test_quadrature_working_memory_bounded():
-    # the compare-ap4-5e4 body of the hl-progressions benchmark: the clipped
-    # row arrays and one block's three (nodes, RUN_BLOCK) panel buffers peak
-    # at about 3.65 MiB; a fourth buffer or a wider block would pass 4 MiB
+    # the compare-ap4-5e4 body of the hl-progressions benchmark: one block's
+    # clipped rows and its three (nodes, RUN_BLOCK) panel buffers peak at
+    # about 2.30 MiB; a block twice as wide (4.2 MiB) would pass 4 MiB
     n, k = 5 * 10**4, 4
     sys = forms.ap_system(k)
     body = geometry.ConvexBody(2, [((-1, 0), -1), ((0, -(k - 1)), -(k - 1)), ((1, k - 1), n)], n)
@@ -475,15 +475,36 @@ def test_table_range_guard(tables_1e6):
 
 
 # ---------------------------------------------------------------------------
-# differential tests against brute force over body.lattice_points()
+# differential tests against brute force over _lattice_points(body)
 
 TABLE_TOP = 64          # covers |psi| <= 3 * 3 * 5 + 12 on the generated systems
 
 
+def _value_at(w, m):
+    """w(m) read off the weight's table one argument at a time."""
+    if w.kind == "one":
+        return 1.0
+    m = int(m)
+    if m < 0:
+        if not w.reflect_negative:
+            return 0.0
+        m = -m
+    if m > w.m_max:
+        raise ValueError(f"weight {w.name}: argument {m} beyond table")
+    return float(w.values[m])
+
+
+def _lattice_points(body):
+    """The lattice points of body one at a time, in the order of its runs."""
+    for prefix, lo, hi in body.runs():
+        for x in range(lo, hi + 1):
+            yield prefix + (x,)
+
+
 def _brute_terms(sys_, body, weights):
     return [
-        math.prod(w.value_at(f(p)) for f, w in zip(sys_.forms, weights))
-        for p in body.lattice_points()
+        math.prod(_value_at(w, f(p)) for f, w in zip(sys_.forms, weights))
+        for p in _lattice_points(body)
     ]
 
 
@@ -533,8 +554,10 @@ def _count_cases(draw, pool=None):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_count_cases())
 def test_weighted_count_matches_brute_force(case):
-    # every driver route (sparse, +-1, float) against value_at over the lattice
-    # points; integer-valued weights exactly, float ones to 1e-12 of sum |term|
+    # the sparse, +-1 int8 and float drivers (tiles and per run) against
+    # _value_at over the lattice points; integer-valued weights exactly, float
+    # ones to 1e-12 of sum |term|.  No prime weight is drawn, and the +-1 bit
+    # planes need longer segments: their brute-force tests are their own.
     sys_, body, weights = case
     fast = counting.weighted_count(sys_, body, weights)
     terms = _brute_terms(sys_, body, weights)
@@ -547,6 +570,68 @@ def test_weighted_count_matches_brute_force(case):
     with mock.patch.object(geometry, "RUN_BLOCK", 3), mock.patch.object(counting, "CAND_BLOCK", 5), \
             mock.patch.object(counting, "PM1_CHUNK", 5):
         assert counting.weighted_count(sys_, body, weights).hex() == fast.hex()
+
+
+def test_every_route_meets_a_brute_force_oracle(rng):
+    # each driver of the engine, and each route of the exact integral, is
+    # reached at least once while its result is checked against _value_at
+    # over _lattice_points.  No count has three forms in two variables, so
+    # none takes the Fourier route; test_fourier_route_matches_driver covers
+    # it.  A float row is tiled or takes the per-run loop, so rows past the
+    # tiled ones went through the loop.  PM1_CHUNK = 8 sends the +-1 square
+    # to the bit planes unless a weight reflects negatives.
+    def g(m):
+        return 1.0 / math.log(m) if m > 2 else 0.0
+
+    float_partials, tile_views = counting._float_partials, counting._tile_views
+    rows = {"float": 0, "tiled": 0}
+
+    def count_rows(*args):
+        for partial in float_partials(*args):
+            rows["float"] += 1
+            yield partial
+
+    def count_tiled(ws, off, steps, cfs, n, a, b):
+        views = tile_views(ws, off, steps, cfs, n, a, b)
+        rows["tiled"] += n if views is not None else 0
+        return views
+
+    prime = counting.make_weight("prime_indicator", PRIME_TABLES)
+    pm1, pm1_reflect = _make_weight("pm1", False, rng), _make_weight("pm1", True, rng)
+    flt, flt_reflect = _make_weight("float", False, rng), _make_weight("float", True, rng)
+    sparse = _make_weight("sparse", False, rng)
+    square = geometry.ConvexBody.box(2, 0, 20)
+    counts = [
+        (forms.ap_system(4), ap_body(4, 60, strict=False), [prime] * 4),        # bitset
+        (forms.system([[1, 0], [1, 1]]), square, [pm1] * 2),                   # +-1 bit planes
+        (forms.system([[1, 0], [1, 1]]), square, [pm1_reflect] * 2),           # +-1 int8 chunks
+        (forms.system([[1, 1], [1, -1]], [0, 20]), square, [sparse] * 2),      # sparse
+        (forms.system([[1, 1], [2, 1]]), square, [flt] * 2),                   # float tiles
+        (forms.system([[1], [3]], [0, 2]), geometry.ConvexBody.box(1, -20, 20), [flt_reflect, flt]),  # per run
+    ]
+    integrals = [
+        (forms.ap_system(3), ap_body(3, 40, strict=False)),                    # 1/log table
+        (forms.system([[10**8]]), geometry.ConvexBody.box(1, 1, 2)),           # 1/log per point
+    ]
+    spy = {name: mock.Mock(wraps=getattr(counting, name)) for name in (
+        "_bitset_partial", "_pm1_bit_partials", "_int8_sum", "_sparse_partials", "_weighted_count",
+        "_integral_sum_pointwise")}
+    with mock.patch.multiple(counting, _float_partials=count_rows, _tile_views=count_tiled, PM1_CHUNK=8, **spy):
+        for sys_, body, weights in counts:
+            terms = _brute_terms(sys_, body, weights)
+            fast = counting.weighted_count(sys_, body, weights)
+            if all(w.kind != "float" for w in weights):
+                assert fast == sum(terms)
+            else:
+                assert abs(fast - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+        for sys_, body in integrals:
+            brute = math.fsum(math.prod(g(f(p)) for f in sys_.forms) for p in _lattice_points(body))
+            exact = counting._integral_sum_exact(sys_, body, body.lattice_point_count())
+            assert exact == pytest.approx(brute, rel=1e-12, abs=0)
+    for name in ("_bitset_partial", "_pm1_bit_partials", "_int8_sum", "_sparse_partials", "_integral_sum_pointwise"):
+        assert spy[name].called, name
+    assert 0 < rows["tiled"] < rows["float"]
+    assert any(c.args[2][0].name == "1/log" for c in spy["_weighted_count"].call_args_list)
 
 
 def _float_driver_as_was(sys_, body, weights):
@@ -829,11 +914,11 @@ def _segment_partials(weights, steps, off, a, b, const, bits):
 @given(_pm1_segments(), st.sampled_from([2, 18, 50, 2**20]))
 def test_pm1_bit_partials_match_brute_force_and_int8(case, chunk):
     # PM1_CHUNK = 1 sends every segment to the bit path; accumulators of 1, 9
-    # or 25 bytes split rows and columns.  Its partials sum to value_at over
+    # or 25 bytes split rows and columns.  Its partials sum to _value_at over
     # the segment and to the int8 chunks' partials (bits=None).
     weights, steps, off, a, b, const = case
     args = off[:, :, None] + np.arange(a, b + 1)          # args[r, i, x - a]
-    values = [np.array([w.value_at(m) for m in range(args.max() + 1)]) for w in weights]
+    values = [np.array([_value_at(w, m) for m in range(args.max() + 1)]) for w in weights]
     terms = const[:, None] * np.prod([v[args[:, i]] for i, v in enumerate(values)], axis=0)
     brute = int(terms.sum())
     with mock.patch.object(counting, "PM1_CHUNK", 1), mock.patch.object(counting, "BITSET_CHUNK", chunk):
@@ -934,7 +1019,7 @@ def test_integral_sum_exact_matches_brute_force(tables_1e6):
         (forms.system([[1000], [1]], [0, 5]), geometry.ConvexBody.box(1, 1, 300, box_bound=300)),
     ]
     for sys_, body in cases:
-        brute = math.fsum(math.prod(g(f(p)) for f in sys_.forms) for p in body.lattice_points())
+        brute = math.fsum(math.prod(g(f(p)) for f in sys_.forms) for p in _lattice_points(body))
         npoints = body.lattice_point_count()
         assert counting._integral_sum_exact(sys_, body, npoints) == pytest.approx(brute, rel=1e-12, abs=0)
         assert counting._integral_sum_pointwise(sys_, body) == pytest.approx(brute, rel=1e-12, abs=0)
@@ -1004,7 +1089,7 @@ def _engine_count(sys_, body, weights):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_bitset_cases())
 def test_bitset_route_matches_brute_force_and_driver(case):
-    # the engine's integer against value_at over the lattice points and the
+    # the engine's integer against _value_at over the lattice points and the
     # sparse driver (the user-built weight), at the default sizes and with
     # AND buffers of 1 or 3 bytes (one slice each, or several) and 3-row blocks
     sys_, body, weights, expected = case

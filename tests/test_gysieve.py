@@ -75,7 +75,6 @@ class TestCutoffs:
             evaluator=lambda x: 2.0 * tent(x),
             derivative=lambda x: 2.0 * tent.derivative(x),
             breakpoints=tent.breakpoints,
-            smooth_at_zero=False,
         )
         assert gysieve.sieve_factor(doubled, 1) == pytest.approx(
             2 * gysieve.sieve_factor(tent, 1)

@@ -16,6 +16,19 @@ from affprimes import arith, nilseq
 H = nilseq.HeisenbergElement
 
 
+def _inverse(g):
+    """g^-1 under the group law (x, y, z)(x', y', z') = (x + x', y + y', z + z' + x y')."""
+    return H(-g.x, -g.y, -g.z + g.x * g.y)
+
+
+def _is_identity(g):
+    return g.x == 0 and g.y == 0 and g.z == 0
+
+
+def _in_center(g):
+    return g.x == 0 and g.y == 0
+
+
 def rand_el(rng, den=12, span=40):
     return H.exact(
         Fraction(int(rng.integers(-span, span)), int(rng.integers(1, den))),
@@ -31,8 +44,8 @@ class TestGroup:
             assert (a * b) * c == a * (b * c)
         for _ in range(100):
             a = rand_el(rng)
-            assert (a * a.inverse()).is_identity()
-            assert (a.inverse() * a).is_identity()
+            assert _is_identity(a * _inverse(a))
+            assert _is_identity(_inverse(a) * a)
 
     def test_power_law_vs_iteration(self, rng):
         g = rand_el(rng)
@@ -40,8 +53,8 @@ class TestGroup:
         for n in range(1, 101):
             acc = acc * g
             assert acc == g.power(n)
-        assert g.power(-13) == g.inverse().power(13)
-        assert g.power(0).is_identity()
+        assert g.power(-13) == _inverse(g).power(13)
+        assert _is_identity(g.power(0))
 
     def test_numpy_exponent_stays_exact(self):
         g = H.exact(Fraction(1, 3), Fraction(2, 5), Fraction(1, 7))
@@ -67,9 +80,12 @@ class TestGroup:
             assert got.z.numerator == (-4295) * (-4296) // 2 * 999753 * 999999
 
     def test_commutators_central(self, rng):
+        def commutator(a, b):
+            return a * b * _inverse(a) * _inverse(b)
+
         for _ in range(100):
             a, b = rand_el(rng), rand_el(rng)
-            assert a.commutator(b).in_center()
+            assert _in_center(commutator(a, b))
 
 
 def _centered(t):
@@ -165,7 +181,7 @@ class TestReduction:
             pt2, gamma2 = nilseq.reduce_to_fundamental_domain(
                 H(pt.x, pt.y, pt.z)
             )
-            assert pt2 == pt and gamma2.is_identity()
+            assert pt2 == pt and _is_identity(gamma2)
 
 
 def _old_nilpoint_verdict(c):
@@ -409,16 +425,16 @@ def _fraction_peel(cube):
     for m in sorted(omegas, key=lambda m: (-sum(m), m)):
         codim = 3 - sum(m)
         tau = residual[m]
-        if codim == 2 and not tau.in_center():
+        if codim == 2 and not _in_center(tau):
             failures.append((m, "not central"))
-        if codim == 3 and not tau.is_identity():
+        if codim == 3 and not _is_identity(tau):
             failures.append((m, "not identity"))
         taus.append((m, tau))
-        inv = tau.inverse()
+        inv = _inverse(tau)
         for w in omegas:
             if all(wi <= mi for wi, mi in zip(w, m)):
                 residual[w] = inv * residual[w]
-    success = not failures and all(residual[w].is_identity() for w in omegas)
+    success = not failures and all(_is_identity(residual[w]) for w in omegas)
     return taus, success, failures
 
 
@@ -528,15 +544,15 @@ class TestHostKra:
             for m, tau in res.taus:
                 codim = 3 - sum(m)
                 if codim == 2:
-                    assert tau.in_center()
+                    assert _in_center(tau)
                 if codim == 3:
-                    assert tau.is_identity()
+                    assert _is_identity(tau)
 
     def test_identity_cube(self):
         cube = {w: H.identity() for w in itertools.product((0, 1), repeat=3)}
         res = nilseq.hk_factorize_heisenberg(cube)
         assert res.success
-        assert all(tau.is_identity() for _, tau in res.taus)
+        assert all(_is_identity(tau) for _, tau in res.taus)
 
     def test_center_perturbation_always_fails(self, rng):
         fails = 0

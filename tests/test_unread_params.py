@@ -1,4 +1,5 @@
-"""Every parameter of every function in src/affprimes is read in its body."""
+"""Every parameter of every function in src/affprimes is read in its body, and
+every dataclass field is read somewhere in src, demos, perfbench or tests."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,9 @@ ALLOWED_UNREAD = {
     "gysieve.build_enveloping_sieve.tables",
     "gysieve.tau_moments.tables",
 }
+
+# 'module.Class.field' kept although no code reads it, each with a one-line reason.
+ALLOWED_UNREAD_FIELDS = {}
 
 
 def unread_parameters(source, module):
@@ -52,3 +56,50 @@ def test_every_parameter_is_read():
     for path in sorted(SRC.glob("*.py")):
         unread.update(unread_parameters(path.read_text(), path.stem))
     assert unread == ALLOWED_UNREAD
+
+
+def dataclass_fields(source, module):
+    """'module.Class.field' for each annotated field of each @dataclass class."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            out.extend(
+                f"{module}.{node.name}.{s.target.id}"
+                for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            )
+    return out
+
+
+def loaded_attributes(sources):
+    """Every attribute name that some source loads (obj.name read, not assigned)."""
+    return {
+        n.attr for src in sources for n in ast.walk(ast.parse(src))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_unread_field_check_flags_an_unread_field():
+    src = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    used: int\n    spare: int = 0\n"
+        "@dataclass\nclass B:\n    kept: int\n"
+        "class C:\n    plain: int\n"
+        "def f(a, b):\n    b.spare = a.used\n    return b.kept\n"
+    )
+    fields = dataclass_fields(src, "m")
+    assert fields == ["m.A.used", "m.A.spare", "m.B.kept"]
+    assert [f for f in fields if f.rsplit(".", 1)[1] not in loaded_attributes([src])] == ["m.A.spare"]
+
+
+def test_every_dataclass_field_is_read():
+    root = SRC.parents[1]
+    sources = [
+        p.read_text() for tree in ("src", "demos", "perfbench", "tests") for p in sorted((root / tree).rglob("*.py"))
+    ]
+    loaded = loaded_attributes(sources)
+    fields = [f for p in sorted(SRC.glob("*.py")) for f in dataclass_fields(p.read_text(), p.stem)]
+    unread = sorted(f for f in fields if f.rsplit(".", 1)[1] not in loaded)
+    assert unread == sorted(ALLOWED_UNREAD_FIELDS), f"dataclass fields that nothing reads: {unread}"
