@@ -14,17 +14,23 @@ offset on every run, and forms with a zero inner coefficient give a per-run
 constant factor.  Each block goes to the first driver that applies:
 
 * bitset, the paper's W-trick with W = BITSET_W = 6, when every live weight
-  is the prime indicator and every varying form has inner coefficient +-1
-  (AP4, twins): points where a form is 2 or 3 are counted directly, the
-  others lie in the classes mod 6 of the inner coordinate where every form
-  is a unit and are read as ANDs of bit-packed prime masks;
+  is the prime indicator, every varying form has inner coefficient +-1 and
+  K has dimension >= 2 (AP4; a dim-1 count such as twins is one row, too
+  short to pay for the planes): points where a form is 2 or 3 are counted
+  directly, the others lie in the classes mod 6 of the inner coordinate
+  where every form is a unit and are read as ANDs of bit-packed prime
+  masks;
 * +-1 (mobius, liouville): 2-D strided int8 views of row segments,
   multiplied in place and summed exactly in chunks (_pm1_partials); a
   segment of at least PM1_CHUNK points is counted on bit planes instead
   when every varying form has inner coefficient +1 and reads its table at
   arguments >= 0 without reflection: the nonzero bits of the forms' tables
   are ANDed, their sign bits XORed, and the partial is
-  popcount(nonzero) - 2 popcount(nonzero & sign) (_pm1_bit_partials);
+  popcount(nonzero) - 2 popcount(nonzero & sign) (_pm1_bit_partials).  A
+  form whose weight has no zero from its lowest argument in the segment up
+  to the largest over K (liouville from argument 1 on) reads no nonzero
+  bits; when no form reads them, the partial is the points of rows whose
+  constant is nonzero minus 2 popcount(sign);
 * sparse (weights supported on primes or prime powers): the sorted support
   of a form with inner coefficient +-1 drives the iteration, each further
   form filtered by its support mask (_sparse_partials);
@@ -235,10 +241,11 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
     nonpositive arguments.
 
     The Fourier route is tried first, then the engine's drivers: bitset
-    (live weights all from the 'prime_indicator' selector; a user-built
-    Weight never takes it), +-1 (segments of at least PM1_CHUNK points with
-    inner coefficients +1 and arguments >= 0 on bit planes, the others in
-    exact int8 2-D blocks), sparse (all varying forms sparse, one with inner
+    (live weights all from the 'prime_indicator' selector and K of dimension
+    >= 2; a user-built Weight never takes it), +-1 (segments of at least
+    PM1_CHUNK points with inner coefficients +1 and arguments >= 0 on bit
+    planes, sign bits alone where no weight can vanish, the others in exact
+    int8 2-D blocks), sparse (all varying forms sparse, one with inner
     coefficient +-1) or float per-run views, in that order (see the module
     docstring).  Integer counts may first permute
     the coordinates (_unit_stride); the lattice points of K map one to one,
@@ -283,7 +290,8 @@ def _weighted_count(sys, body, weights):
     if pm1 and all(inner[i] == 1 and not weights[i].reflect_negative for i in varying):
         # bit planes per weight and the accumulators, built on first use; the planes stop at the largest argument over K
         pm1_bits = {"m_hi": max((_form_bound(unstrided, sys.forms[i]) or 0 for i in varying), default=0)}
-    if primes and varying and all(abs(inner[i]) == 1 for i in varying):
+    # a dim-1 body is one row: the bit planes cost O(table) and pay off only over many rows
+    if primes and sys.d > 1 and varying and all(abs(inner[i]) == 1 for i in varying):
         mask = max((weights[i].values for i in live), key=len)      # all prime masks: the longest serves
         bits = _bit_planes(mask)
         signs = coeffs[varying, -1]
@@ -363,10 +371,11 @@ def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bit
     lo, hi = lo.tolist(), hi.tolist()
     for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lo)]):
         a, b = lo[s], hi[s]
-        if (bits is not None and (e - s) * (b - a + 1) >= PM1_CHUNK
-                and min(_argument_range(int(off[s, i]), step[i], 1, e - s, a, b)[0] for i in varying) >= 0):
-            yield from _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, bits)
-            continue
+        if bits is not None and (e - s) * (b - a + 1) >= PM1_CHUNK:
+            lows = [_argument_range(int(off[s, i]), step[i], 1, e - s, a, b)[0] for i in varying]
+            if min(lows) >= 0:
+                yield from _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, lows, bits)
+                continue
         width = min(b - a + 1, PM1_CHUNK)
         height = PM1_CHUNK // width
         for r in range(s, e, height):
@@ -387,34 +396,46 @@ def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bit
                 yield _int8_sum(acc)
 
 
-def _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, bits):
+def _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, lows, bits):
     """Yield the exact partials of the segment of rows s..e-1 and columns a..b, read as bits.
 
-    Every varying form has inner coefficient +1 and reads arguments >= 0.  A
-    +-1 value v is the pair (v != 0, v < 0), and a product of such values is
-    the AND of the first bits and the XOR of the second, so the sum over a
-    chunk is popcount(nz) - 2 popcount(nz & sign).  On the rows r = s + c,
-    s + c + 8, ... of one class c mod 8, form i starts at the argument
-    m = off_i(r) + x, which moves by 8 step_i from row to row: the rows are
-    one 2-D view (row stride step_i bytes) of the plane m mod 8 of
-    _shifted_planes.  The chunks fill two accumulators of BITSET_CHUNK / 2
-    bytes each, whole uint64 words; the bits past a row's end (_TAILS), the
-    padding and the rows whose constant factor is 0 are cleared, and the
-    sign bits of rows whose constant is -1 are flipped.
+    Every varying form has inner coefficient +1 and reads arguments >= 0,
+    form varying[k] none below lows[k].  A +-1 value v is the pair
+    (v != 0, v < 0), and a product of such values is the AND of the first
+    bits and the XOR of the second, so the sum over a chunk is
+    popcount(nz) - 2 popcount(nz & sign).  A form reads its weight's nonzero
+    bits only if the weight has a zero at or above lows[k] (up to
+    bits["m_hi"]); elsewhere they are all ones, and a weight's nonzero
+    planes are built on the first segment that reads them.  When no form
+    reads them, popcount(nz) is the points of the rows whose constant is
+    nonzero.  On the rows r = s + c, s + c + 8, ... of one class c mod 8,
+    form i starts at the argument m = off_i(r) + x, which moves by 8 step_i
+    from row to row: the rows are one 2-D view (row stride step_i bytes) of
+    the plane m mod 8 of _shifted_planes.  The chunks fill two accumulators
+    of BITSET_CHUNK / 2 bytes each, whole uint64 words.  The sign bits of
+    rows whose constant is -1 are flipped; then the bits past a row's end
+    (_TAILS), the padding and the rows whose constant is 0 are cleared in
+    nz, or in the sign bits (the flip set their tails) when no form reads
+    nonzero bits.
     """
     if "acc" not in bits:
         size = BITSET_CHUNK // 2
         padded = -(-size // 8) * 8
         bits["acc"] = size, np.empty(padded, np.uint8), np.empty(padded, np.uint8), np.empty(padded // 8, np.uint8)
     size, nz_acc, sg_acc, ones = bits["acc"]
-    planes = []
-    for i in varying:
+    signs, nonzeros = [], []            # (form, planes) read into each accumulator
+    for i, low in zip(varying, lows):
         w = weights[i]
+        v = w.values[:bits["m_hi"] + 1]     # the arguments K reaches
         if id(w) not in bits:
-            v = w.values[:bits["m_hi"] + 1]         # the arguments K reaches
-            nbytes = len(v) // 8 + 2
-            bits[id(w)] = (_shifted_planes(v != 0, nbytes), _shifted_planes(v < 0, nbytes))
-        planes.append(bits[id(w)])
+            zeros = np.flatnonzero(v == 0)
+            bits[id(w)] = {"zero": int(zeros[-1]) if len(zeros) else -1, "sign": _shifted_planes(v < 0, len(v) // 8 + 2)}
+        planes = bits[id(w)]
+        signs.append((i, planes["sign"]))
+        if low <= planes["zero"]:
+            if "nonzero" not in planes:
+                planes["nonzero"] = _shifted_planes(v != 0, len(v) // 8 + 2)
+            nonzeros.append((i, planes["nonzero"]))
     width = min(b - a + 1, 8 * size)
     height = size // ((width + 7) // 8)
     for c0 in range(s, min(s + 8, e)):
@@ -427,25 +448,29 @@ def _pm1_bit_partials(weights, varying, step, off, s, e, a, b, const, bits):
                 nb = (y - x) // 8 + 1
                 n = len(c) * nb
                 nz, sg = nz_acc[:n].reshape(len(c), nb), sg_acc[:n].reshape(len(c), nb)
-                for k, (i, (pnz, psg)) in enumerate(zip(varying, planes)):
-                    m = int(off[r, i]) + x
-                    vnz, vsg = (np.ndarray((len(c), nb), np.uint8, p, m % 8 * p.shape[1] + m // 8, (step[i], 1))
-                                for p in (pnz, psg))
-                    if k == 0:
-                        nz[...], sg[...] = vnz, vsg
-                    else:
-                        np.bitwise_and(nz, vnz, out=nz)
-                        np.bitwise_xor(sg, vsg, out=sg)
-                nz[:, -1] &= _TAILS[(y - x) % 8]
+                for out, combine, read in ((sg, np.bitwise_xor, signs), (nz, np.bitwise_and, nonzeros)):
+                    for k, (i, p) in enumerate(read):
+                        m = int(off[r, i]) + x
+                        view = np.ndarray((len(c), nb), np.uint8, p, m % 8 * p.shape[1] + m // 8, (step[i], 1))
+                        if k == 0:
+                            out[...] = view
+                        else:
+                            combine(out, view, out=out)
+                acc, mask = (nz_acc, nz) if nonzeros else (sg_acc, sg)
                 if c.min() < 1:
-                    nz[c == 0] = 0
                     np.invert(sg, out=sg, where=(c < 0)[:, None])
+                    mask[c == 0] = 0
+                mask[:, -1] &= _TAILS[(y - x) % 8]
                 words = -(-n // 8)
-                nz_acc[n:8 * words] = 0
-                nz64, sg64 = nz_acc[:8 * words].view(np.uint64), sg_acc[:8 * words].view(np.uint64)
-                np.bitwise_and(sg64, nz64, out=sg64)
-                # popcounts into one reused buffer; their uint32 sum is at most 4 BITSET_CHUNK < 2**32
-                total = int(np.bitwise_count(nz64, out=ones[:words]).sum(dtype=np.uint32))
+                acc[n:8 * words] = 0
+                sg64 = sg_acc[:8 * words].view(np.uint64)
+                if nonzeros:
+                    nz64 = nz_acc[:8 * words].view(np.uint64)
+                    np.bitwise_and(sg64, nz64, out=sg64)
+                    # popcounts into one reused buffer; their uint32 sum is at most 4 BITSET_CHUNK < 2**32
+                    total = int(np.bitwise_count(nz64, out=ones[:words]).sum(dtype=np.uint32))
+                else:
+                    total = int(np.count_nonzero(c)) * (y - x + 1)
                 yield total - 2 * int(np.bitwise_count(sg64, out=ones[:words]).sum(dtype=np.uint32))
 
 

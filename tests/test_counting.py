@@ -579,7 +579,8 @@ def test_every_route_meets_a_brute_force_oracle(rng):
     # none takes the Fourier route; test_fourier_route_matches_driver covers
     # it.  A float row is tiled or takes the per-run loop, so rows past the
     # tiled ones went through the loop.  PM1_CHUNK = 8 sends the +-1 square
-    # to the bit planes unless a weight reflects negatives.
+    # to the bit planes unless a weight reflects negatives; a +-1 table
+    # without zeros is read on its sign planes alone.
     def g(m):
         return 1.0 / math.log(m) if m > 2 else 0.0
 
@@ -598,12 +599,14 @@ def test_every_route_meets_a_brute_force_oracle(rng):
 
     prime = counting.make_weight("prime_indicator", PRIME_TABLES)
     pm1, pm1_reflect = _make_weight("pm1", False, rng), _make_weight("pm1", True, rng)
+    signs = counting.Weight(name="signs", kind="pm1", values=rng.choice(np.array([-1, 1], np.int8), TABLE_TOP + 1))
     flt, flt_reflect = _make_weight("float", False, rng), _make_weight("float", True, rng)
     sparse = _make_weight("sparse", False, rng)
     square = geometry.ConvexBody.box(2, 0, 20)
     counts = [
         (forms.ap_system(4), ap_body(4, 60, strict=False), [prime] * 4),        # bitset
         (forms.system([[1, 0], [1, 1]]), square, [pm1] * 2),                   # +-1 bit planes
+        (forms.system([[1, 0], [1, 1]]), square, [signs] * 2),                 # +-1 sign planes alone
         (forms.system([[1, 0], [1, 1]]), square, [pm1_reflect] * 2),           # +-1 int8 chunks
         (forms.system([[1, 1], [1, -1]], [0, 20]), square, [sparse] * 2),      # sparse
         (forms.system([[1, 1], [2, 1]]), square, [flt] * 2),                   # float tiles
@@ -615,11 +618,14 @@ def test_every_route_meets_a_brute_force_oracle(rng):
     ]
     spy = {name: mock.Mock(wraps=getattr(counting, name)) for name in (
         "_bitset_partial", "_pm1_bit_partials", "_int8_sum", "_sparse_partials", "_weighted_count",
-        "_integral_sum_pointwise")}
+        "_integral_sum_pointwise", "_shifted_planes")}
+    built = []              # _shifted_planes calls per count
     with mock.patch.multiple(counting, _float_partials=count_rows, _tile_views=count_tiled, PM1_CHUNK=8, **spy):
         for sys_, body, weights in counts:
             terms = _brute_terms(sys_, body, weights)
+            before = spy["_shifted_planes"].call_count
             fast = counting.weighted_count(sys_, body, weights)
+            built.append(spy["_shifted_planes"].call_count - before)
             if all(w.kind != "float" for w in weights):
                 assert fast == sum(terms)
             else:
@@ -630,6 +636,7 @@ def test_every_route_meets_a_brute_force_oracle(rng):
             assert exact == pytest.approx(brute, rel=1e-12, abs=0)
     for name in ("_bitset_partial", "_pm1_bit_partials", "_int8_sum", "_sparse_partials", "_integral_sum_pointwise"):
         assert spy[name].called, name
+    assert built[1:3] == [2, 1]             # nonzero and sign planes, then sign planes alone
     assert 0 < rows["tiled"] < rows["float"]
     assert any(c.args[2][0].name == "1/log" for c in spy["_weighted_count"].call_args_list)
 
@@ -867,6 +874,7 @@ def test_pm1_route_matches_brute_force():
 # +-1 segments on bit planes
 
 PM1_RANDOM = np.random.default_rng(20261019).integers(-1, 2, size=2001).astype(np.int8)
+PM1_SIGNS = np.where(np.random.default_rng(20261020).random(2001) < 0.5, -1, 1).astype(np.int8)   # no zeros
 
 
 @st.composite
@@ -878,19 +886,27 @@ def _pm1_segments(draw):
     steps[i] r.  Widths cross byte and 64-bit boundaries, heights fall below
     and above the 8 row classes, steps run over -3..3 and each form's lowest
     argument is 0, a few, or anywhere up to 1000; const holds the rows'
-    fixed-form factors in {-1, 0, 1}.
+    fixed-form factors in {-1, 0, 1}.  In half the draws no weight vanishes
+    where its form reads it (liouville from argument 1 on, or a +-1 table
+    without zeros), so no form reads nonzero bits; the others mix in mobius,
+    a random table with zeros and liouville from argument 0.
     """
     rows = draw(st.integers(1, 8) | st.integers(9, 24))
     width = draw(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 520]) | st.integers(1, 200))
     a = draw(st.integers(-50, 50))
     t = draw(st.integers(1, 4))
-    tables = {"mobius": FOURIER_TABLES.mobius, "liouville": FOURIER_TABLES.liouville, "random": PM1_RANDOM}
+    zero_free = draw(st.booleans())
+    tables = {"liouville": FOURIER_TABLES.liouville, "signs": PM1_SIGNS}
+    if not zero_free:
+        tables.update(mobius=FOURIER_TABLES.mobius, random=PM1_RANDOM)
     weights, steps, first = [], [], []
     for _ in range(t):
         name = draw(st.sampled_from(sorted(tables)))
         weights.append(counting.Weight(name=name, kind="pm1", values=tables[name]))
         steps.append(draw(st.integers(-3, 3) | st.integers(0, 3)))
         lowest = draw(st.sampled_from([0, 0, 1, 2]) | st.integers(0, 1000))
+        if zero_free and name == "liouville":
+            lowest += 1         # liouville(0) = 0
         first.append(lowest - a - min(0, steps[-1] * (rows - 1)))
     off = np.array(first, np.int64) + np.arange(rows)[:, None] * np.array(steps, np.int64)
     low = draw(st.sampled_from([1, 0, -1]))           # all 1, or in {0, 1}, or in {-1, 0, 1}
@@ -910,22 +926,28 @@ def _segment_partials(weights, steps, off, a, b, const, bits):
     return partials, bit_path.called
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(_pm1_segments(), st.sampled_from([2, 18, 50, 2**20]))
 def test_pm1_bit_partials_match_brute_force_and_int8(case, chunk):
     # PM1_CHUNK = 1 sends every segment to the bit path; accumulators of 1, 9
     # or 25 bytes split rows and columns.  Its partials sum to _value_at over
-    # the segment and to the int8 chunks' partials (bits=None).
+    # the segment and to the int8 chunks' partials (bits=None).  Each weight
+    # gets its sign planes, and its nonzero planes only if it has a zero
+    # between the lowest argument of one of its forms and the largest argument.
     weights, steps, off, a, b, const = case
     args = off[:, :, None] + np.arange(a, b + 1)          # args[r, i, x - a]
-    values = [np.array([_value_at(w, m) for m in range(args.max() + 1)]) for w in weights]
+    m_hi = int(args.max())
+    values = [np.array([_value_at(w, m) for m in range(m_hi + 1)]) for w in weights]
     terms = const[:, None] * np.prod([v[args[:, i]] for i, v in enumerate(values)], axis=0)
     brute = int(terms.sum())
-    with mock.patch.object(counting, "PM1_CHUNK", 1), mock.patch.object(counting, "BITSET_CHUNK", chunk):
-        bit, took = _segment_partials(weights, steps, off, a, b, const, {"m_hi": int(args.max())})
+    with mock.patch.object(counting, "PM1_CHUNK", 1), mock.patch.object(counting, "BITSET_CHUNK", chunk), \
+            mock.patch.object(counting, "_shifted_planes", wraps=counting._shifted_planes) as planes:
+        bit, took = _segment_partials(weights, steps, off, a, b, const, {"m_hi": m_hi})
     int8, int8_took = _segment_partials(weights, steps, off, a, b, const, None)
     assert took and not int8_took
     assert sum(bit) == sum(int8) == brute
+    vanish = {id(w) for w, low in zip(weights, args.min(axis=(0, 2))) if not w.values[low:m_hi + 1].all()}
+    assert planes.call_count == len({id(w) for w in weights}) + len(vanish)
 
 
 def _bit_route(sys_, body, weights, tables=None):
@@ -935,11 +957,19 @@ def _bit_route(sys_, body, weights, tables=None):
     return count, bit_path.called
 
 
+def _planes_built(count, *args):
+    """(count(*args), the number of _shifted_planes calls it made)."""
+    with mock.patch.object(counting, "_shifted_planes", wraps=counting._shifted_planes) as planes:
+        return count(*args), planes.call_count
+
+
 def test_pm1_bit_route_spy():
     # at the default sizes, AP4 on a square box (one 1100 x 1100 segment) and
     # the Chowla box take bits, each equal to the int8 count (PM1_CHUNK past
     # every segment); the cube, the triangle, a stride-2 inner form and inner
-    # coefficients -1 stay on int8
+    # coefficients -1 stay on int8.  Over [1, n]^2 liouville is read at
+    # arguments >= 1, where it never vanishes: its sign planes alone are
+    # built, while mobius builds its nonzero planes too.
     n = 1100
     tables = arith.build_tables(4 * n + 2)
     ap4 = forms.ap_system(4)
@@ -947,7 +977,8 @@ def test_pm1_bit_route_spy():
     factors = [forms.AffineForm((1, 0)), forms.AffineForm((0, 1)), forms.AffineForm((1, 1)), forms.AffineForm((1, 2))]
     chowla_tables = arith.build_tables(4 * 3000 + 2)
     for f in ("mobius", "liouville"):
-        count, took = _bit_route(ap4, square, [f] * 4, tables)
+        (count, took), built = _planes_built(_bit_route, ap4, square, [f] * 4, tables)
+        assert built == (2 if f == "mobius" else 1)
         with mock.patch.object(counting, "PM1_CHUNK", 2**40):
             assert _bit_route(ap4, square, [f] * 4, tables) == (count, False)
         assert took
@@ -955,8 +986,8 @@ def test_pm1_bit_route_spy():
         reversed_ap4 = forms.system([[-1, k] for k in range(4)], [n + 1] * 4)
         assert _bit_route(reversed_ap4, square, [f] * 4, tables) == (count, False)
     with mock.patch.object(counting, "_pm1_bit_partials", wraps=counting._pm1_bit_partials) as bit_path:
-        chowla = counting.chowla_check(factors, 3000, chowla_tables)
-    assert bit_path.called
+        chowla, built = _planes_built(counting.chowla_check, factors, 3000, chowla_tables)
+    assert bit_path.called and built == 1
     with mock.patch.object(counting, "PM1_CHUNK", 2**40):
         assert counting.chowla_check(factors, 3000, chowla_tables) == chowla
     cube = forms.system([[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]])
@@ -1039,9 +1070,10 @@ def _bitset_cases(draw):
     """(system, body, weights, expected): inner coefficients in {-1, 0, 1}, prime and 'one' weights.
 
     Bodies are small boxes cut by extra halfspaces (possibly empty), long
-    dim-1 intervals (slices of many bytes) or dim-2 strips of long rows in
-    either coordinate.  Constants in -12..12 make forms reach 2 and 3 and
-    negative values.  expected says whether the route applies: every
+    dim-1 intervals (off the route) or dim-2 strips of long rows in either
+    coordinate (slices of many bytes).  Constants in -12..12 make forms reach 2 and 3 and
+    negative values.  expected says whether the route applies: K has
+    dimension >= 2 (a dim-1 count takes the sparse driver) and every
     coordinate is read by some prime-weighted form, so the unit-stride
     coordinate has varying forms.
     """
@@ -1064,7 +1096,7 @@ def _bitset_cases(draw):
     body = geometry.ConvexBody(d, hs, n)
     prime = counting.make_weight("prime_indicator", BITSET_TABLES)
     weights = [prime if i in live else counting.Weight(name="one", kind="one") for i in range(t)]
-    expected = all(any(rows[i][j] for i in live) for j in range(d))
+    expected = d > 1 and all(any(rows[i][j] for i in live) for j in range(d))
     return forms.system(rows, consts), body, weights, expected
 
 
@@ -1106,16 +1138,18 @@ def test_bitset_route_matches_brute_force_and_driver(case):
 
 def test_bitset_route_cases():
     # points where forms divide W, counted once; a user-built weight (sparse
-    # driver) and a stride-2 inner coordinate (float driver) miss the route
+    # driver), a stride-2 inner coordinate (float driver) and a dim-1 body
+    # (sparse driver) miss the route.  The dim-1 cases are read on the rows
+    # x2 = 0 and 1 of x1 + 2 x2 over [1, n] x [0, 1], inner coordinate x1.
     tables = BITSET_TABLES
     prime = counting.make_weight("prime_indicator", tables)
-    line = geometry.ConvexBody.box(1, 1, 3000, box_bound=3000)
+    lines = geometry.ConvexBody.box(2, [1, 0], [3000, 1])
     cases = [
-        (forms.system([[1], [1]], [0, 1]), line, 1),            # (2, 3): two forms divide W at one point
-        (forms.system([[1], [1], [1]], [0, 2, 4]), line, 1),    # (3, 5, 7)
-        (forms.system([[1], [-1]], [0, 3000]), line, 208),      # ordered Goldbach pairs of 3000
-        # twins on 1..768: 128 points per class, slices of whole bytes (no tail to clear)
-        (forms.system([[1], [1]], [0, 2]), geometry.ConvexBody.box(1, 1, 768, box_bound=768), None),
+        (forms.system([[1, 2], [1, 2]], [0, 1]), lines, 1),             # (2, 3): two forms divide W at one point
+        (forms.system([[1, 2]] * 3, [0, 2, 4]), lines, 2),              # (3, 5, 7) on both rows
+        (forms.system([[1, 2], [-1, -2]], [0, 3000]), lines, 2 * 208),  # ordered Goldbach pairs of 3000, twice
+        # twins on 1..768 and 3..770: 128 points per class, slices of whole bytes (no tail to clear)
+        (forms.system([[1, 2], [1, 2]], [0, 2]), geometry.ConvexBody.box(2, [1, 0], [768, 1]), None),
         (forms.ap_system(4), ap_body(4, 400, strict=False), None),
     ]
     for sys_, body, want in cases:
@@ -1130,6 +1164,7 @@ def test_bitset_route_cases():
         (forms.ap_system(4), ap_body(4, 300), [_user_prime(tables)] * 4),
         # 2x + 1 and 2x + 3 on 1..1500 stay inside the table
         (forms.system([[2], [2]], [1, 3]), geometry.ConvexBody.box(1, 1, 1500, box_bound=1500), [prime] * 2),
+        (forms.system([[1], [1]], [0, 2]), geometry.ConvexBody.box(1, 1, 3000, box_bound=3000), [prime] * 2),
     ]
     for sys_, body, weights in misses:
         assert _engine_count(sys_, body, weights) == (sum(_brute_terms(sys_, body, weights)), False)
