@@ -34,14 +34,14 @@ constant factor.  Each block goes to the first driver that applies:
 * sparse (weights supported on primes or prime powers): the sorted support
   of a form with inner coefficient +-1 drives the iteration, each further
   form filtered by its support mask (_sparse_partials);
-* float: rows are taken a tile at a time, a stretch of rows whose
-  prefixes step by +1 in the last outer coordinate (_joins) and whose
-  bounding rectangle holds at most FLOAT_TILE points; the forms' strided
-  2-D views of the rectangle are multiplied into one float64 buffer, and
-  each row's partial is the pairwise sum of its own part of it, as for a
-  row alone (_float_partials).  Tiles of one row, tiles that leave the
-  table and counts with a reflecting weight multiply each run's views
-  (_run_view) into a reused buffer instead.
+* float: every row is taken in a tile, a stretch of rows whose prefixes
+  step by +1 in the last outer coordinate (_joins) and whose bounding
+  rectangle holds at most FLOAT_TILE points (one row if it is longer); a
+  tile whose rectangle leaves a table is cut back to its first group of
+  equal rows.  The forms' 2-D views of the rectangle (_block_view) are
+  multiplied into one float64 buffer, and each row's partial is the
+  pairwise sum of its own part of it, as for a row alone
+  (_float_partials).
 
 Accumulation is single-threaded: each run, chunk or block contributes one
 partial sum, and math.fsum combines them, so results are bit-reproducible
@@ -224,7 +224,7 @@ def _table_values(w, m):
 
 def _run_view(w, off, coef, lo, hi):
     """w(off + coef*x) for x = lo..hi: a strided view unless an argument is negative."""
-    if w.reflect_negative or min(off + coef * lo, off + coef * hi) < 0:
+    if min(off + coef * lo, off + coef * hi) < 0:
         return _table_values(w, off + coef * np.arange(lo, hi + 1, dtype=np.int64))
     return _strided_view(w.values, off, coef, lo, hi)
 
@@ -246,7 +246,7 @@ def weighted_count(sys, body, weights, tables=None, wparams=None, b_list=None):
     PM1_CHUNK points with inner coefficients +1 and arguments >= 0 on bit
     planes, sign bits alone where no weight can vanish, the others in exact
     int8 2-D blocks), sparse (all varying forms sparse, one with inner
-    coefficient +-1) or float per-run views, in that order (see the module
+    coefficient +-1) or float tiles of rows, in that order (see the module
     docstring).  Integer counts may first permute
     the coordinates (_unit_stride); the lattice points of K map one to one,
     so the integer does not change.  Partials are combined with math.fsum,
@@ -351,12 +351,19 @@ def _joins(prefix):
     return (dp[:, :-1] == 0).all(axis=1) & (dp[:, -1:] == 1).all(axis=1)
 
 
+def _group_ends(prefix, lo, hi):
+    """The end of each group of a block's rows, ascending and last len(lo): a group is a
+    maximal stretch of rows with equal (lo, hi) that _joins links."""
+    link = _joins(prefix) & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    return [*(np.flatnonzero(~link) + 1).tolist(), len(lo)]
+
+
 def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bits):
     """Yield the exact integer partials of one block of a +-1 count, a 2-D chunk at a time.
 
-    A segment is a maximal stretch of rows with equal (lo, hi) that _joins
-    links, so on it form i reads its table at off + step_i r + inner_i x:
-    one (rows, columns) view (_block_view).
+    A segment is a group of rows (_group_ends), so on it form i reads its
+    table at off + step_i r + inner_i x: one (rows, columns) view
+    (_block_view).
     A segment of at least PM1_CHUNK points whose arguments are all >= 0 is
     counted on bit planes (_pm1_bit_partials) when bits is a dict, which
     _weighted_count passes when every varying form has inner coefficient +1
@@ -367,9 +374,9 @@ def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bit
     constant factors (0 on some rows) multiply it in place, and its exact sum
     is the chunk's partial.
     """
-    cuts = np.flatnonzero(~(_joins(prefix) & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))) + 1
+    ends = _group_ends(prefix, lo, hi)
     lo, hi = lo.tolist(), hi.tolist()
-    for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), len(lo)]):
+    for s, e in zip([0, *ends[:-1]], ends):
         a, b = lo[s], hi[s]
         if bits is not None and (e - s) * (b - a + 1) >= PM1_CHUNK:
             lows = [_argument_range(int(off[s, i]), step[i], 1, e - s, a, b)[0] for i in varying]
@@ -492,11 +499,12 @@ def _block_view(w, o, rs, cs, rows, a, b):
     A read-only strided view into the table (the ndarray constructor checks
     that it stays inside the buffer) unless the weight reflects negatives, an
     argument is negative or the table is not contiguous; then the rows are
-    read one by one (_run_view).
+    read one by one (_run_view), and a single row is not copied.
     """
     v = w.values
     if w.reflect_negative or not v.flags.c_contiguous or _argument_range(o, rs, cs, rows, a, b)[0] < 0:
-        return np.stack([_run_view(w, o + rs * r, cs, a, b) for r in range(rows)])
+        runs = [_run_view(w, o + rs * r, cs, a, b) for r in range(rows)]
+        return runs[0][None] if rows == 1 else np.stack(runs)
     first = o + cs * a
     view = np.ndarray((rows, b - a + 1), v.dtype, v, first * v.itemsize, (rs * v.itemsize, cs * v.itemsize))
     view.flags.writeable = False
@@ -569,81 +577,52 @@ def _float_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
     """Yield the per-run partials of one block of a float count, a tile of rows at a time.
 
     A tile is a stretch of rows that _joins links, grown a group of rows
-    with equal (lo, hi) at a time while its bounding rectangle [min lo,
-    max hi] holds at most FLOAT_TILE points.  On it form i reads its table
-    at off + step_i r + inner_i x: one strided view per form (_tile_views),
-    multiplied into a C-ordered float64 buffer.  Each row's partial is
-    np.add.reduce over its own part of the buffer, one reduce(axis=-1) per
-    group, so it is the pairwise sum of the row alone.  A tile of one row, a
-    tile whose corner arguments leave [0, len(table)), and every row when a
-    varying weight reflects negatives or its table is not contiguous, take
-    the per-run loop: the forms' views of the run (_run_view) multiplied
-    into one buffer as long as the block's longest run.
+    (_group_ends; at most FLOAT_TILE points of it, or one row) at a time
+    while its bounding rectangle [min lo, max hi] holds at most FLOAT_TILE
+    points, and cut back to its first group, whose rows lie in K, if a
+    form's corner arguments leave [0, len(table)).  Form i reads its table
+    at off + step_i r + inner_i x (_block_view), and the views are
+    multiplied into one C-ordered float64 buffer of max(FLOAT_TILE, longest
+    run) entries.  Each row's partial is np.add.reduce over its own part of
+    it, one reduce(axis=-1) per group: the pairwise sum of the row alone.
     """
     ws = [weights[i] for i in varying]
     cfs, steps = [inner[i] for i in varying], [step[i] for i in varying]
     off = off[:, varying]
     n = len(lo)
-    acc = np.empty(int((hi - lo).max(initial=0)) + 1)      # the per-run loop's buffer, reused by every run
-    buf = None
-    tiled = n > 1 and all(not w.reflect_negative and w.values.flags.c_contiguous for w in ws)
-    if tiled:
-        link = _joins(prefix)
-        ends = np.append(np.flatnonzero(~(link & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))) + 1, n)
-        group_end = np.repeat(ends, np.diff(ends, prepend=0)).tolist()      # the end of row r's group
-        link = link.tolist()
+    buf = np.empty(max(FLOAT_TILE, int((hi - lo).max(initial=0)) + 1))
+    ends = _group_ends(prefix, lo, hi)
+    group_end = np.repeat(ends, np.diff(ends, prepend=0)).tolist()      # the end of row r's group
+    link = _joins(prefix).tolist()
     consts, lo, hi = const.tolist(), lo.tolist(), hi.tolist()
-
-    def runs(s, e):
-        """The partials of rows s..e-1, one run at a time."""
-        for c, o, a, b in zip(consts[s:e], off[s:e].tolist(), lo[s:e], hi[s:e]):
-            views = [_run_view(w, x, cf, a, b) for w, cf, x in zip(ws, cfs, o)]
-            row = np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=acc[:b - a + 1],
-                              dtype=np.float64)
-            for v in views[2:]:
-                np.multiply(row, v, out=row)
-            yield c * float(np.add.reduce(row))
-
-    done = s = 0                # the rows before done have their partials
-    while tiled and s < n:
+    s = 0
+    while s < n:
         a, b = lo[s], hi[s]
-        e = min(group_end[s], s + max(FLOAT_TILE // (b - a + 1), 1))
+        e = first = min(group_end[s], s + max(FLOAT_TILE // (b - a + 1), 1))
         while e < n and link[e - 1]:
             na, nb = min(a, lo[e]), max(b, hi[e])
             fit = FLOAT_TILE // (nb - na + 1)
             if fit <= e - s:
                 break
             a, b, e = na, nb, min(group_end[e], s + fit)
-        views = _tile_views(ws, off[s].tolist(), steps, cfs, e - s, a, b) if e - s > 1 else None
-        if views is not None:
-            yield from runs(done, s)
-            if buf is None:
-                buf = np.empty(FLOAT_TILE)
-            tile = buf[:(e - s) * (b - a + 1)].reshape(e - s, b - a + 1)
-            np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=tile, dtype=np.float64)
-            for v in views[2:]:
-                np.multiply(tile, v, out=tile)
-            g = s
-            while g < e:
-                ge = min(group_end[g], e)
-                part = tile[g - s:ge - s, lo[g] - a:hi[g] - a + 1]
-                if ge - g == 1:
-                    yield consts[g] * float(np.add.reduce(part[0]))
-                else:
-                    yield from (const[g:ge] * np.add.reduce(part, axis=-1)).tolist()
-                g = ge
-            done = e
+        reads = list(zip(ws, off[s].tolist(), steps, cfs))
+        if any(not 0 <= m < len(w.values) for w, o, rs, cs in reads for m in _argument_range(o, rs, cs, e - s, a, b)):
+            a, b, e = lo[s], hi[s], first
+        views = [_block_view(w, o, rs, cs, e - s, a, b) for w, o, rs, cs in reads]
+        tile = buf[:(e - s) * (b - a + 1)].reshape(e - s, b - a + 1)
+        np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=tile, dtype=np.float64)
+        for v in views[2:]:
+            np.multiply(tile, v, out=tile)
+        g = s
+        while g < e:
+            ge = min(group_end[g], e)
+            part = tile[g - s:ge - s, lo[g] - a:hi[g] - a + 1]
+            if ge - g == 1:
+                yield consts[g] * float(np.add.reduce(part[0]))
+            else:
+                yield from (const[g:ge] * np.add.reduce(part, axis=-1)).tolist()
+            g = ge
         s = e
-    yield from runs(done, n)
-
-
-def _tile_views(ws, off, steps, cfs, rows, a, b):
-    """The strided views w(off + step r + cf x) of a tile (_block_view), or None if an argument leaves a table."""
-    for w, o, rs, cs in zip(ws, off, steps, cfs):
-        lowest, highest = _argument_range(o, rs, cs, rows, a, b)
-        if lowest < 0 or highest >= len(w.values):
-            return None
-    return [_block_view(w, o, rs, cs, rows, a, b) for w, o, rs, cs in zip(ws, off, steps, cfs)]
 
 
 # ---------------------------------------------------------------------------
@@ -924,8 +903,8 @@ def _integral_sum_exact(sys, body, npoints):
     table reaches max |psi_i| over K's lattice bounding box when that is at
     most t * npoints entries too: the float driver's tiles are rectangles of
     rows, which on a slanted facet of K read past the bound over K (AP4's
-    hypotenuse), and a tile that leaves the table falls back to the per-run
-    loop.  The route reads the bound over K alone.
+    hypotenuse), and a tile that leaves the table is cut back to its first
+    group of rows.  The route reads the bound over K alone.
     """
     bounds = [_form_bound(body, f) for f in sys.forms]
     if None in bounds:

@@ -243,7 +243,7 @@ def _blocks(chain, prefix, k):
 
 
 # ---------------------------------------------------------------------------
-# archimedean factor and boundary shells
+# archimedean factor and simplices
 
 
 def archimedean_factor(body, sys):

@@ -577,25 +577,23 @@ def test_every_route_meets_a_brute_force_oracle(rng):
     # reached at least once while its result is checked against _value_at
     # over _lattice_points.  No count has three forms in two variables, so
     # none takes the Fourier route; test_fourier_route_matches_driver covers
-    # it.  A float row is tiled or takes the per-run loop, so rows past the
-    # tiled ones went through the loop.  PM1_CHUNK = 8 sends the +-1 square
-    # to the bit planes unless a weight reflects negatives; a +-1 table
-    # without zeros is read on its sign planes alone.
+    # it.  Every float row is read in a tile (_block_view): multi-row tiles
+    # on the square, a reflecting row in dim 1, and on the triangle's
+    # slanted facet tiles cut back to their first row by a table sized to
+    # the bound over K (the same count over a longer table takes fewer
+    # tiles, with the same bits).  PM1_CHUNK = 8 sends the +-1 square to the
+    # bit planes unless a weight reflects negatives; a +-1 table without
+    # zeros is read on its sign planes alone.
     def g(m):
         return 1.0 / math.log(m) if m > 2 else 0.0
 
-    float_partials, tile_views = counting._float_partials, counting._tile_views
-    rows = {"float": 0, "tiled": 0}
+    block_view = counting._block_view
+    float_tiles = []            # per count, (rows, columns, reflects) of each float form's tile view
 
-    def count_rows(*args):
-        for partial in float_partials(*args):
-            rows["float"] += 1
-            yield partial
-
-    def count_tiled(ws, off, steps, cfs, n, a, b):
-        views = tile_views(ws, off, steps, cfs, n, a, b)
-        rows["tiled"] += n if views is not None else 0
-        return views
+    def spy_view(w, o, rs, cs, rows, a, b):
+        if w.kind == "float":
+            float_tiles[-1].append((rows, b - a + 1, w.reflect_negative))
+        return block_view(w, o, rs, cs, rows, a, b)
 
     prime = counting.make_weight("prime_indicator", PRIME_TABLES)
     pm1, pm1_reflect = _make_weight("pm1", False, rng), _make_weight("pm1", True, rng)
@@ -603,6 +601,9 @@ def test_every_route_meets_a_brute_force_oracle(rng):
     flt, flt_reflect = _make_weight("float", False, rng), _make_weight("float", True, rng)
     sparse = _make_weight("sparse", False, rng)
     square = geometry.ConvexBody.box(2, 0, 20)
+    triangle = geometry.ConvexBody(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 20)], 20)
+    slanted = forms.system([[1, 2]], [3])
+    flt_k = counting.weight_from_table("float", flt.values[:counting._form_bound(triangle, slanted.forms[0]) + 1])
     counts = [
         (forms.ap_system(4), ap_body(4, 60, strict=False), [prime] * 4),        # bitset
         (forms.system([[1, 0], [1, 1]]), square, [pm1] * 2),                   # +-1 bit planes
@@ -610,7 +611,9 @@ def test_every_route_meets_a_brute_force_oracle(rng):
         (forms.system([[1, 0], [1, 1]]), square, [pm1_reflect] * 2),           # +-1 int8 chunks
         (forms.system([[1, 1], [1, -1]], [0, 20]), square, [sparse] * 2),      # sparse
         (forms.system([[1, 1], [2, 1]]), square, [flt] * 2),                   # float tiles
-        (forms.system([[1], [3]], [0, 2]), geometry.ConvexBody.box(1, -20, 20), [flt_reflect, flt]),  # per run
+        (forms.system([[1], [3]], [0, 2]), geometry.ConvexBody.box(1, -20, 20), [flt_reflect, flt]),  # reflecting row
+        (slanted, triangle, [flt_k]),                                          # tiles cut back
+        (slanted, triangle, [flt]),                                            # the same, uncut
     ]
     integrals = [
         (forms.ap_system(3), ap_body(3, 40, strict=False)),                    # 1/log table
@@ -620,11 +623,14 @@ def test_every_route_meets_a_brute_force_oracle(rng):
         "_bitset_partial", "_pm1_bit_partials", "_int8_sum", "_sparse_partials", "_weighted_count",
         "_integral_sum_pointwise", "_shifted_planes")}
     built = []              # _shifted_planes calls per count
-    with mock.patch.multiple(counting, _float_partials=count_rows, _tile_views=count_tiled, PM1_CHUNK=8, **spy):
+    got = []
+    with mock.patch.multiple(counting, _block_view=spy_view, PM1_CHUNK=8, **spy):
         for sys_, body, weights in counts:
             terms = _brute_terms(sys_, body, weights)
             before = spy["_shifted_planes"].call_count
+            float_tiles.append([])
             fast = counting.weighted_count(sys_, body, weights)
+            got.append(fast)
             built.append(spy["_shifted_planes"].call_count - before)
             if all(w.kind != "float" for w in weights):
                 assert fast == sum(terms)
@@ -637,7 +643,10 @@ def test_every_route_meets_a_brute_force_oracle(rng):
     for name in ("_bitset_partial", "_pm1_bit_partials", "_int8_sum", "_sparse_partials", "_integral_sum_pointwise"):
         assert spy[name].called, name
     assert built[1:3] == [2, 1]             # nonzero and sign planes, then sign planes alone
-    assert 0 < rows["tiled"] < rows["float"]
+    tiled, reflecting, cut, uncut = float_tiles[5:]
+    assert max(rows for rows, _, _ in tiled) > 1
+    assert any(reflects for _, _, reflects in reflecting)
+    assert (1, 21, False) in cut and len(cut) > len(uncut) and got[7].hex() == got[8].hex()
     assert any(c.args[2][0].name == "1/log" for c in spy["_weighted_count"].call_args_list)
 
 
@@ -734,18 +743,19 @@ def test_float_driver_bit_identical_to_run_view_loop(case, block, tile):
 
 
 def test_float_driver_rows_longer_than_the_tile():
-    # a triangle whose first rows are longer than FLOAT_TILE: they take the
-    # per-run loop, the shorter rows below them go in tiles
+    # a triangle whose first rows are longer than FLOAT_TILE: each is a tile
+    # of one row, and the shorter rows below them go in multi-row tiles
     n = 70000
     sys_ = forms.system([[1, 1], [3, 2], [1, 0]], [2, 5, 1])
     body = geometry.ConvexBody(2, [((-1, 0), 0), ((5000, 1), n), ((0, -1), 0)], n)
     assert max(hi - lo + 1 for _, lo, hi in body.runs()) > counting.FLOAT_TILE
     rng = np.random.default_rng(7)
     weights = [counting.weight_from_table("float", rng.uniform(-1, 1, 3 * n + 1)) for _ in range(3)]
-    tiles = mock.patch.object(counting, "_tile_views", wraps=counting._tile_views)
-    with tiles as spy:
+    with mock.patch.object(counting, "_block_view", wraps=counting._block_view) as spy:
         got = counting._weighted_count(sys_, body, weights)
-    assert spy.call_count > 0
+    shapes = [(c.args[4], c.args[6] - c.args[5] + 1) for c in spy.call_args_list]
+    assert any(rows == 1 and columns > counting.FLOAT_TILE for rows, columns in shapes)
+    assert any(rows > 1 for rows, _ in shapes)
     assert got.hex() == _float_driver_as_was(sys_, body, weights).hex()
 
 
@@ -803,6 +813,28 @@ def test_float_tile_buffer_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * counting.FLOAT_TILE + 3 * 2**19
+
+
+def test_float_reflecting_row_reads_views():
+    # gy-verify's twins shape: one row of 10^5 points and two reflecting
+    # weights at arguments >= 1.  The tile buffer (8n bytes) is the only
+    # large allocation: the forms' reads are strided views, and the one-row
+    # fallback of _block_view adds no copy.  Gathering each form's values
+    # (with its index array) would peak at 5 x 8n, a stacked copy per form
+    # at 3 x 8n
+    n = 10**5
+    sys_ = forms.system([[1], [1]], [0, 2])
+    body = geometry.ConvexBody(1, [((-1,), -1), ((1,), n)], n)
+    rng = np.random.default_rng(5)
+    weights = [counting.weight_from_table("gy", rng.uniform(-1, 1, n + 3), reflect_negative=True) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        got = counting._weighted_count(sys_, body, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 2**18
+    assert got.hex() == _float_driver_as_was(sys_, body, weights).hex()
 
 
 def _signed_permutation(sys_, body, perm, signs):
