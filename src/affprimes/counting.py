@@ -8,6 +8,8 @@ count over the lattice {a.m = c} is one dilated rfft convolution whose
 integer entries are rounded; a rounding error of 1/4 or more, or a body or
 system outside the class, falls back to the engine (_weighted_count).
 
+Every weight is a plain table w(m), 0 <= m <= m_max, and 0 at m < 0 (an
+even weight such as gysieve's Lambda_{chi,R,a} is read at shifted forms).
 The engine splits K into inner-coordinate runs, in blocks of at most
 geometry.RUN_BLOCK runs; one matrix product per block gives every form's
 offset on every run, and forms with a zero inner coefficient give a per-run
@@ -24,9 +26,9 @@ constant factor.  Each block goes to the first driver that applies:
   multiplied in place and summed exactly in chunks (_pm1_partials); a
   segment of at least PM1_CHUNK points is counted on bit planes instead
   when every varying form has inner coefficient +1 and reads its table at
-  arguments >= 0 without reflection: the nonzero bits of the forms' tables
-  are ANDed, their sign bits XORed, and the partial is
-  popcount(nonzero) - 2 popcount(nonzero & sign) (_pm1_bit_partials).  A
+  arguments >= 0: the nonzero bits of the forms' tables are ANDed, their
+  sign bits XORed, and the partial is popcount(nonzero) - 2
+  popcount(nonzero & sign) (_pm1_bit_partials).  A
   form whose weight has no zero from its lowest argument in the segment up
   to the largest over K (liouville from argument 1 on) reads no nonzero
   bits; when no form reads them, the partial is the points of rows whose
@@ -98,8 +100,9 @@ class Weight:
           'pm1'     - dense int8 values in {-1, 0, 1}
           'float'   - dense float values
           'one'     - constant 1
-    Values at m <= 0 are zero unless reflect_negative is set (then w(-m)=w(m)).
-    prime_indicator is set by make_weight's 'prime_indicator' selector only.
+    Values at m < 0 are zero; a weight needed at negative arguments is read
+    at shifted ones (gysieve.gy_estimate_check).  prime_indicator is set by
+    make_weight's 'prime_indicator' selector only.
     """
 
     name: str
@@ -107,7 +110,6 @@ class Weight:
     values: np.ndarray | None = None
     support_mask: np.ndarray | None = None
     support_list: np.ndarray | None = None
-    reflect_negative: bool = False
     prime_indicator: bool = False
 
     @property
@@ -150,16 +152,15 @@ def make_weight(name, tables, wparams=None, b=None):
     raise ValueError(f"unknown weight {name!r}")
 
 
-def weight_from_table(name, values, sparse=False, reflect_negative=False):
-    """Weight from a raw value table (truncated divisor sums, Lambda and Lambda_{b,W})."""
+def weight_from_table(name, values, sparse=False):
+    """Weight from a raw value table w(m), 0 <= m < len(values): truncated divisor
+    sums, Lambda and Lambda_{b,W}."""
     values = np.asarray(values, dtype=np.float64)
     if sparse:
         mask = (values != 0).view(np.uint8)
         return Weight(name=name, kind="sparse", values=values, support_mask=mask,
-                      support_list=np.nonzero(mask)[0].astype(np.int64),
-                      reflect_negative=reflect_negative)
-    return Weight(name=name, kind="float", values=values,
-                  reflect_negative=reflect_negative)
+                      support_list=np.nonzero(mask)[0].astype(np.int64))
+    return Weight(name=name, kind="float", values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,6 @@ def _strided_view(table, off, coef, lo, hi):
 def _table_values(w, m):
     """w(m) for an int64 array m of arguments within the table (the one-argument
     oracle `_value_at` of tests/test_counting.py, vectorised)."""
-    if w.reflect_negative:
-        return w.values[np.abs(m)]
     return np.where(m >= 0, w.values[np.maximum(m, 0)], w.values.dtype.type(0))
 
 
@@ -287,7 +286,7 @@ def _weighted_count(sys, body, weights):
     varying = [i for i in live if inner[i] != 0]
 
     bits = driver = pm1_bits = None
-    if pm1 and all(inner[i] == 1 and not weights[i].reflect_negative for i in varying):
+    if pm1 and all(inner[i] == 1 for i in varying):
         # bit planes per weight and the accumulators, built on first use; the planes stop at the largest argument over K
         pm1_bits = {"m_hi": max((_form_bound(unstrided, sys.forms[i]) or 0 for i in varying), default=0)}
     # a dim-1 body is one row: the bit planes cost O(table) and pay off only over many rows
@@ -295,7 +294,7 @@ def _weighted_count(sys, body, weights):
         mask = max((weights[i].values for i in live), key=len)      # all prime masks: the longest serves
         bits = _bit_planes(mask)
         signs = coeffs[varying, -1]
-    elif all(weights[i].kind == "sparse" and not weights[i].reflect_negative for i in varying):
+    elif all(weights[i].kind == "sparse" for i in varying):
         driver = next((i for i in varying if abs(inner[i]) == 1), None)
 
     partials = []
@@ -366,13 +365,12 @@ def _pm1_partials(weights, varying, inner, step, prefix, off, lo, hi, const, bit
     (_block_view).
     A segment of at least PM1_CHUNK points whose arguments are all >= 0 is
     counted on bit planes (_pm1_bit_partials) when bits is a dict, which
-    _weighted_count passes when every varying form has inner coefficient +1
-    and no varying weight reflects negatives; bits["m_hi"] bounds every
-    argument, and the planes stop there.  Other segments are cut into
-    chunks of at most PM1_CHUNK elements, long rows along x; the first view
-    is copied into a C-ordered int8 accumulator, the others and the rows'
-    constant factors (0 on some rows) multiply it in place, and its exact sum
-    is the chunk's partial.
+    _weighted_count passes when every varying form has inner coefficient +1;
+    bits["m_hi"] bounds every argument, and the planes stop there.  Other
+    segments are cut into chunks of at most PM1_CHUNK elements, long rows
+    along x; the first view is copied into a C-ordered int8 accumulator, the
+    others and the rows' constant factors (0 on some rows) multiply it in
+    place, and its exact sum is the chunk's partial.
     """
     ends = _group_ends(prefix, lo, hi)
     lo, hi = lo.tolist(), hi.tolist()
@@ -497,12 +495,12 @@ def _block_view(w, o, rs, cs, rows, a, b):
     """w(o + rs r + cs x) for 0 <= r < rows and a <= x <= b, as a (rows, b - a + 1) array.
 
     A read-only strided view into the table (the ndarray constructor checks
-    that it stays inside the buffer) unless the weight reflects negatives, an
-    argument is negative or the table is not contiguous; then the rows are
-    read one by one (_run_view), and a single row is not copied.
+    that it stays inside the buffer) unless the table is not contiguous or an
+    argument is negative; then the rows are read one by one (_run_view), and
+    a single row is not copied.
     """
     v = w.values
-    if w.reflect_negative or not v.flags.c_contiguous or _argument_range(o, rs, cs, rows, a, b)[0] < 0:
+    if not v.flags.c_contiguous or _argument_range(o, rs, cs, rows, a, b)[0] < 0:
         runs = [_run_view(w, o + rs * r, cs, a, b) for r in range(rows)]
         return runs[0][None] if rows == 1 else np.stack(runs)
     first = o + cs * a
@@ -632,9 +630,9 @@ def _float_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
 def _fourier_count(sys, body, weights):
     """The weighted count as one dilated FFT convolution, or None off the route.
 
-    The route needs d = 2, t = 3 and weights that are non-reflecting integer
-    tables with values in {-1, 0, 1}.  The forms satisfy one primitive
-    relation a.psi = c with every a_i != 0; when the Smith invariant factors
+    The route needs d = 2, t = 3 and weights that are integer tables with
+    values in {-1, 0, 1}.  The forms satisfy one primitive relation
+    a.psi = c with every a_i != 0; when the Smith invariant factors
     of the linear part are (1, 1), psi maps Z^2 onto the whole lattice
     L = {m : a.m = c}, so the count is a sum over m in L.  Each facet of K
     (redundant halfspaces dropped; K must be full-dimensional) must bound a
@@ -650,10 +648,7 @@ def _fourier_count(sys, body, weights):
     |g_p|_2 |g_q|_2 eps log n < 1e-6 here) sends the call back to the
     drivers.
     """
-    if sys.d != 2 or sys.t != 3 or not all(
-        w.kind != "one" and not w.reflect_negative and w.values.dtype.kind in "iu"
-        for w in weights
-    ):
+    if sys.d != 2 or sys.t != 3 or not all(w.kind != "one" and w.values.dtype.kind in "iu" for w in weights):
         return None
     A = [list(f.linear_coeffs) for f in sys.forms]
     b = [f.constant for f in sys.forms]

@@ -98,10 +98,10 @@ class ConvexBody:
         return ConvexBody(self.dim, [(tuple(a[p] for p in perm), c) for a, c in self.halfspaces],
                           self.box_bound)
 
-    def with_positive_forms(self, sys, threshold=1):
-        """Intersect with {psi_i >= threshold for all i} (integer positivity)."""
+    def with_positive_forms(self, sys):
+        """Intersect with {psi_i >= 1 for all i} (integer positivity)."""
         hs = [
-            (tuple(-c for c in f.linear_coeffs), f.constant - threshold) for f in sys.forms
+            (tuple(-c for c in f.linear_coeffs), f.constant - 1) for f in sys.forms
         ]
         return self.intersect(hs)
 
@@ -252,7 +252,7 @@ def archimedean_factor(body, sys):
     Returns (count, count / N^dim).  The count approximates the archimedean
     volume factor to O(N^{dim-1}).
     """
-    pos = body.with_positive_forms(sys, threshold=1)
+    pos = body.with_positive_forms(sys)
     count = pos.lattice_point_count()
     return count, count / float(body.box_bound) ** body.dim
 

@@ -1,10 +1,11 @@
 """Truncated divisor sums, sieve factors, the sharp/flat split of the von
 Mangoldt function, and the enveloping sieve with its pseudorandomness checks.
 
-Cutoff functions are piecewise polynomial with closed-form derivatives:
+Cutoff functions are piecewise polynomial with closed-form derivatives, and
+every SmoothCutoff vanishes outside [-1, 1]:
 
-* normalized_bump: even, supported on [-1,1], chi(0) = 1, built by smoothing
-  the tent 1-|x| over a width eps at both ends.  Cauchy-Schwarz forces
+* normalized_bump: even, chi(0) = 1, built by smoothing the tent 1-|x| over
+  a width eps at both ends.  Cauchy-Schwarz forces
   int_0^1 |chi'|^2 >= 1 for any such chi with equality only for the
   (non-smooth) tent itself, so chi(0)=1 and c_{chi,2}=1 cannot hold exactly
   at the same time; with the default eps the gap is ~8e-7.
@@ -27,7 +28,7 @@ import numpy as np
 import numpy.fft
 import numpy.random
 
-from . import arith, counting, gowers, linalg
+from . import arith, counting, forms, gowers, linalg
 
 MC_CHUNK = 2**14            # Monte-Carlo rows per chunk; sized so nu's head and the chunk buffers stay in L2
 
@@ -49,7 +50,6 @@ class SmoothCutoff:
     family_id: str
     evaluator: object           # chi(x), vectorised over numpy arrays
     derivative: object          # chi'(x) for x > 0 (right-derivative at 0)
-    support_radius: float = 1.0
     breakpoints: tuple = ()
 
     def __call__(self, x):
@@ -193,7 +193,7 @@ def divisor_sum_core_array(chi, big_r, n_max, W=1, b=0):
         raise ValueError(f"b = {b} is not coprime to W = {W}")
     arith.check_table_size(n_max)
     log_r = math.log(big_r)
-    d_hi = int(min(W * n_max + b, math.floor(chi.support_radius * big_r)))
+    d_hi = int(min(W * n_max + b, math.floor(big_r)))
     core = np.full(n_max + 1, float(chi(0.0)))
     mobius = arith.build_tables(max(d_hi, 2)).mobius
     for d in range(2, d_hi + 1):
@@ -219,15 +219,8 @@ def sieve_factor(chi, a):
     if a == 2:
         from scipy.integrate import quad     # scipy is loaded only here; no other path needs it
 
-        pts = [b for b in chi.breakpoints if 0 < b < chi.support_radius]
-        val, _ = quad(
-            lambda x: float(chi.derivative(x)) ** 2,
-            0.0,
-            chi.support_radius,
-            points=pts or None,
-            limit=200,
-        )
-        return val
+        pts = [b for b in chi.breakpoints if 0 < b < 1.0]
+        return quad(lambda x: float(chi.derivative(x)) ** 2, 0.0, 1.0, points=pts or None, limit=200)[0]
     raise ValueError("only a in {1, 2} supported (general-a factors out of scope)")
 
 
@@ -578,22 +571,29 @@ def gy_estimate_check(sys, body, chi_list, a_list, gamma, p_max=10**5):
     """Empirical sum of prod Lambda_{chi_i,R,a_i}(psi_i(n)) over K against
     prod c_{chi_i,a_i} * |K| * prod_{p<=p_max} beta_p.
 
-    The weights build their own R-sized mu table; no form-sized table is built.
+    Lambda_{chi,R,a} is even, and counting tables vanish at negative
+    arguments, so the count reads the forms psi_i + shift over the plain
+    tables T(m) = w(|m - shift|), 0 <= m <= shift + m_max + 2, where w is
+    Lambda's table up to m_max + 2 (m_max = max |psi_i| over K) and shift =
+    max(0, -floor(min psi_i over K)) from K's vertices (0 on an empty K).
+    T(psi_i + shift) = w(|psi_i|), so the count reads w's values at |psi_i|
+    and keeps its bits.  T's length passes the table guard before anything
+    is allocated; the weights build their own R-sized mu table.
     """
     from .localfactors import singular_series
 
     n_scale = body.box_bound
     big_r = float(n_scale) ** gamma
     m_max = max(counting._form_bound(body, f) or 0 for f in sys.forms)     # 0 on an empty K
-    weights = [
-        counting.weight_from_table(
-            f"gy[{chi.family_id},a={a}]",
-            gy_weight_array(chi, big_r, a, m_max + 2),
-            reflect_negative=True,
-        )
-        for chi, a in zip(chi_list, a_list)
-    ]
-    empirical = counting.weighted_count(sys, body, weights)
+    lows = [counting.affine_range_over_body(body, f.linear_coeffs, f.constant)[0] for f in sys.forms]
+    shift = 0 if lows[0] is None else max(0, -math.floor(min(lows)))
+    arith.check_table_size(shift + m_max + 2)
+    shifted = forms.system(sys.coefficient_matrix(), [f.constant + shift for f in sys.forms])
+    weights = []
+    for chi, a in zip(chi_list, a_list):
+        w = gy_weight_array(chi, big_r, a, m_max + 2)
+        weights.append(counting.weight_from_table(f"gy[{chi.family_id},a={a}]", np.concatenate([w[shift:0:-1], w])))
+    empirical = counting.weighted_count(shifted, body, weights)
     ss = singular_series(sys, p_max)
     vol = body.lattice_point_count()
     c_prod = math.prod(sieve_factor(chi, a) for chi, a in zip(chi_list, a_list))

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -417,6 +418,31 @@ def test_gy_tables_past_the_table_guard_exit_2(tmp_path, monkeypatch, capsys):
     assert code == 2 and report is None
     assert filled == [] and sieved == []
     assert "table of size 1002 exceeds the 100 guard" in capsys.readouterr().err
+
+
+TWIN_PM500 = {**TWIN_1000, "body": {"dim": 1, "halfspaces": [{"a": [-1], "c": 500}, {"a": [1], "c": 500}]}, "N": 500}
+
+
+def test_gy_shifted_table_past_the_table_guard_exits_2(tmp_path, monkeypatch, capsys):
+    # twins over [-500, 500]: Lambda's table up to 504 passes the guard, the
+    # table shifted by 500 does not, and gy-verify stops before allocating it
+    filled = _spy_allocations(monkeypatch, gysieve, "full")
+    sieved = _spy_allocations(monkeypatch)
+    monkeypatch.setattr(arith, "TABLE_GUARD", 504)
+    code, report, _ = run(tmp_path, "gy-verify", {**TWIN_PM500, "gamma": 0.3, "a_list": [1, 2]})
+    assert code == 2 and report is None
+    assert filled == [] and sieved == []
+    assert "table of size 1004 exceeds the 504 guard" in capsys.readouterr().err
+
+
+def test_gy_verify_where_forms_go_negative(tmp_path):
+    # the forms reach -500: the count reads Lambda's even table at shifted
+    # arguments, and the report (timing dropped) is pinned by its sha256
+    code, report, _ = run(tmp_path, "gy-verify", {**TWIN_PM500, "gamma": 0.3, "a_list": [1, 2]})
+    assert code == 0 and report["result"]["volume"] == 1001
+    report.pop("timing")
+    digest = hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
+    assert digest == "b66155b16b0b7daae76150734ae9d3253759f3b05411b6700911a7412092ea84"
 
 
 @pytest.mark.parametrize("argv", [

@@ -486,9 +486,7 @@ def _value_at(w, m):
         return 1.0
     m = int(m)
     if m < 0:
-        if not w.reflect_negative:
-            return 0.0
-        m = -m
+        return 0.0
     if m > w.m_max:
         raise ValueError(f"weight {w.name}: argument {m} beyond table")
     return float(w.values[m])
@@ -511,7 +509,7 @@ def _brute_terms(sys_, body, weights):
 PRIME_TABLES = arith.build_tables(TABLE_TOP)
 
 
-def _make_weight(kind, reflect, rng):
+def _make_weight(kind, rng):
     m = np.arange(TABLE_TOP + 1)
     if kind == "one":
         return counting.Weight(name="one", kind="one")
@@ -519,15 +517,15 @@ def _make_weight(kind, reflect, rng):
         return counting.make_weight("prime_indicator", PRIME_TABLES)
     if kind == "pm1":
         vals = rng.integers(-1, 2, size=m.size).astype(np.int8)
-        return counting.Weight(name="pm1", kind="pm1", values=vals, reflect_negative=reflect)
+        return counting.Weight(name="pm1", kind="pm1", values=vals)
     support = rng.random(m.size) < 0.5
     if kind == "sparse":
         vals = np.where(support, rng.integers(1, 4, size=m.size), 0)
-        return counting.weight_from_table("sparse", vals, sparse=True, reflect_negative=reflect)
+        return counting.weight_from_table("sparse", vals, sparse=True)
     if kind == "sparse_float":
         vals = np.where(support, np.log(m + 2.0), 0.0)
-        return counting.weight_from_table("sparse_float", vals, sparse=True, reflect_negative=reflect)
-    return counting.weight_from_table("float", rng.uniform(-1, 1, m.size), reflect_negative=reflect)
+        return counting.weight_from_table("sparse_float", vals, sparse=True)
+    return counting.weight_from_table("float", rng.uniform(-1, 1, m.size))
 
 
 @st.composite
@@ -545,9 +543,8 @@ def _count_cases(draw, pool=None):
         sparse = ("sparse", "sparse_float")
         pool = sparse if draw(st.booleans()) else sparse + ("pm1", "float", "one")
     kinds = draw(st.lists(st.sampled_from(pool), min_size=t, max_size=t))
-    reflect = draw(st.lists(st.booleans(), min_size=t, max_size=t))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = [_make_weight(k, r and draw(st.booleans()), rng) for k, r in zip(kinds, reflect)]
+    weights = [_make_weight(k, rng) for k in kinds]
     return forms.system(rows, consts), geometry.ConvexBody(d, hs, n), weights
 
 
@@ -578,28 +575,28 @@ def test_every_route_meets_a_brute_force_oracle(rng):
     # over _lattice_points.  No count has three forms in two variables, so
     # none takes the Fourier route; test_fourier_route_matches_driver covers
     # it.  Every float row is read in a tile (_block_view): multi-row tiles
-    # on the square, a reflecting row in dim 1, and on the triangle's
-    # slanted facet tiles cut back to their first row by a table sized to
-    # the bound over K (the same count over a longer table takes fewer
-    # tiles, with the same bits).  PM1_CHUNK = 8 sends the +-1 square to the
-    # bit planes unless a weight reflects negatives; a +-1 table without
-    # zeros is read on its sign planes alone.
+    # on the square, a row reaching negative arguments in dim 1, and on the
+    # triangle's slanted facet tiles cut back to their first row by a table
+    # sized to the bound over K (the same count over a longer table takes
+    # fewer tiles, with the same bits).  PM1_CHUNK = 8 sends the +-1 square
+    # to the bit planes unless a varying form has inner coefficient -1; a
+    # +-1 table without zeros is read on its sign planes alone.
     def g(m):
         return 1.0 / math.log(m) if m > 2 else 0.0
 
     block_view = counting._block_view
-    float_tiles = []            # per count, (rows, columns, reflects) of each float form's tile view
+    float_tiles = []            # per count, (rows, columns, reads m < 0) of each float form's tile view
 
     def spy_view(w, o, rs, cs, rows, a, b):
         if w.kind == "float":
-            float_tiles[-1].append((rows, b - a + 1, w.reflect_negative))
+            float_tiles[-1].append((rows, b - a + 1, counting._argument_range(o, rs, cs, rows, a, b)[0] < 0))
         return block_view(w, o, rs, cs, rows, a, b)
 
     prime = counting.make_weight("prime_indicator", PRIME_TABLES)
-    pm1, pm1_reflect = _make_weight("pm1", False, rng), _make_weight("pm1", True, rng)
+    pm1 = _make_weight("pm1", rng)
     signs = counting.Weight(name="signs", kind="pm1", values=rng.choice(np.array([-1, 1], np.int8), TABLE_TOP + 1))
-    flt, flt_reflect = _make_weight("float", False, rng), _make_weight("float", True, rng)
-    sparse = _make_weight("sparse", False, rng)
+    flt = _make_weight("float", rng)
+    sparse = _make_weight("sparse", rng)
     square = geometry.ConvexBody.box(2, 0, 20)
     triangle = geometry.ConvexBody(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), 20)], 20)
     slanted = forms.system([[1, 2]], [3])
@@ -608,10 +605,10 @@ def test_every_route_meets_a_brute_force_oracle(rng):
         (forms.ap_system(4), ap_body(4, 60, strict=False), [prime] * 4),        # bitset
         (forms.system([[1, 0], [1, 1]]), square, [pm1] * 2),                   # +-1 bit planes
         (forms.system([[1, 0], [1, 1]]), square, [signs] * 2),                 # +-1 sign planes alone
-        (forms.system([[1, 0], [1, 1]]), square, [pm1_reflect] * 2),           # +-1 int8 chunks
+        (forms.system([[1, 0], [1, -1]], [0, 20]), square, [pm1] * 2),         # +-1 int8 chunks
         (forms.system([[1, 1], [1, -1]], [0, 20]), square, [sparse] * 2),      # sparse
         (forms.system([[1, 1], [2, 1]]), square, [flt] * 2),                   # float tiles
-        (forms.system([[1], [3]], [0, 2]), geometry.ConvexBody.box(1, -20, 20), [flt_reflect, flt]),  # reflecting row
+        (forms.system([[1], [3]], [0, 2]), geometry.ConvexBody.box(1, -20, 20), [flt] * 2),  # negative arguments
         (slanted, triangle, [flt_k]),                                          # tiles cut back
         (slanted, triangle, [flt]),                                            # the same, uncut
     ]
@@ -643,9 +640,9 @@ def test_every_route_meets_a_brute_force_oracle(rng):
     for name in ("_bitset_partial", "_pm1_bit_partials", "_int8_sum", "_sparse_partials", "_integral_sum_pointwise"):
         assert spy[name].called, name
     assert built[1:3] == [2, 1]             # nonzero and sign planes, then sign planes alone
-    tiled, reflecting, cut, uncut = float_tiles[5:]
+    tiled, negative, cut, uncut = float_tiles[5:]
     assert max(rows for rows, _, _ in tiled) > 1
-    assert any(reflects for _, _, reflects in reflecting)
+    assert negative == [(1, 41, True)] * 2
     assert (1, 21, False) in cut and len(cut) > len(uncut) and got[7].hex() == got[8].hex()
     assert any(c.args[2][0].name == "1/log" for c in spy["_weighted_count"].call_args_list)
 
@@ -689,7 +686,7 @@ def _float_driver_as_was(sys_, body, weights):
 @st.composite
 def _float_driver_cases(draw):
     """(system, body, weights) on the float driver: float tables (float64, float32
-    or int8 values, a third of them 0, some reflecting negatives) and 'one'.
+    or int8 values, a third of them 0, some not contiguous) and 'one'.
 
     Half the systems have constants that keep every argument >= 0, so that
     tiles read inside the tables; half the dim-2 and dim-3 bodies are cut by a
@@ -725,15 +722,16 @@ def _float_driver_cases(draw):
         size = (counting._form_bound(body, f) or 0) + 1 if k_sized else top + 1
         dtype = draw(st.sampled_from([np.float64, np.float64, np.float32, np.int8]))
         vals = (rng.uniform(-2, 2, size) * (rng.random(size) > 1 / 3)).astype(dtype)
-        reflect = draw(st.sampled_from([False, False, False, True]))
-        weights.append(counting.Weight(name="float", kind="float", values=vals, reflect_negative=reflect))
+        if draw(st.sampled_from([False, False, False, True])):
+            vals = np.repeat(vals, 2)[::2]          # the same values, every other entry of a buffer
+        weights.append(counting.Weight(name="float", kind="float", values=vals))
     return sys_, body, weights
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(_float_driver_cases(), st.sampled_from([3, geometry.RUN_BLOCK]), st.sampled_from([counting.FLOAT_TILE, 7, 1]))
 def test_float_driver_bit_identical_to_run_view_loop(case, block, tile):
-    # negative arguments, reflected weights, zero rows of fixed forms, strides
+    # negative arguments, non-contiguous tables, zero rows of fixed forms, strides
     # up to 3, ragged rows and empty bodies, in blocks of 3 runs and of
     # RUN_BLOCK; tiles of 1 entry (every row alone), of 7 (rows longer than
     # the tile beside tiles of short rows) and of FLOAT_TILE
@@ -815,26 +813,34 @@ def test_float_tile_buffer_bounded():
     assert peak <= 8 * counting.FLOAT_TILE + 3 * 2**19
 
 
-def test_float_reflecting_row_reads_views():
-    # gy-verify's twins shape: one row of 10^5 points and two reflecting
-    # weights at arguments >= 1.  The tile buffer (8n bytes) is the only
-    # large allocation: the forms' reads are strided views, and the one-row
-    # fallback of _block_view adds no copy.  Gathering each form's values
-    # (with its index array) would peak at 5 x 8n, a stacked copy per form
-    # at 3 x 8n
+def test_float_twins_row_reads_views():
+    # gy-verify's twins shape: one row of 10^5 points and two float weights
+    # at arguments >= 1, over contiguous tables (one strided 2-D view per
+    # form) and over the same values as every other entry of a buffer (the
+    # one-row fallback of _block_view, which reads _run_view).  The tile
+    # buffer (8n bytes) is the only large allocation: the forms' reads are
+    # strided views, and the fallback adds no copy.  Gathering each form's
+    # values (with its index array) would peak at 5 x 8n, a stacked copy per
+    # form at 3 x 8n
     n = 10**5
     sys_ = forms.system([[1], [1]], [0, 2])
     body = geometry.ConvexBody(1, [((-1,), -1), ((1,), n)], n)
     rng = np.random.default_rng(5)
-    weights = [counting.weight_from_table("gy", rng.uniform(-1, 1, n + 3), reflect_negative=True) for _ in range(2)]
-    tracemalloc.start()
-    try:
-        got = counting._weighted_count(sys_, body, weights)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * n + 2**18
-    assert got.hex() == _float_driver_as_was(sys_, body, weights).hex()
+    tables = [rng.uniform(-1, 1, n + 3) for _ in range(2)]
+    got = []
+    for vals in (tables, [np.repeat(v, 2)[::2] for v in tables]):
+        weights = [counting.weight_from_table("gy", v) for v in vals]
+        with mock.patch.object(counting, "_run_view", wraps=counting._run_view) as per_row:
+            tracemalloc.start()
+            try:
+                got.append(counting._weighted_count(sys_, body, weights))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 8 * n + 2**18
+        assert per_row.called == (vals is not tables)
+        assert got[-1].hex() == _float_driver_as_was(sys_, body, weights).hex()
+    assert got[0].hex() == got[1].hex()
 
 
 def _signed_permutation(sys_, body, perm, signs):
@@ -865,11 +871,11 @@ def test_pm1_route_matches_brute_force():
     # the default chunk budget and at 7 elements (multi-row chunks, split rows)
     tables = FOURIER_TABLES
     mu, lam = (counting.make_weight(f, tables) for f in ("mobius", "liouville"))
-    folded = counting.Weight(name="mu(|m|)", kind="pm1", values=tables.mobius, reflect_negative=True)
+    strided = counting.Weight(name="mu", kind="pm1", values=np.repeat(tables.mobius, 2)[::2])     # not contiguous
     cases = [
         # x1 inner; one 21-row segment in which both forms go negative (per-row reads)
         (forms.system([[1, 1], [1, 2]], [-5, 0]), geometry.ConvexBody.box(2, [1, -10], [30, 10]), [mu, lam]),
-        (forms.system([[1, 1], [1, 2]], [-5, 0]), geometry.ConvexBody.box(2, [1, -10], [30, 10]), [folded, mu]),
+        (forms.system([[1, 1], [1, 2]], [-5, 0]), geometry.ConvexBody.box(2, [1, -10], [30, 10]), [strided, mu]),
         # x3 inner; mu(x1 + x2) vanishes on rows inside each x1 segment
         (forms.system([[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]), geometry.ConvexBody.box(3, 1, 12), [mu] * 4),
         # dim 1, one run reaching negative arguments
@@ -1047,10 +1053,10 @@ def test_pm1_bit_planes_stop_at_the_form_bound(tables_1e6):
 
 
 def test_negative_arguments_of_sparse_and_pm1_weights(tables_1e6):
-    # a reflected sparse weight used to lose every negative argument, and a
-    # +-1 weight read a wrong table slice at one
+    # a sparse weight vanishes at negative arguments, on the driving form and
+    # on the filtered one, and a +-1 weight once read a wrong table slice at one
     vals = np.arange(TABLE_TOP + 1) % 3
-    w = counting.weight_from_table("mod3", vals, sparse=True, reflect_negative=True)
+    w = counting.weight_from_table("mod3", vals, sparse=True)
     body = geometry.ConvexBody.box(1, -20, 20, box_bound=20)
     for sys_ in (forms.system([[1]]), forms.system([[1], [1]], [0, 2])):
         got = counting.weighted_count(sys_, body, [w] * sys_.t)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affprimes import arith, forms, geometry, gysieve
+from affprimes import arith, counting, forms, geometry, gysieve, localfactors
 
 
 SMOOTHSTEP_SQ_INT = 0.39177489177489176      # int_0^1 s(u)^2 du = 36/11-18+345/9-75/2+100/7
@@ -338,6 +338,143 @@ def test_r_at_most_one_is_refused_by_the_divisor_sum_kernel():
                                   [gysieve.tent_taper()] * 2, [1, 1], 0.3)
 
 
+def _gy_count_as_was(sys_, body, tables):
+    """The GY count as the engine read it before the shift: each table at
+    |psi|, row by row, as _float_driver_as_was of tests/test_counting.py
+    reads its runs.  Forms with inner coefficient 0 give each row a constant
+    factor (rows where it is 0 dropped); the others' values are multiplied
+    into one float64 run in form order, and each run's sum times its
+    constant is one partial of a math.fsum.  Kept as the oracle of
+    gy_estimate_check's shifted tables."""
+    coeffs = np.array([f.linear_coeffs for f in sys_.forms], np.int64).reshape(sys_.t, sys_.d)
+    consts = np.array([f.constant for f in sys_.forms], np.int64)
+    inner = coeffs[:, -1].tolist()
+    fixed = [i for i in range(sys_.t) if inner[i] == 0]
+    varying = [i for i in range(sys_.t) if inner[i] != 0]
+    partials = []
+    for prefix, lo, hi in body.run_blocks():
+        off = prefix @ coeffs[:, :-1].T + consts
+        const = np.ones(len(lo))
+        nonzero = np.ones(len(lo), bool)
+        for i in fixed:
+            v = tables[i][np.abs(off[:, i])]
+            nonzero &= v != 0
+            const = const * v
+        if fixed:
+            off, lo, hi, const = off[nonzero], lo[nonzero], hi[nonzero], const[nonzero]
+        if not varying:
+            partials.extend((const * (hi - lo + 1)).tolist())
+            continue
+        for c, o, a, b in zip(const.tolist(), off[:, varying].tolist(), lo.tolist(), hi.tolist()):
+            acc = None
+            for i, oi in zip(varying, o):
+                vals = tables[i][np.abs(oi + inner[i] * np.arange(a, b + 1))]
+                if acc is None:
+                    acc = vals.astype(np.float64)
+                else:
+                    acc *= vals
+            partials.append(c * float(acc.sum()))
+    return math.fsum(partials)
+
+
+def _gy_tables(sys_, body, chi_list, a_list, gamma):
+    """Lambda_{chi_i,R,a_i} up to max |psi_i| over K plus 2, as gy_estimate_check built them
+    before the shift."""
+    m_max = max(counting._form_bound(body, f) or 0 for f in sys_.forms)
+    big_r = float(body.box_bound) ** gamma
+    return [gysieve.gy_weight_array(chi, big_r, a, m_max + 2) for chi, a in zip(chi_list, a_list)]
+
+
+def _gy_estimate_as_was(sys_, body, chi_list, a_list, gamma, p_max):
+    """gy_estimate_check's dict with the count of _gy_count_as_was."""
+    empirical = _gy_count_as_was(sys_, body, _gy_tables(sys_, body, chi_list, a_list, gamma))
+    c_prod = math.prod(gysieve.sieve_factor(chi, a) for chi, a in zip(chi_list, a_list))
+    ss = localfactors.singular_series(sys_, p_max).truncated_product
+    vol = body.lattice_point_count()
+    predicted = c_prod * vol * ss
+    return {"empirical": empirical, "predicted": predicted, "ratio": empirical / predicted if predicted else None,
+            "R": float(body.box_bound) ** gamma, "sieve_factors": c_prod, "singular_series": ss, "volume": vol}
+
+
+def _hex(out):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in out.items()}
+
+
+GY_CUTOFFS = (gysieve.tent_taper(0.1), gysieve.normalized_bump())
+
+
+@st.composite
+def _gy_cases(draw):
+    """(system, body, cutoffs, a_list, gamma) with forms that may reach negative values.
+
+    Dims 1-3, coefficients -3..3 and constants of either sign over the box
+    [-n, n]^d; the body is the box, the box cut by a random halfspace, the
+    box where every form is >= 1, or empty.
+    """
+    d = draw(st.integers(1, 3))
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(2, {1: 300, 2: 25, 3: 6}[d]))
+    coeff = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    sys_ = forms.system([draw(coeff) for _ in range(t)],
+                        draw(st.lists(st.integers(-3 * n, 3 * n), min_size=t, max_size=t)))
+    body = geometry.ConvexBody.box(d, -n, n, box_bound=n)
+    kind = draw(st.sampled_from(["box", "cut", "positive", "empty"]))
+    if kind == "cut":
+        body = body.intersect([(draw(coeff), draw(st.integers(-n, 2 * n)))])
+    elif kind == "positive":
+        body = body.with_positive_forms(sys_)
+    elif kind == "empty":
+        body = body.intersect([((1,) + (0,) * (d - 1), -1), ((-1,) + (0,) * (d - 1), -1)])
+    chi = draw(st.sampled_from(GY_CUTOFFS))
+    a_list = draw(st.lists(st.sampled_from([1, 2]), min_size=t, max_size=t))
+    return sys_, body, [chi] * t, a_list, draw(st.sampled_from([0.3, 0.6, 0.9]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_gy_cases())
+def test_gy_estimate_bit_identical_to_reading_tables_at_abs_psi(case):
+    # the shifted plain tables give the whole dict, bit for bit, that reading
+    # Lambda's table at |psi| row by row gives; the count is within 1e-12 of
+    # sum |term| of the terms at the lattice points
+    sys_, body, chi_list, a_list, gamma = case
+    out = gysieve.gy_estimate_check(sys_, body, chi_list, a_list, gamma, p_max=50)
+    assert _hex(out) == _hex(_gy_estimate_as_was(sys_, body, chi_list, a_list, gamma, 50))
+    tables = _gy_tables(sys_, body, chi_list, a_list, gamma)
+    terms = [
+        math.prod(float(w[abs(f(prefix + (x,)))]) for f, w in zip(sys_.forms, tables))
+        for prefix, lo, hi in body.runs() for x in range(lo, hi + 1)
+    ]
+    assert abs(out["empirical"] - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
+
+
+def test_gy_shifted_table_passes_the_guard_before_allocating():
+    # twins over [-500, 500]: Lambda's table reaches 502 + 2, the shifted one
+    # 500 + 504.  A guard that passes the first refuses the second before any
+    # table is built
+    twins = forms.system([[1], [1]], [0, 2])
+    body = geometry.ConvexBody.box(1, -500, 500, box_bound=500)
+    with mock.patch.object(arith, "TABLE_GUARD", 504), \
+            mock.patch.object(gysieve, "gy_weight_array", wraps=gysieve.gy_weight_array) as built:
+        with pytest.raises(arith.ResourceGuard, match="table of size 1004 exceeds the 504 guard"):
+            gysieve.gy_estimate_check(twins, body, [gysieve.tent_taper()] * 2, [1, 2], 0.3)
+        assert not built.called
+        # over [1, 500] the forms stay positive: no shift, and the table passes
+        assert gysieve.gy_estimate_check(twins, geometry.ConvexBody.box(1, 1, 500), [gysieve.tent_taper()] * 2,
+                                         [1, 2], 0.3, p_max=50)["volume"] == 500
+
+
+def test_gy_count_copies_no_tile():
+    # AP3 over its progression body (1 <= n1, 1 <= n2, n1 + 2 n2 <= N): the
+    # forms' tiles are strided views of the tables, never np.stack copies,
+    # and the count keeps its bits
+    n = 5000
+    body = geometry.ConvexBody(2, [((-1, 0), -1), ((1, 2), n), ((0, -2), -2)], n)
+    with mock.patch.object(np, "stack", wraps=np.stack) as stack:
+        out = gysieve.gy_estimate_check(forms.ap_system(3), body, [gysieve.tent_taper()] * 3, [1, 1, 1], 0.3)
+    assert stack.call_count == 0
+    assert out["empirical"].hex() == "0x1.1c27979713abep+23"
+
+
 def test_linear_forms_character_sum_vs_brute_force():
     # exact FFT character sum agrees with full enumeration on a tiny sieve
     sv = gysieve.build_enveloping_sieve(40, 0.3, 3.0, [1, 5], c_factor=20)
@@ -601,7 +738,7 @@ def _dense_divisor_sum(chi, big_r, m_max):
     core = np.zeros(m_max + 1)
     core[1:] = float(chi(0.0))
     mobius = arith.build_tables(max(m_max, 2)).mobius
-    for d in range(2, int(min(m_max, math.floor(chi.support_radius * big_r))) + 1):
+    for d in range(2, int(min(m_max, math.floor(big_r))) + 1):
         if mobius[d]:
             core[d::d] += int(mobius[d]) * float(chi(math.log(d) / log_r))
     return core
