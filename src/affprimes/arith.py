@@ -323,3 +323,40 @@ def lambda_bw_array(n_hi, b, params, primed=False, n_lo=1):
     """Vector of Lambda_{b,W}(n) for n = n_lo .. n_hi, sieved on the progression W n + b only."""
     is_p = prime_sieve(n_hi, params.W, b, n_lo)
     return params.normalizer * von_mangoldt_on(is_p, params.W, b, n_lo, primed)
+
+
+# ---------------------------------------------------------------------------
+# long sums without the long array
+
+
+def pairwise_sum(n, terms, buf):
+    """np.add.reduce of a virtual n-long array, bit for bit, with buf as its only storage.
+
+    terms(lo, hi, out) writes the entries lo..hi-1 into out, the first
+    hi - lo entries of buf (float64 or complex128).  numpy sums an array as
+    0.0 + S(all), where S of at most 128 float slots (a complex entry is
+    two) is its unrolled base case and S of more is S(head) + S(rest), the
+    head being half the slots rounded down to a multiple of 8.  This walks
+    that split and fills and reduces only nodes of at most len(buf)
+    entries, so buf must hold 128 slots.  A node's np.add.reduce is
+    0.0 + S(node), which differs from S(node) only where S(node) is -0.0,
+    and adding a zero of either sign to a nonzero sum changes nothing, so
+    the result keeps every bit (but a NaN's sign, which depends on the
+    operand order of the compiled add where two NaNs meet).  The recursion
+    is a module function: a nested one would be a reference cycle holding
+    terms and what it reads until the cyclic collector runs.
+    """
+    slots = 2 if buf.dtype.kind == "c" else 1
+    if len(buf) * slots < 128:
+        raise ValueError("the buffer must hold numpy's base case of 128 float slots")
+    return _pairwise_node(0, n, terms, buf, slots)
+
+
+def _pairwise_node(lo, n, terms, buf, slots):
+    if n <= len(buf):
+        out = buf[:n]
+        terms(lo, lo + n, out)
+        return np.add.reduce(out)
+    head = n * slots // 2
+    head = (head - head % 8) // slots
+    return _pairwise_node(lo, head, terms, buf, slots) + _pairwise_node(lo + head, n - head, terms, buf, slots)

@@ -43,7 +43,9 @@ constant factor.  Each block goes to the first driver that applies:
   equal rows.  The forms' 2-D views of the rectangle (_block_view) are
   multiplied into one float64 buffer, and each row's partial is the
   pairwise sum of its own part of it, as for a row alone
-  (_float_partials).
+  (_float_partials); a row longer than the buffer is multiplied and
+  summed in it a node of numpy's pairwise tree at a time
+  (arith.pairwise_sum).
 
 Accumulation is single-threaded: each run, chunk or block contributes one
 partial sum, and math.fsum combines them, so results are bit-reproducible
@@ -580,15 +582,17 @@ def _float_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
     points, and cut back to its first group, whose rows lie in K, if a
     form's corner arguments leave [0, len(table)).  Form i reads its table
     at off + step_i r + inner_i x (_block_view), and the views are
-    multiplied into one C-ordered float64 buffer of max(FLOAT_TILE, longest
-    run) entries.  Each row's partial is np.add.reduce over its own part of
-    it, one reduce(axis=-1) per group: the pairwise sum of the row alone.
+    multiplied into one C-ordered float64 buffer of max(FLOAT_TILE, 128)
+    entries.  Each row's partial is np.add.reduce over its own part of it,
+    one reduce(axis=-1) per group: the pairwise sum of the row alone.  A
+    row longer than the buffer is a tile of its own, multiplied and summed
+    a node of the pairwise tree at a time (arith.pairwise_sum).
     """
     ws = [weights[i] for i in varying]
     cfs, steps = [inner[i] for i in varying], [step[i] for i in varying]
     off = off[:, varying]
     n = len(lo)
-    buf = np.empty(max(FLOAT_TILE, int((hi - lo).max(initial=0)) + 1))
+    buf = np.empty(max(FLOAT_TILE, 128))
     ends = _group_ends(prefix, lo, hi)
     group_end = np.repeat(ends, np.diff(ends, prepend=0)).tolist()      # the end of row r's group
     link = _joins(prefix).tolist()
@@ -607,10 +611,14 @@ def _float_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
         if any(not 0 <= m < len(w.values) for w, o, rs, cs in reads for m in _argument_range(o, rs, cs, e - s, a, b)):
             a, b, e = lo[s], hi[s], first
         views = [_block_view(w, o, rs, cs, e - s, a, b) for w, o, rs, cs in reads]
+        if b - a >= len(buf):
+            rows = [v[0] for v in views]
+            yield consts[s] * float(arith.pairwise_sum(
+                b - a + 1, lambda i, j, out: _multiply_views([r[i:j] for r in rows], out), buf))
+            s = e
+            continue
         tile = buf[:(e - s) * (b - a + 1)].reshape(e - s, b - a + 1)
-        np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=tile, dtype=np.float64)
-        for v in views[2:]:
-            np.multiply(tile, v, out=tile)
+        _multiply_views(views, tile)
         g = s
         while g < e:
             ge = min(group_end[g], e)
@@ -621,6 +629,13 @@ def _float_partials(weights, varying, inner, step, prefix, off, lo, hi, const):
                 yield from (const[g:ge] * np.add.reduce(part, axis=-1)).tolist()
             g = ge
         s = e
+
+
+def _multiply_views(views, out):
+    """out = views[0] * views[1] * ... in float64, multiplied in form order."""
+    np.multiply(views[0], views[1] if len(views) > 1 else 1.0, out=out, dtype=np.float64)
+    for v in views[2:]:
+        np.multiply(out, v, out=out)
 
 
 # ---------------------------------------------------------------------------

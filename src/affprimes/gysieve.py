@@ -30,7 +30,8 @@ import numpy.random
 
 from . import arith, counting, forms, gowers, linalg
 
-MC_CHUNK = 2**14            # Monte-Carlo rows per chunk; sized so nu's head and the chunk buffers stay in L2
+MC_CHUNK = 2**14            # Monte-Carlo rows per chunk; sized so nu's head and the chunk buffers stay in L2;
+                            # also the buffer (at least 128 entries) of the sieve checks' streamed means
 
 
 def _smoothstep(u):
@@ -327,8 +328,12 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
     Exact routes: full rank mod N' factors into (E nu)^t; corank 1 reduces to
     a single character sum via the FFT of nu.  Otherwise Monte Carlo with a
     recorded seed and standard error, bit-identical to drawing every sample
-    at once (_montecarlo_products).  A sample_budget below 2 has no standard
-    error and is refused before any route is chosen.
+    at once (_montecarlo_products).  The mean and the standard deviation
+    (ddof=1) are computed as numpy's _mean and _var compute them, but the
+    squared deviations from the mean are summed along the pairwise tree in
+    one buffer (arith.pairwise_sum), not stored beside the products.  A
+    sample_budget below 2 has no standard error and is refused before any
+    route is chosen.
     """
     if sample_budget < 2:
         raise ValueError(f"sample_budget must be at least 2, not {sample_budget}")
@@ -359,9 +364,13 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
         e = float(np.real(np.sum(prod * phases)))
         return LinearFormsResult(abs(e - 1.0), e, "exact:character-sum")
     prod = _montecarlo_products(nu, sys, p, sample_budget, seed)
-    e = float(prod.mean())
-    se = float(prod.std(ddof=1) / math.sqrt(sample_budget))
-    return LinearFormsResult(abs(e - 1.0), e, "montecarlo", stderr=se)
+    # numpy's _mean and _var, with the squared deviations summed a node at a time
+    mean = np.add.reduce(prod) / np.intp(sample_budget)
+    squares = arith.pairwise_sum(
+        sample_budget, lambda lo, hi, out: np.square(np.subtract(prod[lo:hi], mean, out=out), out=out),
+        np.empty(max(MC_CHUNK, 128)))
+    se = float(np.sqrt(squares / np.intp(sample_budget - 1)) / math.sqrt(sample_budget))
+    return LinearFormsResult(abs(float(mean) - 1.0), float(mean), "montecarlo", stderr=se)
 
 
 def _nu_gather_source(nu, p):
@@ -395,7 +404,7 @@ def _montecarlo_products(nu, sys, p, sample_budget, seed):
     wraps, since the true remainder lies in [0, p); nu is gathered from its
     head (_nu_gather_source) and multiplied in form by form, as a one-shot
     draw does.  The chunk buffers are freed on return,
-    before the caller's statistics allocate their own.
+    before the caller's statistics allocate their buffer.
     """
     src, mode = _nu_gather_source(nu, p)
     prod = np.ones(sample_budget)
@@ -457,21 +466,36 @@ def tau_weight(sieve, n_values, kappa=1.0, cap=None):
 
 
 def correlation_check(sieve, m, h_list, kappa=1.0, cap=None):
-    """lhs = E_n prod_i nu(n + h_i) vs rhs = sum_{i<j} tau(h_i - h_j)."""
+    """lhs = E_n prod_i nu(n + h_i) vs rhs = sum_{i<j} tau(h_i - h_j).
+
+    The N'-long product is never stored: arith.pairwise_sum sums it along
+    numpy's pairwise tree in one buffer of MC_CHUNK entries (at least numpy's
+    128-entry base case), and the sum is divided by N' as np.mean divides
+    it, so lhs is the mean of the whole product array bit for bit.
+    """
     if not 1 < m <= 16:
         raise ValueError("need 1 < m <= 16")
     if len(h_list) != m:
         raise ValueError("h_list must have m entries")
     p, nu = sieve.n_prime, sieve.nu
-    prod = np.ones(p)
-    for h in h_list:
-        h = int(h) % p          # prod[i] *= nu[(i + h) mod p], as two slices: no rolled copy
-        prod[:p - h] *= nu[h:]
-        prod[p - h:] *= nu[:h]
-    lhs = float(prod.mean())
+    shifts = [int(h) % p for h in h_list]
+    total = arith.pairwise_sum(p, lambda lo, hi, out: _shifted_product(nu, p, shifts, lo, out),
+                               np.empty(max(MC_CHUNK, 128)))
+    lhs = float(total / np.intp(p))
     diffs = [h_list[i] - h_list[j] for i in range(m) for j in range(i + 1, m)]
     rhs = float(sum(tau_weight(sieve, diffs, kappa=kappa, cap=cap)))
     return lhs, rhs, lhs <= rhs
+
+
+def _shifted_product(nu, p, shifts, lo, out):
+    """out[i] = prod_h nu[(lo + i + h) mod p] over shifts (each in [0, p)), from 1.0
+    and in their order, for lo + len(out) <= p: a slice of nu and its wrap per shift."""
+    out.fill(1.0)
+    for h in shifts:
+        a = (lo + h) % p
+        head = min(len(out), p - a)
+        out[:head] *= nu[a:a + head]
+        out[head:] *= nu[:len(out) - head]
 
 
 def tau_moments(sieve, tables=None, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):

@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import arith
+
 
 @dataclass(frozen=True)
 class HeisenbergElement:
@@ -433,28 +435,30 @@ def smooth_cell_function(center_x, center_y, width=0.25):
     return f
 
 
-CHUNK = 2**15       # entries of n whose orbit and values are computed at a time
+CHUNK = 2**13       # entries of n whose orbit and values are computed at a time; the mean's one buffer
 
 
 def _mobius_mean(n_max, tables, values):
     """E_{n <= N} mu(n) v(n), where values(lo, hi) is the array of v(n) for lo <= n <= hi.
 
-    The products mu(n) v(n) fill one N-long array CHUNK entries at a time and
-    one np.mean runs over it, so the result is that of one product over all
-    n: the pairwise sum sees the same array.  mu stays int8 and is cast in
-    the multiply, into the dtype that a float64 mu times v would have.
+    The products mu(n) v(n) are summed along numpy's pairwise tree a node
+    of at most CHUNK entries at a time (arith.pairwise_sum), in one buffer
+    of CHUNK entries, and the sum is divided by N as np.mean divides it:
+    the result is that of one np.mean over all N products, with no N-long
+    array.  mu stays int8 and is cast in the multiply, into the dtype that
+    a float64 mu times v would have (values(1, 1) shows it).  N < 1 is
+    refused: the mean of nothing is not a number.
     """
+    if n_max < 1:
+        raise ValueError(f"need N >= 1, not {n_max}")
     if tables.n_max < n_max:
         raise ValueError("need a mobius table up to N")
     # read mu before the value arrays exist: its first read builds the table
     mu = tables.mobius[1: n_max + 1]
-    out = np.empty(0)
-    for lo in range(0, n_max, CHUNK):
-        vals = values(lo + 1, min(lo + CHUNK, n_max))
-        if not lo:
-            out = np.empty(n_max, dtype=np.result_type(np.float64, vals))
-        np.multiply(mu[lo: lo + CHUNK], vals, out=out[lo: lo + CHUNK], dtype=out.dtype)
-    return complex(np.mean(out))
+    buf = np.empty(CHUNK, dtype=np.result_type(np.float64, values(1, 1)))
+    total = arith.pairwise_sum(
+        n_max, lambda lo, hi, out: np.multiply(mu[lo:hi], values(lo + 1, hi), out=out, dtype=out.dtype), buf)
+    return complex(total / np.intp(n_max))
 
 
 def mobius_nil_correlation(n_max, g, x0, func, tables):

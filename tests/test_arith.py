@@ -354,3 +354,78 @@ def test_sign_array_matches_mask_route_up_to_300():
 def test_sign_array_matches_mask_route(n_max):
     # at p^2 +- 1 the prime p is on either side of sqrt(n_max): flipped by the sign array, or sieved
     _check_against_mask_route(n_max)
+
+
+def _values(seed, n, dtype, kind):
+    """n float64 or complex128 values: of magnitudes from 1e-12 to 1e12, or
+    zeros of both signs among them, or with infinities, or with NaNs too."""
+    rng = np.random.default_rng(seed)
+
+    def part():
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
+        if kind != "wide":
+            v[rng.random(n) < 0.5] = 0.0
+            v[rng.random(n) < 0.3] = -0.0
+        if kind in ("inf", "nan"):
+            at = rng.random(n) < 0.001
+            v[at] = rng.choice([np.inf, -np.inf, np.nan][: 2 if kind == "inf" else 3], int(at.sum()))
+        return v
+
+    if dtype == np.float64:
+        return part()
+    a = np.empty(n, dtype)
+    a.real, a.imag = part(), part()
+    return a
+
+
+def _streamed_sum(a, block):
+    """arith.pairwise_sum over a in a buffer of block entries (at least the
+    128-slot base case), checking that the leaves cover 0..n once, in order."""
+    buf = np.empty(max(block, 64 if a.dtype.kind == "c" else 128), a.dtype)
+    seen = [0]
+
+    def terms(lo, hi, out):
+        assert lo == seen[-1] and len(out) == hi - lo <= len(buf) and out.base is buf
+        out[:] = a[lo:hi]
+        seen.append(hi)
+
+    got = arith.pairwise_sum(len(a), terms, buf)
+    assert seen[-1] == len(a)
+    return got
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.integers(0, 3000), st.integers(0, 3 * 10**5)),
+       st.sampled_from([np.float64, np.complex128]),
+       st.sampled_from([1, 7, 64, 2**13, 2**14]), st.sampled_from(["wide", "zeros", "inf", "nan"]))
+def test_pairwise_sum_matches_add_reduce(seed, n, dtype, block, kind):
+    # inf - inf gives the one default NaN on both sides; where a NaN operand
+    # meets another NaN, which one's sign survives depends on the operand
+    # order of the compiled add, so a NaN is compared as NaN
+    a = _values(seed, n, dtype, kind)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = _streamed_sum(a, block)
+        want = np.add.reduce(a)
+    assert type(got) is type(want)
+    if kind == "nan":
+        parts = [(v.real, v.imag) if dtype == np.complex128 else (v,) for v in (got, want)]
+        assert [(np.isnan(x), np.isnan(x) or x.tobytes()) for x in parts[0]] == \
+            [(np.isnan(x), np.isnan(x) or x.tobytes()) for x in parts[1]]
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [10**6, 2000003])          # mn-corr's N and the benchmark sieve's N'
+def test_pairwise_sum_matches_add_reduce_at_benchmark_sizes(n):
+    for dtype in (np.float64, np.complex128):
+        a = _values(n, n, dtype, "wide")
+        for block in (64, 2**13, 2**14):
+            assert _streamed_sum(a, block).tobytes() == np.add.reduce(a).tobytes(), (dtype, block)
+
+
+def test_pairwise_sum_needs_the_base_case_in_its_buffer():
+    for buf in (np.empty(127), np.empty(63, complex)):
+        with pytest.raises(ValueError, match="128 float slots"):
+            arith.pairwise_sum(1000, lambda lo, hi, out: out.fill(1.0), buf)
+    for buf in (np.empty(128), np.empty(64, complex)):
+        assert arith.pairwise_sum(1000, lambda lo, hi, out: out.fill(1.0), buf) == 1000.0

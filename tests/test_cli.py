@@ -326,26 +326,51 @@ def _spy_allocations(monkeypatch, module=arith, alloc="ones"):
 
 def _spy_array_sizes(monkeypatch, *modules):
     """The sizes of the arrays that the numpy functions called from `modules`
-    return from now on."""
+    return from now on.  A ufunc is forwarded with its methods, and its
+    calls and its .reduce are recorded too."""
     sizes = []
+
+    def record(f):
+        def spy(*args, **kwargs):
+            out = f(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                sizes.append(out.size)
+            return out
+
+        return spy
+
+    class Ufunc:
+        def __init__(self, ufunc):
+            self.ufunc, self.call, self.reduce = ufunc, record(ufunc), record(ufunc.reduce)
+
+        def __call__(self, *args, **kwargs):
+            return self.call(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
 
     class Numpy:
         def __getattr__(self, name):
             attr = getattr(np, name)
+            if isinstance(attr, np.ufunc):
+                return Ufunc(attr)
             if not callable(attr) or isinstance(attr, type):
                 return attr
-
-            def spy(*args, **kwargs):
-                out = attr(*args, **kwargs)
-                if isinstance(out, np.ndarray):
-                    sizes.append(out.size)
-                return out
-
-            return spy
+            return record(attr)
 
     for module in modules:
         monkeypatch.setattr(module, "np", Numpy())
     return sizes
+
+
+def test_array_size_spy_forwards_ufuncs(monkeypatch):
+    # a ufunc's calls and reductions are recorded, and its other methods still work
+    sizes = _spy_array_sizes(monkeypatch, arith)
+    assert arith.np.add(np.ones(3), 1.0).tolist() == [2.0] * 3
+    assert arith.np.add.reduce(np.ones((4, 5)), axis=0).tolist() == [4.0] * 5
+    assert arith.np.add.reduce(np.ones(6)) == 6.0
+    assert arith.np.add.accumulate(np.ones(2)).tolist() == [1.0, 2.0]
+    assert sizes == [3, 5]
 
 
 TWIN_1000 = {

@@ -813,16 +813,18 @@ def test_float_tile_buffer_bounded():
     assert peak <= 8 * counting.FLOAT_TILE + 3 * 2**19
 
 
-def test_float_twins_row_reads_views():
-    # gy-verify's twins shape: one row of 10^5 points and two float weights
-    # at arguments >= 1, over contiguous tables (one strided 2-D view per
-    # form) and over the same values as every other entry of a buffer (the
-    # one-row fallback of _block_view, which reads _run_view).  The tile
-    # buffer (8n bytes) is the only large allocation: the forms' reads are
-    # strided views, and the fallback adds no copy.  Gathering each form's
-    # values (with its index array) would peak at 5 x 8n, a stacked copy per
-    # form at 3 x 8n
-    n = 10**5
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_float_twins_row_reads_views(n):
+    # gy-verify's twins shape: one row of n = 10^5 points (and of 10^6) and
+    # two float weights at arguments >= 1, over contiguous tables (one
+    # strided 2-D view per form) and over the same values as every other
+    # entry of a buffer (the one-row fallback of _block_view, which reads
+    # _run_view).  The row is longer than the tile buffer of FLOAT_TILE
+    # entries, so it is summed a pairwise-tree node at a time in that
+    # buffer, the only large allocation whatever n is: the forms' reads are
+    # strided views, and the fallback adds no copy.  A buffer as long as
+    # the row would peak at 8n, gathering each form's values (with its
+    # index array) at 5 x 8n, a stacked copy per form at 3 x 8n
     sys_ = forms.system([[1], [1]], [0, 2])
     body = geometry.ConvexBody(1, [((-1,), -1), ((1,), n)], n)
     rng = np.random.default_rng(5)
@@ -837,7 +839,7 @@ def test_float_twins_row_reads_views():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 8 * n + 2**18
+        assert peak <= 8 * counting.FLOAT_TILE + 2**18
         assert per_row.called == (vals is not tables)
         assert got[-1].hex() == _float_driver_as_was(sys_, body, weights).hex()
     assert got[0].hex() == got[1].hex()

@@ -1,6 +1,9 @@
 import functools
+import gc
 import math
+import tracemalloc
 import types
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -789,3 +792,67 @@ def test_correlation_check_slices_match_the_roll_loop():
             prod *= np.roll(sv.nu, -int(h))
         lhs, _, _ = gysieve.correlation_check(sv, len(h_list), h_list)
         assert lhs.hex() == float(prod.mean()).hex(), h_list
+
+
+@pytest.fixture(scope="module")
+def benchmark_sieve():
+    # sieve-check's sieve (N = 1e5, gamma = 0.3, w = 5, b = 1, C = 20): N' = 2 000 003
+    return gysieve.build_enveloping_sieve(10**5, 0.3, 5.0, [1], 20)
+
+
+def _traced_peak(call):
+    """(call(), the tracemalloc peak of the allocations it makes)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_correlation_check_stores_no_product(benchmark_sieve):
+    # the N'-long product of nu's shifts, 16 MB, is summed a tree node at a time
+    # in one MC_CHUNK buffer: beyond nu the call needs under 1 MiB
+    sv = benchmark_sieve
+    (lhs, _, _), peak = _traced_peak(lambda: gysieve.correlation_check(sv, 2, [3, 9]))
+    assert peak <= 2**20
+    prod = np.roll(sv.nu, -3) * np.roll(sv.nu, -9)
+    assert lhs.hex() == float(prod.mean()).hex()
+
+
+def test_montecarlo_statistics_store_no_deviations(benchmark_sieve, monkeypatch):
+    # prod.std(ddof=1) held the 16 MB array of prod - mean beside prod; the squared
+    # deviations are now summed a tree node at a time, as numpy's _var sums them
+    sv, ap4 = benchmark_sieve, forms.ap_system(4)
+    prod = gysieve._montecarlo_products(sv.nu, ap4, sv.n_prime, 2 * 10**6, 0)
+    monkeypatch.setattr(gysieve, "_montecarlo_products", lambda *args: prod)
+    got, peak = _traced_peak(lambda: gysieve.linear_forms_check(sv, ap4, seed=0))
+    assert peak <= 2**20
+    want = (float(prod.mean()).hex(), float(prod.std(ddof=1) / math.sqrt(2 * 10**6)).hex())
+    assert (got.expectation.hex(), got.stderr.hex()) == want
+
+
+def test_checks_leave_nu_and_the_products_to_reference_counting(monkeypatch):
+    # with the cyclic collector off, nu and the Monte-Carlo products die as soon as
+    # their last reference goes: no reference cycle (a recursive closure over
+    # them, say) outlives the calls
+    kernel, products = gysieve._montecarlo_products, []
+
+    def kept(*args):
+        prod = kernel(*args)
+        products.append(weakref.ref(prod))
+        return prod
+
+    monkeypatch.setattr(gysieve, "_montecarlo_products", kept)
+    quad = forms.system([[1, 0], [0, 1], [1, 1], [1, 2]], [0, 3, 0, 1])
+    gc.collect()
+    gc.disable()
+    try:
+        sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5])
+        nu = weakref.ref(sv.nu)
+        gysieve.correlation_check(sv, 3, [1, 5, 11])
+        gysieve.linear_forms_check(sv, quad, sample_budget=5000)
+        assert len(products) == 1 and products[0]() is None
+        del sv
+        assert nu() is None
+    finally:
+        gc.enable()

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -730,7 +732,12 @@ def _one_shot_phase_correlation(n_max, alpha, tables):
     return complex(np.mean(mu * np.exp(2j * np.pi * alpha * n)))
 
 
-_CHUNK_EDGES = [1, nilseq.CHUNK - 1, nilseq.CHUNK, nilseq.CHUNK + 1, 2 * nilseq.CHUNK + 7, 10**5]
+# a sum of at most CHUNK complex entries is one leaf; past it numpy's pairwise tree
+# splits at half the slots rounded down to 8 (CHUNK + 1: leaves of CHUNK / 2 and
+# CHUNK / 2 + 1; 2 CHUNK + 1: a leaf of CHUNK and a node of CHUNK + 1), and 10^6
+# is mn-corr's N
+_CHUNK_EDGES = [1, 7, nilseq.CHUNK - 1, nilseq.CHUNK, nilseq.CHUNK + 1, 2 * nilseq.CHUNK, 2 * nilseq.CHUNK + 1,
+                2 * nilseq.CHUNK + 7, 10**5, 10**6]
 
 
 class TestChunkedCorrelations:
@@ -754,6 +761,33 @@ class TestChunkedCorrelations:
         tables = arith.build_tables(100)
         with pytest.raises(ValueError, match="need a mobius table up to N"):
             nilseq.mobius_phase_correlation(101, 0.3, tables)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_no_terms_refused(self, n):
+        # the mean of no terms was (nan+0j) with two RuntimeWarnings
+        tables = arith.build_tables(100)
+        g, func = H(0.3, 2.0, 0.3), nilseq.smooth_cell_function(0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"need N >= 1, not {n}"):
+                nilseq.mobius_phase_correlation(n, 0.3, tables)
+            with pytest.raises(ValueError, match=f"need N >= 1, not {n}"):
+                nilseq.mobius_nil_correlation(n, g, H.identity(), func, tables)
+
+    def test_mean_stores_no_n_long_array(self, tables_1e6):
+        # mn-corr's sum at N = 10^6 over built tables: one CHUNK buffer and a
+        # chunk's orbit and values, where an N-long array of the complex
+        # products alone takes 16 MB
+        theta = 0.5 * (np.sqrt(5) - 1)
+        g, func = H(-theta, 2.0, -theta), nilseq.smooth_cell_function(0.0, 0.0)
+        tables_1e6.mobius
+        tracemalloc.start()
+        try:
+            nilseq.mobius_nil_correlation(10**6, g, H.identity(), func, tables_1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**21
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.tuples(*[st.floats(-3, 3, allow_nan=False)] * 6), st.integers(61, 10**6), st.integers(0, 5000))
