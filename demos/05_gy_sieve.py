@@ -11,7 +11,7 @@ from affprimes import arith, forms, geometry, gysieve
 
 print("=== cutoff families and sieve factors ===")
 bump = gysieve.normalized_bump()
-tent = gysieve.tent_taper(0.1)
+tent = gysieve.tent_taper()
 sharp, _ = gysieve.split_sharp_flat()
 for name, chi in [("normalized bump", bump), ("tent (edge-smoothed)", tent), ("sharp identity", sharp)]:
     c1 = gysieve.sieve_factor(chi, 1)
@@ -46,7 +46,7 @@ lf_res = gysieve.linear_forms_check(sv, dep)
 print(f"  linear-forms deviation for (n1, n1+n2): {lf_res.deviation:.5f} [{lf_res.method}]")
 lhs, rhs, holds = gysieve.correlation_check(sv, 3, [1, 5, 11])
 print(f"  correlation condition m=3: lhs = {lhs:.4f} <= rhs = {rhs:.4f}: {holds}")
-mom = gysieve.tau_moments(sv, qs=(1, 2, 3), n_limit=10**4)
+mom = gysieve.tau_moments(sv, n_limit=10**4)
 print(f"  tau moments: {', '.join(f'q={q}: {v:.3f}' for q, v in mom.items())}")
 
 print()

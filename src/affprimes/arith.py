@@ -169,34 +169,14 @@ class WTrickParams:
         return self.phi_W / self.W
 
 
-def w_trick(w=None, W=None):
-    """Build W = prod_{p <= w} p and the coprime residue list.
-
-    Either a threshold w or an explicit primorial W may be given; a W that
-    is not a primorial is rejected.
-    """
-    if (w is None) == (W is None):
-        raise ValueError("give exactly one of w, W")
-    if w is not None:
-        if w < 2:
-            raise ValueError("w must be >= 2")
-        prod = 1
-        p = 2
-        while p <= w and prod <= TABLE_GUARD:
-            prod *= p
-            p = _next_prime(p)
-        W = prod
-    else:
-        W = int(W)
-        if W < 2:
-            raise ValueError("W must be >= 2")
-        prod, p = 1, 2
-        while prod < W:
-            prod *= p
-            p = _next_prime(p)
-        if prod != W:
-            raise ValueError(f"{W} is not a primorial")
-        w = float(_prev_prime(p))
+def w_trick(w):
+    """Build W = prod_{p <= w} p and the coprime residue list."""
+    if w < 2:
+        raise ValueError("w must be >= 2")
+    W, p = 1, 2
+    while p <= w and W <= TABLE_GUARD:
+        W *= p
+        p = _next_prime(p)
     check_table_size(W)         # the residue list below is a loop over 1..W
     residues = tuple(b for b in range(1, W + 1) if math.gcd(b, W) == 1)
     return WTrickParams(w=float(w), W=W, residues=residues)
@@ -307,16 +287,9 @@ def _next_prime(p):
     return q
 
 
-def _prev_prime(p):
-    for q in range(p - 1, 1, -1):
-        if is_prime(q):
-            return q
-    raise ValueError("no prime below 2")
-
-
-def lambda_bw(n, b, params, primed=False):
-    """(phi(W)/W) * Lambda(W n + b), or the Lambda' variant when primed."""
-    return float(lambda_bw_array(n, b, params, primed, n_lo=n)[0])
+def lambda_bw(n, b, params):
+    """(phi(W)/W) * Lambda(W n + b)."""
+    return float(lambda_bw_array(n, b, params, n_lo=n)[0])
 
 
 def lambda_bw_array(n_hi, b, params, primed=False, n_lo=1):

@@ -85,6 +85,8 @@ BITSET_W = 6                    # the bitset route's W: the product of the prime
 BITSET_CHUNK = 2**20            # bytes per AND buffer of the bitset route, and of the +-1 bit
                                 # planes' two accumulators together; bounds working memory
 FLOAT_TILE = 2**16              # float64 entries of the float driver's tile buffer; bounds working memory
+QUAD_NODES = 12                 # Gauss-Legendre nodes per panel of the dim-2 integral quadrature
+QUAD_PANELS = 8                 # geometric panels per row of that quadrature
 _W_PRIMES = tuple(arith.factorize(BITSET_W))
 _TAILS = np.packbits(np.arange(8) <= np.arange(8)[:, None], axis=1)[:, 0]     # _TAILS[m]: the first m + 1 bits
 
@@ -950,7 +952,7 @@ def _integral_sum_pointwise(sys, body):
     return math.fsum(parts)
 
 
-def _integral_sum_quadrature(sys, runs, nodes=12, panels=8):
+def _integral_sum_quadrature(sys, runs):
     """Euler-Maclaurin / Gauss-Legendre approximation of the same lattice sum.
 
     Valid for dim 2; rows are the outer-coordinate runs, given as the
@@ -962,7 +964,7 @@ def _integral_sum_quadrature(sys, runs, nodes=12, panels=8):
     {psi_i >= 3} first.
     """
     prefix, lo, hi = runs
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(QUAD_NODES)
     total = np.empty(len(lo))
     k = 0                       # the rows kept so far
     # Rows are independent, so they are clipped and integrated in blocks of
@@ -970,7 +972,7 @@ def _integral_sum_quadrature(sys, runs, nodes=12, panels=8):
     # buffers, and full-length ones would cost as many page faults as
     # arithmetic.  The buffers are allocated once, since freeing them after
     # each block lets malloc return their pages and fault them in again.
-    work = np.empty((3, nodes, min(len(lo), geometry.RUN_BLOCK)))
+    work = np.empty((3, QUAD_NODES, min(len(lo), geometry.RUN_BLOCK)))
     for s in range(0, len(lo), geometry.RUN_BLOCK):
         rows = slice(s, s + geometry.RUN_BLOCK)
         x1 = prefix[rows, 0].astype(np.float64)
@@ -988,7 +990,7 @@ def _integral_sum_quadrature(sys, runs, nodes=12, panels=8):
                 np.minimum(b, (2.5 - base) / a1, out=b)
         keep &= a < b
         n = int(np.count_nonzero(keep))
-        total[k:k + n] = _row_quadrature(sys.forms, x1[keep], a[keep], b[keep], gl_x, gl_w, panels, work)
+        total[k:k + n] = _row_quadrature(sys.forms, x1[keep], a[keep], b[keep], gl_x, gl_w, QUAD_PANELS, work)
         k += n
     return float(total[:k].sum())
 

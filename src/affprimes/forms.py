@@ -99,14 +99,14 @@ class FormSystem:
 
 
 def system(rows, constants=None):
-    """Convenience constructor from coefficient rows and constants."""
+    """Convenience constructor from coefficient rows and constants, one per row."""
     constants = constants or [0] * len(rows)
-    return FormSystem(tuple(AffineForm(r, c) for r, c in zip(rows, constants)))
+    return FormSystem(tuple(AffineForm(r, c) for r, c in zip(rows, constants, strict=True)))
 
 
-def ap_system(k, step_multiplier=1):
+def ap_system(k):
     """(n1, n1+n2, ..., n1+(k-1)n2): arithmetic progressions of length k."""
-    return system([[1, j * step_multiplier] for j in range(k)])
+    return system([[1, j] for j in range(k)])
 
 
 def identity_system(d):
@@ -355,22 +355,19 @@ def _small_support_in_rowspace(a_rows):
     return False
 
 
-def parameterize_matrix_system(a_rows, b, *, n_cols=None):
+def parameterize_matrix_system(a_rows, b):
     """Multiplicity-free parameterization of {x : A x = b} as a FormSystem.
 
     Smith form UAV = D; with y = V^{-1} x the system is D y = U b, so the free
     coordinates of y parameterize the lattice and x = V y.  Returns
     (FormSystem on t-s parameters, base_point) where the forms' constants are
-    the base point.  An empty A (s = 0, pass n_cols) gives the identity
-    parameterization of Z^t.
+    the base point.  An empty A (s = 0) is refused, since it has no t.
     """
     a_rows = [list(map(int, r)) for r in a_rows]
     b = [int(x) for x in b]
     s = len(a_rows)
     if s == 0:
-        if n_cols is None:
-            raise ValueError("empty matrix: pass n_cols for the identity parameterization")
-        return identity_system(n_cols), [0] * n_cols
+        raise ValueError("empty matrix: no columns to parameterize")
     t = len(a_rows[0])
     if linalg.rank(a_rows) != s:
         raise ValueError("not full rank")

@@ -1,15 +1,16 @@
 """Gowers box norms, cyclic and local uniformity norms, and the
 Cauchy-Schwarz inequality battery.
 
-Each norm has two routes side by side: the naive defining average (the
-oracle) and a fast one.  Every box and weighted box average,
+Every box and weighted box average,
 E_{x0,x1} prod_omega C^{|omega|} f_omega(x^{(omega)}) times the nu_C weights,
 is a single np.einsum call in _box_average.  The cyclic and local norms recurse
 over differences down to an FFT at U^2; the U^3 level transforms its
 difference rows in blocks of ROWS.  The local norm computes its normaliser on
-a second thread beside its numerator.  The fast paths must agree with the
-naive one at small sizes; tests enforce this.  Complex inputs are supported
-with the conjugation pattern C^{|omega|}.
+a second thread beside its numerator.  Only the cyclic norm keeps its naive
+defining average beside the fast route (method "naive"); the naive oracles of
+the box and local norms live in the tests, and every fast path must agree
+with its oracle at small sizes.  Complex inputs are supported with the
+conjugation pattern C^{|omega|}.
 """
 
 import itertools
@@ -28,6 +29,8 @@ _EINSUM_MAX_INTERMEDIATE = 2**20
 # 4 to 64 rows take the same time within 3 %; a block's buffers hold 40 bytes
 # per entry (1.3 MB at 16 rows).
 ROWS = 16
+# Slack the inequality checks allow lhs over rhs for rounding: holds is lhs <= rhs + CHECK_TOL.
+CHECK_TOL = 1e-9
 
 
 @dataclass
@@ -48,29 +51,6 @@ def _finalize(raw, method, order):
 
 # ---------------------------------------------------------------------------
 # box norms over products of finite sets
-
-
-def _box_raw_naive(f):
-    """Defining average: E_{x0, x1} prod_omega C^{|omega|} f(x^{(omega)})."""
-    k = f.ndim
-    sizes = f.shape
-    total = 0.0 + 0.0j
-    ranges0 = [range(s) for s in sizes]
-    ranges1 = [range(s) for s in sizes]
-    for x0 in itertools.product(*ranges0):
-        for x1 in itertools.product(*ranges1):
-            prod = 1.0 + 0.0j
-            for omega in itertools.product((0, 1), repeat=k):
-                idx = tuple(x1[i] if omega[i] else x0[i] for i in range(k))
-                v = f[idx]
-                if sum(omega) % 2:
-                    v = np.conj(v)
-                prod *= v
-            total += prod
-    denom = 1
-    for s in sizes:
-        denom *= s * s
-    return total / denom
 
 
 def _einsum_mean(operands):
@@ -113,20 +93,14 @@ def _box_average(fs, nus):
     return _einsum_mean(operands)
 
 
-def box_norm(f, method="direct"):
-    """Gowers box norm of a multi-axis array; method in {naive, direct}."""
+def box_norm(f):
+    """Gowers box norm of a multi-axis array, by the einsum cube average."""
     f = np.asarray(f, dtype=complex)
     if f.ndim == 0:
         raise ValueError("box norm needs at least one axis")
     if math.prod(s * s for s in f.shape) > NAIVE_WORK_GUARD:
         raise ValueError("work guard exceeded for box norm")
-    if method == "naive":
-        raw = _box_raw_naive(f)
-    elif method == "direct":
-        raw = _box_average([f] * 2**f.ndim, {})
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _finalize(raw, method, 2 ** f.ndim)
+    return _finalize(_box_average([f] * 2**f.ndim, {}), "direct", 2 ** f.ndim)
 
 
 # ---------------------------------------------------------------------------
@@ -231,35 +205,6 @@ def gowers_norm_cyclic(f, s, method="recursive"):
 # local norms U^{s+1}(A) on integer intervals
 
 
-def _local_raw_naive(f, s):
-    """Average over (x, h) with every vertex x + omega.h inside the interval."""
-    n = len(f)
-    if n ** (s + 2) > NAIVE_WORK_GUARD:
-        raise ValueError("work guard exceeded for naive local norm")
-    total = 0.0 + 0.0j
-    count = 0
-    for x in range(n):
-        for h in itertools.product(range(-n + 1, n), repeat=s + 1):
-            vs = []
-            ok = True
-            for omega in itertools.product((0, 1), repeat=s + 1):
-                pos = x + sum(o * hh for o, hh in zip(omega, h))
-                if not 0 <= pos < n:
-                    ok = False
-                    break
-                vs.append((pos, sum(omega) % 2))
-            if not ok:
-                continue
-            count += 1
-            prod = 1.0 + 0.0j
-            for pos, conj in vs:
-                prod *= np.conj(f[pos]) if conj else f[pos]
-            total += prod
-    if count == 0:
-        raise ValueError("empty constraint set")
-    return total / count
-
-
 def _beside(main, side):
     """(main(), side()), with side() run on a second thread meanwhile.
 
@@ -287,10 +232,10 @@ def _beside(main, side):
     return first, out[0]
 
 
-def gowers_norm_local(f, s, method="embed"):
+def gowers_norm_local(f, s):
     """U^{s+1} norm on an interval, intrinsic normalisation.
 
-    The fast route embeds the interval in Z_M with M > 2|I| (a Freiman
+    It embeds the interval in Z_M with M > 2|I| (a Freiman
     isomorphism for parallelepipeds) and uses
     ||f||_{U(I)} = ||f 1_I||_{U(Z_M)} / ||1_I||_{U(Z_M)}.
     For s >= 2 the normaliser ||1_I|| runs on a second thread while this one
@@ -301,11 +246,6 @@ def gowers_norm_local(f, s, method="embed"):
     n = len(f)
     if n < 1:
         raise ValueError("empty interval")
-    if method == "naive":
-        raw = _local_raw_naive(f, s)
-        return _finalize(raw, method, 2 ** (s + 1))
-    if method != "embed":
-        raise ValueError(f"unknown method {method!r}")
     if s < 1:
         raise ValueError("s must be >= 1")
     m = 2 * n + 1
@@ -322,20 +262,21 @@ def gowers_norm_local(f, s, method="embed"):
         np.fft.fft(fe, out=fb.fh[0])
         num, den = _beside(lambda: _cyclic_raw_recursive(fe, s, fb), lambda: _cyclic_raw_recursive(ie, s, ib))
         raw = num / den
-    return _finalize(raw, method, 2 ** (s + 1))
+    return _finalize(raw, "embed", 2 ** (s + 1))
 
 
 # ---------------------------------------------------------------------------
 # inequality checks
 
 
-def gcs_check(family, s=None, tol=1e-9):
+def gcs_check(family):
     """Gowers-Cauchy-Schwarz over Z_N: |E prod C^{|w|} f_w(x + w.h)| <= prod ||f_w||.
 
-    `family` maps each omega in {0,1}^{s+1} (tuple) to an array over Z_N, or
-    is a flat list in lexicographic omega order.  Returns (lhs, rhs, holds).
+    `family` maps each omega in {0,1}^k (tuple), k >= 2, to an array over
+    Z_N, or is a flat list in lexicographic omega order; its size gives k.
+    Returns (lhs, rhs, holds), holds allowing CHECK_TOL of rounding.
     """
-    k = max(len(family).bit_length() - 1, 2) if s is None else s + 1
+    k = max(len(family).bit_length() - 1, 2)
     if len(family) != 2**k:
         raise ValueError(f"a U^{k} family has {2**k} functions, got {len(family)}")
     if isinstance(family, dict):
@@ -343,7 +284,7 @@ def gcs_check(family, s=None, tol=1e-9):
     fs = [np.asarray(v, dtype=complex) for v in family]
     lhs = abs(_cyclic_cube_average(fs))
     rhs = math.prod(gowers_norm_cyclic(fv, k - 1).norm for fv in fs)
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + CHECK_TOL
 
 
 def _subset_product_average(fb, full):
@@ -358,7 +299,7 @@ def _relabel(family, b):
     return {frozenset(pos[a] for a in c): v for c, v in family.items() if c < b}
 
 
-def second_gcs_check(fb, tol=1e-9):
+def second_gcs_check(fb):
     """Second Gowers-Cauchy-Schwarz (one function per subset B of the axes).
 
     fb maps frozenset B -> array over X_B (axes in sorted order); the full
@@ -376,7 +317,7 @@ def second_gcs_check(fb, tol=1e-9):
             continue
         g = arr if gap == 0 else np.abs(arr) ** (2**gap)
         rhs *= box_norm(g).norm ** (1.0 / 2**gap)
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + CHECK_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +344,7 @@ def weighted_box_norm(g, nu_family):
     return res
 
 
-def weighted_gvn_check(f_family, nu_family, tol=1e-9):
+def weighted_gvn_check(f_family, nu_family):
     """Weighted generalised von Neumann inequality on |A| axes.
 
     f_family maps frozenset B -> array on X_B with |f_B| <= nu_B pointwise
@@ -420,4 +361,4 @@ def weighted_gvn_check(f_family, nu_family, tol=1e-9):
             continue
         val = weighted_box_norm(nu_family[b], _relabel(nu_family, b)).norm
         rhs *= val ** (1.0 / 2 ** (k - len(b)))
-    return lhs, rhs, lhs <= rhs + tol
+    return lhs, rhs, lhs <= rhs + CHECK_TOL

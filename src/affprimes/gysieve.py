@@ -5,13 +5,14 @@ Cutoff functions are piecewise polynomial with closed-form derivatives, and
 every SmoothCutoff vanishes outside [-1, 1]:
 
 * normalized_bump: even, chi(0) = 1, built by smoothing the tent 1-|x| over
-  a width eps at both ends.  Cauchy-Schwarz forces
+  a width eps = BUMP_EPS at both ends.  Cauchy-Schwarz forces
   int_0^1 |chi'|^2 >= 1 for any such chi with equality only for the
   (non-smooth) tent itself, so chi(0)=1 and c_{chi,2}=1 cannot hold exactly
-  at the same time; with the default eps the gap is ~8e-7.
-* tent_taper: the tent smoothed only near the support edge; its derivative
-  at 0+ is -1 (we adopt the right-derivative in c_{chi,1} = -chi'(0)), which
-  makes it the natural cutoff for a = 1 experiments.
+  at the same time; at eps = 1e-6 the gap is ~8e-7.
+* tent_taper: the tent smoothed only near the support edge, over a width
+  delta = TAPER_DELTA; its derivative at 0+ is -1 (we adopt the
+  right-derivative in c_{chi,1} = -chi'(0)), which makes it the natural
+  cutoff for a = 1 experiments.
 * sharp/flat split pieces of the identity function chi(x) = x, transitioning
   on [1/2, 1] through a fixed quintic smoothstep.
 
@@ -32,6 +33,10 @@ from . import arith, counting, forms, gowers, linalg
 
 MC_CHUNK = 2**14            # Monte-Carlo rows per chunk; sized so nu's head and the chunk buffers stay in L2;
                             # also the buffer (at least 128 entries) of the sieve checks' streamed means
+MC_SAMPLES = 2 * 10**6      # draws of the Monte-Carlo linear-forms check
+BUMP_EPS = 1e-6             # normalized_bump's smoothing width
+TAPER_DELTA = 0.1           # tent_taper's taper width
+TAU_KAPPA = 1.0             # the kappa of tau(n) = exp(kappa sum p^{-1/2}) in the correlation condition
 
 
 def _smoothstep(u):
@@ -57,10 +62,9 @@ class SmoothCutoff:
         return self.evaluator(x)
 
 
-def normalized_bump(eps=1e-6):
-    """Smoothed tent: chi(0) = 1 exactly, c_{chi,2} = 1 + eps(2q - eps)/(1-eps)^2."""
-    if not 0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
+def normalized_bump():
+    """Smoothed tent: chi(0) = 1 exactly, c_{chi,2} = 1 + eps(2q - eps)/(1-eps)^2, eps = BUMP_EPS."""
+    eps = BUMP_EPS
     scale = 1.0 / (1.0 - eps)
 
     def deriv(x):
@@ -96,14 +100,14 @@ def normalized_bump(eps=1e-6):
     )
 
 
-def tent_taper(delta=0.1):
+def tent_taper():
     """Tent 1-|x| smoothed only near |x| = 1; right-derivative at 0 is -1.
 
-    The taper is delta*g(u) with the quintic g matching value delta, slope -1
-    and curvature 0 at the joint and a C^2 zero at the support edge.
+    The taper is delta*g(u), delta = TAPER_DELTA, with the quintic g matching
+    value delta, slope -1 and curvature 0 at the joint and a C^2 zero at the
+    support edge.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    delta = TAPER_DELTA
 
     def g(u):
         return 1.0 - u - 4.0 * u**3 + 7.0 * u**4 - 3.0 * u**5
@@ -270,8 +274,9 @@ class EnvelopingSieve:
         return float(self.nu.mean())
 
 
-def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, chi=None):
-    """nu = 1/2 + (1/2) E_i (phi(W)/W) Lambda_{chi,R,2}(W n + b_i) on [N], 1 elsewhere.
+def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None):
+    """nu = 1/2 + (1/2) E_i (phi(W)/W) Lambda_{chi,R,2}(W n + b_i) on [N], 1 elsewhere,
+    chi the normalized bump.
 
     tables is not read; it stays only because perfbench/workloads.py passes it.
     """
@@ -286,8 +291,7 @@ def build_enveloping_sieve(n_scale, gamma, w, b_list, c_factor=20, tables=None, 
     if n_prime > 2 * c_factor * n_scale:
         raise AssertionError("Bertrand violated?!")
     big_r = float(n_scale) ** gamma
-    if chi is None:
-        chi = normalized_bump()
+    chi = normalized_bump()
     nu_tilde = np.zeros(n_scale + 1)
     for b in b_list:
         nu_tilde += gy_weight_array(chi, big_r, 2, n_scale, wparams.W, b)
@@ -322,21 +326,18 @@ class LinearFormsResult:
     stderr: float = 0.0
 
 
-def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
+def linear_forms_check(sieve, sys, seed=0):
     """|E_{n in Z_{N'}^d} prod nu(psi_i(n)) - 1|.
 
     Exact routes: full rank mod N' factors into (E nu)^t; corank 1 reduces to
-    a single character sum via the FFT of nu.  Otherwise Monte Carlo with a
-    recorded seed and standard error, bit-identical to drawing every sample
-    at once (_montecarlo_products).  The mean and the standard deviation
-    (ddof=1) are computed as numpy's _mean and _var compute them, but the
-    squared deviations from the mean are summed along the pairwise tree in
-    one buffer (arith.pairwise_sum), not stored beside the products.  A
-    sample_budget below 2 has no standard error and is refused before any
-    route is chosen.
+    a single character sum via the FFT of nu.  Otherwise Monte Carlo over
+    MC_SAMPLES draws with a recorded seed and standard error, bit-identical
+    to drawing every sample at once (_montecarlo_products).  The mean and the
+    standard deviation (ddof=1) are computed as numpy's _mean and _var compute
+    them, but the squared deviations from the mean are summed along the
+    pairwise tree in one buffer (arith.pairwise_sum), not stored beside the
+    products.
     """
-    if sample_budget < 2:
-        raise ValueError(f"sample_budget must be at least 2, not {sample_budget}")
     p = sieve.n_prime
     nu = sieve.nu
     rows = [[c % p for c in f.linear_coeffs] for f in sys.forms]
@@ -363,13 +364,14 @@ def linear_forms_check(sieve, sys, sample_budget=2 * 10**6, seed=0):
         phases = np.exp(2j * np.pi * ((rr * shift) % p) / p)
         e = float(np.real(np.sum(prod * phases)))
         return LinearFormsResult(abs(e - 1.0), e, "exact:character-sum")
-    prod = _montecarlo_products(nu, sys, p, sample_budget, seed)
+    n = MC_SAMPLES
+    prod = _montecarlo_products(nu, sys, p, n, seed)
     # numpy's _mean and _var, with the squared deviations summed a node at a time
-    mean = np.add.reduce(prod) / np.intp(sample_budget)
+    mean = np.add.reduce(prod) / np.intp(n)
     squares = arith.pairwise_sum(
-        sample_budget, lambda lo, hi, out: np.square(np.subtract(prod[lo:hi], mean, out=out), out=out),
+        n, lambda lo, hi, out: np.square(np.subtract(prod[lo:hi], mean, out=out), out=out),
         np.empty(max(MC_CHUNK, 128)))
-    se = float(np.sqrt(squares / np.intp(sample_budget - 1)) / math.sqrt(sample_budget))
+    se = float(np.sqrt(squares / np.intp(n - 1)) / math.sqrt(n))
     return LinearFormsResult(abs(float(mean) - 1.0), float(mean), "montecarlo", stderr=se)
 
 
@@ -436,15 +438,14 @@ def _montecarlo_products(nu, sys, p, sample_budget, seed):
 # correlation condition
 
 
-def tau_weight(sieve, n_values, kappa=1.0, cap=None):
-    """Diagnostic tau(n) = mean over residue pairs of exp(kappa sum p^{-1/2}).
+def tau_weight(sieve, n_values):
+    """Diagnostic tau(n) = mean over residue pairs of min(exp(kappa sum p^{-1/2}), cap).
 
-    The constants are unspecified in the correlation condition; kappa and the
-    tau(0) cap are surfaced as parameters (defaults kappa=1, cap=log^2 N).
+    The correlation condition leaves these constants unspecified; they are
+    fixed here: kappa = TAU_KAPPA = 1 and cap = log^2 N, which is also tau(0).
     Each W n + bi - bj is factored by arith.factorize; no table is built.
     """
-    if cap is None:
-        cap = math.log(sieve.n_scale) ** 2
+    cap = math.log(sieve.n_scale) ** 2
     w = sieve.wparams
     bl = sieve.b_list
     pairs = [(bi, bj) for k, bi in enumerate(bl) for bj in bl[k:]]
@@ -460,12 +461,12 @@ def tau_weight(sieve, n_values, kappa=1.0, cap=None):
             for p in arith.factorize(v):
                 if p > w.w:
                     s += p ** -0.5
-            acc += min(math.exp(kappa * s), cap)
+            acc += min(math.exp(TAU_KAPPA * s), cap)
         out.append(acc / len(pairs))
     return out
 
 
-def correlation_check(sieve, m, h_list, kappa=1.0, cap=None):
+def correlation_check(sieve, m, h_list):
     """lhs = E_n prod_i nu(n + h_i) vs rhs = sum_{i<j} tau(h_i - h_j).
 
     The N'-long product is never stored: arith.pairwise_sum sums it along
@@ -483,7 +484,7 @@ def correlation_check(sieve, m, h_list, kappa=1.0, cap=None):
                                np.empty(max(MC_CHUNK, 128)))
     lhs = float(total / np.intp(p))
     diffs = [h_list[i] - h_list[j] for i in range(m) for j in range(i + 1, m)]
-    rhs = float(sum(tau_weight(sieve, diffs, kappa=kappa, cap=cap)))
+    rhs = float(sum(tau_weight(sieve, diffs)))
     return lhs, rhs, lhs <= rhs
 
 
@@ -498,8 +499,9 @@ def _shifted_product(nu, p, shifts, lo, out):
         out[head:] *= nu[:len(out) - head]
 
 
-def tau_moments(sieve, tables=None, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
-    """E tau^q over n in [1, n_limit].
+def tau_moments(sieve, tables=None, n_limit=None):
+    """E tau^q over n in [1, n_limit] for q = 1, 2, 3, with tau_weight's fixed
+    constants kappa = TAU_KAPPA and cap = log^2 N.
 
     For each residue pair, s(n) = sum of p^{-1/2} over primes w < p <= L with
     p | W n + bi - bj, L = min(W n_limit + max b + 1, W n_limit + W), added in
@@ -509,8 +511,7 @@ def tau_moments(sieve, tables=None, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=N
     W n_limit entries is built.  tables is not read; it stays only because
     perfbench/workloads.py passes it.
     """
-    if cap is None:
-        cap = math.log(sieve.n_scale) ** 2
+    cap = math.log(sieve.n_scale) ** 2
     n_limit = n_limit or sieve.n_scale
     w = sieve.wparams
     bl = sieve.b_list
@@ -520,11 +521,11 @@ def tau_moments(sieve, tables=None, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=N
     tau = np.zeros(n_limit + 1)
     for bi, bj in pairs:
         s = same if bi == bj else _rsqrt_sums_on_progression(n_limit, w, bi - bj, limit)
-        term = np.minimum(np.exp(kappa * s), cap)
+        term = np.minimum(np.exp(TAU_KAPPA * s), cap)
         tau += term
     tau /= len(pairs)
     tau = tau[1:]
-    return {q: float((tau**q).mean()) for q in qs}
+    return {q: float((tau**q).mean()) for q in (1, 2, 3)}
 
 
 def _rsqrt_sums_of_multiples(n_limit, w):

@@ -223,7 +223,7 @@ class ExceptionalPrimeSet:
     X: float
 
 
-def exceptional_primes(sys, p_limit=None):
+def exceptional_primes(sys):
     """Primes p where two forms become linearly dependent mod p.
 
     For the pair (i, j) these are the primes dividing every 2x2 minor of the
@@ -239,9 +239,6 @@ def exceptional_primes(sys, p_limit=None):
         if d2 == 0:
             raise ValueError(f"forms {i}, {j} are parallel over Q: infinite exceptional set")
         if d2 > 1:
-            ps = set(factorize(d2))
-            if p_limit is not None:
-                ps = {p for p in ps if p <= p_limit}
-            out |= ps
+            out |= set(factorize(d2))
     primes = sorted(out)
     return ExceptionalPrimeSet(primes=primes, X=sum(p ** -0.5 for p in primes))

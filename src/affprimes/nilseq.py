@@ -409,12 +409,16 @@ def heisenberg_orbit_coords(g, x0, n_max, n_lo=1):
     return xx, yy, zz
 
 
-def smooth_cell_function(center_x, center_y, width=0.25):
+CELL_WIDTH = 0.25   # support width of smooth_cell_function's bump in x and in y
+
+
+def smooth_cell_function(center_x, center_y):
     """Lipschitz bump chi(x - cx) chi(y - cy) e(z), continuous on the quotient.
 
-    The bump is supported well inside one period, so the function extends
-    continuously across the fundamental-domain gluing.
+    The bump is supported on a width of CELL_WIDTH, well inside one period, so
+    the function extends continuously across the fundamental-domain gluing.
     """
+    width = CELL_WIDTH
 
     def bump(t):
         t = np.abs(t - np.round(t))

@@ -159,7 +159,7 @@ def test_criterion_06_inequality_battery(rng):
     ok = True
     for _ in range(200):
         fam = [rng.choice([-1.0, 1.0], size=16) for _ in range(4)]
-        lhs, rhs, holds = gowers.gcs_check(fam, tol=1e-9)
+        lhs, rhs, holds = gowers.gcs_check(fam)
         ok = ok and holds
     for _ in range(200):
         fb = {
@@ -168,7 +168,7 @@ def test_criterion_06_inequality_battery(rng):
             frozenset([1]): rng.normal(size=8) + 1j * rng.normal(size=8),
             frozenset([0, 1]): rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)),
         }
-        lhs, rhs, holds = gowers.second_gcs_check(fb, tol=1e-9)
+        lhs, rhs, holds = gowers.second_gcs_check(fb)
         ok = ok and holds
     for _ in range(200):
         nu = {
@@ -178,7 +178,7 @@ def test_criterion_06_inequality_battery(rng):
             frozenset([0, 1]): 0.2 + rng.random((5, 5)),
         }
         f = {b: (rng.random(np.shape(w)) * 2 - 1) * w for b, w in nu.items()}
-        lhs, rhs, holds = gowers.weighted_gvn_check(f, nu, tol=1e-9)
+        lhs, rhs, holds = gowers.weighted_gvn_check(f, nu)
         ok = ok and holds
     for _ in range(200):
         n = int(rng.integers(4, 33))
@@ -222,7 +222,7 @@ def test_criterion_07_wtricked_uniformity_decay():
 
 
 def _gy_twin_ratios():
-    tent = gysieve.tent_taper(0.1)
+    tent = gysieve.tent_taper()
     twin = forms.system([[1], [1]], [0, 2])
     out = {}
     for n in (10**4, 10**5):

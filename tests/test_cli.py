@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affprimes import arith, cli, forms, gysieve, nilseq
 
@@ -667,7 +670,7 @@ def test_count_with_w_tricked_weights(tmp_path):
     code, report, _ = run(tmp_path, "count", cfg)
     assert code == 0
     wp = arith.w_trick(w=5.0)
-    want = sum(arith.lambda_bw(n, 1, wp) * arith.lambda_bw(n + 2, 7, wp, primed=True) for n in range(1, 999))
+    want = sum(arith.lambda_bw(n, 1, wp) * arith.lambda_bw_array(n + 2, 7, wp, primed=True, n_lo=n + 2)[0] for n in range(1, 999))
     assert report["result"]["count"] == pytest.approx(want, rel=1e-12) and want > 0
 
 
@@ -749,3 +752,59 @@ def test_readme_lists_every_key_of_every_command():
         (line,) = re.findall(rf"^\* `{name}`: (.*)$", readme, re.MULTILINE)
         keys = [re.match(r"`(\w+)`", item).group(1) for item in line.split("; ")]
         assert keys == list(inspect.signature(cmd).parameters), name
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """t forms on Z^d (coefficients -3..3, constants -6..6) and a body at N <= 60:
+    a box inside [-N, N]^d cut by one halfspace a.x <= c."""
+    d, t, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 60))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any), min_size=t, max_size=t))
+    consts = draw(st.lists(st.integers(-6, 6), min_size=t, max_size=t))
+    box = [sorted(draw(st.lists(st.integers(-n, n), min_size=2, max_size=2))) for _ in range(d)]
+    a = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    c = draw(st.integers(-3 * d * n, 3 * d * n))
+    halfspaces = [{"a": a, "c": c}]
+    for j, (lo, hi) in enumerate(box):
+        e = [0] * d
+        e[j] = 1
+        halfspaces += [{"a": e, "c": hi}, {"a": [-x for x in e], "c": -lo}]
+    cfg = {
+        "system": {"forms": [{"coeffs": r, "const": k} for r, k in zip(rows, consts)]},
+        "body": {"dim": d, "halfspaces": halfspaces},
+        "N": n,
+    }
+    return cfg, (rows, consts, box, a, c)
+
+
+def _brute_force_prime_count(rows, consts, box, a, c):
+    """#{n in the box with a.n <= c and every psi_i(n) prime}, over every lattice point."""
+    grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in box], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids])
+    pts = pts[:, np.asarray(a) @ pts <= c]
+    vals = np.asarray(rows) @ pts + np.asarray(consts)[:, None]
+    top = max(int(vals.max(initial=0)), 2)
+    is_prime = np.ones(top + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(top) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    return int(np.all((vals >= 0) & is_prime[np.clip(vals, 0, top)], axis=0).sum())
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_fuzz_configs())
+def test_drawn_configs_keep_the_exit_code_contract(fuzz_dir, drawn):
+    # exit 0, 1 or 2 on every drawn config, never 3 (an internal fault); count
+    # is the brute-force number of lattice points with every form prime
+    cfg, (rows, consts, box, a, c) = drawn
+    for command in ("count", "compare", "predict", "gy-verify"):
+        code, report, _ = run(fuzz_dir, command, cfg)
+        assert code in (0, 1, 2), (command, cfg)
+        if command == "count":
+            assert code == 0 and report["result"]["count"] == _brute_force_prime_count(rows, consts, box, a, c), cfg

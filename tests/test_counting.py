@@ -101,7 +101,7 @@ def test_lambda_bw_weight(tables_4e6):
         sys, body, ["lambda_prime_bw"], tables_4e6, wparams=wp, b_list=[7]
     )
     direct = sum(
-        arith.lambda_bw(n, 7, wp, primed=True) for n in range(1, 5001)
+        arith.lambda_bw_array(n, 7, wp, primed=True, n_lo=n)[0] for n in range(1, 5001)
     )
     assert val == pytest.approx(direct, rel=1e-12)
 
@@ -1378,4 +1378,4 @@ def test_lambda_bw_weight_values():
             want = wp.normalizer * table[wp.W + b:: wp.W][: tables.n_max]
             assert vals[1:].tobytes() == want.tobytes()
             for n in (1, 2, 4, 77, tables.n_max):
-                assert vals[n] == arith.lambda_bw(n, b, wp, primed=primed)
+                assert vals[n] == arith.lambda_bw_array(n, b, wp, primed, n_lo=n)[0]

@@ -329,12 +329,17 @@ def test_normal_form_extension_is_an_extension(sys):
     assert forms.is_extension(sys, ext)
 
 
-def test_parameterize_empty_matrix_identity():
-    sys0, x0 = forms.parameterize_matrix_system([], [], n_cols=3)
-    assert sys0 == forms.identity_system(3)
-    assert x0 == [0, 0, 0]
-    with pytest.raises(ValueError):
+def test_parameterize_empty_matrix_refused():
+    with pytest.raises(ValueError, match="empty matrix"):
         forms.parameterize_matrix_system([], [])
+
+
+def test_system_refuses_constants_of_another_length():
+    # zip used to drop the unmatched row: [3] against two rows gave the one form (n1 + 3)
+    for constants in ([3], [3, 0, 1]):
+        with pytest.raises(ValueError):
+            forms.system([[1, 0], [1, 1]], constants)
+    assert str(forms.system([[1, 0], [1, 1]], [3, 0])) == "(n1+3, n1+n2)"
 
 
 def ip_cube_system(d):

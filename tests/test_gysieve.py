@@ -59,12 +59,13 @@ class TestCutoffs:
         assert c2 == pytest.approx(normalized_bump_c2_exact(), rel=1e-9)
 
     def test_tent_taper_factors(self):
-        tent = gysieve.tent_taper(0.1)
+        tent = gysieve.tent_taper()
         assert gysieve.sieve_factor(tent, 1) == pytest.approx(1.0)
         # c1 -> 1 and c2 -> 1 as the end-smoothing shrinks
         prev = None
         for delta in (0.2, 0.1, 0.05):
-            c2 = gysieve.sieve_factor(gysieve.tent_taper(delta), 2)
+            with mock.patch.object(gysieve, "TAPER_DELTA", delta):
+                c2 = gysieve.sieve_factor(gysieve.tent_taper(), 2)
             if prev is not None:
                 assert abs(c2 - 1) < abs(prev - 1)
             prev = c2
@@ -72,7 +73,7 @@ class TestCutoffs:
 
     def test_scaling_homogeneity(self):
         # chi -> 2 chi doubles c_{chi,1} and quadruples c_{chi,2}
-        tent = gysieve.tent_taper(0.1)
+        tent = gysieve.tent_taper()
         doubled = gysieve.SmoothCutoff(
             family_id="2*tent",
             evaluator=lambda x: 2.0 * tent(x),
@@ -122,7 +123,7 @@ class TestDivisorSums:
                 assert arr[n] == pytest.approx(slow, abs=1e-12), (n, big_r, a)
 
     def test_array_matches_pointwise(self, tables_1e6):
-        chi = gysieve.tent_taper(0.1)
+        chi = gysieve.tent_taper()
         arr = gysieve.gy_weight_array(chi, 50.0, 2, 4000)
         for n in (1, 2, 16, 30, 210, 2310, 3989):
             assert arr[n] == pytest.approx(divisor_loop_oracle(n, chi, 50.0, 2, tables_1e6), abs=1e-10)
@@ -149,7 +150,7 @@ class TestDivisorSums:
 
 def test_divisor_sums_keep_their_bits():
     # .hex() values recorded when the divisors came from a smallest-prime-factor table
-    tent = gysieve.tent_taper(0.1)
+    tent = gysieve.tent_taper()
     assert [gysieve.lambda_flat_value(n, 40.0).hex() for n in (1, 12, 30, 9240, 720720, 30030 * 7919)] == [
         "-0x0.0p+0", "-0x0.0p+0", "0x1.df749608cd0adp+0",
         "0x1.e4b67bc8eda31p-1", "-0x1.1fa8ed6da5750p-1", "-0x1.1fa8ed6da56aep-1"]
@@ -244,7 +245,8 @@ class TestEnvelopingSieve:
         assert exact.method == "exact:character-sum"
         # dependent-but-deficient system falls back to sampling
         quad = forms.system([[1, 0], [0, 1], [1, 1], [1, 2]])
-        mc = gysieve.linear_forms_check(sv, quad, sample_budget=200000, seed=1)
+        with mock.patch.object(gysieve, "MC_SAMPLES", 200000):
+            mc = gysieve.linear_forms_check(sv, quad, seed=1)
         assert mc.method == "montecarlo"
         assert abs(mc.expectation - 1.0) < 0.2
 
@@ -258,7 +260,7 @@ class TestEnvelopingSieve:
         assert holds3
 
     def test_tau_moments(self, sieve):
-        mom = gysieve.tau_moments(sieve, qs=(1, 2, 3), n_limit=10**5)
+        mom = gysieve.tau_moments(sieve, n_limit=10**5)
         for q in (1, 2, 3):
             assert mom[q] < 10.0
 
@@ -275,7 +277,7 @@ class TestEnvelopingSieve:
 
 class TestGYEstimate:
     def test_twin_fixture_viable_gamma(self):
-        tent = gysieve.tent_taper(0.1)
+        tent = gysieve.tent_taper()
         twin = forms.system([[1], [1]], [0, 2])
         ratios = {}
         for n in (10**4, 10**5):
@@ -288,7 +290,7 @@ class TestGYEstimate:
         assert abs(ratios[10**5] - 1) < abs(ratios[10**4] - 1)
 
     def test_single_form(self):
-        tent = gysieve.tent_taper(0.1)
+        tent = gysieve.tent_taper()
         one = forms.system([[1]])
         body = geometry.ConvexBody.box(1, 1, 10**5, box_bound=10**5)
         out = gysieve.gy_estimate_check(one, body, [tent], [1], 0.45)
@@ -296,7 +298,7 @@ class TestGYEstimate:
 
     def test_empty_body(self):
         # the whole report, bit for bit: an empty K counts 0.0 over volume 0
-        tent = gysieve.tent_taper(0.1)
+        tent = gysieve.tent_taper()
         twin = forms.system([[1], [1]], [0, 2])
         body = geometry.ConvexBody(1, [((1,), 0), ((-1,), -1)], 10)
         for a_list, c_hex in (([1, 1], "0x1.0000000000000p+0"), ([2, 1], "0x1.05d9f7390d2a7p+0")):
@@ -316,7 +318,7 @@ class TestGYEstimate:
         # R = N^{1/20} < 2 leaves only the d = 1 divisor: the sum collapses to
         # (log R)^2 N and the ratio to (log R)^2 / singular product.  This is
         # the analytically forced value at the spec's asymptotic default.
-        tent = gysieve.tent_taper(0.1)
+        tent = gysieve.tent_taper()
         twin = forms.system([[1], [1]], [0, 2])
         n = 10**5
         body = geometry.ConvexBody.box(1, 1, n - 2, box_bound=n)
@@ -403,7 +405,7 @@ def _hex(out):
     return {k: v.hex() if isinstance(v, float) else v for k, v in out.items()}
 
 
-GY_CUTOFFS = (gysieve.tent_taper(0.1), gysieve.normalized_bump())
+GY_CUTOFFS = (gysieve.tent_taper(), gysieve.normalized_bump())
 
 
 @st.composite
@@ -492,11 +494,10 @@ def test_linear_forms_character_sum_vs_brute_force():
     assert res.expectation == pytest.approx(total / p**2, abs=1e-9)
 
 
-def _tau_moments_loop(sieve, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
+def _tau_moments_loop(sieve, n_limit=None):
     """tau_moments as a Python loop over every prime up to W n_limit + W, one
     pow and one strided add per prime; kept as the oracle of the bincount."""
-    if cap is None:
-        cap = math.log(sieve.n_scale) ** 2
+    cap = math.log(sieve.n_scale) ** 2
     n_limit = n_limit or sieve.n_scale
     w = sieve.wparams
     bl = sieve.b_list
@@ -516,10 +517,10 @@ def _tau_moments_loop(sieve, qs=(1, 2, 3), n_limit=None, kappa=1.0, cap=None):
                 n0 = p
             if n0 <= n_limit:
                 s[n0::p] += p ** -0.5
-        tau += np.minimum(np.exp(kappa * s), cap)
+        tau += np.minimum(np.exp(s), cap)
     tau /= len(pairs)
     tau = tau[1:]
-    return {q: float((tau**q).mean()) for q in qs}
+    return {q: float((tau**q).mean()) for q in (1, 2, 3)}
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -530,11 +531,9 @@ def test_tau_moments_matches_prime_loop(data):
     b_list = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=4))
     n_scale = data.draw(st.integers(2, 300))
     n_limit = data.draw(st.one_of(st.none(), st.integers(1, 300)))
-    kappa = data.draw(st.floats(0.05, 3.0))
-    cap = data.draw(st.one_of(st.none(), st.floats(1.0, 40.0)))
     sieve = types.SimpleNamespace(n_scale=n_scale, wparams=wp, b_list=tuple(b_list))
-    got = gysieve.tau_moments(sieve, None, (1, 2, 3), n_limit, kappa, cap)
-    want = _tau_moments_loop(sieve, (1, 2, 3), n_limit, kappa, cap)
+    got = gysieve.tau_moments(sieve, None, n_limit)
+    want = _tau_moments_loop(sieve, n_limit)
     assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)]
 
 
@@ -544,10 +543,9 @@ def test_tau_moments_edge_pairs_match_prime_loop():
     # at n_limit = 1 (every prime <= w divided out although sqrt(2) < w)
     for w, b_list, n_limit in ((3.0, (1, 601), 10), (3.0, (1, 601), 150), (5.0, (1, 29), 1), (5.0, (29, 1, 7), 2)):
         sieve = types.SimpleNamespace(n_scale=10**4, wparams=arith.w_trick(w=w), b_list=b_list)
-        for cap in (None, 1e300):
-            got = gysieve.tau_moments(sieve, None, (1, 2, 3), n_limit, 0.5, cap)
-            want = _tau_moments_loop(sieve, (1, 2, 3), n_limit, 0.5, cap)
-            assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)], (b_list, n_limit, cap)
+        got = gysieve.tau_moments(sieve, None, n_limit)
+        want = _tau_moments_loop(sieve, n_limit)
+        assert [got[q].hex() for q in (1, 2, 3)] == [want[q].hex() for q in (1, 2, 3)], (b_list, n_limit)
 
 def test_tau_moments_bit_identical_at_benchmark_size(monkeypatch):
     # the sieve-gowers tau-moments op (N = 1e5, W = 30, one residue).  With one
@@ -582,11 +580,10 @@ def test_least_prime_at_least_matches_sieve():
         assert arith._next_prime(n - 1) == n + int(np.flatnonzero(sieve[n:])[0]), n
 
 
-def _tau_weight_spf(sieve, n_values, spf_factor, kappa=1.0, cap=None):
+def _tau_weight_spf(sieve, n_values, spf_factor):
     """tau_weight factoring through a sieved smallest-prime-factor table up to
     1e6 (arith.factorize above it); kept as the oracle of arith.factorize."""
-    if cap is None:
-        cap = math.log(sieve.n_scale) ** 2
+    cap = math.log(sieve.n_scale) ** 2
     w = sieve.wparams
     bl = sieve.b_list
     pairs = [(bi, bj) for k, bi in enumerate(bl) for bj in bl[k:]]
@@ -602,18 +599,17 @@ def _tau_weight_spf(sieve, n_values, spf_factor, kappa=1.0, cap=None):
             for p in spf_factor(abs(v)) if abs(v) <= 10**6 else arith.factorize(v):
                 if p > w.w:
                     s += p ** -0.5
-            acc += min(math.exp(kappa * s), cap)
+            acc += min(math.exp(s), cap)
         out.append(acc / len(pairs))
     return out
 
 
 def test_tau_weight_matches_spf_factorization(spf_factor):
     ns = list(range(-400, 401)) + [10**4, -(10**4) + 1, 33333]
-    for w, b_list, kappa, cap in ((3.0, (1, 5), 1.0, None), (5.0, (1, 7, 11, 29), 0.7, 9.0),
-                                  (7.0, (11, 13 + 210, 209), 2.5, None)):
+    for w, b_list in ((3.0, (1, 5)), (5.0, (1, 7, 11, 29)), (7.0, (11, 13 + 210, 209))):
         sieve = types.SimpleNamespace(n_scale=10**5, wparams=arith.w_trick(w=w), b_list=b_list)
-        got = gysieve.tau_weight(sieve, ns, kappa, cap)
-        want = _tau_weight_spf(sieve, ns, spf_factor, kappa, cap)
+        got = gysieve.tau_weight(sieve, ns)
+        want = _tau_weight_spf(sieve, ns, spf_factor)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
@@ -649,23 +645,12 @@ def test_montecarlo_chunks_match_one_shot_draw(monkeypatch):
     cases += [(gysieve.MC_CHUNK, seed, budget) for seed, budget in ((3, 2**17 + 3), (4, 5000))]
     for chunk, seed, budget in cases:
         monkeypatch.setattr(gysieve, "MC_CHUNK", chunk)
-        got = gysieve.linear_forms_check(sv, quad, sample_budget=budget, seed=seed)
+        monkeypatch.setattr(gysieve, "MC_SAMPLES", budget)
+        got = gysieve.linear_forms_check(sv, quad, seed=seed)
         assert got.method == "montecarlo"
         e, se = _montecarlo_one_shot(sv, quad, budget, seed)
         assert (got.expectation.hex(), got.stderr.hex()) == (e.hex(), se.hex()), (chunk, seed, budget)
 
-
-
-def test_linear_forms_check_refuses_a_budget_below_two():
-    # a budget of 0 gave a NaN expectation and 1 a NaN stderr; the refusal
-    # comes before any route is chosen, so exact-route systems refuse it too
-    sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5])
-    quad = forms.system([[1, 0], [0, 1], [1, 1], [1, 2]], [0, 3, 0, 1])
-    pair = forms.system([[1, 0], [0, 1]])
-    for system in (quad, pair):
-        for budget in (1, 0, -3):
-            with pytest.raises(ValueError, match="sample_budget must be at least 2"):
-                gysieve.linear_forms_check(sv, system, sample_budget=budget)
 
 
 @functools.lru_cache(maxsize=None)
@@ -707,8 +692,8 @@ def test_montecarlo_kernel_matches_one_shot_draw(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     sieve = types.SimpleNamespace(n_prime=p, nu=nu)
     system = forms.system(rows, consts)
-    with mock.patch.object(gysieve, "MC_CHUNK", chunk):
-        got = gysieve.linear_forms_check(sieve, system, sample_budget=budget, seed=seed)
+    with mock.patch.object(gysieve, "MC_CHUNK", chunk), mock.patch.object(gysieve, "MC_SAMPLES", budget):
+        got = gysieve.linear_forms_check(sieve, system, seed=seed)
     assert got.method == "montecarlo"
     e, se = _montecarlo_one_shot(sieve, system, budget, seed)
     assert (got.expectation.hex(), got.stderr.hex()) == (e.hex(), se.hex())
@@ -718,8 +703,8 @@ def test_montecarlo_on_a_short_nu_raises_index_error():
     # a nu shorter than N' is read with numpy's index check, as nu[vals] was
     sv = _small_sieve(50)
     short = types.SimpleNamespace(n_prime=sv.n_prime, nu=sv.nu[: sv.n_prime // 2])
-    with pytest.raises(IndexError):
-        gysieve.linear_forms_check(short, forms.ap_system(4), sample_budget=1000)
+    with pytest.raises(IndexError), mock.patch.object(gysieve, "MC_SAMPLES", 1000):
+        gysieve.linear_forms_check(short, forms.ap_system(4))
 
 def test_montecarlo_bit_identical_at_benchmark_size():
     # the sieve-gowers linear-forms-montecarlo op (AP4, N = 1e5, W = 30, C = 20):
@@ -730,7 +715,7 @@ def test_montecarlo_bit_identical_at_benchmark_size():
         assert len(gysieve._nu_gather_source(sv.nu, sv.n_prime)[0]) == 10**5 + 2
         got = gysieve.linear_forms_check(sv, ap4, seed=seed)
         assert got.method == "montecarlo"
-        e, se = _montecarlo_one_shot(sv, ap4, 2 * 10**6, seed)
+        e, se = _montecarlo_one_shot(sv, ap4, gysieve.MC_SAMPLES, seed)
         assert (got.expectation.hex(), got.stderr.hex()) == (e.hex(), se.hex()), (seed, b)
 
 def _dense_divisor_sum(chi, big_r, m_max):
@@ -752,13 +737,13 @@ def _dense_divisor_sum(chi, big_r, m_max):
 def test_divisor_sum_kernels_on_the_progression_match_the_dense_table(data):
     # D, Lambda_{chi,R,a} and Lambda^sharp at W n + b, n <= n_max, read off the dense
     # table, for R below and above sqrt(W n_max + b)
-    wp = arith.w_trick(W=data.draw(st.sampled_from([2, 6, 30, 210])))
+    wp = arith.w_trick(w=data.draw(st.sampled_from([2, 3, 5, 7])))
     b = data.draw(st.sampled_from([r + k * wp.W for r in wp.residues for k in (0, 1, 3)]))
     n_max = data.draw(st.integers(0, 400))
     m = wp.W * np.arange(n_max + 1) + b
     root = math.sqrt(m[-1])
     big_r = max(1.5, root * data.draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 4.0))))
-    name, chi = data.draw(st.sampled_from([("bump", gysieve.normalized_bump()), ("tent", gysieve.tent_taper(0.1)),
+    name, chi = data.draw(st.sampled_from([("bump", gysieve.normalized_bump()), ("tent", gysieve.tent_taper()),
                                            ("sharp", gysieve.split_sharp_flat()[0])]))
     dense = _dense_divisor_sum(chi, big_r, m[-1])[m]
     got = gysieve.divisor_sum_core_array(chi, big_r, n_max, wp.W, b)
@@ -774,7 +759,7 @@ def test_divisor_sum_kernels_on_the_progression_match_the_dense_table(data):
 
 def test_dense_divisor_sums_match_the_dense_loop():
     # W = 1, b = 0 is the dense table, D(0) = 0 included
-    for chi, big_r, n_max in ((gysieve.tent_taper(0.1), 50.0, 4000), (gysieve.normalized_bump(), 317.0, 10**5),
+    for chi, big_r, n_max in ((gysieve.tent_taper(), 50.0, 4000), (gysieve.normalized_bump(), 317.0, 10**5),
                               (gysieve.split_sharp_flat()[0], 2.5, 30)):
         got = gysieve.divisor_sum_core_array(chi, big_r, n_max)
         assert got.tobytes() == _dense_divisor_sum(chi, big_r, n_max).tobytes()
@@ -850,7 +835,8 @@ def test_checks_leave_nu_and_the_products_to_reference_counting(monkeypatch):
         sv = gysieve.build_enveloping_sieve(2000, 0.3, 3.0, [1, 5])
         nu = weakref.ref(sv.nu)
         gysieve.correlation_check(sv, 3, [1, 5, 11])
-        gysieve.linear_forms_check(sv, quad, sample_budget=5000)
+        with mock.patch.object(gysieve, "MC_SAMPLES", 5000):
+            gysieve.linear_forms_check(sv, quad)
         assert len(products) == 1 and products[0]() is None
         del sv
         assert nu() is None

@@ -248,7 +248,7 @@ def test_exceptional_primes():
         lf.exceptional_primes(forms.system([[1], [2]], [0, 0]))
 
 
-def _exceptional_oracle(sys, p_limit):
+def _exceptional_oracle(sys):
     """The 2x2-minor loop exceptional_primes ran before it read Smith's d2."""
     t, d = sys.t, sys.d
     out = set()
@@ -262,7 +262,7 @@ def _exceptional_oracle(sys, p_limit):
                     g = math.gcd(g, abs(a[k] * b[l] - a[l] * b[k]))
             if g == 0:
                 return None
-            out |= {p for p in factorize(g) if p_limit is None or p <= p_limit}
+            out |= set(factorize(g))
     return sorted(out)
 
 
@@ -279,14 +279,14 @@ def _small_systems(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(_small_systems(), st.one_of(st.none(), st.integers(2, 20)))
-def test_exceptional_primes_match_minor_loop(sys, p_limit):
-    want = _exceptional_oracle(sys, p_limit)
+@given(_small_systems())
+def test_exceptional_primes_match_minor_loop(sys):
+    want = _exceptional_oracle(sys)
     if want is None:
         with pytest.raises(ValueError, match="infinite"):
-            lf.exceptional_primes(sys, p_limit)
+            lf.exceptional_primes(sys)
     else:
-        assert lf.exceptional_primes(sys, p_limit).primes == want
+        assert lf.exceptional_primes(sys).primes == want
 
 
 def test_local_profile_rows():

@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -620,6 +621,12 @@ class TestCorrelations:
             assert abs(float(pt.z) - zz[n - 1]) < 1e-9
 
 
+def _cell_function(center_x, center_y, width):
+    """nilseq.smooth_cell_function built with CELL_WIDTH set to width."""
+    with mock.patch.object(nilseq, "CELL_WIDTH", width):
+        return nilseq.smooth_cell_function(center_x, center_y)
+
+
 def _unmasked_cell_function(center_x, center_y, width=0.25):
     """smooth_cell_function as it was: e(z) evaluated everywhere (the oracle of the masked f)."""
 
@@ -669,7 +676,7 @@ class TestMaskedCellFunction:
         x = np.where(rng.random(n) < 0.5, cx + rng.choice(edge, n), rng.uniform(-0.5, 0.5, n))
         y = np.where(rng.random(n) < 0.5, cy + rng.choice(edge, n), rng.uniform(-0.5, 0.5, n))
         z = rng.uniform(-0.5, 0.5, n)
-        got = nilseq.smooth_cell_function(cx, cy, width)(x, y, z)
+        got = _cell_function(cx, cy, width)(x, y, z)
         want = _unmasked_cell_function(cx, cy, width)(x, y, z)
         assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
         on = want != 0
@@ -695,12 +702,12 @@ class TestMaskedCellFunction:
         fx, fy = {"inside": (inside, inside), "outside": (outside, anywhere),
                   "x inside": (inside, anywhere), "mixed": (anywhere, anywhere)}[where]
         x, y, z = fx(cx), fy(cy), rng.uniform(-0.5, 0.5, n)
-        got = nilseq.smooth_cell_function(cx, cy, width)(x, y, z)
+        got = _cell_function(cx, cy, width)(x, y, z)
         want = _full_bump_cell_function(cx, cy, width)(x, y, z)
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
         # 0-d input, at the first point or at the centre
         for args in ((x[0], y[0], z[0]) if n else (cx, cy, 0.1), (cx, cy, z[0] if n else 0.3)):
-            got = nilseq.smooth_cell_function(cx, cy, width)(*args)
+            got = _cell_function(cx, cy, width)(*args)
             want = _full_bump_cell_function(cx, cy, width)(*args)
             assert got.shape == want.shape == () and got.tobytes() == want.tobytes()
 
@@ -745,7 +752,7 @@ class TestChunkedCorrelations:
     @pytest.mark.parametrize("theta", [0.5 * (np.sqrt(5) - 1), np.sqrt(2) - 1, -0.3])
     def test_nil_correlation_matches_one_shot(self, tables_1e6, n, theta):
         g, x0 = H(-theta, 2.0, -theta), H(0.1, -0.2, 0.3)
-        funcs = [nilseq.smooth_cell_function(0.0, 0.0), nilseq.smooth_cell_function(0.3, -0.2, 0.1),
+        funcs = [nilseq.smooth_cell_function(0.0, 0.0), _cell_function(0.3, -0.2, 0.1),
                  lambda x, y, z: np.ones_like(x)]
         for func in funcs:
             got = nilseq.mobius_nil_correlation(n, g, x0, func, tables_1e6)
