@@ -60,7 +60,7 @@ print("=== Mobius against nilsequences ===")
 tables = arith.build_tables(10**5)
 th = (np.sqrt(5) - 1) / 2
 gf = H(-th, 2.0, -th)
-func = nilseq.smooth_cell_function(0.0, 0.0)
+func = nilseq.smooth_cell_function()
 v = nilseq.mobius_nil_correlation(10**5, gf, H.identity(), func, tables)
 print(f"  |E mu(n) F(g^n x)| on the Heisenberg orbit, N=1e5: {abs(v):.5f}")
 v1 = nilseq.mobius_phase_correlation(10**5, th, tables)

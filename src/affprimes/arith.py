@@ -287,11 +287,6 @@ def _next_prime(p):
     return q
 
 
-def lambda_bw(n, b, params):
-    """(phi(W)/W) * Lambda(W n + b)."""
-    return float(lambda_bw_array(n, b, params, n_lo=n)[0])
-
-
 def lambda_bw_array(n_hi, b, params, primed=False, n_lo=1):
     """Vector of Lambda_{b,W}(n) for n = n_lo .. n_hi, sieved on the progression W n + b only."""
     is_p = prime_sieve(n_hi, params.W, b, n_lo)

@@ -19,9 +19,11 @@ import typing
 from pathlib import Path
 
 import numpy as np
-import numpy.random
 
-from . import arith, counting, forms, geometry, gowers, gysieve, localfactors, nilseq
+# the signatures and the error handling need these; gowers, gysieve, nilseq and
+# numpy.random are imported by the commands that run them, so that a command
+# loads only what it runs
+from . import arith, counting, forms, geometry, localfactors
 
 
 class ValidationError(Exception):
@@ -285,6 +287,8 @@ def cmd_chowla(N: Exact, factors: NonEmpty[forms.AffineForm]):
 
 def cmd_gowers(N: Exact, s: int = 1, input: typing.Literal["wtrick", "delta"] = "wtrick", w: float = 5.0,
                b: int = 1):
+    from . import gowers
+
     if input == "wtrick":
         wp = arith.w_trick(w=w)
         f = arith.lambda_bw_array(N, b, wp, primed=True) - 1.0
@@ -301,6 +305,8 @@ def cmd_gowers(N: Exact, s: int = 1, input: typing.Literal["wtrick", "delta"] = 
 def cmd_gy_verify(system: forms.FormSystem, body: geometry.ConvexBody, N: Exact, gamma: float = 1 / 20,
                   a_list: list[int] = None, chi: typing.Literal["tent_taper", "normalized_bump"] = "tent_taper",
                   pmax: int = 10**5):
+    from . import gysieve
+
     a_list = _per_form("a_list", a_list, system, 1)
     out = gysieve.gy_estimate_check(system, body, [getattr(gysieve, chi)()] * system.t, a_list, gamma, p_max=pmax)
     out.update({"N": N, "gamma": gamma, "chi": chi, "a_list": a_list})
@@ -309,6 +315,8 @@ def cmd_gy_verify(system: forms.FormSystem, body: geometry.ConvexBody, N: Exact,
 
 def cmd_sieve_check(N: Exact, gamma: float = 1 / 20, w: float = 5.0, b_list: NonEmpty[int] = (1,), C: int = 20,
                     seed: NonNegative = 0):
+    from . import gysieve
+
     sieve = gysieve.build_enveloping_sieve(N, gamma, w, b_list, C)
     dep = forms.system([[1, 0], [1, 1]])
     lf = gysieve.linear_forms_check(sieve, dep, seed=seed)
@@ -331,8 +339,13 @@ def cmd_sieve_check(N: Exact, gamma: float = 1 / 20, w: float = 5.0, b_list: Non
 
 
 def cmd_nil_check(seed: NonNegative = 0, trials: Positive = 100):
-    rng = np.random.default_rng(seed)
     from fractions import Fraction
+
+    import numpy.random
+
+    from . import nilseq
+
+    rng = numpy.random.default_rng(seed)
 
     def draws(*bounds):
         """trials rows of one integer in [low, high) per (low, high), in one call: per-entry
@@ -366,13 +379,15 @@ def cmd_nil_check(seed: NonNegative = 0, trials: Positive = 100):
 
 def cmd_mn_corr(N: Exact, kind: typing.Literal["phase", "heisenberg", "constant"] = "phase",
                 alpha: float = 0.5 * (math.sqrt(5) - 1), theta: float = 0.5 * (math.sqrt(5) - 1)):
+    from . import nilseq
+
     tables = arith.build_tables(N + 2)
     if kind == "phase":
         val = nilseq.mobius_phase_correlation(N, alpha, tables)
         meta = {"alpha": alpha}
     elif kind == "heisenberg":
         g = nilseq.HeisenbergElement(-theta, 2.0, -theta)
-        func = nilseq.smooth_cell_function(0.0, 0.0)
+        func = nilseq.smooth_cell_function()
         val = nilseq.mobius_nil_correlation(N, g, nilseq.HeisenbergElement.identity(), func, tables)
         meta = {"theta": theta}
     else:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft
-import numpy.random
 
 from . import arith, counting, forms, gowers, linalg
 
@@ -408,13 +407,15 @@ def _montecarlo_products(nu, sys, p, sample_budget, seed):
     draw does.  The chunk buffers are freed on return,
     before the caller's statistics allocate their buffer.
     """
+    import numpy.random
+
     src, mode = _nu_gather_source(nu, p)
     prod = np.ones(sample_budget)
     vals = np.empty(MC_CHUNK, dtype=np.int64)
     term = np.empty(MC_CHUNK, dtype=np.int64)
     cols = np.empty((sys.d, MC_CHUNK), dtype=np.int64)
     gathered = np.empty(MC_CHUNK)
-    rng = np.random.default_rng(seed)
+    rng = numpy.random.default_rng(seed)
     for lo in range(0, sample_budget, MC_CHUNK):
         rows = prod[lo:lo + MC_CHUNK]
         m = len(rows)

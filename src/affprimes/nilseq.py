@@ -412,8 +412,8 @@ def heisenberg_orbit_coords(g, x0, n_max, n_lo=1):
 CELL_WIDTH = 0.25   # support width of smooth_cell_function's bump in x and in y
 
 
-def smooth_cell_function(center_x, center_y):
-    """Lipschitz bump chi(x - cx) chi(y - cy) e(z), continuous on the quotient.
+def smooth_cell_function():
+    """Lipschitz bump chi(x) chi(y) e(z), continuous on the quotient.
 
     The bump is supported on a width of CELL_WIDTH, well inside one period, so
     the function extends continuously across the fundamental-domain gluing.
@@ -429,9 +429,9 @@ def smooth_cell_function(center_x, center_y):
         # y's bump and e(z) only where x's bump is nonzero; w is +0 elsewhere
         x, y, z = np.broadcast_arrays(x, y, z)
         out = np.zeros(x.shape, dtype=complex)
-        bx = bump(x - center_x).ravel()
+        bx = bump(x).ravel()
         at = np.flatnonzero(bx)
-        w = bx[at] * bump(y.ravel()[at] - center_y)
+        w = bx[at] * bump(y.ravel()[at])
         at, w = at[w != 0], w[w != 0]
         out.ravel()[at] = w * np.exp(2j * np.pi * z.ravel()[at])
         return out

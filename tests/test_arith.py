@@ -126,14 +126,19 @@ def test_w_trick_residue_list_is_guarded(monkeypatch):
         assert steps == [2, 3, 5, 7]
 
 
+def _lambda_bw(n, b, params):
+    """(phi(W)/W) * Lambda(W n + b): the scalar oracle of arith.lambda_bw_array."""
+    return float(arith.lambda_bw_array(n, b, params, n_lo=n)[0])
+
+
 def test_lambda_bw_values():
     w = arith.w_trick(w=5)
-    assert arith.lambda_bw(1, 7, w) == pytest.approx((8 / 30) * math.log(37))
+    assert _lambda_bw(1, 7, w) == pytest.approx((8 / 30) * math.log(37))
     # 121 = 11^2: the primed variant vanishes
     assert arith.lambda_bw_array(4, 1, w, primed=True, n_lo=4)[0] == 0.0
-    assert arith.lambda_bw(4, 1, w) == pytest.approx((8 / 30) * math.log(11))
+    assert _lambda_bw(4, 1, w) == pytest.approx((8 / 30) * math.log(11))
     with pytest.raises(ValueError):
-        arith.lambda_bw(1, 6, w)
+        _lambda_bw(1, 6, w)
 
 
 def test_lambda_bw_mean_value():

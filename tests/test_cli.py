@@ -28,6 +28,13 @@ AP4_SYSTEM = {
 }
 
 
+def fresh_python(*args, **kwargs):
+    """sys.executable run with args in a fresh interpreter that imports affprimes from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
+
 def run(tmp_path, command, cfg, extra=()):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -286,30 +293,34 @@ def test_report_payload_deterministic(tmp_path):
 
 def test_cli_import_does_not_load_scipy():
     # scipy serves only c_{chi,2} (gysieve.sieve_factor with a = 2) and is
-    # imported there; the numpy submodules the commands use load with the CLI
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # imported there; numpy.fft and numpy.polynomial, which counting runs on
+    # every hl-progressions pass, load with the CLI
     code = "import sys, affprimes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-    code = "import sys, affprimes.cli; print(all(m in sys.modules for m in ('numpy.fft', 'numpy.polynomial', 'numpy.random')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "True"
+    assert fresh_python("-c", code, check=True).stdout.strip() == "[]"
+    code = "import sys, affprimes.cli; print(all(m in sys.modules for m in ('numpy.fft', 'numpy.polynomial')))"
+    assert fresh_python("-c", code, check=True).stdout.strip() == "True"
+
+
+def test_cli_import_loads_no_module_that_only_some_commands_run():
+    # gowers, gysieve and nilseq load inside the commands that call them, and
+    # numpy.random where nil-check and the Monte-Carlo check draw
+    code = ("import sys, affprimes.cli\n"
+            "print(sorted(m for m in sys.modules if m in ('affprimes.gowers', 'affprimes.gysieve', 'affprimes.nilseq')\n"
+            "             or m.startswith('numpy.random') or m.split('.')[0] == 'scipy'))")
+    assert fresh_python("-c", code, check=True).stdout.strip() == "[]"
 
 
 def test_gowers_u3_loads_no_module_past_the_cli():
-    # the local norm's normaliser thread uses threading, which the CLI import
-    # already loads; the row-block kernel uses only numpy modules loaded there
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # once affprimes.gowers is imported, the U^3 kernel imports nothing: its
+    # normaliser thread's threading loads with gowers, and the row-block
+    # kernel uses only numpy modules loaded there
     code = ("import sys, affprimes.cli\n"
             "from affprimes import arith, gowers\n"
             "before = set(sys.modules)\n"
             "f = arith.lambda_bw_array(200, 1, arith.w_trick(w=5.0), primed=True) - 1.0\n"
             "gowers.gowers_norm_local(f, 2)\n"
             "print(sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_python("-c", code, check=True).stdout.strip() == "[]"
 
 
 def _spy_allocations(monkeypatch, module=arith, alloc="ones"):
@@ -610,15 +621,41 @@ def test_sieve_check_at_infinite_w_exits_1(tmp_path):
     # refused first; in a subprocess with a timeout, a regression fails instead of hanging
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({"N": 1000, "gamma": 0.3, "w": "inf"}))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-m", "affprimes.cli", "sieve-check", "--config", str(cfg_path), "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    out = fresh_python("-m", "affprimes.cli", "sieve-check", "--config", str(cfg_path), "--out", str(tmp_path),
+                       timeout=60)
     assert out.returncode == 1
     assert out.stderr == "error: config key 'w' must be finite, not inf\n"
     assert not (tmp_path / "report.json").exists()
+
+
+# one small config per command, for the fresh-interpreter runs
+FRESH_CONFIGS = {
+    "complexity": {"system": AP4_SYSTEM},
+    "normalize": {"system": AP4_SYSTEM, "s": 2},
+    "local-factors": {"system": AP4_SYSTEM, "pmax": 20},
+    "singular-series": {"system": AP4_SYSTEM, "pmax": 100},
+    "predict": {**TWIN_50, "pmax": 100},
+    "count": {**TWIN_50, "weights": ["lambda_bw", "prime_indicator"], "b_list": [1, 1]},
+    "compare": {**TWIN_50, "pmax": 100},
+    "mobius-corr": TWIN_50,
+    "chowla": {"N": 50, "factors": [[1, 0], [0, 1], [1, 1]]},
+    "gowers": {"N": 50, "s": 2, "input": "wtrick"},
+    "gy-verify": {**TWIN_50, "gamma": 0.3, "pmax": 100},
+    "sieve-check": {"N": 1000, "gamma": 0.3, "w": 3.0},
+    "nil-check": {"trials": 2},
+    "mn-corr": {"N": 100, "kind": "heisenberg"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_command_runs_in_a_fresh_interpreter(tmp_path, command):
+    # the in-process tests run after some test has imported every module; here a
+    # command has only what `import affprimes.cli` and the command itself load
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(FRESH_CONFIGS[command]))
+    out = fresh_python("-m", "affprimes.cli", command, "--config", str(cfg_path), "--out", str(tmp_path), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == json.loads((tmp_path / "report.json").read_text())["result"]
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -670,7 +707,7 @@ def test_count_with_w_tricked_weights(tmp_path):
     code, report, _ = run(tmp_path, "count", cfg)
     assert code == 0
     wp = arith.w_trick(w=5.0)
-    want = sum(arith.lambda_bw(n, 1, wp) * arith.lambda_bw_array(n + 2, 7, wp, primed=True, n_lo=n + 2)[0] for n in range(1, 999))
+    want = sum(arith.lambda_bw_array(n, 1, wp, n_lo=n)[0] * arith.lambda_bw_array(n + 2, 7, wp, primed=True, n_lo=n + 2)[0] for n in range(1, 999))
     assert report["result"]["count"] == pytest.approx(want, rel=1e-12) and want > 0
 
 

@@ -1365,7 +1365,7 @@ def test_weights_resolved_once(tables_1e6):
 def test_lambda_bw_weight_values():
     # the W-tricked weight spans the form values n <= tables.n_max, like every
     # selector; it is (phi(W)/W) Lambda(W n + b) read off the dense table of
-    # W n_max + W at every n >= 1 (and arith.lambda_bw at a few), 0 at n = 0
+    # W n_max + W at every n >= 1 (and arith.lambda_bw_array at a few), 0 at n = 0
     tables = arith.build_tables(3000)
     wp = arith.w_trick(w=5)
     dense = arith.build_tables(wp.W * tables.n_max + wp.W)

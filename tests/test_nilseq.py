@@ -602,7 +602,7 @@ class TestCorrelations:
     def test_heisenberg_builtin(self, tables_1e6):
         theta = (np.sqrt(5) - 1) / 2
         g = H(-theta, 2.0, -theta)
-        func = nilseq.smooth_cell_function(0.0, 0.0)
+        func = nilseq.smooth_cell_function()
         v = nilseq.mobius_nil_correlation(10**5, g, H.identity(), func, tables_1e6)
         assert abs(v) < 0.05
 
@@ -622,9 +622,11 @@ class TestCorrelations:
 
 
 def _cell_function(center_x, center_y, width):
-    """nilseq.smooth_cell_function built with CELL_WIDTH set to width."""
+    """nilseq.smooth_cell_function built with CELL_WIDTH set to width, its bumps
+    moved to (center_x, center_y): f reads x - center_x and y - center_y."""
     with mock.patch.object(nilseq, "CELL_WIDTH", width):
-        return nilseq.smooth_cell_function(center_x, center_y)
+        f = nilseq.smooth_cell_function()
+    return lambda x, y, z: f(np.subtract(x, center_x), np.subtract(y, center_y), z)
 
 
 def _unmasked_cell_function(center_x, center_y, width=0.25):
@@ -715,7 +717,7 @@ class TestMaskedCellFunction:
     def test_correlation_matches_unmasked(self, tables_1e6, theta):
         # small N includes N where every bump is 0, where the sums are of signed zeros
         g = H(-theta, 2.0, -theta)
-        masked, unmasked = nilseq.smooth_cell_function(0.0, 0.0), _unmasked_cell_function(0.0, 0.0)
+        masked, unmasked = nilseq.smooth_cell_function(), _unmasked_cell_function(0.0, 0.0)
         for n in [*range(1, 60), 997, 10**4]:
             got = nilseq.mobius_nil_correlation(n, g, H.identity(), masked, tables_1e6)
             want = nilseq.mobius_nil_correlation(n, g, H.identity(), unmasked, tables_1e6)
@@ -752,7 +754,7 @@ class TestChunkedCorrelations:
     @pytest.mark.parametrize("theta", [0.5 * (np.sqrt(5) - 1), np.sqrt(2) - 1, -0.3])
     def test_nil_correlation_matches_one_shot(self, tables_1e6, n, theta):
         g, x0 = H(-theta, 2.0, -theta), H(0.1, -0.2, 0.3)
-        funcs = [nilseq.smooth_cell_function(0.0, 0.0), _cell_function(0.3, -0.2, 0.1),
+        funcs = [nilseq.smooth_cell_function(), _cell_function(0.3, -0.2, 0.1),
                  lambda x, y, z: np.ones_like(x)]
         for func in funcs:
             got = nilseq.mobius_nil_correlation(n, g, x0, func, tables_1e6)
@@ -773,7 +775,7 @@ class TestChunkedCorrelations:
     def test_no_terms_refused(self, n):
         # the mean of no terms was (nan+0j) with two RuntimeWarnings
         tables = arith.build_tables(100)
-        g, func = H(0.3, 2.0, 0.3), nilseq.smooth_cell_function(0.0, 0.0)
+        g, func = H(0.3, 2.0, 0.3), nilseq.smooth_cell_function()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"need N >= 1, not {n}"):
@@ -786,7 +788,7 @@ class TestChunkedCorrelations:
         # chunk's orbit and values, where an N-long array of the complex
         # products alone takes 16 MB
         theta = 0.5 * (np.sqrt(5) - 1)
-        g, func = H(-theta, 2.0, -theta), nilseq.smooth_cell_function(0.0, 0.0)
+        g, func = H(-theta, 2.0, -theta), nilseq.smooth_cell_function()
         tables_1e6.mobius
         tracemalloc.start()
         try:

@@ -3,14 +3,21 @@ caller outside the tests.
 
 The roots are the CLI, the demos, the benchmark and the acceptance criteria;
 a name is reached when a root, or the module-level code of a module, refers to
-it directly or through reached definitions.  A method is referred to by any
-attribute of its name, whatever the receiver, or by a string 'Class.method';
-its body counts once it is reached, and a dunder method's body counts with its
-class.  Oracles that only tests call live in the test files.
+it directly or through reached definitions.  The package's exports are its
+`__init__` imports and its lazy export table (name -> module).  A method is
+referred to by any attribute of its name, whatever the receiver, or by a
+string 'Class.method'; its body counts once it is reached, and a dunder
+method's body counts with its class.  Strings refer to definitions only in the
+forms the benchmark's tracer looks them up by: 'Class.method' and a
+(module, attribute) pair; a bare string such as a selector "lambda_bw" refers
+to nothing.  Oracles that only tests call live in the test files.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import affprimes
 
@@ -54,13 +61,26 @@ def _aliases(tree, module, modules, exports):
     return out
 
 
+def _exports(tree, modules):
+    """Exported name -> 'mod.name' of a package __init__: its imports, and the
+    entries {name: module} of a module-level dict, the lazy export table its
+    __getattr__ serves."""
+    out = _aliases(tree, None, modules, {})
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            out.update({k.value: f"{v.value}.{k.value}" for k, v in zip(node.value.keys, node.value.values)
+                        if isinstance(k, ast.Constant) and isinstance(v, ast.Constant) and v.value in modules})
+    return out
+
+
 def _references(nodes, aliases, modules, by_name, methods):
     """Definitions ('mod.name', 'mod.Class.method') that the code in nodes refers to.
 
     A name or `module.attr` resolves through the imports and the module's own
     definitions; any other attribute refers to every method of that name.  A
-    string constant naming a definition, or 'Class.method' (as the benchmark's
-    tracer lists its spans), refers to every definition of that name.
+    string 'Class.method' refers to that method of every class of that name,
+    and a pair of strings (module, attribute) to module.attribute, as the
+    benchmark's tracer lists its spans.
     """
     out = set()
     for top in nodes:
@@ -74,7 +94,12 @@ def _references(nodes, aliases, modules, by_name, methods):
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 head, _, attr = n.value.partition(".")
                 for d in by_name.get(head, ()):
-                    out |= {d, f"{d}.{attr}"}
+                    if f"{d}.{attr}" in methods.get(attr, ()):
+                        out |= {d, f"{d}.{attr}"}
+            elif (isinstance(n, ast.Tuple) and len(n.elts) == 2
+                  and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in n.elts)
+                  and n.elts[0].value in modules):
+                out.add(f"{n.elts[0].value}.{n.elts[1].value}")
     return out
 
 
@@ -87,7 +112,7 @@ def unreached_definitions(package, roots):
     """
     trees = {m: ast.parse(src) for m, src in package.items()}
     modules = set(trees) - {"__init__"}
-    exports = _aliases(trees["__init__"], None, modules, {}) if "__init__" in trees else {}
+    exports = _exports(trees["__init__"], modules) if "__init__" in trees else {}
     # definition -> the nodes whose code runs once it is reached: a class
     # without its methods (dunder methods stay with it), each method alone.
     defs, edges, by_name, methods = {}, {}, {}, {}
@@ -159,6 +184,53 @@ def test_unreached_check_covers_methods_and_properties():
     assert unreached_definitions(package, ["from affprimes import G\nG().commutator(G())\n"]) == [
         "a.G.size", "a.G.spare",
     ]
+
+
+def test_unreached_check_reads_a_lazy_export_table():
+    package = {
+        "__init__": (
+            "import importlib\n"
+            "_EXPORTS = {'used': 'a', 'Kept': 'a'}\n"
+            "def __getattr__(name):\n"
+            "    return getattr(importlib.import_module(f'{__name__}.{_EXPORTS[name]}'), name)\n"
+        ),
+        "a": "def used():\n    return 1\ndef orphan():\n    return 2\nclass Kept:\n    pass\n",
+    }
+    assert unreached_definitions(package, ["from affprimes import used\nused()\n"]) == ["a.Kept", "a.orphan"]
+    assert unreached_definitions(package, ["from affprimes import Kept\nKept()\n"]) == ["a.orphan", "a.used"]
+
+
+def test_unreached_check_reads_strings_only_in_the_tracer_forms():
+    package = {
+        "__init__": "",
+        "a": (
+            "def orphan():\n    return 1\n"
+            "def spanned():\n    return 2\n"
+            "class G:\n    def m(self):\n        return 3\n    def n(self):\n        return 4\n"
+        ),
+    }
+    everything = ["a.G", "a.G.m", "a.G.n", "a.orphan", "a.spanned"]
+    # a bare string naming a definition (a selector, a dict key) refers to nothing
+    assert unreached_definitions(package, ["WEIGHTS = ('orphan', 'G', 'm')\n"]) == everything
+    # a (module, attribute) pair and a 'Class.method' string do
+    assert unreached_definitions(package, ["SPANS = (('a', 'spanned'),)\n"]) == ["a.G", "a.G.m", "a.G.n", "a.orphan"]
+    assert unreached_definitions(package, ["SPANS = (('a', 'G.m'),)\n"]) == ["a.G.n", "a.orphan", "a.spanned"]
+    assert unreached_definitions(package, ["NAME = 'G.n'\n"]) == ["a.G.m", "a.orphan", "a.spanned"]
+    # a pair whose first string is no module of the package, or a dotted name no method has, refers to nothing
+    assert unreached_definitions(package, ["X = (('b', 'spanned'), 'orphan.m', 'G.k')\n"]) == everything
+
+
+def test_the_export_table_is_what_the_package_serves():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    exports = _exports(ast.parse((SRC / "__init__.py").read_text()), modules)
+    assert exports
+    served = set(dir(affprimes)) - set(vars(affprimes))
+    assert set(exports) == served
+    for name, definition in exports.items():
+        module, attr = definition.split(".")
+        assert getattr(affprimes, name) is getattr(importlib.import_module(f"affprimes.{module}"), attr)
+    with pytest.raises(AttributeError, match="no attribute 'lambda_bw'"):
+        affprimes.lambda_bw
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
